@@ -13,6 +13,7 @@ from .types import (
     validate_permutation,
 )
 from .embedding import (
+    CorpusIndex,
     EmbeddingRecord,
     SelectionResult,
     cosine_sim,

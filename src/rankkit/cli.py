@@ -13,7 +13,7 @@ import logging
 import sys
 
 from . import backends, embedding, engine, metrics, pipeline, types
-from .errors import RankkitError
+from .errors import MalformedLine, RankkitError
 
 logger = logging.getLogger("rankkit")
 
@@ -60,24 +60,14 @@ def cmd_filter(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     query_embs = embedding.read_embeddings(args.query_embeddings)
     doc_embs = embedding.read_embeddings(args.doc_embeddings)
-    by_id = {r.id: r for r in doc_embs}
     if args.pairs:
-        pairs = []
-        with open(args.pairs, encoding="utf-8") as fh:
-            q_by_id = {r.id: r for r in query_embs}
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                pairs.append((q_by_id[rec["query_id"]].vector,
-                              by_id[rec["doc_id"]].vector,
-                              (rec["query_id"], rec["doc_id"])))
+        pairs = _read_pairs(args.pairs, query_embs, doc_embs)
     else:
+        index = embedding.CorpusIndex(doc_embs)
         pairs = []
         for q in query_embs:
-            top = embedding.top_k_by_distance(q.vector, doc_embs, 1)[0]
-            pairs.append((q.vector, by_id[top].vector, (q.id, top)))
+            top = embedding.top_k_by_distance(q.vector, index, 1)[0]
+            pairs.append((q.vector, index.by_id[top].vector, (q.id, top)))
     result = embedding.quality_filter(pairs, cfg.quality_threshold)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"meta": {
@@ -91,6 +81,31 @@ def cmd_filter(args: argparse.Namespace) -> int:
     logger.info("kept %d pairs (%d below threshold, %d zero vectors)",
                 result.kept_count, result.dropped_below, result.dropped_zero)
     return EXIT_OK
+
+
+def _read_pairs(path: str, query_embs, doc_embs) -> list:
+    """(query vector, doc vector, (query id, doc id)) for each line of a
+    JSONL file of {query_id, doc_id}; unknown ids are fatal with file:line."""
+    q_by_id = {r.id: r for r in query_embs}
+    d_by_id = {r.id: r for r in doc_embs}
+    pairs = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                qid, did = rec["query_id"], rec["doc_id"]
+                q, d = q_by_id.get(qid), d_by_id.get(did)
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise MalformedLine(path, lineno, line, str(exc)) from exc
+            if q is None:
+                raise MalformedLine(path, lineno, line, f"unknown query_id {qid!r}")
+            if d is None:
+                raise MalformedLine(path, lineno, line, f"unknown doc_id {did!r}")
+            pairs.append((q.vector, d.vector, (qid, did)))
+    return pairs
 
 
 def cmd_select(args: argparse.Namespace) -> int:
@@ -115,11 +130,13 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     query_embs = embedding.read_embeddings(args.query_embeddings)
     doc_embs = embedding.read_embeddings(args.doc_embeddings)
     k = args.k or cfg.top_k
+    index = embedding.CorpusIndex(doc_embs)
     entries = []
     for q in query_embs:
-        ids = embedding.top_k_by_distance(q.vector, doc_embs, k)
-        by_id = {r.id: r for r in doc_embs}
-        scores = [-embedding.euclidean_dist(q.vector, by_id[d].vector) for d in ids]
+        ids = embedding.top_k_by_distance(q.vector, index, k)
+        # 1-D euclidean_dist, not the index's row-wise norm: the two differ in
+        # the last bit on some rows, and the written scores stay as they were
+        scores = [-embedding.euclidean_dist(q.vector, index.by_id[d].vector) for d in ids]
         entries.extend(metrics.run_from_candidates(q.id, ids, scores, tag="retrieve"))
     metrics.write_run(entries, args.out)
     return EXIT_OK

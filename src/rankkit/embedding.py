@@ -8,6 +8,15 @@ selectors used by the selection ablation.
 Selection is deterministic: every argmin/argmax tie is broken by lowest
 input index, and similarities are computed in float64 regardless of the
 storage precision of the vectors.
+
+Retrieval goes through a ``CorpusIndex``: each command stacks its corpus
+once and ranks every query against it with one matrix-vector product,
+``|x|^2 - 2 x.q + |q|^2``.  That expansion rounds differently from the
+literal ``norm(x - q)``, so it only nominates candidates: every row whose
+distance could, within a rigorous floating-point error bound, reach the
+k-th smallest is re-scored exactly as ``norm(x[rows] - q, axis=1)`` and
+stably sorted by (distance, row).  The ids returned are therefore the same,
+ties included, as a stable sort of the literal distances of every row.
 """
 
 from __future__ import annotations
@@ -31,6 +40,9 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 ORACLE_MAX_N = 32
+
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -120,11 +132,14 @@ def quality_filter(
 def _stacked(records: Sequence[EmbeddingRecord]) -> np.ndarray:
     if not records:
         raise EmptyCollection("no embedding records")
-    dim = records[0].vector.shape[0]
-    for r in records:
-        if r.vector.shape[0] != dim:
-            raise DimensionMismatch(f"record {r.id}: dim {r.vector.shape[0]} != {dim}")
-    return np.stack([r.vector for r in records]).astype(np.float64)
+    try:
+        return np.stack([r.vector for r in records], dtype=np.float64)
+    except ValueError:
+        dim = records[0].vector.shape[0]
+        for r in records:
+            if r.vector.shape[0] != dim:
+                raise DimensionMismatch(f"record {r.id}: dim {r.vector.shape[0]} != {dim}") from None
+        raise
 
 
 def _unit_rows(records: Sequence[EmbeddingRecord]) -> np.ndarray:
@@ -219,21 +234,64 @@ def brute_force_diversity_oracle(
     )
 
 
+class CorpusIndex:
+    """A corpus stacked once for exact top-k queries by Euclidean distance.
+
+    Holds the float64 matrix, its squared row norms, the ids in input order
+    and an id -> record map (for a repeated id the last record wins).  Build
+    one per command and pass it to every ``top_k_by_distance`` call; an
+    empty corpus or rows of different dimensions fail here, once.
+    """
+
+    def __init__(self, records: Sequence[EmbeddingRecord]):
+        self.matrix = _stacked(records)
+        self.sq_norms = np.einsum("ij,ij->i", self.matrix, self.matrix)
+        self.norms = np.sqrt(self.sq_norms)
+        self.ids = [r.id for r in records]
+        self.by_id = {r.id: r for r in records}
+
+    def nearest_rows(self, q: np.ndarray, k: int) -> np.ndarray:
+        """Rows of the k nearest records to ``q``, in the order of
+        ``np.argsort(np.linalg.norm(matrix - q, axis=1), kind="stable")[:k]``."""
+        x = self.matrix
+        n, d = x.shape
+        if k >= n:
+            return np.argsort(np.linalg.norm(x - q, axis=1), kind="stable")
+        approx = self.sq_norms - 2.0 * (x @ q) + np.dot(q, q)
+        # slack bounds |approx - r^2|, r being the literal row distance: the
+        # three length-d dot products in `approx` err by at most
+        # d*u*(|x| + |q|)^2 together, r^2 lies within (d + 4)*u*|x - q|^2 of
+        # the true squared distance, and |x - q| <= |x| + |q|.  The factor 4
+        # and the +8 cover combining the terms and forming the bound itself;
+        # the tiny term covers underflow.
+        slack = (4 * (d + 8) * _UNIT_ROUNDOFF) * (self.norms + np.linalg.norm(q)) ** 2
+        slack += (d + 8) * _TINY
+        upper = approx + slack
+        kth_upper = upper[np.argpartition(upper, k - 1)[k - 1]]
+        # `not >` keeps the rows whose bound overflowed to NaN
+        rows = np.flatnonzero(~(approx - slack > kth_upper))
+        exact = np.linalg.norm(x[rows] - q, axis=1)
+        return rows[np.argsort(exact, kind="stable")[:k]]
+
+
 def top_k_by_distance(
     query_emb: Sequence[float],
-    corpus: Sequence[EmbeddingRecord],
+    corpus: CorpusIndex | Sequence[EmbeddingRecord],
     k: int,
 ) -> list[str]:
-    """Exact top-k by ascending Euclidean distance; ties keep input order."""
+    """Exact top-k by ascending Euclidean distance; ties keep input order.
+
+    ``corpus`` is a ``CorpusIndex`` shared across queries, or a record list
+    that is indexed for this one call.
+    """
     if k < 1:
         raise KTooLarge(f"k must be >= 1, got {k}")
-    x = _stacked(corpus)
+    index = corpus if isinstance(corpus, CorpusIndex) else CorpusIndex(corpus)
     q = np.asarray(query_emb, dtype=np.float64)
-    if q.shape[0] != x.shape[1]:
-        raise DimensionMismatch(f"query dim {q.shape[0]} vs corpus dim {x.shape[1]}")
-    dists = np.linalg.norm(x - q, axis=1)
-    order = np.argsort(dists, kind="stable")
-    return [corpus[int(i)].id for i in order[:k]]
+    dim = index.matrix.shape[1]
+    if q.shape != (dim,):
+        raise DimensionMismatch(f"query shape {q.shape} vs corpus dim {dim}")
+    return [index.ids[int(i)] for i in index.nearest_rows(q, k)]
 
 
 def random_select(records: Sequence[EmbeddingRecord], k: int, seed: int) -> SelectionResult:

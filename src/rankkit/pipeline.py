@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .backends import Backend, RetryPolicy
 from .embedding import (
+    CorpusIndex,
     EmbeddingRecord,
     SelectionResult,
     cosine_sim,
@@ -30,10 +31,10 @@ from .embedding import (
     top_k_by_distance,
 )
 from .engine import RerankReport, WindowConfig, rank_window
-from .errors import ConfigError, MissingDoc, RankkitError, ZeroVector
+from .errors import ConfigError, MalformedLine, MissingDoc, RankkitError, ZeroVector
 from .metrics import kendall_tau
 from .prompts import build_listwise_prompt
-from .types import Document, Permutation, Query, identity_permutation
+from .types import Document, Permutation, Query, identity_permutation, validate_permutation
 
 logger = logging.getLogger(__name__)
 
@@ -151,7 +152,7 @@ def _placeholder_doc(doc_id: str, mode: str) -> Document:
 def distill_one(
     query: Query,
     query_emb,
-    corpus_embs: Sequence[EmbeddingRecord],
+    corpus_embs: CorpusIndex | Sequence[EmbeddingRecord],
     backend: Backend,
     cfg: PipelineConfig,
     corpus: Mapping[str, Document] | None = None,
@@ -203,18 +204,21 @@ def distill(
 ) -> tuple[list[TeacherLabel], DistillSummary]:
     """Produce one teacher label per query.
 
-    Per-query failures (missing embedding, dead backend, unresolvable docs)
-    are logged and counted, never fatal.  Labels are returned and emitted in
-    query input order regardless of worker parallelism, so output files are
-    reproducible.
+    The corpus is indexed once, before any backend call; a corpus that
+    cannot be indexed (empty, or rows of different dimensions) raises.
+    Per-query failures (missing embedding, query dimension mismatch, dead
+    backend, unresolvable docs) are logged and counted, never fatal.  Labels
+    are returned and emitted in query input order regardless of worker
+    parallelism, so output files are reproducible.
     """
     summary = DistillSummary()
     todo = list(queries)
+    index = CorpusIndex(corpus_embs)
 
     def one(q: Query) -> TeacherLabel:
         if q.id not in query_embs:
             raise ConfigError(f"query {q.id} has no embedding")
-        return distill_one(q, query_embs[q.id], corpus_embs, backend, cfg, corpus, retry)
+        return distill_one(q, query_embs[q.id], index, backend, cfg, corpus, retry)
 
     labels: list[TeacherLabel] = []
     if cfg.parallelism <= 1:
@@ -288,16 +292,21 @@ def read_labels(path: str) -> tuple[dict, list[TeacherLabel]]:
         header = json.loads(fh.readline())
         manifest = header.get("manifest", {})
         labels = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             rec = json.loads(line)
+            candidate_ids = tuple(rec["candidate_ids"])
+            try:
+                perm = validate_permutation(rec["teacher_perm"], len(candidate_ids))
+            except (RankkitError, TypeError, ValueError) as exc:
+                raise MalformedLine(path, lineno, line, f"teacher_perm: {exc}") from exc
             labels.append(
                 TeacherLabel(
                     query_id=rec["query_id"],
-                    candidate_ids=tuple(rec["candidate_ids"]),
-                    teacher_perm=Permutation(tuple(rec["teacher_perm"])),
+                    candidate_ids=candidate_ids,
+                    teacher_perm=perm,
                     confidence=rec["confidence"],
                     repair_count=rec.get("repair_count", 0),
                     backend_tag=rec.get("backend_tag", ""),
@@ -332,22 +341,22 @@ def curate(
     threshold for the document to survive; without queries the filter stage
     is a no-op and every document survives.
     """
-    by_id = {r.id: r for r in corpus_embs}
     paired = 0
     if query_embs is not None:
+        index = CorpusIndex(corpus_embs)
         survivors_ids: list[str] = []
         seen: set[str] = set()
         for q in query_embs:
-            top = top_k_by_distance(q.vector, corpus_embs, 1)[0]
+            top = top_k_by_distance(q.vector, index, 1)[0]
             paired += 1
             try:
-                sim = cosine_sim(q.vector, by_id[top].vector)
+                sim = cosine_sim(q.vector, index.by_id[top].vector)
             except ZeroVector:
                 continue
             if sim >= cfg.quality_threshold and top not in seen:
                 survivors_ids.append(top)
                 seen.add(top)
-        survivors = [by_id[i] for i in survivors_ids]
+        survivors = [index.by_id[i] for i in survivors_ids]
     else:
         survivors = list(corpus_embs)
     if not survivors:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rankkit import cli
-from rankkit.embedding import EmbeddingRecord, write_embeddings
+from rankkit.embedding import EmbeddingRecord, euclidean_dist, write_embeddings
 from rankkit.metrics import read_run, run_from_candidates, write_run
 from rankkit.types import Document, Query, write_documents
 
@@ -86,6 +86,37 @@ class TestFilterRetrieve:
         entries = read_run(str(out))
         assert len(entries) == 15
 
+    def test_retrieve_scores_are_exact_1d_distances_in_oracle_order(self, tmp_path):
+        # 4-decimal data: on some rows the 1-D norm and the row-wise norm of
+        # x - q differ in the last bit, and the run file keeps the 1-D value
+        rng = np.random.default_rng(5)
+        x = np.round(rng.normal(size=(120, 16)), 4)
+        queries = np.round(rng.normal(size=(3, 16)), 4)
+        write_embeddings([EmbeddingRecord(f"d{i}", v) for i, v in enumerate(x)],
+                         str(tmp_path / "docs.jsonl"))
+        write_embeddings([EmbeddingRecord(f"q{i}", v) for i, v in enumerate(queries)],
+                         str(tmp_path / "queries.jsonl"))
+        out = tmp_path / "retrieved.run"
+        code = run_cli("retrieve", "--query-embeddings", tmp_path / "queries.jsonl",
+                       "--doc-embeddings", tmp_path / "docs.jsonl", "--k", 50, "--out", out)
+        assert code == 0
+        expected = []
+        for qi, q in enumerate(queries):
+            for rank, i in enumerate(np.argsort(np.linalg.norm(x - q, axis=1), kind="stable")[:50], 1):
+                expected.append((f"q{qi}", f"d{i}", str(rank), repr(-euclidean_dist(q, x[i]))))
+        got = [tuple(line.split()[i] for i in (0, 2, 3, 4)) for line in out.read_text().splitlines()]
+        assert got == expected
+
+    def test_filter_pairs_with_unknown_id_is_fatal_with_file_and_line(self, workspace, caplog):
+        pairs = workspace / "pairs_in.jsonl"
+        pairs.write_text(json.dumps({"query_id": "q1", "doc_id": "d1"}) + "\n"
+                         + json.dumps({"query_id": "q2", "doc_id": "nope"}) + "\n")
+        code = run_cli("filter", "--query-embeddings", workspace / "query_embs.jsonl",
+                       "--doc-embeddings", workspace / "doc_embs.jsonl",
+                       "--pairs", pairs, "--out", workspace / "kept.jsonl")
+        assert code == 1
+        assert f"{pairs}:2: unknown doc_id 'nope'" in caplog.text
+
 
 class TestRerank:
     def test_identity_backend_preserves_input_order(self, workspace):
@@ -158,6 +189,14 @@ class TestDistill:
                        "--doc-embeddings", workspace / "doc_embs.jsonl",
                        "--backend", "identity", "--top-k", 4, "--out", out)
         assert code == 2
+
+    def test_distill_empty_corpus_is_fatal(self, workspace):
+        (workspace / "no_docs.jsonl").write_text("")
+        code = run_cli("distill", "--queries", workspace / "queries.jsonl",
+                       "--query-embeddings", workspace / "query_embs.jsonl",
+                       "--doc-embeddings", workspace / "no_docs.jsonl",
+                       "--backend", "identity", "--top-k", 4, "--out", workspace / "labels.jsonl")
+        assert code == 1
 
     def test_deterministic_across_runs(self, workspace):
         outs = []

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankkit.embedding import (
+    CorpusIndex,
     EmbeddingRecord,
     brute_force_diversity_oracle,
     cosine_sim,
@@ -213,6 +214,61 @@ class TestTopK:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             top_k_by_distance([1, 0, 0], records_from([[1, 0]]), 1)
+
+
+@st.composite
+def corpus_and_query(draw):
+    """Corpora built to stress the top-k kernel.  Integer grid points and
+    reflections through the query put distinct rows at equal distances, rows
+    are repeated, magnitudes span 1e-3 .. 1e3 (per corpus or per row), and
+    the query is often a corpus row.  A large shift shared by rows and query
+    makes |x|^2 - 2 x.q + |q|^2 lose most of its digits to cancellation."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    else:
+        x = rng.uniform(-1, 1, size=(n, d))
+    if draw(st.booleans()):
+        x[rng.integers(0, n, size=n // 2)] = x[rng.integers(0, n, size=n // 2)]
+    if draw(st.booleans()):
+        exps = rng.integers(-3, 4, size=n)
+    else:
+        exps = np.full(n, draw(st.integers(-3, 3)))
+    x *= (10.0 ** exps)[:, None]
+    if draw(st.booleans()):
+        q = x[draw(st.integers(0, n - 1))].copy()
+    else:
+        q = rng.integers(-2, 3, size=d) * 10.0 ** exps[0]
+    if draw(st.booleans()):
+        x[n // 2:] = 2 * q - x[: n - n // 2]
+    shift = draw(st.sampled_from([0.0, 1e3, -7e2]))
+    return x + shift, q + shift
+
+
+class TestCorpusIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(corpus_and_query())
+    def test_top_k_matches_literal_oracle_for_every_k(self, case):
+        x, q = case
+        index = CorpusIndex(records_from(x))
+        oracle = np.argsort(np.linalg.norm(x - q, axis=1), kind="stable")
+        for k in range(1, len(x) + 3):  # every k, so ties straddling the k-th place and k >= N
+            got = top_k_by_distance(q, index, k)
+            assert got == [f"v{i + 1}" for i in oracle[:k]]
+
+    def test_tie_at_kth_place_keeps_input_order(self):
+        x = np.array([[3.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+        index = CorpusIndex(records_from(x))
+        assert top_k_by_distance([0.0, 0.0], index, 2) == ["v2", "v3"]
+        assert top_k_by_distance([0.0, 0.0], index, 4) == ["v2", "v3", "v4", "v5"]
+
+    def test_unindexable_corpus_fails_once_at_build(self):
+        with pytest.raises(EmptyCollection):
+            CorpusIndex([])
+        with pytest.raises(DimensionMismatch, match="v2"):
+            CorpusIndex(records_from([[1.0, 0.0], [1.0, 0.0, 0.0]]))
 
 
 class TestBaselineSelectors:

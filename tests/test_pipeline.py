@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from rankkit.backends import IdentityBackend, OracleBackend, ReverseBackend, ScriptedBackend
 from rankkit.embedding import EmbeddingRecord
 from rankkit.engine import WindowConfig
-from rankkit.errors import ConfigError
+from rankkit.errors import ConfigError, MalformedLine
 from rankkit.pipeline import (
     CONFIDENCE_FORMULA,
     PipelineConfig,
@@ -151,6 +152,17 @@ class TestLabelIO:
         assert manifest["top_k"] == 3
         assert manifest["confidence"] == CONFIDENCE_FORMULA
         assert loaded == labels
+
+    def test_read_rejects_invalid_permutation_with_file_and_line(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        write_labels([TeacherLabel("q1", ("a", "b", "c"), Permutation((1, 2, 3)), confidence=1.0)],
+                     str(path), CFG3)
+        bad = {"query_id": "q2", "candidate_ids": ["a", "b", "c"], "teacher_perm": [1, 1, 7],
+               "confidence": 0.0}
+        with open(path, "a") as fh:
+            fh.write(json.dumps(bad) + "\n")
+        with pytest.raises(MalformedLine, match=re.escape(f"{path}:3: teacher_perm")):
+            read_labels(str(path))
 
     def test_checkpoint_removed_on_completion(self, tmp_path):
         path = tmp_path / "labels.jsonl"
