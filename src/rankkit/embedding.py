@@ -132,14 +132,11 @@ def quality_filter(
 def _stacked(records: Sequence[EmbeddingRecord]) -> np.ndarray:
     if not records:
         raise EmptyCollection("no embedding records")
-    try:
-        return np.stack([r.vector for r in records], dtype=np.float64)
-    except ValueError:
-        dim = records[0].vector.shape[0]
-        for r in records:
-            if r.vector.shape[0] != dim:
-                raise DimensionMismatch(f"record {r.id}: dim {r.vector.shape[0]} != {dim}") from None
-        raise
+    dim = records[0].vector.shape[0]
+    for r in records:
+        if r.vector.shape[0] != dim:
+            raise DimensionMismatch(f"record {r.id}: dim {r.vector.shape[0]} != {dim}")
+    return np.stack([r.vector for r in records], dtype=np.float64)
 
 
 def _unit_rows(records: Sequence[EmbeddingRecord]) -> np.ndarray:
@@ -255,8 +252,7 @@ class CorpusIndex:
         ``np.argsort(np.linalg.norm(matrix - q, axis=1), kind="stable")[:k]``."""
         x = self.matrix
         n, d = x.shape
-        if k >= n:
-            return np.argsort(np.linalg.norm(x - q, axis=1), kind="stable")
+        k = min(k, n)
         approx = self.sq_norms - 2.0 * (x @ q) + np.dot(q, q)
         # slack bounds |approx - r^2|, r being the literal row distance: the
         # three length-d dot products in `approx` err by at most
@@ -268,7 +264,8 @@ class CorpusIndex:
         slack += (d + 8) * _TINY
         upper = approx + slack
         kth_upper = upper[np.argpartition(upper, k - 1)[k - 1]]
-        # `not >` keeps the rows whose bound overflowed to NaN
+        # `not >` keeps the rows whose bound overflowed to NaN; at k = n,
+        # kth_upper is the largest bound (or NaN), so every row is kept
         rows = np.flatnonzero(~(approx - slack > kth_upper))
         exact = np.linalg.norm(x[rows] - q, axis=1)
         return rows[np.argsort(exact, kind="stable")[:k]]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankkit.embedding import (
@@ -250,6 +250,8 @@ def corpus_and_query(draw):
 class TestCorpusIndex:
     @settings(max_examples=300, deadline=None)
     @given(corpus_and_query())
+    # four rows at distance 1 (one a duplicate) straddle k = 2 and k = 4
+    @example((np.array([[3.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros(2)))
     def test_top_k_matches_literal_oracle_for_every_k(self, case):
         x, q = case
         index = CorpusIndex(records_from(x))
@@ -257,12 +259,6 @@ class TestCorpusIndex:
         for k in range(1, len(x) + 3):  # every k, so ties straddling the k-th place and k >= N
             got = top_k_by_distance(q, index, k)
             assert got == [f"v{i + 1}" for i in oracle[:k]]
-
-    def test_tie_at_kth_place_keeps_input_order(self):
-        x = np.array([[3.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        index = CorpusIndex(records_from(x))
-        assert top_k_by_distance([0.0, 0.0], index, 2) == ["v2", "v3"]
-        assert top_k_by_distance([0.0, 0.0], index, 4) == ["v2", "v3", "v4", "v5"]
 
     def test_unindexable_corpus_fails_once_at_build(self):
         with pytest.raises(EmptyCollection):
