@@ -13,7 +13,7 @@ import logging
 import sys
 
 from . import backends, embedding, engine, metrics, pipeline, types
-from .errors import MalformedLine, RankkitError
+from .errors import RankkitError
 
 logger = logging.getLogger("rankkit")
 
@@ -86,26 +86,20 @@ def cmd_filter(args: argparse.Namespace) -> int:
 def _read_pairs(path: str, query_embs, doc_embs) -> list:
     """(query vector, doc vector, (query id, doc id)) for each line of a
     JSONL file of {query_id, doc_id}; unknown ids are fatal with file:line."""
-    q_by_id = {r.id: r for r in query_embs}
-    d_by_id = {r.id: r for r in doc_embs}
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                qid, did = rec["query_id"], rec["doc_id"]
-                q, d = q_by_id.get(qid), d_by_id.get(did)
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise MalformedLine(path, lineno, line, str(exc)) from exc
-            if q is None:
-                raise MalformedLine(path, lineno, line, f"unknown query_id {qid!r}")
-            if d is None:
-                raise MalformedLine(path, lineno, line, f"unknown doc_id {did!r}")
-            pairs.append((q.vector, d.vector, (qid, did)))
-    return pairs
+    q_by_id = {r.id: r.vector for r in query_embs}
+    d_by_id = {r.id: r.vector for r in doc_embs}
+    return types.read_jsonl(path, lambda rec: (
+        _vector(q_by_id, rec, "query_id"),
+        _vector(d_by_id, rec, "doc_id"),
+        (rec["query_id"], rec["doc_id"]),
+    ))
+
+
+def _vector(by_id: dict, rec: dict, field: str):
+    ident = rec[field]
+    if ident not in by_id:
+        raise RankkitError(f"unknown {field} {ident!r}")
+    return by_id[ident]
 
 
 def cmd_select(args: argparse.Namespace) -> int:

@@ -32,10 +32,10 @@ from .errors import (
     DimensionMismatch,
     EmptyCollection,
     KTooLarge,
-    MalformedLine,
     TooLarge,
     ZeroVector,
 )
+from .types import read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -345,18 +345,8 @@ def kmeans_centroid_select(
 
 
 def read_embeddings(path: str) -> list[EmbeddingRecord]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                out.append(EmbeddingRecord(id=rec["id"], vector=np.asarray(rec["vector"], dtype=np.float64)))
-            except (json.JSONDecodeError, KeyError, TypeError, DimensionMismatch) as exc:
-                raise MalformedLine(path, lineno, line, str(exc)) from exc
-    return out
+    return read_jsonl(path, lambda rec: EmbeddingRecord(
+        id=rec["id"], vector=np.asarray(rec["vector"], dtype=np.float64)))
 
 
 def write_embeddings(records: Iterable[EmbeddingRecord], path: str) -> None:

@@ -13,12 +13,12 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .backends import Backend, RetryPolicy, call_with_retries
-from .errors import BackendError, InvariantViolation, MissingDoc, Unparseable
+from .errors import BackendError, InvariantViolation, MissingDoc, RankkitError, Unparseable
 from .parsing import parse_ranking, parse_yes_no
 from .prompts import (
     PARSE_RETRY_REMINDER,
@@ -211,6 +211,24 @@ def rerank_pairwise(
     return CandidateList(query.id, tuple(ids), _ranked_scores(n))
 
 
+def map_ordered(fn: Callable, items: Iterable, parallelism: int) -> list[tuple]:
+    """``(item, fn(item), None)`` or ``(item, None, error)`` for each item, in
+    input order.  A ``RankkitError`` fails only its own item; any other
+    exception propagates.  At ``parallelism <= 1`` every call runs on the
+    calling thread, otherwise on a pool of that many worker threads."""
+
+    def attempt(item):
+        try:
+            return item, fn(item), None
+        except RankkitError as exc:
+            return item, None, exc
+
+    if parallelism <= 1:
+        return [attempt(item) for item in items]
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        return list(pool.map(attempt, items))
+
+
 def rerank_many(
     queries: Sequence[Query],
     candidate_lists: Mapping[str, CandidateList],
@@ -224,7 +242,7 @@ def rerank_many(
 ) -> tuple[list[CandidateList], list[str]]:
     """Rerank many queries, optionally in parallel; windows within a query
     stay sequential.  Returns results in query input order plus the ids of
-    queries that failed."""
+    queries that failed with any ``RankkitError``."""
 
     def one(q: Query) -> CandidateList:
         cands = candidate_lists[q.id]
@@ -235,20 +253,10 @@ def rerank_many(
     todo = [q for q in queries if q.id in candidate_lists]
     results: list[CandidateList] = []
     failed: list[str] = []
-    if parallelism <= 1:
-        for q in todo:
-            try:
-                results.append(one(q))
-            except (BackendError, MissingDoc) as exc:
-                logger.error("query %s failed: %s", q.id, exc)
-                failed.append(q.id)
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = [(q, pool.submit(one, q)) for q in todo]
-            for q, fut in futures:
-                try:
-                    results.append(fut.result())
-                except (BackendError, MissingDoc) as exc:
-                    logger.error("query %s failed: %s", q.id, exc)
-                    failed.append(q.id)
+    for q, result, exc in map_ordered(one, todo, parallelism):
+        if exc is not None:
+            logger.error("query %s failed: %s", q.id, exc)
+            failed.append(q.id)
+        else:
+            results.append(result)
     return results, failed

@@ -251,7 +251,10 @@ def read_run(path: str) -> list[RunEntry]:
                 raise MalformedLine(path, lineno, stripped, f"expected 6 fields, got {len(fields)}")
             qid, _, did, rank, score, tag = fields
             try:
-                entries.append(RunEntry(qid, did, int(rank), float(score), tag))
+                entry = RunEntry(qid, did, int(rank), float(score), tag)
+                if not math.isfinite(entry.score):
+                    raise ValueError(f"non-finite score {score!r}")
+                entries.append(entry)
             except ValueError as exc:
                 raise MalformedLine(path, lineno, stripped, str(exc)) from exc
     _validate_run(entries)

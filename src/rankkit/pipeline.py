@@ -17,9 +17,8 @@ from __future__ import annotations
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .backends import Backend, RetryPolicy
 from .embedding import (
@@ -30,11 +29,11 @@ from .embedding import (
     greedy_diversity_select,
     top_k_by_distance,
 )
-from .engine import RerankReport, WindowConfig, rank_window
+from .engine import RerankReport, WindowConfig, map_ordered, rank_window
 from .errors import ConfigError, MalformedLine, MissingDoc, RankkitError, ZeroVector
 from .metrics import kendall_tau
 from .prompts import build_listwise_prompt
-from .types import Document, Permutation, Query, identity_permutation, validate_permutation
+from .types import Document, Permutation, Query, identity_permutation, read_jsonl, validate_permutation
 
 logger = logging.getLogger(__name__)
 
@@ -200,7 +199,6 @@ def distill(
     cfg: PipelineConfig,
     corpus: Mapping[str, Document] | None = None,
     retry: RetryPolicy | None = None,
-    on_label: Callable[[TeacherLabel], None] | None = None,
 ) -> tuple[list[TeacherLabel], DistillSummary]:
     """Produce one teacher label per query.
 
@@ -208,11 +206,10 @@ def distill(
     cannot be indexed (empty, or rows of different dimensions) raises.
     Per-query failures (missing embedding, query dimension mismatch, dead
     backend, unresolvable docs) are logged and counted, never fatal.  Labels
-    are returned and emitted in query input order regardless of worker
-    parallelism, so output files are reproducible.
+    are returned in query input order regardless of worker parallelism, so
+    output files are reproducible.
     """
     summary = DistillSummary()
-    todo = list(queries)
     index = CorpusIndex(corpus_embs)
 
     def one(q: Query) -> TeacherLabel:
@@ -221,23 +218,7 @@ def distill(
         return distill_one(q, query_embs[q.id], index, backend, cfg, corpus, retry)
 
     labels: list[TeacherLabel] = []
-    if cfg.parallelism <= 1:
-        outcomes = []
-        for q in todo:
-            try:
-                outcomes.append((q, one(q), None))
-            except RankkitError as exc:
-                outcomes.append((q, None, exc))
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            futures = [(q, pool.submit(one, q)) for q in todo]
-            outcomes = []
-            for q, fut in futures:
-                try:
-                    outcomes.append((q, fut.result(), None))
-                except RankkitError as exc:
-                    outcomes.append((q, None, exc))
-    for q, label, exc in outcomes:
+    for q, label, exc in map_ordered(one, queries, cfg.parallelism):
         if exc is not None:
             logger.error("distill failed for query %s: %s", q.id, exc)
             summary.skipped += 1
@@ -245,8 +226,6 @@ def distill(
             continue
         labels.append(label)
         summary.emitted += 1
-        if on_label is not None:
-            on_label(label)
     return labels, summary
 
 
@@ -254,7 +233,6 @@ def write_labels(
     labels: Iterable[TeacherLabel],
     path: str,
     cfg: PipelineConfig,
-    checkpoint: bool = True,
 ) -> None:
     """Stream labels to JSON-lines with a manifest header; the checkpoint file
     (path + '.ckpt') is updated atomically after every label."""
@@ -266,9 +244,8 @@ def write_labels(
             fh.write(json.dumps(label.to_json()) + "\n")
             fh.flush()
             count += 1
-            if checkpoint:
-                _write_checkpoint(ckpt_path, label.query_id, count)
-    if checkpoint and os.path.exists(ckpt_path):
+            _write_checkpoint(ckpt_path, label.query_id, count)
+    if os.path.exists(ckpt_path):
         os.remove(ckpt_path)
 
 
@@ -288,31 +265,38 @@ def read_checkpoint(path: str) -> dict | None:
 
 
 def read_labels(path: str) -> tuple[dict, list[TeacherLabel]]:
-    with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        manifest = header.get("manifest", {})
-        labels = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            candidate_ids = tuple(rec["candidate_ids"])
-            try:
-                perm = validate_permutation(rec["teacher_perm"], len(candidate_ids))
-            except (RankkitError, TypeError, ValueError) as exc:
-                raise MalformedLine(path, lineno, line, f"teacher_perm: {exc}") from exc
-            labels.append(
-                TeacherLabel(
-                    query_id=rec["query_id"],
-                    candidate_ids=candidate_ids,
-                    teacher_perm=perm,
-                    confidence=rec["confidence"],
-                    repair_count=rec.get("repair_count", 0),
-                    backend_tag=rec.get("backend_tag", ""),
-                )
-            )
-    return manifest, labels
+    """Manifest and labels of a file written by ``write_labels``; its first
+    record must be the ``{"manifest": ...}`` header."""
+    manifest: list[dict] = []
+
+    def build(rec: dict) -> TeacherLabel | None:
+        if manifest:
+            return _label_from_json(rec)
+        if not isinstance(rec.get("manifest"), dict):
+            raise ConfigError('first record is not the {"manifest": ...} header')
+        manifest.append(rec["manifest"])
+        return None
+
+    records = read_jsonl(path, build)
+    if not manifest:
+        raise MalformedLine(path, 1, "", 'no {"manifest": ...} header in an empty file')
+    return manifest[0], records[1:]
+
+
+def _label_from_json(rec: dict) -> TeacherLabel:
+    candidate_ids = tuple(rec["candidate_ids"])
+    try:
+        perm = validate_permutation(rec["teacher_perm"], len(candidate_ids))
+    except (RankkitError, TypeError, ValueError) as exc:
+        raise ConfigError(f"teacher_perm: {exc}") from exc
+    return TeacherLabel(
+        query_id=rec["query_id"],
+        candidate_ids=candidate_ids,
+        teacher_perm=perm,
+        confidence=rec["confidence"],
+        repair_count=rec.get("repair_count", 0),
+        backend_tag=rec.get("backend_tag", ""),
+    )
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import math
 
@@ -20,6 +20,8 @@ from .errors import (
     LengthMismatch,
     MalformedLine,
     OutOfRange,
+    PermutationError,
+    RankkitError,
     WrongLength,
 )
 
@@ -123,12 +125,19 @@ class ScoreVector:
 
 
 def validate_permutation(order: Sequence[int], n: int) -> Permutation:
-    """Check that ``order`` is a bijection on 1..n; positions in errors are 1-based."""
+    """Check that ``order`` is a bijection on 1..n of integral entries;
+    positions in errors are 1-based."""
     if len(order) != n:
         raise WrongLength(n, len(order))
     seen: set[int] = set()
     for pos, raw in enumerate(order, start=1):
-        idx = int(raw)
+        try:
+            idx = int(raw)
+            integral = idx == raw
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise PermutationError(f"non-integer index {raw!r} at position {pos}")
         if idx < 1 or idx > n:
             raise OutOfRange(pos, idx, n)
         if idx in seen:
@@ -151,8 +160,13 @@ def apply_permutation(items: Sequence[T], perm: Permutation) -> list[T]:
 # --- JSON-lines corpus / query I/O ---
 
 
-def read_documents(path: str) -> list[Document]:
-    docs = []
+def read_jsonl(path: str, build: Callable[[dict], T]) -> list[T]:
+    """``build(rec)`` for each JSON object line of ``path``, in file order.
+
+    Blank lines are skipped.  A line that is not a JSON object, or that
+    ``build`` rejects, raises ``MalformedLine`` naming path:line.
+    """
+    out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -160,32 +174,25 @@ def read_documents(path: str) -> list[Document]:
                 continue
             try:
                 rec = json.loads(line)
-                docs.append(
-                    Document(
-                        id=rec["id"],
-                        text=rec.get("text"),
-                        image_ref=rec.get("image_ref"),
-                        modality=rec.get("modality", "text"),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, InvariantViolation) as exc:
+                if not isinstance(rec, dict):
+                    raise TypeError(f"expected a JSON object, got {type(rec).__name__}")
+                out.append(build(rec))
+            except (ValueError, KeyError, TypeError, RankkitError) as exc:
                 raise MalformedLine(path, lineno, line, str(exc)) from exc
-    return docs
+    return out
+
+
+def read_documents(path: str) -> list[Document]:
+    return read_jsonl(path, lambda rec: Document(
+        id=rec["id"],
+        text=rec.get("text"),
+        image_ref=rec.get("image_ref"),
+        modality=rec.get("modality", "text"),
+    ))
 
 
 def read_queries(path: str) -> list[Query]:
-    queries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                queries.append(Query(id=rec["id"], text=rec["text"]))
-            except (json.JSONDecodeError, KeyError, InvariantViolation) as exc:
-                raise MalformedLine(path, lineno, line, str(exc)) from exc
-    return queries
+    return read_jsonl(path, lambda rec: Query(id=rec["id"], text=rec["text"]))
 
 
 def write_documents(docs: Iterable[Document], path: str) -> None:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from rankkit import cli
-from rankkit.embedding import EmbeddingRecord, euclidean_dist, write_embeddings
+from rankkit.embedding import EmbeddingRecord, euclidean_dist, read_embeddings, write_embeddings
+from rankkit.errors import MalformedLine
 from rankkit.metrics import read_run, run_from_candidates, write_run
-from rankkit.types import Document, Query, write_documents
+from rankkit.pipeline import read_labels
+from rankkit.types import Document, Query, read_documents, read_queries, write_documents
 
 
 @pytest.fixture
@@ -164,6 +166,24 @@ class TestRerank:
         read_run(str(out))
 
 
+    def test_image_only_doc_in_text_mode_fails_only_its_query(self, workspace):
+        with open(workspace / "corpus.jsonl", "a") as fh:
+            fh.write(json.dumps({"id": "img", "image_ref": "img.png", "modality": "image"}) + "\n")
+        with open(workspace / "queries.jsonl", "a") as fh:
+            fh.write(json.dumps({"id": "q4", "text": "find the image"}) + "\n")
+        run = read_run(str(workspace / "input.run"))
+        write_run(run + run_from_candidates("q4", ["d1", "img"], tag="bm25"),
+                  str(workspace / "mixed.run"))
+        out = workspace / "text_mode.run"
+        code = run_cli("rerank", "--run", workspace / "mixed.run",
+                       "--queries", workspace / "queries.jsonl",
+                       "--corpus", workspace / "corpus.jsonl",
+                       "--backend", "identity", "--mode", "text", "--out", out)
+        assert code == 2
+        assert [(e.query_id, e.doc_id) for e in read_run(str(out))] == \
+               [(e.query_id, e.doc_id) for e in run]
+
+
 class TestDistill:
     def test_distill_writes_labels_with_manifest(self, workspace):
         out = workspace / "labels.jsonl"
@@ -237,3 +257,72 @@ class TestConfigAndErrors:
         bad.write_text("not enough fields\n")
         code = run_cli("eval", "--run", workspace / "input.run", "--qrels", bad)
         assert code == 1
+
+
+HEADER = json.dumps({"manifest": {"top_k": 2}})
+LABEL = {"query_id": "q1", "candidate_ids": ["d1", "d2"], "teacher_perm": [2, 1],
+         "confidence": 1.0}
+VALID = {
+    "documents": json.dumps({"id": "d1", "text": "passage"}),
+    "queries": json.dumps({"id": "q1", "text": "question"}),
+    "embeddings": json.dumps({"id": "q1", "vector": [1.0, 0.0]}),
+    "pairs": json.dumps({"query_id": "q1", "doc_id": "d1"}),
+    "labels": HEADER,
+}
+READERS = {
+    "documents": read_documents,
+    "queries": read_queries,
+    "embeddings": read_embeddings,
+    "labels": read_labels,
+}
+COMMANDS = {
+    "documents": lambda ws, bad: ["rerank", "--run", ws / "input.run", "--queries",
+                                  ws / "queries.jsonl", "--corpus", bad, "--out", ws / "o.run"],
+    "queries": lambda ws, bad: ["rerank", "--run", ws / "input.run", "--queries", bad,
+                                "--corpus", ws / "corpus.jsonl", "--out", ws / "o.run"],
+    "embeddings": lambda ws, bad: ["retrieve", "--query-embeddings", bad,
+                                   "--doc-embeddings", ws / "doc_embs.jsonl", "--out", ws / "o.run"],
+    "pairs": lambda ws, bad: ["filter", "--query-embeddings", ws / "query_embs.jsonl",
+                              "--doc-embeddings", ws / "doc_embs.jsonl", "--pairs", bad,
+                              "--out", ws / "o.jsonl"],
+}
+
+
+def _label(**changes) -> str:
+    return json.dumps({k: v for k, v in dict(LABEL, **changes).items() if v is not None})
+
+
+# (reader, file lines); the last line is the malformed one
+MALFORMED = [
+    ("documents", ['{"id": 5, "text": "x"}']),
+    ("queries", ['{"id": 5, "text": "x"}']),
+    ("queries", ['{"id": "q1"}']),
+    ("embeddings", ['{"id": "q1", "vector": "abc"}']),
+    ("embeddings", ['{"id": "q1", "vector": [[1.0, 0.0]]}']),
+    ("pairs", ['{"query_id": "q1"}']),
+    ("pairs", ['{"query_id": ["q1"], "doc_id": "d1"}']),
+    ("labels", [HEADER, _label(candidate_ids=None)]),
+    ("labels", [HEADER, _label(teacher_perm=[1.5, 2])]),
+    ("labels", [_label()]),
+    ("labels", []),
+] + [
+    (reader, [VALID[reader], "", line])
+    for reader in VALID
+    for line in ("[1, 2]", "null", '"a string"', "{not json")
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("reader,lines", MALFORMED,
+                             ids=[f"{r}-{i}" for i, (r, _) in enumerate(MALFORMED)])
+    def test_names_file_and_line_and_cli_exits_1(self, workspace, caplog, reader, lines):
+        bad = workspace / "bad.jsonl"
+        bad.write_text("".join(line + "\n" for line in lines))
+        prefix = f"{bad}:{max(len(lines), 1)}: "
+        if reader in READERS:
+            with pytest.raises(MalformedLine) as exc:
+                READERS[reader](str(bad))
+            assert str(exc.value).startswith(prefix)
+        if reader in COMMANDS:
+            assert run_cli(*COMMANDS[reader](workspace, bad)) == 1
+            assert prefix in caplog.text

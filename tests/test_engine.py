@@ -187,15 +187,20 @@ class TestRerankPairwise:
 
 
 class TestRerankMany:
-    def test_results_in_query_order_with_failures_reported(self):
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_results_in_query_order_with_failures_reported(self, parallelism):
         q1, c1, docs = make_fixture(3, "q1")
         q2, c2, d2 = make_fixture(3, "q2")
         docs.update(d2)
-        lists = {"q1": c1, "q2": CandidateList("q2", ("d1", "missing"))}
-        results, failed = rerank_many([q1, q2], lists, docs, IdentityBackend(),
-                                      retry=NO_SLEEP)
-        assert [r.query_id for r in results] == ["q1"]
-        assert failed == ["q2"]
+        # an image-only doc in a text-mode run fails its own query, not the batch
+        docs["img"] = Document(id="img", image_ref="img.png", modality="image")
+        q3, q4 = Query(id="q3", text="find the image"), Query(id="q4", text="find d2")
+        lists = {"q1": c1, "q2": CandidateList("q2", ("d1", "missing")),
+                 "q3": CandidateList("q3", ("d1", "img")), "q4": CandidateList("q4", ("d2", "d3"))}
+        results, failed = rerank_many([q1, q2, q3, q4], lists, docs, IdentityBackend(),
+                                      retry=NO_SLEEP, parallelism=parallelism)
+        assert [r.query_id for r in results] == ["q1", "q4"]
+        assert failed == ["q2", "q3"]
 
     def test_parallel_matches_serial(self):
         docs = {}

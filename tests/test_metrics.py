@@ -248,3 +248,12 @@ class TestTrecIO:
         with pytest.raises(MalformedLine) as exc:
             read_run(str(path))
         assert exc.value.lineno == 1
+
+    @pytest.mark.parametrize("score", ["nan", "NaN", "inf", "-inf", "1e999"])
+    def test_non_finite_score_rejected_with_file_and_line(self, tmp_path, score):
+        # a nan score would make the score-monotonicity check pass vacuously
+        path = tmp_path / "bad.run"
+        path.write_text(f"q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 {score} t\n")
+        with pytest.raises(MalformedLine) as exc:
+            read_run(str(path))
+        assert str(exc.value).startswith(f"{path}:2: non-finite score")

@@ -7,6 +7,7 @@ from rankkit.errors import (
     InvariantViolation,
     LengthMismatch,
     OutOfRange,
+    PermutationError,
     WrongLength,
 )
 from rankkit.types import (
@@ -48,6 +49,17 @@ class TestValidatePermutation:
     def test_zero_index_rejected(self):
         with pytest.raises(OutOfRange):
             validate_permutation([0, 1, 2], 3)
+
+    @pytest.mark.parametrize("order,position", [
+        ([1.7, 2, 3], 1), ([1, 2.5, 3], 2), ([1, 2, "3"], 3),
+        ([1, 2, None], 3), ([float("inf"), 2, 3], 1), ([1, float("nan"), 3], 2),
+    ])
+    def test_non_integer_index_rejected_with_position(self, order, position):
+        with pytest.raises(PermutationError, match=f"at position {position}$"):
+            validate_permutation(order, 3)
+
+    def test_integral_floats_accepted(self):
+        assert validate_permutation([2.0, 1.0, 3.0], 3).order == (2, 1, 3)
 
 
 class TestApplyPermutation:
