@@ -25,8 +25,7 @@ EXIT_PARTIAL = 2
 def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
     data: dict = {}
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = types.read_json_object(args.config)
     if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
     if getattr(args, "parallelism", None) is not None:

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyCollection,
+    InvariantViolation,
     KTooLarge,
     TooLarge,
     ZeroVector,
@@ -51,6 +52,8 @@ class EmbeddingRecord:
     vector: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise InvariantViolation(f"embedding record id must be a string, got {self.id!r}")
         v = np.asarray(self.vector)
         object.__setattr__(self, "vector", v)
         if v.ndim != 1 or v.shape[0] == 0:
@@ -148,6 +151,11 @@ def _unit_rows(records: Sequence[EmbeddingRecord]) -> np.ndarray:
     return x / norms[:, None]
 
 
+def _check_seed(seed_index: int, n: int) -> None:
+    if not 0 <= seed_index < n:
+        raise InvariantViolation(f"seed_index {seed_index} outside 0..{n - 1} for N={n} records")
+
+
 def greedy_diversity_select(
     records: Sequence[EmbeddingRecord],
     k: int,
@@ -166,6 +174,7 @@ def greedy_diversity_select(
     n = u.shape[0]
     if k < 1:
         raise KTooLarge(f"k must be >= 1, got {k}")
+    _check_seed(seed_index, n)
     k = min(k, n)
     chosen = [seed_index]
     trace = [(records[seed_index].id, 0.0)]
@@ -207,6 +216,7 @@ def brute_force_diversity_oracle(
     n = len(records)
     if k < 1:
         raise KTooLarge(f"k must be >= 1, got {k}")
+    _check_seed(seed_index, n)
     k = min(k, n)
     selected = [seed_index]
     trace = [(records[seed_index].id, 0.0)]

@@ -9,23 +9,33 @@ query (not just the retrieved ones).
 
 from __future__ import annotations
 
-import json
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolation, LengthMismatch, MalformedLine, TooShort
-from .types import Permutation
+from .types import Permutation, read_json_object, read_lines
 
 
 @dataclass
 class Qrels:
     """Graded relevance judgments, with optional query grouping for macro
-    aggregation."""
+    aggregation.
+
+    ``judgments`` is the source of truth; a per-query index of it is built
+    on construction and kept up to date by ``add``, so change judgments
+    only through ``add``.
+    """
 
     judgments: dict[tuple[str, str], int] = field(default_factory=dict)
     group_of: dict[str, str] = field(default_factory=dict)
+    _by_query: dict[str, dict[str, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for (q, d), g in self.judgments.items():
+            self._by_query.setdefault(q, {})[d] = g
 
     def add(self, query_id: str, doc_id: str, grade: int, strict: bool = False) -> None:
         if grade < 0:
@@ -34,12 +44,14 @@ class Qrels:
         if strict and key in self.judgments:
             raise InvariantViolation(f"duplicate judgment for {key}")
         self.judgments[key] = grade
+        self._by_query.setdefault(query_id, {})[doc_id] = grade
 
     def query_ids(self) -> list[str]:
-        return sorted({q for q, _ in self.judgments})
+        return sorted(self._by_query)
 
     def grades_for(self, query_id: str) -> dict[str, int]:
-        return {d: g for (q, d), g in self.judgments.items() if q == query_id}
+        """A copy of the query's {doc_id: grade}, in judgment insertion order."""
+        return dict(self._by_query.get(query_id, {}))
 
 
 @dataclass(frozen=True)
@@ -202,22 +214,17 @@ def read_qrels(path: str, strict: bool = False, groups_path: str | None = None) 
     """Parse whitespace-separated ``qid 0 docid grade`` lines; an optional
     JSON sidecar maps query ids to group keys for macro aggregation."""
     qrels = Qrels()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            fields = stripped.split()
-            if len(fields) != 4:
-                raise MalformedLine(path, lineno, stripped, f"expected 4 fields, got {len(fields)}")
-            qid, _, did, grade = fields
-            try:
-                qrels.add(qid, did, int(grade), strict=strict)
-            except (ValueError, InvariantViolation) as exc:
-                raise MalformedLine(path, lineno, stripped, str(exc)) from exc
+    for lineno, line in read_lines(path):
+        fields = line.split()
+        if len(fields) != 4:
+            raise MalformedLine(path, lineno, line, f"expected 4 fields, got {len(fields)}")
+        qid, _, did, grade = fields
+        try:
+            qrels.add(qid, did, int(grade), strict=strict)
+        except (ValueError, InvariantViolation) as exc:
+            raise MalformedLine(path, lineno, line, str(exc)) from exc
     if groups_path:
-        with open(groups_path, encoding="utf-8") as fh:
-            qrels.group_of = {str(k): str(v) for k, v in json.load(fh).items()}
+        qrels.group_of = {str(k): str(v) for k, v in read_json_object(groups_path).items()}
     return qrels
 
 
@@ -241,22 +248,18 @@ def _validate_run(entries: Sequence[RunEntry]) -> None:
 
 def read_run(path: str) -> list[RunEntry]:
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            fields = stripped.split()
-            if len(fields) != 6:
-                raise MalformedLine(path, lineno, stripped, f"expected 6 fields, got {len(fields)}")
-            qid, _, did, rank, score, tag = fields
-            try:
-                entry = RunEntry(qid, did, int(rank), float(score), tag)
-                if not math.isfinite(entry.score):
-                    raise ValueError(f"non-finite score {score!r}")
-                entries.append(entry)
-            except ValueError as exc:
-                raise MalformedLine(path, lineno, stripped, str(exc)) from exc
+    for lineno, line in read_lines(path):
+        fields = line.split()
+        if len(fields) != 6:
+            raise MalformedLine(path, lineno, line, f"expected 6 fields, got {len(fields)}")
+        qid, _, did, rank, score, tag = fields
+        try:
+            entry = RunEntry(qid, did, int(rank), float(score), tag)
+            if not math.isfinite(entry.score):
+                raise ValueError(f"non-finite score {score!r}")
+            entries.append(entry)
+        except ValueError as exc:
+            raise MalformedLine(path, lineno, line, str(exc)) from exc
     _validate_run(entries)
     return entries
 

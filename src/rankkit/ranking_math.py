@@ -1,9 +1,11 @@
 """Plackett-Luce ranking probability, the temperature-scaled listwise loss
 with its analytic gradient, and pairwise win aggregation.
 
-All softmax-like quantities go through max-shifted log-sum-exp: small
-temperatures (0.1 is the usual training setting) scale scores 10x, which
-makes naive exp() overflow a real possibility.
+All softmax-like quantities are accumulated in log space with
+``np.logaddexp.accumulate``, one O(n) pass each for the suffix
+log-sum-exps and the gradient's prefix sums; no score is exponentiated on
+its own.  Small temperatures (0.1 is the usual training setting) scale
+scores 10x, which makes naive exp() overflow a real possibility.
 """
 
 from __future__ import annotations
@@ -30,20 +32,8 @@ def _as_scores(scores: ScoreVector | Sequence[float]) -> np.ndarray:
 
 
 def _suffix_logsumexp(t: np.ndarray) -> np.ndarray:
-    """lse[i] = log sum_{j >= i} exp(t[j]), computed with a running max shift."""
-    n = t.shape[0]
-    out = np.empty(n)
-    m = -np.inf
-    acc = 0.0
-    for i in range(n - 1, -1, -1):
-        x = t[i]
-        if x > m:
-            acc = acc * np.exp(m - x) + 1.0 if np.isfinite(m) else 1.0
-            m = x
-        else:
-            acc += np.exp(x - m)
-        out[i] = m + np.log(acc)
-    return out
+    """lse[i] = log sum_{j >= i} exp(t[j])."""
+    return np.logaddexp.accumulate(t[::-1])[::-1]
 
 
 @dataclass(frozen=True)
@@ -138,13 +128,10 @@ def listwise_loss_grad(
     n = s.shape[0]
     order = np.asarray(perm.order) - 1
     t = s[order] / tau
-    g = np.zeros(n)
-    for i in range(n):
-        suffix = t[i:]
-        w = np.exp(suffix - suffix.max())
-        w /= w.sum()
-        g[i:] += w
-    g = (g - 1.0) / tau
+    # G[p] = sum_{i <= p} exp(t[p] - lse[i]) = exp(t[p] + log sum_{i <= p} exp(-lse[i])),
+    # and t[p] <= lse[i] for every i <= p, so the exponent is at most log(p + 1).
+    G = np.exp(t + np.logaddexp.accumulate(-_suffix_logsumexp(t)))
+    g = (G - 1.0) / tau
     grad = np.zeros(n)
     grad[order] = g
     return grad

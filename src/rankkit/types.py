@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 import math
 
 from .errors import (
+    ConfigError,
     DuplicateIndex,
     InvariantViolation,
     LengthMismatch,
@@ -40,6 +41,8 @@ class Document:
     modality: str = "text"
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise InvariantViolation(f"document id must be a string, got {self.id!r}")
         if not self.id:
             raise InvariantViolation("document id must be non-empty")
         if any(c.isspace() for c in self.id):
@@ -58,6 +61,8 @@ class Query:
     text: str
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise InvariantViolation(f"query id must be a string, got {self.id!r}")
         if not self.id or any(c.isspace() for c in self.id):
             raise InvariantViolation(f"bad query id: {self.id!r}")
         if not self.text:
@@ -160,26 +165,54 @@ def apply_permutation(items: Sequence[T], perm: Permutation) -> list[T]:
 # --- JSON-lines corpus / query I/O ---
 
 
+def read_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) for each non-blank line of ``path``.
+
+    The file is read as bytes and each line is decoded on its own, so a
+    line that is not UTF-8 raises ``MalformedLine`` naming its own
+    path:line (text mode decodes whole buffered chunks ahead of the line).
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise MalformedLine(path, lineno, raw.decode("utf-8", "replace").strip(),
+                                    str(exc)) from exc
+            if line:
+                yield lineno, line
+
+
 def read_jsonl(path: str, build: Callable[[dict], T]) -> list[T]:
     """``build(rec)`` for each JSON object line of ``path``, in file order.
 
-    Blank lines are skipped.  A line that is not a JSON object, or that
-    ``build`` rejects, raises ``MalformedLine`` naming path:line.
+    Blank lines are skipped.  A line that is not UTF-8 or not a JSON object,
+    or that ``build`` rejects, raises ``MalformedLine`` naming path:line.
     """
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    raise TypeError(f"expected a JSON object, got {type(rec).__name__}")
-                out.append(build(rec))
-            except (ValueError, KeyError, TypeError, RankkitError) as exc:
-                raise MalformedLine(path, lineno, line, str(exc)) from exc
+    for lineno, line in read_lines(path):
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise TypeError(f"expected a JSON object, got {type(rec).__name__}")
+            out.append(build(rec))
+        except (ValueError, KeyError, TypeError, RankkitError) as exc:
+            raise MalformedLine(path, lineno, line, str(exc)) from exc
     return out
+
+
+def read_json_object(path: str) -> dict:
+    """The JSON object that the UTF-8 file ``path`` holds; anything else
+    raises ``ConfigError`` naming the path."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def read_documents(path: str) -> list[Document]:

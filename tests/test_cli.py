@@ -252,6 +252,19 @@ class TestConfigAndErrors:
                        "--backend", "oracle", "--out", workspace / "x.run")
         assert code == 1
 
+    @pytest.mark.parametrize("content", [b'{"q1": "\xff"}', b"[1, 2]", b"{not json"])
+    @pytest.mark.parametrize("flag", ["--config", "--groups"])
+    def test_malformed_json_sidecar_is_fatal_and_named(self, workspace, caplog, flag, content):
+        bad = workspace / "bad.json"
+        bad.write_bytes(content)
+        if flag == "--config":
+            args = ["select", "--embeddings", workspace / "doc_embs.jsonl", "--algorithm",
+                    "random", "--k", 2, "--out", workspace / "sel.jsonl"]
+        else:
+            args = ["eval", "--run", workspace / "input.run", "--qrels", workspace / "qrels.txt"]
+        assert run_cli(*args, flag, bad) == 1
+        assert f"{bad}: " in caplog.text
+
     def test_malformed_qrels_is_fatal(self, workspace):
         bad = workspace / "bad_qrels.txt"
         bad.write_text("not enough fields\n")
@@ -309,6 +322,11 @@ MALFORMED = [
     (reader, [VALID[reader], "", line])
     for reader in VALID
     for line in ("[1, 2]", "null", '"a string"', "{not json")
+] + [
+    ("documents", ['{"id": null, "text": "x"}']),
+    ("queries", ['{"id": ["q1"], "text": "x"}']),
+    ("embeddings", ['{"id": 5, "vector": [1.0, 0.0]}']),
+    ("embeddings", ['{"id": null, "vector": [1.0, 0.0]}']),
 ]
 
 
@@ -326,3 +344,38 @@ class TestMalformedInput:
         if reader in COMMANDS:
             assert run_cli(*COMMANDS[reader](workspace, bad)) == 1
             assert prefix in caplog.text
+
+    @pytest.mark.parametrize("reader", sorted(VALID))
+    def test_non_utf8_line_names_its_line(self, workspace, caplog, reader):
+        # 3000 valid lines first, so the bad byte lies past the first read buffer
+        bad = workspace / "bad.jsonl"
+        head = [HEADER] if reader == "labels" else []
+        body = [VALID[reader] if reader != "labels" else _label()] * 3000
+        lines = [line.encode() for line in head + body] + [b'{"id": "\xff"}']
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        prefix = f"{bad}:{len(lines)}: "
+        if reader in READERS:
+            with pytest.raises(MalformedLine) as exc:
+                READERS[reader](str(bad))
+            assert str(exc.value).startswith(prefix)
+        if reader in COMMANDS:
+            assert run_cli(*COMMANDS[reader](workspace, bad)) == 1
+            assert prefix in caplog.text
+
+    @pytest.mark.parametrize("flag", ["--run", "--qrels"])
+    def test_eval_on_non_utf8_trec_file_exits_1(self, workspace, caplog, flag):
+        bad = workspace / "bad.txt"
+        good = (workspace / ("input.run" if flag == "--run" else "qrels.txt")).read_bytes()
+        bad.write_bytes(good + b"\xff\n")
+        files = {"--run": workspace / "input.run", "--qrels": workspace / "qrels.txt", flag: bad}
+        assert run_cli("eval", *[a for kv in files.items() for a in kv]) == 1
+        lineno = len(good.splitlines()) + 1
+        assert f"{bad}:{lineno}: " in caplog.text
+
+    def test_select_on_non_utf8_embeddings_exits_1(self, workspace, caplog):
+        bad = workspace / "bad.jsonl"
+        bad.write_bytes((workspace / "doc_embs.jsonl").read_bytes() + b"\xff\n")
+        code = run_cli("select", "--embeddings", bad, "--algorithm", "greedy", "--k", 2,
+                       "--out", workspace / "sel.jsonl")
+        assert code == 1
+        assert f"{bad}:11: " in caplog.text

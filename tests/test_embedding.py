@@ -23,6 +23,7 @@ from rankkit.embedding import (
 from rankkit.errors import (
     DimensionMismatch,
     EmptyCollection,
+    InvariantViolation,
     KTooLarge,
     TooLarge,
     ZeroVector,
@@ -188,6 +189,20 @@ class TestGreedyDiversity:
         recs = records_from([[1, 0], [0, 1], [1, 1]])
         assert greedy_diversity_select(recs, 1, seed_index=2).selected_ids == ("v3",)
 
+    @pytest.mark.parametrize("select", [greedy_diversity_select, brute_force_diversity_oracle])
+    @pytest.mark.parametrize("seed_index", [-1, -3, 3, 7])
+    def test_seed_index_out_of_range_is_named(self, select, seed_index):
+        recs = records_from([[1, 0], [0, 1], [1, 1]])
+        with pytest.raises(InvariantViolation, match=f"seed_index {seed_index} .*N=3"):
+            select(recs, 2, seed_index=seed_index)
+
+    def test_last_seed_index_matches_oracle(self):
+        rng = np.random.default_rng(4)
+        recs = random_records(rng, 7, 3)
+        fast = greedy_diversity_select(recs, 4, seed_index=6).selected_ids
+        assert fast[0] == "v7"
+        assert fast == brute_force_diversity_oracle(recs, 4, seed_index=6).selected_ids
+
 
 class TestTopK:
     def test_collinear(self):
@@ -305,6 +320,12 @@ class TestBaselineSelectors:
             center = np.array([-10, -10]) if idx < 15 else np.array([10, 10])
             assert float(np.linalg.norm(vec - center)) < 2.0
         assert sides == {"a", "b"}
+
+
+@pytest.mark.parametrize("bad_id", [5, None, ("v1",)])
+def test_embedding_record_id_must_be_a_string(bad_id):
+    with pytest.raises(InvariantViolation, match="id must be a string"):
+        EmbeddingRecord(bad_id, np.ones(2))
 
 
 def test_embeddings_jsonl_roundtrip(tmp_path):

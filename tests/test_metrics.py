@@ -176,6 +176,54 @@ class TestKendallTau:
         assert kendall_tau(p, r) == -1.0
 
 
+QIDS = ["q1", "q2", "q10"]
+DIDS = ["d1", "d2", "d3", "d4"]
+judgment_keys = st.tuples(st.sampled_from(QIDS), st.sampled_from(DIDS))
+
+
+def scan_grades(qrels, query_id):
+    return {d: g for (q, d), g in qrels.judgments.items() if q == query_id}
+
+
+class TestQrelsIndex:
+    """The per-query index against a literal scan of ``judgments``."""
+
+    @given(st.dictionaries(judgment_keys, st.integers(0, 3), max_size=8),
+           st.lists(st.tuples(judgment_keys, st.integers(0, 3)), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_literal_scan(self, initial, added):
+        qrels = Qrels(judgments=dict(initial))
+        for (qid, did), grade in added:
+            qrels.add(qid, did, grade)  # non-strict: overwrites keep their position
+        for qid in QIDS + ["absent"]:
+            assert list(qrels.grades_for(qid).items()) == list(scan_grades(qrels, qid).items())
+        assert qrels.query_ids() == sorted({q for q, _ in qrels.judgments})
+
+    def test_overwrite_keeps_position_and_takes_new_grade(self):
+        qrels = Qrels(judgments={("q1", "d1"): 1, ("q2", "d9"): 2, ("q1", "d2"): 0})
+        qrels.add("q1", "d3", 3)
+        qrels.add("q1", "d1", 2)
+        assert list(qrels.grades_for("q1").items()) == [("d1", 2), ("d2", 0), ("d3", 3)]
+        assert qrels.grades_for("q2") == {"d9": 2}
+        assert qrels.query_ids() == ["q1", "q2"]
+
+    def test_grades_for_returns_a_copy(self):
+        qrels = make_qrels([("q1", "d1", 1)])
+        qrels.grades_for("q1")["d1"] = 9
+        qrels.grades_for("absent")["d1"] = 9
+        assert qrels.grades_for("q1") == {"d1": 1}
+        assert qrels.grades_for("absent") == {}
+
+    def test_rejected_add_leaves_index_unchanged(self):
+        qrels = make_qrels([("q1", "d1", 1)])
+        with pytest.raises(InvariantViolation):
+            qrels.add("q1", "d1", 2, strict=True)
+        with pytest.raises(InvariantViolation):
+            qrels.add("q2", "d1", -1)
+        assert qrels.grades_for("q1") == {"d1": 1}
+        assert qrels.query_ids() == ["q1"]
+
+
 class TestTrecIO:
     def test_qrels_field_mapping(self, tmp_path):
         path = tmp_path / "qrels.txt"
@@ -257,3 +305,17 @@ class TestTrecIO:
         with pytest.raises(MalformedLine) as exc:
             read_run(str(path))
         assert str(exc.value).startswith(f"{path}:2: non-finite score")
+
+    @pytest.mark.parametrize("reader,good_line", [
+        (read_run, b"q1 Q0 d1 1 2.0 t\n"),
+        (read_qrels, b"q1 0 d1 1\n"),
+    ])
+    def test_non_utf8_line_is_malformed_with_its_line(self, tmp_path, reader, good_line):
+        # 5000 valid lines first, so the bad byte lies well past the first read buffer
+        path = tmp_path / "bad.txt"
+        path.write_bytes(good_line * 5000 + b"x \xff y\n" + good_line)
+        lineno = 5001
+        with pytest.raises(MalformedLine) as exc:
+            reader(str(path))
+        assert exc.value.lineno == lineno
+        assert str(exc.value).startswith(f"{path}:{lineno}: ")

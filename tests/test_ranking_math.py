@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rankkit.errors import LengthMismatch, NonPositiveTemperature
@@ -27,6 +27,59 @@ def pl_prob_oracle(scores, order):
         p *= math.exp(scores[head - 1]) / denom
         remaining = remaining[1:]
     return p
+
+
+def suffix_logsumexp_oracle(t):
+    """lse[i] = log sum_{j >= i} exp(t[j]), computed with a running max shift."""
+    n = t.shape[0]
+    out = np.empty(n)
+    m = -np.inf
+    acc = 0.0
+    for i in range(n - 1, -1, -1):
+        x = t[i]
+        if x > m:
+            acc = acc * np.exp(m - x) + 1.0 if np.isfinite(m) else 1.0
+            m = x
+        else:
+            acc += np.exp(x - m)
+        out[i] = m + np.log(acc)
+    return out
+
+
+def loss_oracle(scores, perm, tau):
+    t = np.asarray(scores, dtype=np.float64)[np.asarray(perm.order) - 1] / tau
+    return float(np.sum(suffix_logsumexp_oracle(t) - t))
+
+
+def grad_oracle(scores, perm, tau):
+    """O(n^2) gradient: one max-shifted softmax per suffix of the permutation."""
+    s = np.asarray(scores, dtype=np.float64)
+    n = s.shape[0]
+    order = np.asarray(perm.order) - 1
+    t = s[order] / tau
+    g = np.zeros(n)
+    for i in range(n):
+        suffix = t[i:]
+        w = np.exp(suffix - suffix.max())
+        w /= w.sum()
+        g[i:] += w
+    g = (g - 1.0) / tau
+    grad = np.zeros(n)
+    grad[order] = g
+    return grad
+
+
+@st.composite
+def tied_loss_cases(draw):
+    """(scores, perm, tau) with n up to 200, |scores| up to 1e5 and, on
+    average, half of the scores drawn from a pool of at most four values."""
+    n = draw(st.integers(1, 200))
+    value = st.floats(-1e5, 1e5, allow_nan=False, allow_infinity=False)
+    pool = draw(st.lists(value, min_size=1, max_size=4))
+    scores = draw(st.lists(st.one_of(st.sampled_from(pool), value), min_size=n, max_size=n))
+    order = draw(st.permutations(range(1, n + 1)))
+    tau = draw(st.floats(0.01, 10.0))
+    return scores, Permutation(tuple(order)), tau
 
 
 class TestPlackettLuce:
@@ -156,6 +209,32 @@ class TestListwiseLossGrad:
             denom = np.maximum(np.abs(fd), 1e-3)
             assert np.max(np.abs(grad - fd) / denom) < 1e-4
             assert abs(grad.sum()) < 1e-9
+
+
+class TestLogSpaceOracles:
+    """The O(n) log-space loss and gradient against the literal loops."""
+
+    @given(tied_loss_cases())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_loss_and_grad_match_literal_oracles(self, case):
+        scores, perm, tau = case
+        n = len(scores)
+        t = np.asarray(scores) / tau
+        bound = 64 * np.finfo(np.float64).eps * n * max(1.0, float(np.max(np.abs(t))))
+        got = listwise_loss_grad(scores, perm, tau)
+        want = grad_oracle(scores, perm, tau)
+        assert np.all(np.abs(tau * got - tau * want) <= bound)
+        loss = listwise_loss(scores, perm, tau).loss
+        assert abs(loss - loss_oracle(scores, perm, tau)) <= bound
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    def test_all_tied_scores(self, n):
+        perm = identity_permutation(n)
+        np.testing.assert_allclose(listwise_loss_grad([7.0] * n, perm, 0.1),
+                                   grad_oracle([7.0] * n, perm, 0.1), rtol=0, atol=1e-12)
+        assert listwise_loss([7.0] * n, perm, 0.1).loss == pytest.approx(
+            math.lgamma(n + 1), abs=1e-9)
 
 
 class TestPairwiseRank:

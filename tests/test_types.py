@@ -118,6 +118,13 @@ class TestDomainTypes:
         with pytest.raises(InvariantViolation):
             Query(id="q 1", text="t")
 
+    @pytest.mark.parametrize("bad_id", [5, None, ["d1"], b"d1"])
+    def test_non_string_id_rejected(self, bad_id):
+        with pytest.raises(InvariantViolation, match="document id must be a string"):
+            Document(id=bad_id, text="t")
+        with pytest.raises(InvariantViolation, match="query id must be a string"):
+            Query(id=bad_id, text="t")
+
     def test_candidate_list_rejects_duplicates(self):
         with pytest.raises(InvariantViolation):
             CandidateList("q1", ("d1", "d1"))
