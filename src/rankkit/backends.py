@@ -30,9 +30,6 @@ API_KEY_ENV = "RERANK_API_KEY"
 
 
 class Backend(Protocol):
-    supports_images: bool
-    max_candidates_hint: int | None
-
     def complete(self, prompt: PromptScript) -> str: ...
 
 
@@ -73,9 +70,6 @@ def call_with_retries(backend: Backend, prompt: PromptScript, policy: RetryPolic
 class IdentityBackend:
     """Echoes the presented order; answers yes to every relevance question."""
 
-    supports_images = True
-    max_candidates_hint = None
-
     def complete(self, prompt: PromptScript) -> str:
         if prompt.kind == "listwise":
             n = len(prompt.doc_ids)
@@ -85,9 +79,6 @@ class IdentityBackend:
 
 class ReverseBackend:
     """Mirrors the presented order; answers no to every relevance question."""
-
-    supports_images = True
-    max_candidates_hint = None
 
     def complete(self, prompt: PromptScript) -> str:
         if prompt.kind == "listwise":
@@ -104,9 +95,6 @@ class OracleBackend:
     prompts by grade >= rel_threshold; pair comparisons by strict grade
     dominance.
     """
-
-    supports_images = True
-    max_candidates_hint = None
 
     def __init__(self, grades: Mapping[tuple[str, str], int], rel_threshold: int = 1):
         self.grades = dict(grades)
@@ -130,9 +118,6 @@ class OracleBackend:
 
 class ScriptedBackend:
     """Replays a fixed transcript; raises when it runs dry."""
-
-    supports_images = True
-    max_candidates_hint = None
 
     def __init__(self, responses: Sequence[str]):
         self.responses = list(responses)
@@ -195,8 +180,6 @@ class HttpBackend:
     endpoint: str
     model: str
     timeout: float = 120.0
-    supports_images: bool = True
-    max_candidates_hint: int | None = None
     session: object = None  # requests.Session-compatible; injectable for tests
 
     def __post_init__(self):

@@ -12,7 +12,7 @@ import json
 import logging
 import sys
 
-from . import backends, embedding, engine, metrics, pipeline, types
+from . import backends, embedding, engine, metrics, pipeline, prompts, types
 from .errors import RankkitError
 
 logger = logging.getLogger("rankkit")
@@ -26,12 +26,7 @@ def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
     data: dict = {}
     if getattr(args, "config", None):
         data = types.read_json_object(args.config)
-    if getattr(args, "seed", None) is not None:
-        data["seed"] = args.seed
-    if getattr(args, "parallelism", None) is not None:
-        data["parallelism"] = args.parallelism
-    for name in ("top_k", "selection_k", "quality_threshold", "budget",
-                 "window_size", "stride", "mode"):
+    for name in pipeline.CONFIG_KEYS:
         val = getattr(args, name, None)
         if val is not None:
             data[name] = val
@@ -62,11 +57,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     if args.pairs:
         pairs = _read_pairs(args.pairs, query_embs, doc_embs)
     else:
-        index = embedding.CorpusIndex(doc_embs)
-        pairs = []
-        for q in query_embs:
-            top = embedding.top_k_by_distance(q.vector, index, 1)[0]
-            pairs.append((q.vector, index.by_id[top].vector, (q.id, top)))
+        pairs = embedding.nearest_pairs(query_embs, embedding.CorpusIndex(doc_embs))
     result = embedding.quality_filter(pairs, cfg.quality_threshold)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"meta": {
@@ -140,16 +131,10 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     queries = types.read_queries(args.queries)
     corpus = {d.id: d for d in types.read_documents(args.corpus)}
     run = metrics.read_run(args.run)
-    by_query: dict[str, list[metrics.RunEntry]] = {}
-    for e in run:
-        by_query.setdefault(e.query_id, []).append(e)
     candidate_lists = {
-        qid: types.CandidateList(
-            qid,
-            tuple(e.doc_id for e in sorted(group, key=lambda e: e.rank)),
-            tuple(e.score for e in sorted(group, key=lambda e: e.rank)),
-        )
-        for qid, group in by_query.items()
+        qid: types.CandidateList(qid, tuple(e.doc_id for e in group),
+                                 tuple(e.score for e in group))
+        for qid, group in metrics.ranked_by_query(run).items()
     }
     backend = _make_backend(args)
     method = "pairwise" if args.pairwise else "listwise"
@@ -269,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--pairwise", action="store_true", default=False)
     rr.add_argument("--window-size", dest="window_size", type=int, default=None)
     rr.add_argument("--stride", type=int, default=None)
-    rr.add_argument("--mode", choices=["text", "multimodal"], default=None)
+    rr.add_argument("--mode", choices=prompts.MODES, default=None)
     rr.add_argument("--tag", default="rankkit")
     rr.add_argument("--out", required=True)
     rr.set_defaults(func=cmd_rerank)
@@ -280,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--doc-embeddings", required=True)
     d.add_argument("--corpus", help="optional document corpus JSONL")
     d.add_argument("--top-k", dest="top_k", type=int, default=None)
-    d.add_argument("--mode", choices=["text", "multimodal"], default=None)
+    d.add_argument("--mode", choices=prompts.MODES, default=None)
     d.add_argument("--budget", type=int, default=None)
     d.add_argument("--budget-filter", action="store_true",
                    help="apply confidence filtering to the budget before writing")

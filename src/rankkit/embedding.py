@@ -36,7 +36,7 @@ from .errors import (
     TooLarge,
     ZeroVector,
 )
-from .types import read_jsonl
+from .types import check_id, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -52,8 +52,7 @@ class EmbeddingRecord:
     vector: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.id, str):
-            raise InvariantViolation(f"embedding record id must be a string, got {self.id!r}")
+        check_id("embedding record", self.id)
         v = np.asarray(self.vector)
         object.__setattr__(self, "vector", v)
         if v.ndim != 1 or v.shape[0] == 0:
@@ -301,6 +300,20 @@ def top_k_by_distance(
     return [index.ids[int(i)] for i in index.nearest_rows(q, k)]
 
 
+def nearest_pairs(
+    queries: Sequence[EmbeddingRecord],
+    index: CorpusIndex,
+) -> list[tuple[np.ndarray, np.ndarray, tuple[str, str]]]:
+    """(query vector, doc vector, (query id, doc id)) for each query and its
+    nearest document (top-1 by Euclidean distance), in query order: the
+    pairs that ``quality_filter`` takes."""
+    pairs = []
+    for q in queries:
+        top = top_k_by_distance(q.vector, index, 1)[0]
+        pairs.append((q.vector, index.by_id[top].vector, (q.id, top)))
+    return pairs
+
+
 def random_select(records: Sequence[EmbeddingRecord], k: int, seed: int) -> SelectionResult:
     """Uniform sample without replacement; order follows the seeded draw."""
     if not records:
@@ -333,10 +346,15 @@ def kmeans_centroid_select(
     for _ in range(iters):
         d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assign = np.argmin(d2, axis=1)
-        for c in range(k):  # an emptied cluster grabs the point farthest from its centroid
-            if not np.any(new_assign == c):
-                far = int(np.argmax(d2[np.arange(n), new_assign]))
-                new_assign[far] = c
+        sizes = np.bincount(new_assign, minlength=k)
+        for c in np.flatnonzero(sizes == 0):
+            # an emptied cluster grabs the point farthest from its centroid
+            # among clusters of two or more, so no cluster is left empty
+            far_d2 = np.where(sizes[new_assign] > 1, d2[np.arange(n), new_assign], -np.inf)
+            far = int(np.argmax(far_d2))
+            sizes[new_assign[far]] -= 1
+            sizes[c] = 1
+            new_assign[far] = c
         if np.array_equal(new_assign, assign) and _ > 0:
             assign = new_assign
             break

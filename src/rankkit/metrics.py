@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolation, LengthMismatch, MalformedLine, TooShort
@@ -79,11 +80,16 @@ class MetricReport:
         }
 
 
-def _group_run(run: Sequence[RunEntry]) -> dict[str, list[str]]:
-    by_query: dict[str, list[tuple[int, str]]] = {}
+def ranked_by_query(run: Sequence[RunEntry]) -> dict[str, list[RunEntry]]:
+    """Each query's entries sorted by (rank, doc_id), queries in order of
+    first appearance in ``run``."""
+    by_query: dict[str, list[RunEntry]] = {}
     for e in run:
-        by_query.setdefault(e.query_id, []).append((e.rank, e.doc_id))
-    return {q: [d for _, d in sorted(pairs)] for q, pairs in by_query.items()}
+        by_query.setdefault(e.query_id, []).append(e)
+    key = attrgetter("rank", "doc_id")
+    for group in by_query.values():
+        group.sort(key=key)
+    return by_query
 
 
 def _gain(grade: int, gain: str) -> float:
@@ -107,7 +113,7 @@ def ndcg_at_k(
     """
     if k < 1:
         raise InvariantViolation(f"k must be >= 1, got {k}")
-    ranked = _group_run(run)
+    ranked = ranked_by_query(run)
     per_query: "OrderedDict[str, float]" = OrderedDict()
     for qid in qrels.query_ids():
         grades = qrels.grades_for(qid)
@@ -116,10 +122,9 @@ def ndcg_at_k(
         if idcg == 0.0:
             per_query[qid] = 0.0
             continue
-        docs = ranked.get(qid, [])[:k]
         dcg = sum(
-            _gain(grades.get(d, 0), gain) / math.log2(r + 1)
-            for r, d in enumerate(docs, start=1)
+            _gain(grades.get(e.doc_id, 0), gain) / math.log2(r + 1)
+            for r, e in enumerate(ranked.get(qid, [])[:k], start=1)
         )
         per_query[qid] = dcg / idcg
     mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
@@ -128,13 +133,13 @@ def ndcg_at_k(
 
 def mrr(qrels: Qrels, run: Sequence[RunEntry], rel_threshold: int = 1) -> MetricReport:
     """Reciprocal rank of the first retrieved doc with grade >= threshold."""
-    ranked = _group_run(run)
+    ranked = ranked_by_query(run)
     per_query: "OrderedDict[str, float]" = OrderedDict()
     for qid in qrels.query_ids():
         grades = qrels.grades_for(qid)
         rr = 0.0
-        for r, d in enumerate(ranked.get(qid, []), start=1):
-            if grades.get(d, 0) >= rel_threshold:
+        for r, e in enumerate(ranked.get(qid, []), start=1):
+            if grades.get(e.doc_id, 0) >= rel_threshold:
                 rr = 1.0 / r
                 break
         per_query[qid] = rr
@@ -156,7 +161,7 @@ def recall_at_k(
     """
     if k < 1:
         raise InvariantViolation(f"k must be >= 1, got {k}")
-    ranked = _group_run(run)
+    ranked = ranked_by_query(run)
     per_query: "OrderedDict[str, float]" = OrderedDict()
     skipped: list[str] = []
     for qid in qrels.query_ids():
@@ -165,7 +170,7 @@ def recall_at_k(
         if not relevant:
             skipped.append(qid)
             continue
-        hits = sum(1 for d in ranked.get(qid, [])[:k] if d in relevant)
+        hits = sum(1 for e in ranked.get(qid, [])[:k] if e.doc_id in relevant)
         per_query[qid] = hits / len(relevant)
     micro = sum(per_query.values()) / len(per_query) if per_query else 0.0
     if qrels.group_of:
@@ -229,17 +234,12 @@ def read_qrels(path: str, strict: bool = False, groups_path: str | None = None) 
 
 
 def _validate_run(entries: Sequence[RunEntry]) -> None:
-    by_query: dict[str, list[RunEntry]] = {}
-    for e in entries:
-        by_query.setdefault(e.query_id, []).append(e)
-    for qid, group in by_query.items():
-        ranks = sorted(e.rank for e in group)
-        if ranks != list(range(1, len(group) + 1)):
+    for qid, group in ranked_by_query(entries).items():
+        if [e.rank for e in group] != list(range(1, len(group) + 1)):
             raise InvariantViolation(f"query {qid}: ranks are not 1..{len(group)} without gaps")
         if len({e.doc_id for e in group}) != len(group):
             raise InvariantViolation(f"query {qid}: duplicate doc ids")
-        ordered = sorted(group, key=lambda e: e.rank)
-        for prev, cur in zip(ordered, ordered[1:]):
+        for prev, cur in zip(group, group[1:]):
             if cur.score > prev.score:
                 raise InvariantViolation(
                     f"query {qid}: score increases from rank {prev.rank} to {cur.rank}"

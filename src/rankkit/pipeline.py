@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
 from .backends import Backend, RetryPolicy
@@ -25,14 +24,15 @@ from .embedding import (
     CorpusIndex,
     EmbeddingRecord,
     SelectionResult,
-    cosine_sim,
     greedy_diversity_select,
+    nearest_pairs,
+    quality_filter,
     top_k_by_distance,
 )
 from .engine import RerankReport, WindowConfig, map_ordered, rank_window
-from .errors import ConfigError, MalformedLine, MissingDoc, RankkitError, ZeroVector
+from .errors import ConfigError, MalformedLine, MissingDoc, RankkitError
 from .metrics import kendall_tau
-from .prompts import build_listwise_prompt
+from .prompts import MODES, build_listwise_prompt
 from .types import Document, Permutation, Query, identity_permutation, read_jsonl, validate_permutation
 
 logger = logging.getLogger(__name__)
@@ -73,6 +73,22 @@ class TeacherLabel:
         }
 
 
+# Every config key with its type, in manifest order.  The defaults live in
+# PipelineConfig and WindowConfig.
+CONFIG_KEYS: dict[str, type] = {
+    "top_k": int,
+    "selection_k": int,
+    "quality_threshold": float,
+    "window_size": int,
+    "stride": int,
+    "budget": int,
+    "seed": int,
+    "mode": str,
+    "parallelism": int,
+}
+_WINDOW_KEYS = {f.name for f in fields(WindowConfig)}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     top_k: int = 20
@@ -90,35 +106,39 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if not -1.0 <= self.quality_threshold <= 1.0:
             raise ConfigError("quality_threshold must lie in [-1, 1]")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
 
     def to_json(self) -> dict:
-        return {
-            "top_k": self.top_k,
-            "selection_k": self.selection_k,
-            "quality_threshold": self.quality_threshold,
-            "window_size": self.window.window_size,
-            "stride": self.window.stride,
-            "budget": self.budget,
-            "seed": self.seed,
-            "mode": self.mode,
-        }
+        """The manifest record: every config key but ``parallelism``, which
+        does not change the labels."""
+        return {name: getattr(self.window if name in _WINDOW_KEYS else self, name)
+                for name in CONFIG_KEYS if name != "parallelism"}
+
+
+def _config_value(name: str, value: object) -> object:
+    """``value`` coerced to the type of key ``name``; an int key takes an
+    integral number (5.0 but not 2.7), and a boolean is never a number."""
+    kind = CONFIG_KEYS.get(name)
+    if kind is None:
+        raise ConfigError(f"unknown config key {name!r}")
+    if kind is str:
+        ok = isinstance(value, str)
+    elif kind is int:
+        ok = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    else:
+        ok = isinstance(value, (int, float))
+    if not ok or isinstance(value, bool):
+        raise ConfigError(f"config key {name!r} takes {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def config_from_json(data: Mapping) -> PipelineConfig:
-    window = WindowConfig(
-        window_size=int(data.get("window_size", 20)),
-        stride=int(data.get("stride", 10)),
-    )
-    return PipelineConfig(
-        top_k=int(data.get("top_k", 20)),
-        selection_k=int(data.get("selection_k", 1000)),
-        quality_threshold=float(data.get("quality_threshold", 0.25)),
-        window=window,
-        budget=int(data.get("budget", TEXT_BUDGET_DEFAULT)),
-        seed=int(data.get("seed", 0)),
-        mode=str(data.get("mode", "text")),
-        parallelism=int(data.get("parallelism", 1)),
-    )
+    """A ``PipelineConfig`` from a mapping of ``CONFIG_KEYS``; an unknown key
+    or a value of the wrong type raises ``ConfigError`` naming the key."""
+    values = {name: _config_value(name, value) for name, value in data.items()}
+    window = WindowConfig(**{n: values.pop(n) for n in _WINDOW_KEYS if n in values})
+    return PipelineConfig(window=window, **values)
 
 
 def raw_confidence(teacher_perm: Permutation, repair_count: int) -> float:
@@ -234,34 +254,13 @@ def write_labels(
     path: str,
     cfg: PipelineConfig,
 ) -> None:
-    """Stream labels to JSON-lines with a manifest header; the checkpoint file
-    (path + '.ckpt') is updated atomically after every label."""
-    ckpt_path = path + ".ckpt"
+    """Stream labels to JSON-lines with a manifest header, flushing after
+    every label."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"manifest": dict(cfg.to_json(), confidence=CONFIDENCE_FORMULA)}) + "\n")
-        count = 0
         for label in labels:
             fh.write(json.dumps(label.to_json()) + "\n")
             fh.flush()
-            count += 1
-            _write_checkpoint(ckpt_path, label.query_id, count)
-    if os.path.exists(ckpt_path):
-        os.remove(ckpt_path)
-
-
-def _write_checkpoint(path: str, last_query_id: str, completed: int) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"last_query_id": last_query_id, "completed": completed}, fh)
-    os.replace(tmp, path)
-
-
-def read_checkpoint(path: str) -> dict | None:
-    ckpt = path + ".ckpt"
-    if not os.path.exists(ckpt):
-        return None
-    with open(ckpt, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def read_labels(path: str) -> tuple[dict, list[TeacherLabel]]:
@@ -328,19 +327,10 @@ def curate(
     paired = 0
     if query_embs is not None:
         index = CorpusIndex(corpus_embs)
-        survivors_ids: list[str] = []
-        seen: set[str] = set()
-        for q in query_embs:
-            top = top_k_by_distance(q.vector, index, 1)[0]
-            paired += 1
-            try:
-                sim = cosine_sim(q.vector, index.by_id[top].vector)
-            except ZeroVector:
-                continue
-            if sim >= cfg.quality_threshold and top not in seen:
-                survivors_ids.append(top)
-                seen.add(top)
-        survivors = [index.by_id[i] for i in survivors_ids]
+        pairs = nearest_pairs(query_embs, index)
+        paired = len(pairs)
+        kept = quality_filter(pairs, cfg.quality_threshold).kept
+        survivors = [index.by_id[i] for i in dict.fromkeys(did for _, _, (_, did) in kept)]
     else:
         survivors = list(corpus_embs)
     if not survivors:

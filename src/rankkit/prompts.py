@@ -20,6 +20,7 @@ from .errors import InvariantViolation, MissingModality, TooFewDocs
 from .types import Document, Query
 
 ROLES = ("system", "user", "assistant")
+MODES = ("text", "multimodal")
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def build_listwise_prompt(
     n = len(docs)
     if n < 2:
         raise TooFewDocs(f"listwise ranking needs at least 2 docs, got {n}")
-    if mode not in ("text", "multimodal"):
+    if mode not in MODES:
         raise InvariantViolation(f"unknown prompt mode {mode!r}")
 
     turns: list[Turn] = []

@@ -31,6 +31,15 @@ T = TypeVar("T")
 MODALITIES = ("text", "image", "hybrid")
 
 
+def check_id(kind: str, ident: object) -> None:
+    """An id is a non-empty string with no whitespace, because it is one
+    whitespace-separated field of a TREC run or qrels line."""
+    if not isinstance(ident, str):
+        raise InvariantViolation(f"{kind} id must be a string, got {ident!r}")
+    if ident.split() != [ident]:
+        raise InvariantViolation(f"{kind} id must be non-empty with no whitespace, got {ident!r}")
+
+
 @dataclass(frozen=True)
 class Document:
     """One rerankable unit; may carry text, an image reference, or both."""
@@ -41,12 +50,7 @@ class Document:
     modality: str = "text"
 
     def __post_init__(self):
-        if not isinstance(self.id, str):
-            raise InvariantViolation(f"document id must be a string, got {self.id!r}")
-        if not self.id:
-            raise InvariantViolation("document id must be non-empty")
-        if any(c.isspace() for c in self.id):
-            raise InvariantViolation(f"document id contains whitespace: {self.id!r}")
+        check_id("document", self.id)
         if self.modality not in MODALITIES:
             raise InvariantViolation(f"unknown modality {self.modality!r}")
         if self.modality in ("text", "hybrid") and not self.text:
@@ -61,10 +65,7 @@ class Query:
     text: str
 
     def __post_init__(self):
-        if not isinstance(self.id, str):
-            raise InvariantViolation(f"query id must be a string, got {self.id!r}")
-        if not self.id or any(c.isspace() for c in self.id):
-            raise InvariantViolation(f"bad query id: {self.id!r}")
+        check_id("query", self.id)
         if not self.text:
             raise InvariantViolation(f"query {self.id}: empty text")
 

@@ -7,7 +7,7 @@ from rankkit import cli
 from rankkit.embedding import EmbeddingRecord, euclidean_dist, read_embeddings, write_embeddings
 from rankkit.errors import MalformedLine
 from rankkit.metrics import read_run, run_from_candidates, write_run
-from rankkit.pipeline import read_labels
+from rankkit.pipeline import CONFIDENCE_FORMULA, PipelineConfig, curate, read_labels
 from rankkit.types import Document, Query, read_documents, read_queries, write_documents
 
 
@@ -118,6 +118,36 @@ class TestFilterRetrieve:
                        "--pairs", pairs, "--out", workspace / "kept.jsonl")
         assert code == 1
         assert f"{pairs}:2: unknown doc_id 'nope'" in caplog.text
+
+
+    def test_curate_keeps_the_docs_that_filter_keeps(self, tmp_path):
+        rng = np.random.default_rng(8)
+        docs = [EmbeddingRecord(f"d{i}", v) for i, v in enumerate(rng.normal(size=(12, 4)))]
+        qvecs = list(rng.normal(size=(10, 4)))
+        # a zero-vector query, and a copy of q0 under another id
+        queries = [EmbeddingRecord(f"q{i}", v)
+                   for i, v in enumerate(qvecs + [np.zeros(4), qvecs[0]])]
+        write_embeddings(docs, str(tmp_path / "docs.jsonl"))
+        write_embeddings(queries, str(tmp_path / "queries.jsonl"))
+        out = tmp_path / "kept.jsonl"
+        code = run_cli("filter", "--query-embeddings", tmp_path / "queries.jsonl",
+                       "--doc-embeddings", tmp_path / "docs.jsonl",
+                       "--quality-threshold", 0.3, "--out", out)
+        assert code == 0
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        kept = [rec["doc_id"] for rec in lines[1:]]
+        survivors = list(dict.fromkeys(kept))
+        assert lines[0]["meta"]["dropped_zero"] == 1
+        assert lines[0]["meta"]["dropped_below"] >= 1
+        assert len(survivors) < len(kept)
+
+        selection, manifest = curate(docs, PipelineConfig(quality_threshold=0.3),
+                                     query_embs=queries)
+        assert manifest.paired == len(queries)
+        assert manifest.kept_after_filter == len(survivors)
+        # greedy selection seeds with the first survivor and keeps them all
+        assert selection.selected_ids[0] == survivors[0]
+        assert sorted(selection.selected_ids) == sorted(survivors)
 
 
 class TestRerank:
@@ -265,6 +295,46 @@ class TestConfigAndErrors:
         assert run_cli(*args, flag, bad) == 1
         assert f"{bad}: " in caplog.text
 
+    @pytest.mark.parametrize("config,key", [
+        ({"topk": 5}, "topk"),
+        ({"top_k": "abc"}, "top_k"),
+        ({"top_k": None}, "top_k"),
+        ({"top_k": 2.7}, "top_k"),
+        ({"mode": "image"}, "mode"),
+        ({"top_k": True}, "top_k"),
+        ({"window_size": 5, "stride": 10}, "stride"),
+    ])
+    def test_bad_config_is_fatal_and_names_the_key(self, workspace, caplog, config, key):
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = workspace / "labels.jsonl"
+        code = run_cli("distill", "--config", cfg, "--queries", workspace / "queries.jsonl",
+                       "--query-embeddings", workspace / "query_embs.jsonl",
+                       "--doc-embeddings", workspace / "doc_embs.jsonl", "--out", out)
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and key in errors[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config,manifest", [
+        ({"top_k": 5.0}, {"top_k": 5, "quality_threshold": 0.25}),
+        ({"quality_threshold": 0}, {"top_k": 20, "quality_threshold": 0.0}),
+    ])
+    def test_config_values_are_coerced_into_the_manifest(self, workspace, config, manifest):
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = workspace / "labels.jsonl"
+        code = run_cli("distill", "--config", cfg, "--queries", workspace / "queries.jsonl",
+                       "--query-embeddings", workspace / "query_embs.jsonl",
+                       "--doc-embeddings", workspace / "doc_embs.jsonl", "--out", out)
+        assert code == 0
+        header = {"manifest": {
+            "top_k": manifest["top_k"], "selection_k": 1000,
+            "quality_threshold": manifest["quality_threshold"], "window_size": 20,
+            "stride": 10, "budget": 4000, "seed": 0, "mode": "text",
+            "confidence": CONFIDENCE_FORMULA}}
+        assert out.read_text().splitlines()[0] == json.dumps(header)
+
     def test_malformed_qrels_is_fatal(self, workspace):
         bad = workspace / "bad_qrels.txt"
         bad.write_text("not enough fields\n")
@@ -327,6 +397,8 @@ MALFORMED = [
     ("queries", ['{"id": ["q1"], "text": "x"}']),
     ("embeddings", ['{"id": 5, "vector": [1.0, 0.0]}']),
     ("embeddings", ['{"id": null, "vector": [1.0, 0.0]}']),
+    ("embeddings", ['{"id": "q 1", "vector": [1.0, 0.0]}']),
+    ("embeddings", ['{"id": "", "vector": [1.0, 0.0]}']),
 ]
 
 

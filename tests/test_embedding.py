@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,29 @@ class TestBaselineSelectors:
             center = np.array([-10, -10]) if idx < 15 else np.array([10, 10])
             assert float(np.linalg.norm(vec - center)) < 2.0
         assert sides == {"a", "b"}
+
+
+@st.composite
+def duplicate_heavy(draw):
+    """Up to 12 records drawn from at most 3 distinct 2-d vectors, k <= N."""
+    pool = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                         min_size=1, max_size=3))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return rows, draw(st.integers(1, len(rows))), draw(st.integers(0, 2**16))
+
+
+@given(duplicate_heavy())
+@example(([(1, 2)] * 8 + [(5, 0), (-3, 1)], 5, 0))
+@settings(max_examples=300, deadline=None)
+def test_kmeans_on_duplicate_heavy_data_selects_k_distinct_ids(case):
+    # the empty-cluster repair used to empty another cluster, whose centroid
+    # became the NaN mean of an empty slice
+    rows, k, seed = case
+    recs = records_from(np.array(rows, dtype=np.float64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ids = kmeans_centroid_select(recs, k, seed).selected_ids
+    assert len(ids) == len(set(ids)) == k
 
 
 @pytest.mark.parametrize("bad_id", [5, None, ("v1",)])

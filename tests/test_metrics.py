@@ -18,6 +18,7 @@ from rankkit.metrics import (
     mrr,
     ndcg_at_k,
     read_qrels,
+    ranked_by_query,
     read_run,
     recall_at_k,
     run_from_candidates,
@@ -222,6 +223,38 @@ class TestQrelsIndex:
             qrels.add("q2", "d1", -1)
         assert qrels.grades_for("q1") == {"d1": 1}
         assert qrels.query_ids() == ["q1"]
+
+
+@st.composite
+def shuffled_runs(draw):
+    """A run with repeated ranks and repeated doc ids, a shuffle of it, and
+    qrels that also judge a query the run lacks."""
+    run = [RunEntry(qid, did, rank, 0.0)
+           for qid, did, rank in draw(st.lists(
+               st.tuples(st.sampled_from(QIDS), st.sampled_from(DIDS), st.integers(1, 3)),
+               max_size=20))]
+    qrels = Qrels(judgments=draw(st.dictionaries(
+        st.tuples(st.sampled_from(QIDS + ["unranked"]), st.sampled_from(DIDS)),
+        st.integers(0, 3), max_size=12)))
+    return run, draw(st.permutations(run)), qrels
+
+
+class TestRankedByQuery:
+    """``ranked_by_query`` against a literal per-query sort by (rank, doc_id)."""
+
+    @given(shuffled_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_literal_sort_and_metrics_ignore_run_order(self, case):
+        run, shuffled, qrels = case
+        for entries in (run, shuffled):
+            first_seen = list(dict.fromkeys(e.query_id for e in entries))
+            expected = [(q, sorted((e for e in entries if e.query_id == q),
+                                   key=lambda e: (e.rank, e.doc_id)))
+                        for q in first_seen]
+            assert list(ranked_by_query(entries).items()) == expected
+        for metric in (lambda r: ndcg_at_k(qrels, r, 2), lambda r: mrr(qrels, r),
+                       lambda r: recall_at_k(qrels, r, 2)):
+            assert metric(run).to_json() == metric(shuffled).to_json()
 
 
 class TestTrecIO:
