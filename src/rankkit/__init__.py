@@ -15,6 +15,7 @@ from .types import (
 from .embedding import (
     CorpusIndex,
     EmbeddingRecord,
+    EmbeddingRows,
     SelectionResult,
     cosine_sim,
     euclidean_dist,

@@ -95,7 +95,7 @@ def _vector(by_id: dict, rec: dict, field: str):
 def cmd_select(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     records = embedding.read_embeddings(args.embeddings)
-    k = args.k or cfg.selection_k
+    k = cfg.selection_k
     if args.algorithm == "greedy":
         result = embedding.greedy_diversity_select(records, k, keep_trace=args.trace)
     elif args.algorithm == "random":
@@ -112,15 +112,14 @@ def cmd_select(args: argparse.Namespace) -> int:
 def cmd_retrieve(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     query_embs = embedding.read_embeddings(args.query_embeddings)
-    doc_embs = embedding.read_embeddings(args.doc_embeddings)
-    k = args.k or cfg.top_k
-    index = embedding.CorpusIndex(doc_embs)
+    index = embedding.CorpusIndex(embedding.read_embeddings(args.doc_embeddings))
     entries = []
     for q in query_embs:
-        ids = embedding.top_k_by_distance(q.vector, index, k)
+        ids = embedding.top_k_by_distance(q.vector, index, cfg.top_k)
         # 1-D euclidean_dist, not the index's row-wise norm: the two differ in
         # the last bit on some rows, and the written scores stay as they were
-        scores = [-embedding.euclidean_dist(q.vector, index.by_id[d].vector) for d in ids]
+        scores = [-embedding.euclidean_dist(q.vector, index.matrix[index.by_id[d]])
+                  for d in ids]
         entries.extend(metrics.run_from_candidates(q.id, ids, scores, tag="retrieve"))
     metrics.write_run(entries, args.out)
     return EXIT_OK
@@ -180,15 +179,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     reports = []
     for item in args.metrics.split(","):
         item = item.strip().lower()
-        if item.startswith("ndcg@"):
-            reports.append(metrics.ndcg_at_k(qrels, run, int(item[5:]), gain=args.gain))
-        elif item == "mrr":
+        name, _, cutoff = item.partition("@")
+        if item == "mrr":
             reports.append(metrics.mrr(qrels, run, rel_threshold=args.rel_threshold))
-        elif item.startswith("recall@"):
-            reports.append(metrics.recall_at_k(qrels, run, int(item[7:]),
-                                               rel_threshold=args.rel_threshold))
+        elif name not in ("ndcg", "recall") or not cutoff.isdecimal():
+            raise RankkitError(f"unknown metric {item!r}; expected ndcg@K, recall@K or mrr")
+        elif name == "ndcg":
+            reports.append(metrics.ndcg_at_k(qrels, run, int(cutoff), gain=args.gain))
         else:
-            raise RankkitError(f"unknown metric {item!r}")
+            reports.append(metrics.recall_at_k(qrels, run, int(cutoff),
+                                               rel_threshold=args.rel_threshold))
     payload = {
         "config": {
             "gain": args.gain,
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("select", parents=[common], help="coreset selection")
     s.add_argument("--embeddings", required=True)
     s.add_argument("--algorithm", default="greedy", choices=["greedy", "random", "kmeans"])
-    s.add_argument("--k", type=int, default=None)
+    s.add_argument("--k", dest="selection_k", type=int, default=None)
     s.add_argument("--trace", action="store_true")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_select)
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("retrieve", parents=[common], help="exact top-k retrieval by distance")
     r.add_argument("--query-embeddings", required=True)
     r.add_argument("--doc-embeddings", required=True)
-    r.add_argument("--k", type=int, default=None)
+    r.add_argument("--k", dest="top_k", type=int, default=None)
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_retrieve)
 

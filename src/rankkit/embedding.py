@@ -17,13 +17,30 @@ distance could, within a rigorous floating-point error bound, reach the
 k-th smallest is re-scored exactly as ``norm(x[rows] - q, axis=1)`` and
 stably sorted by (distance, row).  The ids returned are therefore the same,
 ties included, as a stable sort of the literal distances of every row.
+
+``read_embeddings`` returns ``EmbeddingRows``: one C-contiguous float64
+matrix and a tuple of ids, each record a view of its row, so the index and
+the selectors take the file's matrix without another copy (a record list
+built in memory is stacked once).  The file is streamed in chunks of about
+256 KiB.  A chunk takes the fast path when every line has the exact shape
+``{"id": "<id>", "vector": [<numbers>]}`` that ``write_embeddings`` writes,
+the id holds no quote, backslash or control byte, and the bodies pass
+``_json_numbers``; then one ``np.loadtxt`` call parses all of its vectors,
+and their row count, width and finiteness are checked.  Any line or chunk
+that fails a check sends the whole file through the JSON-per-line reader
+(``types.read_jsonl``), which is the specification: it reports every
+``MalformedLine`` with its file:line and returns a plain record list,
+ragged or not.  Both paths give the same ids and bit-identical vectors.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from collections import abc
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,6 +50,7 @@ from .errors import (
     EmptyCollection,
     InvariantViolation,
     KTooLarge,
+    RankkitError,
     TooLarge,
     ZeroVector,
 )
@@ -131,22 +149,51 @@ def quality_filter(
     )
 
 
-def _stacked(records: Sequence[EmbeddingRecord]) -> np.ndarray:
+class EmbeddingRows(abc.Sequence):
+    """Embedding records whose vectors are the rows of one float64 matrix:
+    ``rows[i]`` is ``EmbeddingRecord(ids[i], matrix[i])``, its vector a view
+    of the row, and a slice is again ``EmbeddingRows``."""
+
+    def __init__(self, matrix: np.ndarray, ids: tuple[str, ...]):
+        if matrix.ndim != 2 or matrix.shape[0] != len(ids):
+            raise InvariantViolation(f"{len(ids)} ids for a matrix of shape {matrix.shape}")
+        self.matrix = matrix
+        self.ids = ids
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return EmbeddingRows(self.matrix[i], self.ids[i])
+        return EmbeddingRecord(self.ids[i], self.matrix[i])
+
+    def __iter__(self):
+        return map(EmbeddingRecord, self.ids, self.matrix)
+
+
+def _rows(records: Sequence[EmbeddingRecord]) -> EmbeddingRows:
+    """``records`` as one matrix: ``EmbeddingRows`` as they are, any other
+    record list stacked into a new one.  Empty input or rows of different
+    dimensions raise."""
     if not records:
         raise EmptyCollection("no embedding records")
+    if isinstance(records, EmbeddingRows):
+        return records
     dim = records[0].vector.shape[0]
     for r in records:
         if r.vector.shape[0] != dim:
             raise DimensionMismatch(f"record {r.id}: dim {r.vector.shape[0]} != {dim}")
-    return np.stack([r.vector for r in records], dtype=np.float64)
+    return EmbeddingRows(np.stack([r.vector for r in records], dtype=np.float64),
+                         tuple(r.id for r in records))
 
 
-def _unit_rows(records: Sequence[EmbeddingRecord]) -> np.ndarray:
-    x = _stacked(records)
+def _unit_rows(rows: EmbeddingRows) -> np.ndarray:
+    x = rows.matrix
     norms = np.linalg.norm(x, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ZeroVector(records[int(zero[0])].id)
+        raise ZeroVector(rows.ids[int(zero[0])])
     return x / norms[:, None]
 
 
@@ -169,14 +216,15 @@ def greedy_diversity_select(
     each step is one matrix-vector product: O(k * N * d) total rather than
     the O(k^2 * N * d) of recomputing averages from scratch.
     """
-    u = _unit_rows(records)
+    rows = _rows(records)
+    u = _unit_rows(rows)
     n = u.shape[0]
     if k < 1:
         raise KTooLarge(f"k must be >= 1, got {k}")
     _check_seed(seed_index, n)
     k = min(k, n)
     chosen = [seed_index]
-    trace = [(records[seed_index].id, 0.0)]
+    trace = [(rows.ids[seed_index], 0.0)]
     picked = np.zeros(n, dtype=bool)
     picked[seed_index] = True
     sums = u @ u[seed_index]
@@ -185,11 +233,11 @@ def greedy_diversity_select(
         avg[picked] = np.inf
         j = int(np.argmin(avg))  # argmin takes the first occurrence: lowest index wins ties
         chosen.append(j)
-        trace.append((records[j].id, float(avg[j])))
+        trace.append((rows.ids[j], float(avg[j])))
         picked[j] = True
         sums = sums + u @ u[j]
     return SelectionResult(
-        selected_ids=tuple(records[i].id for i in chosen),
+        selected_ids=tuple(rows.ids[i] for i in chosen),
         trace=tuple(trace) if keep_trace else None,
     )
 
@@ -208,7 +256,7 @@ def brute_force_diversity_oracle(
     """
     if len(records) > ORACLE_MAX_N:
         raise TooLarge(f"oracle is capped at N={ORACLE_MAX_N}, got {len(records)}")
-    _stacked(records)  # dimension + emptiness checks
+    _rows(records)  # dimension + emptiness checks
     for r in records:
         if float(np.linalg.norm(np.asarray(r.vector, dtype=np.float64))) == 0.0:
             raise ZeroVector(r.id)
@@ -243,18 +291,20 @@ def brute_force_diversity_oracle(
 class CorpusIndex:
     """A corpus stacked once for exact top-k queries by Euclidean distance.
 
-    Holds the float64 matrix, its squared row norms, the ids in input order
-    and an id -> record map (for a repeated id the last record wins).  Build
-    one per command and pass it to every ``top_k_by_distance`` call; an
-    empty corpus or rows of different dimensions fail here, once.
+    Holds the float64 matrix (the matrix of ``EmbeddingRows`` itself, not a
+    copy), its squared row norms, the ids in input order and an id -> row
+    map (for a repeated id the last row wins).  Build one per command and
+    pass it to every ``top_k_by_distance`` call; an empty corpus or rows of
+    different dimensions fail here, once.
     """
 
     def __init__(self, records: Sequence[EmbeddingRecord]):
-        self.matrix = _stacked(records)
+        rows = _rows(records)
+        self.matrix = rows.matrix
         self.sq_norms = np.einsum("ij,ij->i", self.matrix, self.matrix)
         self.norms = np.sqrt(self.sq_norms)
-        self.ids = [r.id for r in records]
-        self.by_id = {r.id: r for r in records}
+        self.ids = rows.ids
+        self.by_id = {ident: i for i, ident in enumerate(self.ids)}
 
     def nearest_rows(self, q: np.ndarray, k: int) -> np.ndarray:
         """Rows of the k nearest records to ``q``, in the order of
@@ -310,7 +360,7 @@ def nearest_pairs(
     pairs = []
     for q in queries:
         top = top_k_by_distance(q.vector, index, 1)[0]
-        pairs.append((q.vector, index.by_id[top].vector, (q.id, top)))
+        pairs.append((q.vector, index.matrix[index.by_id[top]], (q.id, top)))
     return pairs
 
 
@@ -334,7 +384,8 @@ def kmeans_centroid_select(
     """Lloyd's k-means, then one representative per cluster: the member record
     nearest its centroid in Euclidean distance, ties by lowest input index.
     """
-    x = _stacked(records)
+    rows = _rows(records)
+    x = rows.matrix
     n = x.shape[0]
     if k > n:
         raise KTooLarge(f"k={k} exceeds N={n}")
@@ -366,15 +417,151 @@ def kmeans_centroid_select(
         members = np.flatnonzero(assign == c)
         dists = np.linalg.norm(x[members] - centroids[c], axis=1)
         reps.append(int(members[int(np.argmin(dists))]))
-    return SelectionResult(selected_ids=tuple(records[i].id for i in reps))
+    return SelectionResult(selected_ids=tuple(rows.ids[i] for i in reps))
 
 
 # --- JSON-lines embedding I/O ---
 
 
-def read_embeddings(path: str) -> list[EmbeddingRecord]:
+def read_embeddings(path: str) -> Sequence[EmbeddingRecord]:
+    """The records of a JSONL embeddings file, in file order: ``EmbeddingRows``
+    over one read-only matrix when the fast path takes the file, otherwise
+    the record list of ``read_jsonl``.  See the module docstring."""
+    rows = _read_rows(path)
+    if rows is not None:
+        return rows
     return read_jsonl(path, lambda rec: EmbeddingRecord(
         id=rec["id"], vector=np.asarray(rec["vector"], dtype=np.float64)))
+
+
+_CHUNK_BYTES = 1 << 18
+_HEAD = b'{"id": "'
+_MID = b'", "vector": ['
+_TAIL = b"]}"
+_ID_BAD_BYTES = bytes(range(0x20)) + b'"\\'
+
+
+def _read_rows(path: str) -> EmbeddingRows | None:
+    """The fast path of ``read_embeddings``: the whole file as
+    ``EmbeddingRows``, or None when any line or chunk fails a check (or the
+    file holds no record).  A first pass counts lines to size the matrix."""
+    with open(path, "rb") as fh:
+        capacity = sum(block.count(b"\n") for block in iter(partial(fh.read, _CHUNK_BYTES), b""))
+        fh.seek(0)
+        matrix = None
+        ids: list[str] = []
+        try:
+            for lines in iter(partial(fh.readlines, _CHUNK_BYTES), []):
+                part_ids, x = _parse_chunk(lines)
+                if x is None:
+                    continue
+                if matrix is None:
+                    matrix = np.empty((capacity + 1, x.shape[1]))
+                elif x.shape[1] != matrix.shape[1]:
+                    return None
+                matrix[len(ids):len(ids) + len(part_ids)] = x
+                ids.extend(part_ids)
+        except (ValueError, RankkitError):
+            return None
+    if matrix is None:
+        return None
+    matrix = matrix[:len(ids)]
+    matrix.flags.writeable = False
+    return EmbeddingRows(matrix, tuple(ids))
+
+
+def _parse_chunk(lines: list[bytes]) -> tuple[list[str], np.ndarray | None]:
+    """Ids and vector matrix (None if there is no record) of the non-blank
+    ``lines``.  Raises ``ValueError`` or ``RankkitError`` when a line is not
+    in the canonical shape or fails a check."""
+    ids, bodies = [], []
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        mid = line.find(_MID, len(_HEAD))
+        if mid < 0 or not line.startswith(_HEAD) or not line.endswith(_TAIL):
+            raise ValueError("not a canonical embedding line")
+        raw_id = line[len(_HEAD):mid]
+        body = line[mid + len(_MID):-len(_TAIL)]
+        if len(raw_id.translate(None, _ID_BAD_BYTES)) != len(raw_id) or not body.strip():
+            raise ValueError("an id with escapes or control bytes, or an empty vector")
+        ident = raw_id.decode("utf-8")
+        check_id("embedding record", ident)
+        ids.append(ident)
+        bodies.append(body)
+    if not bodies:
+        return ids, None
+    if not _json_numbers(b"\n".join([b"", *bodies, b""])):
+        raise ValueError("not JSON numbers")
+    x = np.loadtxt(bodies, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    if x.shape[0] != len(bodies) or not np.isfinite(x).all():
+        raise ValueError("rows lost or non-finite values")
+    # json.loads reads an integer token as an int, so "-0" becomes +0.0
+    # where np.loadtxt gives -0.0; "-0.0" and "-0e0" are -0.0 for both
+    for flat in np.flatnonzero((x == 0.0) & np.signbit(x)):
+        row, col = divmod(int(flat), x.shape[1])
+        if bodies[row].split(b",")[col].strip().lstrip(b"-").isdigit():
+            raise ValueError("the integer -0")
+    return ids, x
+
+
+# Byte classes of a vector body once every "-" is deleted.
+_SEP, _DOT, _ZERO, _DIGIT, _EXP, _OTHER = range(6)
+
+
+def _class_table() -> bytes:
+    table = bytearray([_OTHER]) * 256
+    for chars, cls in ((b", \t\n", _SEP), (b".+", _DOT), (b"0", _ZERO),
+                       (b"123456789", _DIGIT), (b"eE", _EXP)):
+        for ch in chars:
+            table[ch] = cls
+    return bytes(table)
+
+
+def _bad_trigram_table() -> bytes:
+    bad_pairs = {(_SEP, _DOT), (_DOT, _SEP), (_DOT, _EXP)}
+    bad_triples = {(_SEP, _ZERO, _ZERO), (_SEP, _ZERO, _DIGIT)}
+    table = bytearray(256)
+    for a, b, c in product(range(6), repeat=3):
+        table[36 * a + 6 * b + c] = (_OTHER in (a, b, c) or (a, b) in bad_pairs
+                                     or (b, c) in bad_pairs or (a, b, c) in bad_triples)
+    return bytes(table)
+
+
+_NUMBER_CLASSES = _class_table()
+_BAD_TRIGRAMS = _bad_trigram_table()
+
+
+def _json_numbers(text: bytes) -> bool:
+    """Whether the vector bodies in ``text``, each with a newline before and
+    after it, hold only JSON numbers, for bodies that ``np.loadtxt`` parses.
+    False also for JSON that is left to ``json.loads``: a carriage return
+    between numbers.
+
+    loadtxt splits each body at commas and requires each field to be
+    whitespace around a token that ``float()`` parses in full,
+    ``[+-]?(digits[.digits?] | .digits)([eE][+-]?digits)?`` or an inf/nan
+    spelling, and it strips whitespace that JSON does not allow (vertical
+    tab, form feed, no-break space).  RFC 8259, section 6, also requires no
+    "+" before the integer part, an integer part without a leading zero and
+    digits on both sides of a ".".  With every "-" deleted and bytes mapped
+    to classes (separator: comma, space, tab, newline; dot: "." or "+";
+    zero; digit 1-9; exponent: "e" or "E"; other), a token breaks one of
+    these rules or holds a byte other than the number alphabet, space and
+    tab exactly when a trigram of classes holds "other", a separator next to
+    a dot (a leading ".", "+" or "-.", a trailing "."), a dot before an
+    exponent ("1.e5"), or a separator, zero and digit ("01", "-01").  An
+    exponent's leading zeros are legal and pass, as its "e" is not a
+    separator.  The check is one ``translate`` into classes, a trigram code
+    per byte (36a + 6b + c <= 215), one ``translate`` of codes to a bad flag
+    and one ``memchr``.
+    """
+    c = np.frombuffer(text.translate(_NUMBER_CLASSES, b"-"), np.uint8)
+    trigrams = c[:-2] * 36
+    trigrams += c[1:-1] * 6
+    trigrams += c[2:]
+    return 1 not in trigrams.tobytes().translate(_BAD_TRIGRAMS)
 
 
 def write_embeddings(records: Iterable[EmbeddingRecord], path: str) -> None:

@@ -23,6 +23,7 @@ from .backends import Backend, RetryPolicy
 from .embedding import (
     CorpusIndex,
     EmbeddingRecord,
+    EmbeddingRows,
     SelectionResult,
     greedy_diversity_select,
     nearest_pairs,
@@ -40,7 +41,6 @@ logger = logging.getLogger(__name__)
 CONFIDENCE_FORMULA = "kendall_tau(teacher_perm, retrieval_order) - 0.1 * repair_count, clamped to [-1, 1]"
 
 TEXT_BUDGET_DEFAULT = 4000
-IMAGE_BUDGET_DEFAULT = 2100
 REPAIR_PENALTY = 0.1
 
 
@@ -101,9 +101,11 @@ class PipelineConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        for name in ("top_k", "selection_k", "budget"):
+        for name in ("top_k", "selection_k", "budget", "parallelism"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not -1.0 <= self.quality_threshold <= 1.0:
             raise ConfigError("quality_threshold must lie in [-1, 1]")
         if self.mode not in MODES:
@@ -330,9 +332,10 @@ def curate(
         pairs = nearest_pairs(query_embs, index)
         paired = len(pairs)
         kept = quality_filter(pairs, cfg.quality_threshold).kept
-        survivors = [index.by_id[i] for i in dict.fromkeys(did for _, _, (_, did) in kept)]
+        kept_ids = tuple(dict.fromkeys(did for _, _, (_, did) in kept))
+        survivors = EmbeddingRows(index.matrix[[index.by_id[i] for i in kept_ids]], kept_ids)
     else:
-        survivors = list(corpus_embs)
+        survivors = corpus_embs
     if not survivors:
         raise ConfigError("quality filter removed every record; lower the threshold")
     selection = greedy_diversity_select(survivors, cfg.selection_k, keep_trace=True)

@@ -188,7 +188,8 @@ def read_jsonl(path: str, build: Callable[[dict], T]) -> list[T]:
     """``build(rec)`` for each JSON object line of ``path``, in file order.
 
     Blank lines are skipped.  A line that is not UTF-8 or not a JSON object,
-    or that ``build`` rejects, raises ``MalformedLine`` naming path:line.
+    or that ``build`` rejects (a number too large for a float included),
+    raises ``MalformedLine`` naming path:line.
     """
     out = []
     for lineno, line in read_lines(path):
@@ -197,7 +198,7 @@ def read_jsonl(path: str, build: Callable[[dict], T]) -> list[T]:
             if not isinstance(rec, dict):
                 raise TypeError(f"expected a JSON object, got {type(rec).__name__}")
             out.append(build(rec))
-        except (ValueError, KeyError, TypeError, RankkitError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RankkitError) as exc:
             raise MalformedLine(path, lineno, line, str(exc)) from exc
     return out
 

@@ -399,6 +399,7 @@ MALFORMED = [
     ("embeddings", ['{"id": null, "vector": [1.0, 0.0]}']),
     ("embeddings", ['{"id": "q 1", "vector": [1.0, 0.0]}']),
     ("embeddings", ['{"id": "", "vector": [1.0, 0.0]}']),
+    ("embeddings", ['{"id": "q1", "vector": [1.0, ' + "9" * 400 + "]}"]),
 ]
 
 
@@ -451,3 +452,33 @@ class TestMalformedInput:
                        "--out", workspace / "sel.jsonl")
         assert code == 1
         assert f"{bad}:11: " in caplog.text
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("argv,key", [
+        (["select", "--algorithm", "random", "--k", 0], "selection_k"),
+        (["select", "--algorithm", "greedy", "--k", -2], "selection_k"),
+        (["select", "--algorithm", "kmeans", "--k", 2, "--seed", -1], "seed"),
+        (["select", "--algorithm", "random", "--k", 2, "--seed", -1], "seed"),
+        (["select", "--algorithm", "greedy", "--k", 2, "--parallelism", 0], "parallelism"),
+        (["retrieve", "--k", 0], "top_k"),
+        (["retrieve", "--k", 2, "--parallelism", -1], "parallelism"),
+    ])
+    def test_bad_argument_is_fatal_and_names_its_key(self, workspace, caplog, argv, key):
+        files = {"select": ["--embeddings", workspace / "doc_embs.jsonl"],
+                 "retrieve": ["--query-embeddings", workspace / "query_embs.jsonl",
+                              "--doc-embeddings", workspace / "doc_embs.jsonl"]}[argv[0]]
+        out = workspace / "out.txt"
+        assert run_cli(*argv, *files, "--out", out) == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and key in errors[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("metric", ["ndcg@x", "recall@x", "ndcg@", "recall@-1", "mrr@5", "map"])
+    def test_unknown_eval_metric_is_fatal_and_named(self, workspace, caplog, metric):
+        out = workspace / "eval.json"
+        code = run_cli("eval", "--run", workspace / "input.run", "--qrels", workspace / "qrels.txt",
+                       "--metrics", f"mrr,{metric}", "--out", out)
+        assert code == 1
+        assert repr(metric) in caplog.text
+        assert not out.exists()
