@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: filter, select, retrieve, distill, rerank, eval.
-Exit codes: 0 success, 1 fatal config/IO error, 2 completed with
-per-query failures.
+Exit codes: 0 success, 1 usage error or fatal config/IO error, 2 completed
+with per-query failures (the output is written without them).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ EXIT_PARTIAL = 2
 
 def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
     data: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         data = types.read_json_object(args.config)
     for name in pipeline.CONFIG_KEYS:
         val = getattr(args, name, None)
@@ -50,7 +50,7 @@ def _make_backend(args: argparse.Namespace) -> backends.Backend:
     raise RankkitError(f"unknown backend {kind!r}")
 
 
-def cmd_filter(args: argparse.Namespace) -> int:
+def cmd_filter(args: argparse.Namespace) -> None:
     cfg = _load_config(args)
     query_embs = embedding.read_embeddings(args.query_embeddings)
     doc_embs = embedding.read_embeddings(args.doc_embeddings)
@@ -70,7 +70,6 @@ def cmd_filter(args: argparse.Namespace) -> int:
             fh.write(json.dumps({"query_id": qid, "doc_id": did}) + "\n")
     logger.info("kept %d pairs (%d below threshold, %d zero vectors)",
                 result.kept_count, result.dropped_below, result.dropped_zero)
-    return EXIT_OK
 
 
 def _read_pairs(path: str, query_embs, doc_embs) -> list:
@@ -92,7 +91,7 @@ def _vector(by_id: dict, rec: dict, field: str):
     return by_id[ident]
 
 
-def cmd_select(args: argparse.Namespace) -> int:
+def cmd_select(args: argparse.Namespace) -> None:
     cfg = _load_config(args)
     records = embedding.read_embeddings(args.embeddings)
     k = cfg.selection_k
@@ -106,10 +105,9 @@ def cmd_select(args: argparse.Namespace) -> int:
         "algorithm": args.algorithm, "k": k, "seed": cfg.seed,
         "threshold": cfg.quality_threshold,
     })
-    return EXIT_OK
 
 
-def cmd_retrieve(args: argparse.Namespace) -> int:
+def cmd_retrieve(args: argparse.Namespace) -> None:
     cfg = _load_config(args)
     query_embs = embedding.read_embeddings(args.query_embeddings)
     index = embedding.CorpusIndex(embedding.read_embeddings(args.doc_embeddings))
@@ -122,10 +120,9 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
                   for d in ids]
         entries.extend(metrics.run_from_candidates(q.id, ids, scores, tag="retrieve"))
     metrics.write_run(entries, args.out)
-    return EXIT_OK
 
 
-def cmd_rerank(args: argparse.Namespace) -> int:
+def cmd_rerank(args: argparse.Namespace) -> list[str]:
     cfg = _load_config(args)
     queries = types.read_queries(args.queries)
     corpus = {d.id: d for d in types.read_documents(args.corpus)}
@@ -149,13 +146,10 @@ def cmd_rerank(args: argparse.Namespace) -> int:
         entries.extend(metrics.run_from_candidates(
             cl.query_id, cl.doc_ids, cl.first_stage_scores, tag=args.tag))
     metrics.write_run(entries, args.out)
-    if failed:
-        logger.error("%d queries failed: %s", len(failed), ", ".join(failed))
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return failed
 
 
-def cmd_distill(args: argparse.Namespace) -> int:
+def cmd_distill(args: argparse.Namespace) -> list[str]:
     cfg = _load_config(args)
     queries = types.read_queries(args.queries)
     query_embs = {r.id: r.vector for r in embedding.read_embeddings(args.query_embeddings)}
@@ -170,10 +164,10 @@ def cmd_distill(args: argparse.Namespace) -> int:
         labels = pipeline.confidence_filter(labels, cfg.budget)
     pipeline.write_labels(labels, args.out, cfg)
     logger.info("emitted %d labels, skipped %d", summary.emitted, summary.skipped)
-    return EXIT_PARTIAL if summary.skipped else EXIT_OK
+    return summary.failed_query_ids
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> None:
     qrels = metrics.read_qrels(args.qrels, groups_path=args.groups)
     run = metrics.read_run(args.run)
     reports = []
@@ -202,7 +196,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     print(text)
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_distill)
 
-    e = sub.add_parser("eval", parents=[common], help="evaluate a run against qrels")
+    e = sub.add_parser("eval", help="evaluate a run against qrels")
     e.add_argument("--run", required=True)
     e.add_argument("--qrels", required=True)
     e.add_argument("--groups", help="JSON sidecar mapping query id to group key")
@@ -286,14 +279,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and map its outcome to the exit code."""
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error argparse has already reported
+        return EXIT_OK if exc.code == 0 else EXIT_FATAL
+    try:
+        failed = args.func(args)
     except (RankkitError, OSError, json.JSONDecodeError) as exc:
         logger.error("%s", exc)
         return EXIT_FATAL
+    if failed:
+        logger.error("%d queries failed: %s", len(failed), ", ".join(failed))
+        return EXIT_PARTIAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

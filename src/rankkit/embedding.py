@@ -370,6 +370,8 @@ def random_select(records: Sequence[EmbeddingRecord], k: int, seed: int) -> Sele
         raise EmptyCollection("no embedding records")
     if k > len(records):
         raise KTooLarge(f"k={k} exceeds N={len(records)}")
+    if k < 1:
+        raise KTooLarge(f"k must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
     idx = rng.permutation(len(records))[:k]
     return SelectionResult(selected_ids=tuple(records[int(i)].id for i in idx))
@@ -443,8 +445,9 @@ _ID_BAD_BYTES = bytes(range(0x20)) + b'"\\'
 
 def _read_rows(path: str) -> EmbeddingRows | None:
     """The fast path of ``read_embeddings``: the whole file as
-    ``EmbeddingRows``, or None when any line or chunk fails a check (or the
-    file holds no record).  A first pass counts lines to size the matrix."""
+    ``EmbeddingRows``, or None when any line or chunk fails a check, an id
+    repeats or the file holds no record.  A first pass counts lines to
+    size the matrix."""
     with open(path, "rb") as fh:
         capacity = sum(block.count(b"\n") for block in iter(partial(fh.read, _CHUNK_BYTES), b""))
         fh.seek(0)
@@ -463,7 +466,7 @@ def _read_rows(path: str) -> EmbeddingRows | None:
                 ids.extend(part_ids)
         except (ValueError, RankkitError):
             return None
-    if matrix is None:
+    if matrix is None or len(set(ids)) < len(ids):
         return None
     matrix = matrix[:len(ids)]
     matrix.flags.writeable = False

@@ -73,9 +73,10 @@ def window_starts(n: int, window: WindowConfig) -> list[int]:
     return starts
 
 
-def _resolve_docs(candidates: CandidateList, docs: Mapping[str, Document]) -> list[Document]:
+def resolve_docs(doc_ids: Sequence[str], docs: Mapping[str, Document]) -> list[Document]:
+    """``docs[i]`` for each of ``doc_ids``; an id not in ``docs`` raises ``MissingDoc``."""
     resolved = []
-    for did in candidates.doc_ids:
+    for did in doc_ids:
         if did not in docs:
             raise MissingDoc(f"candidate {did} not in corpus")
         resolved.append(docs[did])
@@ -148,7 +149,7 @@ def rerank_listwise(
         return CandidateList(query.id, tuple(ids), _ranked_scores(1))
     for w_index, s in enumerate(window_starts(n, window)):
         chunk = ids[s : s + window.window_size]
-        chunk_docs = _resolve_docs(CandidateList(query.id, tuple(chunk)), docs)
+        chunk_docs = resolve_docs(chunk, docs)
         prompt = build_listwise_prompt(query, chunk_docs, mode=mode)
         try:
             perm = rank_window(backend, prompt, len(chunk), retry, strict=strict, report=report)
@@ -177,7 +178,7 @@ def rerank_pairwise(
         raise InvariantViolation(f"query {query.id}: empty candidate list")
     retry = retry or RetryPolicy()
     report = report if report is not None else RerankReport()
-    resolved = _resolve_docs(candidates, docs)
+    resolved = resolve_docs(candidates.doc_ids, docs)
     n = len(resolved)
     if tournament:
         wins = np.zeros((n, n))
@@ -211,22 +212,32 @@ def rerank_pairwise(
     return CandidateList(query.id, tuple(ids), _ranked_scores(n))
 
 
-def map_ordered(fn: Callable, items: Iterable, parallelism: int) -> list[tuple]:
-    """``(item, fn(item), None)`` or ``(item, None, error)`` for each item, in
-    input order.  A ``RankkitError`` fails only its own item; any other
-    exception propagates.  At ``parallelism <= 1`` every call runs on the
-    calling thread, otherwise on a pool of that many worker threads."""
+def map_ordered(fn: Callable, queries: Iterable, parallelism: int) -> tuple[list, list[str]]:
+    """``fn`` over ``queries``: the results of the queries that succeeded and
+    the ids of those that failed, both in input order.  A ``RankkitError``
+    fails only its own query and is logged once; any other exception
+    propagates.  At ``parallelism <= 1`` every call runs on the calling
+    thread, otherwise on a pool of that many worker threads."""
 
-    def attempt(item):
+    def attempt(q):
         try:
-            return item, fn(item), None
+            return q, fn(q), None
         except RankkitError as exc:
-            return item, None, exc
+            return q, None, exc
 
     if parallelism <= 1:
-        return [attempt(item) for item in items]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(attempt, items))
+        outcomes = map(attempt, queries)
+    else:
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            outcomes = list(pool.map(attempt, queries))
+    results, failed = [], []
+    for q, result, exc in outcomes:
+        if exc is None:
+            results.append(result)
+        else:
+            logger.error("query %s failed: %s", q.id, exc)
+            failed.append(q.id)
+    return results, failed
 
 
 def rerank_many(
@@ -241,8 +252,8 @@ def rerank_many(
     parallelism: int = 1,
 ) -> tuple[list[CandidateList], list[str]]:
     """Rerank many queries, optionally in parallel; windows within a query
-    stay sequential.  Returns results in query input order plus the ids of
-    queries that failed with any ``RankkitError``."""
+    stay sequential.  Returns ``map_ordered``'s results and failed query
+    ids."""
 
     def one(q: Query) -> CandidateList:
         cands = candidate_lists[q.id]
@@ -250,13 +261,4 @@ def rerank_many(
             return rerank_listwise(q, cands, docs, backend, window=window, mode=mode, retry=retry)
         return rerank_pairwise(q, cands, docs, backend, retry=retry)
 
-    todo = [q for q in queries if q.id in candidate_lists]
-    results: list[CandidateList] = []
-    failed: list[str] = []
-    for q, result, exc in map_ordered(one, todo, parallelism):
-        if exc is not None:
-            logger.error("query %s failed: %s", q.id, exc)
-            failed.append(q.id)
-        else:
-            results.append(result)
-    return results, failed
+    return map_ordered(one, [q for q in queries if q.id in candidate_lists], parallelism)

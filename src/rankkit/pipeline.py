@@ -30,8 +30,8 @@ from .embedding import (
     quality_filter,
     top_k_by_distance,
 )
-from .engine import RerankReport, WindowConfig, map_ordered, rank_window
-from .errors import ConfigError, MalformedLine, MissingDoc, RankkitError
+from .engine import RerankReport, WindowConfig, map_ordered, rank_window, resolve_docs
+from .errors import ConfigError, MalformedLine, RankkitError
 from .metrics import kendall_tau
 from .prompts import MODES, build_listwise_prompt
 from .types import Document, Permutation, Query, identity_permutation, read_jsonl, validate_permutation
@@ -177,16 +177,11 @@ def distill_one(
     backend: Backend,
     cfg: PipelineConfig,
     corpus: Mapping[str, Document] | None = None,
-    retry: RetryPolicy | None = None,
 ) -> TeacherLabel:
     """Retrieve, prompt the teacher, parse/repair, and score one label."""
     candidate_ids = top_k_by_distance(query_emb, corpus_embs, cfg.top_k)
     if corpus is not None:
-        docs = []
-        for did in candidate_ids:
-            if did not in corpus:
-                raise MissingDoc(f"candidate {did} missing from corpus")
-            docs.append(corpus[did])
+        docs = resolve_docs(candidate_ids, corpus)
     else:
         docs = [_placeholder_doc(did, cfg.mode) for did in candidate_ids]
     report = RerankReport()
@@ -194,7 +189,7 @@ def distill_one(
         perm = identity_permutation(1)
     else:
         prompt = build_listwise_prompt(query, docs, mode=cfg.mode)
-        perm = rank_window(backend, prompt, len(docs), retry or RetryPolicy(), report=report)
+        perm = rank_window(backend, prompt, len(docs), RetryPolicy(), report=report)
     tag = type(backend).__name__
     return TeacherLabel(
         query_id=query.id,
@@ -208,9 +203,9 @@ def distill_one(
 
 @dataclass
 class DistillSummary:
-    emitted: int = 0
-    skipped: int = 0
-    failed_query_ids: list[str] = field(default_factory=list)
+    emitted: int
+    skipped: int
+    failed_query_ids: list[str]
 
 
 def distill(
@@ -220,35 +215,25 @@ def distill(
     backend: Backend,
     cfg: PipelineConfig,
     corpus: Mapping[str, Document] | None = None,
-    retry: RetryPolicy | None = None,
 ) -> tuple[list[TeacherLabel], DistillSummary]:
     """Produce one teacher label per query.
 
     The corpus is indexed once, before any backend call; a corpus that
     cannot be indexed (empty, or rows of different dimensions) raises.
     Per-query failures (missing embedding, query dimension mismatch, dead
-    backend, unresolvable docs) are logged and counted, never fatal.  Labels
-    are returned in query input order regardless of worker parallelism, so
-    output files are reproducible.
+    backend, unresolvable docs) are ``map_ordered``'s: logged and counted,
+    never fatal.  Labels are returned in query input order regardless of
+    worker parallelism, so output files are reproducible.
     """
-    summary = DistillSummary()
     index = CorpusIndex(corpus_embs)
 
     def one(q: Query) -> TeacherLabel:
         if q.id not in query_embs:
             raise ConfigError(f"query {q.id} has no embedding")
-        return distill_one(q, query_embs[q.id], index, backend, cfg, corpus, retry)
+        return distill_one(q, query_embs[q.id], index, backend, cfg, corpus)
 
-    labels: list[TeacherLabel] = []
-    for q, label, exc in map_ordered(one, queries, cfg.parallelism):
-        if exc is not None:
-            logger.error("distill failed for query %s: %s", q.id, exc)
-            summary.skipped += 1
-            summary.failed_query_ids.append(q.id)
-            continue
-        labels.append(label)
-        summary.emitted += 1
-    return labels, summary
+    labels, failed = map_ordered(one, queries, cfg.parallelism)
+    return labels, DistillSummary(len(labels), len(failed), failed)
 
 
 def write_labels(

@@ -188,18 +188,24 @@ def read_jsonl(path: str, build: Callable[[dict], T]) -> list[T]:
     """``build(rec)`` for each JSON object line of ``path``, in file order.
 
     Blank lines are skipped.  A line that is not UTF-8 or not a JSON object,
-    or that ``build`` rejects (a number too large for a float included),
-    raises ``MalformedLine`` naming path:line.
+    that ``build`` rejects (a number too large for a float included), or
+    whose built record repeats the ``id`` of an earlier one (documents,
+    queries, embedding records) raises ``MalformedLine`` naming path:line.
     """
     out = []
+    seen: dict[str, int] = {}  # id -> line of its first record
     for lineno, line in read_lines(path):
         try:
             rec = json.loads(line)
             if not isinstance(rec, dict):
                 raise TypeError(f"expected a JSON object, got {type(rec).__name__}")
-            out.append(build(rec))
+            item = build(rec)
         except (ValueError, KeyError, TypeError, OverflowError, RankkitError) as exc:
             raise MalformedLine(path, lineno, line, str(exc)) from exc
+        ident = getattr(item, "id", None)
+        if ident is not None and seen.setdefault(ident, lineno) != lineno:
+            raise MalformedLine(path, lineno, line, f"id {ident!r} repeats line {seen[ident]}")
+        out.append(item)
     return out
 
 

@@ -400,6 +400,9 @@ MALFORMED = [
     ("embeddings", ['{"id": "q 1", "vector": [1.0, 0.0]}']),
     ("embeddings", ['{"id": "", "vector": [1.0, 0.0]}']),
     ("embeddings", ['{"id": "q1", "vector": [1.0, ' + "9" * 400 + "]}"]),
+    ("documents", [VALID["documents"], VALID["documents"]]),
+    ("queries", [VALID["queries"], '{"id": "q2", "text": "x"}', "", VALID["queries"]]),
+    ("embeddings", [VALID["embeddings"], VALID["embeddings"]]),
 ]
 
 
@@ -420,10 +423,12 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("reader", sorted(VALID))
     def test_non_utf8_line_names_its_line(self, workspace, caplog, reader):
-        # 3000 valid lines first, so the bad byte lies past the first read buffer
+        # 3000 valid lines first, so the bad byte lies past the first read buffer;
+        # each record id is made distinct, as the id-keyed readers require
         bad = workspace / "bad.jsonl"
         head = [HEADER] if reader == "labels" else []
-        body = [VALID[reader] if reader != "labels" else _label()] * 3000
+        valid = VALID[reader] if reader != "labels" else _label()
+        body = [valid.replace('"id": "', f'"id": "x{i}', 1) for i in range(3000)]
         lines = [line.encode() for line in head + body] + [b'{"id": "\xff"}']
         bad.write_bytes(b"\n".join(lines) + b"\n")
         prefix = f"{bad}:{len(lines)}: "
@@ -482,3 +487,72 @@ class TestArgumentChecks:
         assert code == 1
         assert repr(metric) in caplog.text
         assert not out.exists()
+
+
+class TestRepeatedIds:
+    def test_retrieve_rejects_a_repeated_doc_id(self, tmp_path, caplog):
+        docs, queries = tmp_path / "docs.jsonl", tmp_path / "queries.jsonl"
+        write_embeddings([EmbeddingRecord("d1", [1.0, 0.0]), EmbeddingRecord("d2", [0.0, 1.0]),
+                          EmbeddingRecord("d1", [-1.0, 0.0])], str(docs))
+        write_embeddings([EmbeddingRecord("q1", [0.9, 0.1])], str(queries))
+        out = tmp_path / "retrieved.run"
+        code = run_cli("retrieve", "--query-embeddings", queries, "--doc-embeddings", docs,
+                       "--k", 3, "--out", out)
+        assert code == 1
+        assert f"{docs}:3: id 'd1' repeats line 1" in caplog.text
+        assert not out.exists()
+
+    def test_rerank_rejects_a_repeated_query_id(self, workspace, caplog):
+        queries = workspace / "queries.jsonl"
+        with open(queries, "a") as fh:
+            fh.write(json.dumps({"id": "q1", "text": "question 1 again"}) + "\n")
+        out = workspace / "reranked.run"
+        code = run_cli("rerank", "--run", workspace / "input.run", "--queries", queries,
+                       "--corpus", workspace / "corpus.jsonl", "--out", out)
+        assert code == 1
+        assert f"{queries}:4: id 'q1' repeats line 1" in caplog.text
+        assert not out.exists()
+
+
+class TestExitCodes:
+    def test_failed_queries_give_one_summary_error_and_exit_2(self, workspace, caplog):
+        embs = (workspace / "query_embs.jsonl").read_text().splitlines()
+        (workspace / "query_embs_partial.jsonl").write_text(embs[0] + "\n")
+        out = workspace / "labels.jsonl"
+        code = run_cli("distill", "--queries", workspace / "queries.jsonl",
+                       "--query-embeddings", workspace / "query_embs_partial.jsonl",
+                       "--doc-embeddings", workspace / "doc_embs.jsonl",
+                       "--backend", "identity", "--top-k", 4, "--out", out)
+        assert code == 2
+        assert [json.loads(l)["query_id"] for l in out.read_text().splitlines()[1:]] == ["q1"]
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["query q2 failed: query q2 has no embedding",
+                          "query q3 failed: query q3 has no embedding",
+                          "2 queries failed: q2, q3"]
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["nope"],
+        ["eval", "--qrels", "@qrels.txt"],
+        ["eval", "--run", "@input.run", "--qrels", "@qrels.txt", "--bogus"],
+        ["eval", "--run", "@input.run", "--qrels", "@qrels.txt", "--gain", "cubic"],
+        ["select", "--embeddings", "@doc_embs.jsonl", "--algorithm", "nope", "--out", "@o"],
+        ["retrieve", "--query-embeddings", "@query_embs.jsonl",
+         "--doc-embeddings", "@doc_embs.jsonl", "--k", "x", "--out", "@o"],
+        # eval takes no config options
+        ["eval", "--run", "@input.run", "--qrels", "@qrels.txt",
+         "--config", "/nonexistent.json", "--seed", "-5", "--parallelism", "0"],
+        ["eval", "--run", "@input.run", "--qrels", "@qrels.txt", "--seed", "3"],
+    ])
+    def test_usage_error_exits_1_with_usage_on_stderr(self, workspace, capsys, argv):
+        code = run_cli(*[workspace / a[1:] if a.startswith("@") else a for a in argv])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: rankkit") and "error: " in captured.err
+        assert captured.out == ""
+        assert not (workspace / "o").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"], ["rerank", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out.startswith("usage: rankkit")

@@ -300,6 +300,11 @@ class TestBaselineSelectors:
         with pytest.raises(KTooLarge):
             random_select(records_from([[1, 0]]), 2, 0)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_random_k_below_one(self, k):
+        with pytest.raises(KTooLarge, match="k must be >= 1"):
+            random_select(records_from([[1, 0], [0, 1], [1, 1]]), k, 0)
+
     def test_kmeans_degenerate_k_equals_n(self):
         rng = np.random.default_rng(5)
         recs = random_records(rng, 6, 2)

@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from rankkit.backends import (
 from rankkit.engine import (
     RerankReport,
     WindowConfig,
+    map_ordered,
     rerank_listwise,
     rerank_many,
     rerank_pairwise,
@@ -184,6 +187,38 @@ class TestRerankPairwise:
         out = rerank_pairwise(q, cands, docs, OracleBackend(grades),
                               retry=NO_SLEEP, tournament=True)
         assert out.doc_ids == ("d3", "d2", "d1")
+
+
+class TestMapOrdered:
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_results_and_failed_ids_in_input_order_each_failure_logged_once(
+            self, caplog, parallelism):
+        queries = [Query(id=f"q{i}", text="t") for i in range(8)]
+
+        def fn(q):
+            if int(q.id[1:]) % 3 == 1:
+                raise MissingDoc(f"no docs for {q.id}")
+            return q.id.upper()
+
+        results, failed = map_ordered(fn, queries, parallelism)
+        assert results == ["Q0", "Q2", "Q3", "Q5", "Q6"]
+        assert failed == ["q1", "q4", "q7"]
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"query {qid} failed: no docs for {qid}" for qid in failed]
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_an_error_that_is_not_a_rankkit_error_propagates(self, parallelism):
+        def fn(q):
+            raise ValueError(f"bug at {q.id}")
+
+        with pytest.raises(ValueError, match="bug at q1"):
+            map_ordered(fn, [Query(id="q1", text="t")], parallelism)
+
+    def test_serial_calls_run_on_the_calling_thread(self):
+        threads = []
+        map_ordered(lambda q: threads.append(threading.get_ident()),
+                    [Query(id=f"q{i}", text="t") for i in range(3)], 1)
+        assert threads == [threading.get_ident()] * 3
 
 
 class TestRerankMany:

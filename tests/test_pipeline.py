@@ -20,7 +20,7 @@ from rankkit.pipeline import (
     read_labels,
     write_labels,
 )
-from rankkit.types import Permutation, Query
+from rankkit.types import Document, Permutation, Query
 
 
 def line_corpus(n, d=4):
@@ -76,6 +76,18 @@ class TestDistill:
         assert summary.emitted == 1
         assert summary.skipped == 1
         assert summary.failed_query_ids == ["q2"]
+
+    def test_candidate_missing_from_the_corpus_fails_only_its_query(self, caplog):
+        q1, qembs = origin_query("q1")
+        q2 = Query(id="q2", text="query q2")
+        qembs["q2"] = np.array([4.0, 0.1, 0.0, 0.0])  # nearest d4, d3, d5
+        corpus = {f"d{i}": Document(id=f"d{i}", text=f"passage {i}") for i in (1, 3, 4, 5)}
+        labels, summary = distill([q1, q2], qembs, line_corpus(5), IdentityBackend(), CFG3,
+                                  corpus=corpus)
+        assert [l.candidate_ids for l in labels] == [("d4", "d3", "d5")]
+        assert summary.failed_query_ids == ["q1"]
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["query q1 failed: candidate d2 not in corpus"]
 
     def test_oracle_backend_sorts_by_grade_end_to_end(self):
         q, qembs = origin_query()

@@ -158,7 +158,7 @@ def embedding_files(draw):
         return draw(fast), "fast"
 
     dim = draw(st.integers(1, 4))
-    lines, kinds = [], []
+    lines, kinds, idents = [], [], set()
     for _ in range(draw(st.integers(1, 6))):
         if draw(st.integers(0, 5)) == 0:
             lines.append(draw(BLANKS))
@@ -169,6 +169,8 @@ def embedding_files(draw):
         body = sep.join(t for t, _ in tokens)
         lines.append(layout % ((body, ident) if layout.startswith('{"vector"') else (ident, body)))
         kinds += [id_kind, layout_kind, "slow" if ragged else "fast"]
+        kinds.append("bad" if ident in idents else "fast")  # a repeated id is malformed
+        idents.add(ident)
         kinds += [kind for _, kind in tokens] + ([sep_kind] if len(tokens) > 1 else [])
     text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
     return text, all(kind == "fast" for kind in kinds)
