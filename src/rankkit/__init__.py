@@ -7,7 +7,6 @@ from .types import (
     Document,
     Permutation,
     Query,
-    ScoreVector,
     apply_permutation,
     identity_permutation,
     validate_permutation,
@@ -27,10 +26,8 @@ from .embedding import (
 )
 from .ranking_math import (
     LossReport,
-    WinMatrix,
     listwise_loss,
     listwise_loss_grad,
-    pairwise_rank,
     plackett_luce_prob,
 )
 from .engine import WindowConfig, rerank_listwise, rerank_pairwise

@@ -91,14 +91,12 @@ class OracleBackend:
     """Ranks by relevance grade, read from a qrels-style grade table.
 
     Listwise prompts are answered by sorting the window's docs by grade
-    descending (stable, so equal grades keep presentation order); pairwise
-    prompts by grade >= rel_threshold; pair comparisons by strict grade
-    dominance.
+    descending (stable, so equal grades keep presentation order), pairwise
+    prompts yes for a grade of 1 or more.
     """
 
-    def __init__(self, grades: Mapping[tuple[str, str], int], rel_threshold: int = 1):
+    def __init__(self, grades: Mapping[tuple[str, str], int]):
         self.grades = dict(grades)
-        self.rel_threshold = rel_threshold
 
     def _grade(self, qid: str, did: str) -> int:
         return self.grades.get((qid, did), 0)
@@ -109,11 +107,8 @@ class OracleBackend:
             grades = [self._grade(qid, did) for did in prompt.doc_ids]
             order = sorted(range(len(grades)), key=lambda i: -grades[i])
             return render_ranking(Permutation(tuple(i + 1 for i in order)))
-        if prompt.kind == "pair_compare":
-            a, b = prompt.doc_ids
-            return "Yes" if self._grade(qid, a) > self._grade(qid, b) else "No"
         (did,) = prompt.doc_ids
-        return "Yes" if self._grade(qid, did) >= self.rel_threshold else "No"
+        return "Yes" if self._grade(qid, did) >= 1 else "No"
 
 
 class ScriptedBackend:
@@ -128,23 +123,6 @@ class ScriptedBackend:
         if not self.responses:
             raise ScriptExhausted("scripted backend has no responses left")
         return self.responses.pop(0)
-
-
-def make_mock_backend(policy: str, grades: Mapping[tuple[str, str], int] | None = None,
-                      responses: Sequence[str] | None = None) -> Backend:
-    if policy == "identity":
-        return IdentityBackend()
-    if policy == "reverse":
-        return ReverseBackend()
-    if policy == "oracle":
-        if grades is None:
-            raise ValueError("oracle policy needs a grade table")
-        return OracleBackend(grades)
-    if policy == "scripted":
-        if responses is None:
-            raise ValueError("scripted policy needs responses")
-        return ScriptedBackend(responses)
-    raise ValueError(f"unknown mock policy {policy!r}")
 
 
 # --- HTTP chat-completions adapter ---

@@ -35,8 +35,10 @@ def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
 
 def _make_backend(args: argparse.Namespace) -> backends.Backend:
     kind = args.backend
-    if kind in ("identity", "reverse"):
-        return backends.make_mock_backend(kind)
+    if kind == "identity":
+        return backends.IdentityBackend()
+    if kind == "reverse":
+        return backends.ReverseBackend()
     if kind == "oracle":
         if not args.qrels:
             raise RankkitError("--backend oracle requires --qrels")

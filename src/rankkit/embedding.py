@@ -59,6 +59,7 @@ from .types import check_id, read_jsonl
 logger = logging.getLogger(__name__)
 
 ORACLE_MAX_N = 32
+KMEANS_MAX_ITERS = 50
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _TINY = np.finfo(np.float64).tiny
@@ -197,20 +198,14 @@ def _unit_rows(rows: EmbeddingRows) -> np.ndarray:
     return x / norms[:, None]
 
 
-def _check_seed(seed_index: int, n: int) -> None:
-    if not 0 <= seed_index < n:
-        raise InvariantViolation(f"seed_index {seed_index} outside 0..{n - 1} for N={n} records")
-
-
 def greedy_diversity_select(
     records: Sequence[EmbeddingRecord],
     k: int,
-    seed_index: int = 0,
     keep_trace: bool = False,
 ) -> SelectionResult:
     """Greedy maximum-diversity subset selection.
 
-    Seeds with the first record (or ``seed_index``), then repeatedly adds the
+    Seeds with the first record, then repeatedly adds the
     candidate with the lowest average cosine similarity to everything chosen
     so far.  Per-candidate similarity sums are maintained incrementally, so
     each step is one matrix-vector product: O(k * N * d) total rather than
@@ -221,13 +216,12 @@ def greedy_diversity_select(
     n = u.shape[0]
     if k < 1:
         raise KTooLarge(f"k must be >= 1, got {k}")
-    _check_seed(seed_index, n)
     k = min(k, n)
-    chosen = [seed_index]
-    trace = [(rows.ids[seed_index], 0.0)]
+    chosen = [0]
+    trace = [(rows.ids[0], 0.0)]
     picked = np.zeros(n, dtype=bool)
-    picked[seed_index] = True
-    sums = u @ u[seed_index]
+    picked[0] = True
+    sums = u @ u[0]
     for _ in range(k - 1):
         avg = sums / len(chosen)
         avg[picked] = np.inf
@@ -245,7 +239,6 @@ def greedy_diversity_select(
 def brute_force_diversity_oracle(
     records: Sequence[EmbeddingRecord],
     k: int,
-    seed_index: int = 0,
     keep_trace: bool = False,
 ) -> SelectionResult:
     """Literal replay of greedy diversity selection with no incremental state.
@@ -263,10 +256,9 @@ def brute_force_diversity_oracle(
     n = len(records)
     if k < 1:
         raise KTooLarge(f"k must be >= 1, got {k}")
-    _check_seed(seed_index, n)
     k = min(k, n)
-    selected = [seed_index]
-    trace = [(records[seed_index].id, 0.0)]
+    selected = [0]
+    trace = [(records[0].id, 0.0)]
     while len(selected) < k:
         best_j = -1
         best_avg = np.inf
@@ -381,7 +373,6 @@ def kmeans_centroid_select(
     records: Sequence[EmbeddingRecord],
     k: int,
     seed: int,
-    iters: int = 50,
 ) -> SelectionResult:
     """Lloyd's k-means, then one representative per cluster: the member record
     nearest its centroid in Euclidean distance, ties by lowest input index.
@@ -396,7 +387,7 @@ def kmeans_centroid_select(
     rng = np.random.default_rng(seed)
     centroids = x[rng.permutation(n)[:k]].copy()
     assign = np.zeros(n, dtype=int)
-    for _ in range(iters):
+    for _ in range(KMEANS_MAX_ITERS):
         d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assign = np.argmin(d2, axis=1)
         sizes = np.bincount(new_assign, minlength=k)

@@ -1,5 +1,5 @@
-"""Reranking orchestration: sliding-window listwise reranking and
-yes/no or tournament pairwise reranking against a pluggable backend.
+"""Reranking orchestration: sliding-window listwise reranking and yes/no
+pairwise reranking against a pluggable backend.
 
 Long candidate lists are processed in overlapping windows from the back of
 the list to the front, so strong candidates discovered deep in the list are
@@ -13,12 +13,11 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .backends import Backend, RetryPolicy, call_with_retries
-from .errors import BackendError, InvariantViolation, MissingDoc, RankkitError, Unparseable
+from .errors import BackendError, ConfigError, InvariantViolation, MissingDoc, RankkitError, Unparseable
 from .parsing import parse_ranking, parse_yes_no
 from .prompts import (
     PARSE_RETRY_REMINDER,
@@ -26,10 +25,8 @@ from .prompts import (
     Turn,
     append_turns,
     build_listwise_prompt,
-    build_pair_compare_prompt,
     build_pairwise_prompt,
 )
-from .ranking_math import WinMatrix, pairwise_rank
 from .types import CandidateList, Document, Permutation, Query, identity_permutation
 
 logger = logging.getLogger(__name__)
@@ -93,7 +90,6 @@ def rank_window(
     prompt: PromptScript,
     n: int,
     retry: RetryPolicy,
-    strict: bool = False,
     report: RerankReport | None = None,
 ) -> Permutation:
     """One backend round-trip with transport retries, a single parse retry,
@@ -117,8 +113,6 @@ def rank_window(
             logger.warning("unparseable ranking for query %s; falling back to input order",
                            prompt.query_id)
             return identity_permutation(n)
-    if log and strict:
-        raise Unparseable(f"strict mode: output needed {log.count} repairs")
     report.repair_count += log.count
     return perm
 
@@ -131,7 +125,6 @@ def rerank_listwise(
     window: WindowConfig | None = None,
     mode: str = "text",
     retry: RetryPolicy | None = None,
-    strict: bool = False,
     report: RerankReport | None = None,
 ) -> CandidateList:
     """Sliding-window listwise rerank of one candidate list.
@@ -152,7 +145,7 @@ def rerank_listwise(
         chunk_docs = resolve_docs(chunk, docs)
         prompt = build_listwise_prompt(query, chunk_docs, mode=mode)
         try:
-            perm = rank_window(backend, prompt, len(chunk), retry, strict=strict, report=report)
+            perm = rank_window(backend, prompt, len(chunk), retry, report=report)
         except BackendError as exc:
             raise BackendError(f"window {w_index}: {exc}", window_index=w_index) from exc
         ids[s : s + window.window_size] = [chunk[i - 1] for i in perm.order]
@@ -165,51 +158,28 @@ def rerank_pairwise(
     docs: Mapping[str, Document],
     backend: Backend,
     retry: RetryPolicy | None = None,
-    tournament: bool = False,
     report: RerankReport | None = None,
 ) -> CandidateList:
     """Pairwise rerank: one relevance question per candidate, relevant docs
-    promoted ahead of irrelevant ones with stable order inside each part.
-
-    Tournament mode instead asks every ordered pair and aggregates
-    accumulated wins.
-    """
+    promoted ahead of irrelevant ones with stable order inside each part."""
     if not candidates.doc_ids:
         raise InvariantViolation(f"query {query.id}: empty candidate list")
     retry = retry or RetryPolicy()
     report = report if report is not None else RerankReport()
-    resolved = resolve_docs(candidates.doc_ids, docs)
-    n = len(resolved)
-    if tournament:
-        wins = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                prompt = build_pair_compare_prompt(query, resolved[i], resolved[j])
-                raw = call_with_retries(backend, prompt, retry)
-                report.backend_calls += 1
-                try:
-                    wins[i, j] = 1.0 if parse_yes_no(raw) else 0.0
-                except Unparseable:
-                    report.fallbacks += 1
-        _, perm = pairwise_rank(WinMatrix(wins))
-        ids = [candidates.doc_ids[i - 1] for i in perm.order]
-    else:
-        relevant: list[str] = []
-        irrelevant: list[str] = []
-        for did, doc in zip(candidates.doc_ids, resolved):
-            prompt = build_pairwise_prompt(query, doc)
-            raw = call_with_retries(backend, prompt, retry)
-            report.backend_calls += 1
-            try:
-                is_rel = parse_yes_no(raw)
-            except Unparseable:
-                report.fallbacks += 1
-                is_rel = False
-            (relevant if is_rel else irrelevant).append(did)
-        ids = relevant + irrelevant
-    return CandidateList(query.id, tuple(ids), _ranked_scores(n))
+    relevant: list[str] = []
+    irrelevant: list[str] = []
+    for did, doc in zip(candidates.doc_ids, resolve_docs(candidates.doc_ids, docs)):
+        prompt = build_pairwise_prompt(query, doc)
+        raw = call_with_retries(backend, prompt, retry)
+        report.backend_calls += 1
+        try:
+            is_rel = parse_yes_no(raw)
+        except Unparseable:
+            report.fallbacks += 1
+            is_rel = False
+        (relevant if is_rel else irrelevant).append(did)
+    ids = relevant + irrelevant
+    return CandidateList(query.id, tuple(ids), _ranked_scores(len(ids)))
 
 
 def map_ordered(fn: Callable, queries: Iterable, parallelism: int) -> tuple[list, list[str]]:
@@ -253,12 +223,18 @@ def rerank_many(
 ) -> tuple[list[CandidateList], list[str]]:
     """Rerank many queries, optionally in parallel; windows within a query
     stay sequential.  Returns ``map_ordered``'s results and failed query
-    ids."""
+    ids.  The queries with a candidate list are reranked in input order; a
+    candidate list whose query is not in ``queries`` fails its query."""
+    known = {q.id for q in queries}
 
-    def one(q: Query) -> CandidateList:
+    def one(q) -> CandidateList:
+        if q.id not in known:
+            raise ConfigError(f"query {q.id} is in the run but not in the queries")
         cands = candidate_lists[q.id]
         if method == "listwise":
             return rerank_listwise(q, cands, docs, backend, window=window, mode=mode, retry=retry)
         return rerank_pairwise(q, cands, docs, backend, retry=retry)
 
-    return map_ordered(one, [q for q in queries if q.id in candidate_lists], parallelism)
+    items = [q for q in queries if q.id in candidate_lists]
+    items += [SimpleNamespace(id=qid) for qid in candidate_lists if qid not in known]
+    return map_ordered(one, items, parallelism)

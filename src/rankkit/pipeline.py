@@ -34,7 +34,15 @@ from .engine import RerankReport, WindowConfig, map_ordered, rank_window, resolv
 from .errors import ConfigError, MalformedLine, RankkitError
 from .metrics import kendall_tau
 from .prompts import MODES, build_listwise_prompt
-from .types import Document, Permutation, Query, identity_permutation, read_jsonl, validate_permutation
+from .types import (
+    Document,
+    Permutation,
+    Query,
+    check_id,
+    identity_permutation,
+    read_jsonl,
+    validate_permutation,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -54,6 +62,11 @@ class TeacherLabel:
     backend_tag: str = "mock"
 
     def __post_init__(self):
+        check_id("query", self.query_id)
+        for did in self.candidate_ids:
+            check_id("candidate", did)
+        if len(set(self.candidate_ids)) != len(self.candidate_ids):
+            raise ConfigError(f"label {self.query_id}: duplicate candidate ids")
         if len(self.candidate_ids) != len(self.teacher_perm):
             raise ConfigError(
                 f"label {self.query_id}: {len(self.candidate_ids)} candidates vs "
@@ -61,6 +74,11 @@ class TeacherLabel:
             )
         if not -1.0 <= self.confidence <= 1.0:
             raise ConfigError(f"label {self.query_id}: confidence {self.confidence} out of bounds")
+
+    @property
+    def id(self) -> str:
+        """The key of a label file record, unique per file like any record id."""
+        return self.query_id
 
     def to_json(self) -> dict:
         return {
@@ -252,7 +270,8 @@ def write_labels(
 
 def read_labels(path: str) -> tuple[dict, list[TeacherLabel]]:
     """Manifest and labels of a file written by ``write_labels``; its first
-    record must be the ``{"manifest": ...}`` header."""
+    record must be the ``{"manifest": ...}`` header.  A query id repeated
+    on a later line is a ``MalformedLine`` at the repeat."""
     manifest: list[dict] = []
 
     def build(rec: dict) -> TeacherLabel | None:

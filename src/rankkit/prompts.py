@@ -178,31 +178,6 @@ def build_pairwise_prompt(query: Query, doc: Document) -> PromptScript:
     )
 
 
-def build_pair_compare_prompt(query: Query, doc_a: Document, doc_b: Document) -> PromptScript:
-    """Yes/no comparison of an ordered document pair, for tournament mode."""
-    lines = [f"Query: {query.text}"]
-    refs: list[str] = []
-    for label, d in (("A", doc_a), ("B", doc_b)):
-        if d.text:
-            lines.append(f"Document {label} Text: {d.text}")
-        if d.image_ref:
-            lines.append(f"Document {label} Image: [Attached]")
-            refs.append(d.image_ref)
-    lines.append(
-        "Is Document A more relevant to the query than Document B? "
-        "Answer only 'Yes' or 'No'."
-    )
-    return PromptScript(
-        turns=(
-            Turn("system", PAIRWISE_SYSTEM),
-            Turn("user", "\n".join(lines), image_refs=tuple(refs)),
-        ),
-        kind="pair_compare",
-        query_id=query.id,
-        doc_ids=(doc_a.id, doc_b.id),
-    )
-
-
 def append_turns(script: PromptScript, *turns: Turn) -> PromptScript:
     return PromptScript(
         turns=script.turns + tuple(turns),

@@ -1,5 +1,5 @@
-"""Plackett-Luce ranking probability, the temperature-scaled listwise loss
-with its analytic gradient, and pairwise win aggregation.
+"""Plackett-Luce ranking probability and the temperature-scaled listwise
+loss with its analytic gradient.
 
 All softmax-like quantities are accumulated in log space with
 ``np.logaddexp.accumulate``, one O(n) pass each for the suffix
@@ -16,50 +16,21 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolation, LengthMismatch, NonPositiveTemperature
-from .types import Permutation, ScoreVector
+from .types import Permutation
 
 
-def _as_scores(scores: ScoreVector | Sequence[float]) -> np.ndarray:
-    if isinstance(scores, ScoreVector):
-        arr = np.asarray(scores.scores, dtype=np.float64)
-    else:
-        arr = np.asarray(scores, dtype=np.float64)
-        if arr.ndim != 1:
-            raise InvariantViolation("scores must be a flat sequence")
-        if not np.all(np.isfinite(arr)):
-            raise InvariantViolation("scores must be finite")
+def _as_scores(scores: Sequence[float]) -> np.ndarray:
+    arr = np.asarray(scores, dtype=np.float64)
+    if arr.ndim != 1:
+        raise InvariantViolation("scores must be a flat sequence")
+    if not np.all(np.isfinite(arr)):
+        raise InvariantViolation("scores must be finite")
     return arr
 
 
 def _suffix_logsumexp(t: np.ndarray) -> np.ndarray:
     """lse[i] = log sum_{j >= i} exp(t[j])."""
     return np.logaddexp.accumulate(t[::-1])[::-1]
-
-
-@dataclass(frozen=True)
-class WinMatrix:
-    """Pairwise outcome matrix: wins[i][j] is 1 (or a probability) iff
-    candidate i is judged more relevant than candidate j."""
-
-    wins: np.ndarray
-    strict: bool = False
-
-    def __post_init__(self):
-        w = np.asarray(self.wins, dtype=np.float64)
-        object.__setattr__(self, "wins", w)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise InvariantViolation("wins must be a square matrix")
-        if np.any(np.diag(w) != 0.0):
-            raise InvariantViolation("win matrix diagonal must be zero")
-        if self.strict:
-            if not np.all((w == 0.0) | (w == 1.0)):
-                raise InvariantViolation("strict mode requires 0/1 entries")
-        elif np.any(w < 0.0) or np.any(w > 1.0):
-            raise InvariantViolation("win entries must lie in [0, 1]")
-
-    @property
-    def n(self) -> int:
-        return self.wins.shape[0]
 
 
 @dataclass(frozen=True)
@@ -75,7 +46,7 @@ def _check_args(scores: np.ndarray, perm: Permutation) -> None:
         raise LengthMismatch(f"{scores.shape[0]} scores vs permutation of size {len(perm)}")
 
 
-def plackett_luce_prob(scores: ScoreVector | Sequence[float], perm: Permutation) -> float:
+def plackett_luce_prob(scores: Sequence[float], perm: Permutation) -> float:
     """Probability of observing ``perm`` under the Plackett-Luce model:
     a product of sequential softmax choices over the remaining candidates.
     """
@@ -87,7 +58,7 @@ def plackett_luce_prob(scores: ScoreVector | Sequence[float], perm: Permutation)
 
 
 def listwise_loss(
-    scores: ScoreVector | Sequence[float],
+    scores: Sequence[float],
     perm: Permutation,
     tau: float = 1.0,
 ) -> LossReport:
@@ -110,7 +81,7 @@ def listwise_loss(
 
 
 def listwise_loss_grad(
-    scores: ScoreVector | Sequence[float],
+    scores: Sequence[float],
     perm: Permutation,
     tau: float = 1.0,
 ) -> np.ndarray:
@@ -136,14 +107,3 @@ def listwise_loss_grad(
     grad[order] = g
     return grad
 
-
-def pairwise_rank(wins: WinMatrix) -> tuple[np.ndarray, Permutation]:
-    """Aggregate pairwise outcomes into a ranking.
-
-    A win is counted only for entries strictly above 0.5; exactly 0.5 is a
-    tie and contributes nothing.  Candidates are sorted by descending win
-    count; the stable sort breaks ties by lowest input index.
-    """
-    counts = np.sum(wins.wins > 0.5, axis=1).astype(int)
-    order = np.argsort(-counts, kind="stable") + 1
-    return counts, Permutation(tuple(int(i) for i in order))

@@ -12,8 +12,6 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-import math
-
 from .errors import (
     ConfigError,
     DuplicateIndex,
@@ -113,23 +111,6 @@ class Permutation:
         return Permutation(tuple(inv))
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    """Per-candidate relevance scores; entries must be finite."""
-
-    scores: tuple[float, ...]
-
-    def __post_init__(self):
-        vals = tuple(float(s) for s in self.scores)
-        object.__setattr__(self, "scores", vals)
-        for i, s in enumerate(vals):
-            if not math.isfinite(s):
-                raise InvariantViolation(f"non-finite score {s} at position {i + 1}")
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-
 def validate_permutation(order: Sequence[int], n: int) -> Permutation:
     """Check that ``order`` is a bijection on 1..n of integral entries;
     positions in errors are 1-based."""
@@ -190,7 +171,7 @@ def read_jsonl(path: str, build: Callable[[dict], T]) -> list[T]:
     Blank lines are skipped.  A line that is not UTF-8 or not a JSON object,
     that ``build`` rejects (a number too large for a float included), or
     whose built record repeats the ``id`` of an earlier one (documents,
-    queries, embedding records) raises ``MalformedLine`` naming path:line.
+    queries, embedding records, teacher labels) raises ``MalformedLine`` naming path:line.
     """
     out = []
     seen: dict[str, int] = {}  # id -> line of its first record

@@ -11,7 +11,6 @@ from rankkit.backends import (
     ReverseBackend,
     ScriptedBackend,
     call_with_retries,
-    make_mock_backend,
     script_to_messages,
 )
 from rankkit.errors import BackendError, ScriptExhausted, TransportError
@@ -42,21 +41,18 @@ class TestMocks:
         assert OracleBackend({}).complete(LISTWISE) == "[1] > [2] > [3]"
 
     def test_oracle_pairwise(self):
-        grades = {("q1", "d1"): 2}
+        grades = {("q1", "d1"): 2, ("q1", "d3"): 1}
         backend = OracleBackend(grades)
         assert backend.complete(build_pairwise_prompt(Q, DOCS[0])) == "Yes"
         assert backend.complete(build_pairwise_prompt(Q, DOCS[1])) == "No"
+        # grade 1 is the lowest grade answered relevant
+        assert backend.complete(build_pairwise_prompt(Q, DOCS[2])) == "Yes"
 
     def test_scripted_replay_and_exhaustion(self):
         backend = ScriptedBackend(["[1] > [2] > [3]"])
         assert backend.complete(LISTWISE) == "[1] > [2] > [3]"
         with pytest.raises(ScriptExhausted):
             backend.complete(LISTWISE)
-
-    def test_factory(self):
-        assert isinstance(make_mock_backend("identity"), IdentityBackend)
-        with pytest.raises(ValueError):
-            make_mock_backend("oracle")
 
 
 class FlakyBackend:

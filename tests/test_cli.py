@@ -193,7 +193,31 @@ class TestRerank:
                        "--backend", "oracle", "--qrels", workspace / "qrels.txt",
                        "--out", out)
         assert code == 0
-        read_run(str(out))
+        grades = {}
+        for line in (workspace / "qrels.txt").read_text().splitlines():
+            qid, _, did, grade = line.split()
+            grades[qid, did] = int(grade)
+        # docs of grade >= 1 first, then the rest, each part in input order
+        expected = []
+        for qid in ("q1", "q2", "q3"):
+            ids = [e.doc_id for e in read_run(str(workspace / "input.run")) if e.query_id == qid]
+            expected += [(qid, d) for d in ids if grades[qid, d] >= 1]
+            expected += [(qid, d) for d in ids if grades[qid, d] < 1]
+        assert [(e.query_id, e.doc_id) for e in read_run(str(out))] == expected
+
+    def test_run_queries_missing_from_queries_fail_alone(self, workspace, caplog):
+        first = (workspace / "queries.jsonl").read_text().splitlines()[0]
+        (workspace / "q1_only.jsonl").write_text(first + "\n")
+        out = workspace / "partial.run"
+        code = run_cli("rerank", "--run", workspace / "input.run",
+                       "--queries", workspace / "q1_only.jsonl",
+                       "--corpus", workspace / "corpus.jsonl", "--out", out)
+        assert code == 2
+        assert {e.query_id for e in read_run(str(out))} == {"q1"}
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["query q2 failed: query q2 is in the run but not in the queries",
+                          "query q3 failed: query q3 is in the run but not in the queries",
+                          "2 queries failed: q2, q3"]
 
 
     def test_image_only_doc_in_text_mode_fails_only_its_query(self, workspace):
@@ -403,6 +427,10 @@ MALFORMED = [
     ("documents", [VALID["documents"], VALID["documents"]]),
     ("queries", [VALID["queries"], '{"id": "q2", "text": "x"}', "", VALID["queries"]]),
     ("embeddings", [VALID["embeddings"], VALID["embeddings"]]),
+    ("labels", [HEADER, _label(), _label(teacher_perm=[1, 2])]),
+    ("labels", [HEADER, _label(query_id="q 2")]),
+    ("labels", [HEADER, _label(candidate_ids=["d1", "d1"])]),
+    ("labels", [HEADER, _label(candidate_ids=["d1", 2])]),
 ]
 
 
@@ -428,7 +456,8 @@ class TestMalformedInput:
         bad = workspace / "bad.jsonl"
         head = [HEADER] if reader == "labels" else []
         valid = VALID[reader] if reader != "labels" else _label()
-        body = [valid.replace('"id": "', f'"id": "x{i}', 1) for i in range(3000)]
+        key = '"query_id": "' if reader == "labels" else '"id": "'
+        body = [valid.replace(key, f"{key}x{i}", 1) for i in range(3000)]
         lines = [line.encode() for line in head + body] + [b'{"id": "\xff"}']
         bad.write_bytes(b"\n".join(lines) + b"\n")
         prefix = f"{bad}:{len(lines)}: "

@@ -186,24 +186,6 @@ class TestGreedyDiversity:
         assert len(result.trace) == 4
         assert result.trace[0] == (recs[0].id, 0.0)
 
-    def test_seed_index_override(self):
-        recs = records_from([[1, 0], [0, 1], [1, 1]])
-        assert greedy_diversity_select(recs, 1, seed_index=2).selected_ids == ("v3",)
-
-    @pytest.mark.parametrize("select", [greedy_diversity_select, brute_force_diversity_oracle])
-    @pytest.mark.parametrize("seed_index", [-1, -3, 3, 7])
-    def test_seed_index_out_of_range_is_named(self, select, seed_index):
-        recs = records_from([[1, 0], [0, 1], [1, 1]])
-        with pytest.raises(InvariantViolation, match=f"seed_index {seed_index} .*N=3"):
-            select(recs, 2, seed_index=seed_index)
-
-    def test_last_seed_index_matches_oracle(self):
-        rng = np.random.default_rng(4)
-        recs = random_records(rng, 7, 3)
-        fast = greedy_diversity_select(recs, 4, seed_index=6).selected_ids
-        assert fast[0] == "v7"
-        assert fast == brute_force_diversity_oracle(recs, 4, seed_index=6).selected_ids
-
 
 class TestTopK:
     def test_collinear(self):

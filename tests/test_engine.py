@@ -116,15 +116,6 @@ class TestRerankListwise:
                               window=WindowConfig(3, 1), retry=NO_SLEEP)
         assert out.doc_ids == ("d3", "d1", "d2")
 
-    def test_strict_mode_rejects_repairs(self):
-        from rankkit.errors import Unparseable
-
-        q, cands, docs = make_fixture(3)
-        backend = ScriptedBackend(["[1] > [1] > [2]"])
-        with pytest.raises(Unparseable):
-            rerank_listwise(q, cands, docs, backend,
-                            window=WindowConfig(3, 1), retry=NO_SLEEP, strict=True)
-
     def test_backend_error_carries_window_index(self):
         class DeadBackend:
             supports_images = False
@@ -174,20 +165,6 @@ class TestRerankPairwise:
         out = rerank_pairwise(q, cands, docs, ReverseBackend(), retry=NO_SLEEP)
         assert out.doc_ids == cands.doc_ids
 
-    def test_tournament_transitive_matches_win_counts(self):
-        q, cands, docs = make_fixture(3)
-        grades = {("q1", "d1"): 3, ("q1", "d2"): 2, ("q1", "d3"): 1}
-        out = rerank_pairwise(q, cands, docs, OracleBackend(grades),
-                              retry=NO_SLEEP, tournament=True)
-        assert out.doc_ids == ("d1", "d2", "d3")
-
-    def test_tournament_reversed_grades(self):
-        q, cands, docs = make_fixture(3)
-        grades = {("q1", "d1"): 0, ("q1", "d2"): 1, ("q1", "d3"): 2}
-        out = rerank_pairwise(q, cands, docs, OracleBackend(grades),
-                              retry=NO_SLEEP, tournament=True)
-        assert out.doc_ids == ("d3", "d2", "d1")
-
 
 class TestMapOrdered:
     @pytest.mark.parametrize("parallelism", [1, 4])
@@ -236,6 +213,16 @@ class TestRerankMany:
                                       retry=NO_SLEEP, parallelism=parallelism)
         assert [r.query_id for r in results] == ["q1", "q4"]
         assert failed == ["q2", "q3"]
+
+    def test_a_candidate_list_without_its_query_fails_that_query(self, caplog):
+        q1, c1, docs = make_fixture(3, "q1")
+        _, c2, _ = make_fixture(3, "q2")
+        results, failed = rerank_many([q1], {"q2": c2, "q1": c1}, docs, IdentityBackend(),
+                                      retry=NO_SLEEP)
+        assert [r.query_id for r in results] == ["q1"]
+        assert failed == ["q2"]
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["query q2 failed: query q2 is in the run but not in the queries"]
 
     def test_parallel_matches_serial(self):
         docs = {}

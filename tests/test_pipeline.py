@@ -176,6 +176,13 @@ class TestLabelIO:
         with pytest.raises(MalformedLine, match=re.escape(f"{path}:3: teacher_perm")):
             read_labels(str(path))
 
+    def test_read_rejects_a_repeated_query_id_naming_its_first_line(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        label = TeacherLabel("q1", ("a", "b"), Permutation((1, 2)), confidence=1.0)
+        write_labels([label, label], str(path), CFG3)
+        with pytest.raises(MalformedLine, match=re.escape(f"{path}:3: id 'q1' repeats line 2")):
+            read_labels(str(path))
+
     def test_checkpoint_removed_on_completion(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         write_labels([], str(path), CFG3)

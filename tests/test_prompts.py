@@ -5,7 +5,6 @@ from rankkit.prompts import (
     PromptScript,
     Turn,
     build_listwise_prompt,
-    build_pair_compare_prompt,
     build_pairwise_prompt,
 )
 from rankkit.types import Document, Query
@@ -91,12 +90,6 @@ class TestPairwisePrompt:
         script = build_pairwise_prompt(Q, doc)
         assert "Document Text:" not in script.turns[1].text
         assert script.turns[1].image_refs == ("x.png",)
-
-    def test_pair_compare_mentions_both(self):
-        script = build_pair_compare_prompt(Q, TEXT_DOCS[0], TEXT_DOCS[1])
-        assert "Document A" in script.turns[1].text
-        assert "Document B" in script.turns[1].text
-        assert script.doc_ids == ("d1", "d2")
 
 
 class TestScriptInvariants:

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from rankkit.errors import LengthMismatch, NonPositiveTemperature
 from rankkit.ranking_math import (
-    WinMatrix,
     listwise_loss,
     listwise_loss_grad,
-    pairwise_rank,
     plackett_luce_prob,
 )
 from rankkit.types import Permutation, identity_permutation, validate_permutation
@@ -236,44 +234,3 @@ class TestLogSpaceOracles:
         assert listwise_loss([7.0] * n, perm, 0.1).loss == pytest.approx(
             math.lgamma(n + 1), abs=1e-9)
 
-
-class TestPairwiseRank:
-    def test_transitive_tournament(self):
-        wins = np.array([[0, 1, 1], [0, 0, 1], [0, 0, 0]], dtype=float)
-        counts, perm = pairwise_rank(WinMatrix(wins))
-        assert counts.tolist() == [2, 1, 0]
-        assert perm.order == (1, 2, 3)
-
-    def test_single_candidate(self):
-        counts, perm = pairwise_rank(WinMatrix(np.zeros((1, 1))))
-        assert counts.tolist() == [0]
-        assert perm.order == (1,)
-
-    def test_cycle_breaks_ties_by_index(self):
-        wins = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
-        counts, perm = pairwise_rank(WinMatrix(wins))
-        assert counts.tolist() == [1, 1, 1]
-        assert perm.order == (1, 2, 3)
-
-    def test_half_is_not_a_win(self):
-        wins = np.array([[0, 0.5], [0.5, 0]])
-        counts, perm = pairwise_rank(WinMatrix(wins))
-        assert counts.tolist() == [0, 0]
-        assert perm.order == (1, 2)
-
-    def test_monotone_transform_invariance(self):
-        rng = np.random.default_rng(5)
-        probs = rng.uniform(size=(5, 5))
-        np.fill_diagonal(probs, 0.0)
-        _, perm_a = pairwise_rank(WinMatrix(probs))
-        # squashing toward 0.5 preserves which entries cross the threshold
-        squashed = np.where(probs > 0.5, 0.5 + (probs - 0.5) * 0.1, probs * 0.9)
-        np.fill_diagonal(squashed, 0.0)
-        _, perm_b = pairwise_rank(WinMatrix(squashed))
-        assert perm_a.order == perm_b.order
-
-    def test_strict_mode_rejects_fractional(self):
-        from rankkit.errors import InvariantViolation
-
-        with pytest.raises(InvariantViolation):
-            WinMatrix(np.array([[0, 0.7], [0.2, 0]]), strict=True)

@@ -14,7 +14,6 @@ from rankkit.types import (
     CandidateList,
     Document,
     Query,
-    ScoreVector,
     apply_permutation,
     identity_permutation,
     read_documents,
@@ -132,10 +131,6 @@ class TestDomainTypes:
     def test_candidate_list_score_alignment(self):
         with pytest.raises(LengthMismatch):
             CandidateList("q1", ("d1", "d2"), (1.0,))
-
-    def test_score_vector_rejects_nan(self):
-        with pytest.raises(InvariantViolation):
-            ScoreVector((1.0, float("nan")))
 
 
 def test_document_jsonl_roundtrip(tmp_path):
