@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import json
 import logging
+import math
 import mimetypes
 import os
 import random
@@ -19,7 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence
 
-from .errors import BackendError, ScriptExhausted, TransportError
+from .errors import BackendError, ConfigError, MissingModality, ScriptExhausted, TransportError
 from .parsing import render_ranking
 from .prompts import PromptScript
 from .types import Permutation
@@ -133,8 +134,12 @@ def _image_part(ref: str) -> dict:
         url = ref
     else:
         mime = mimetypes.guess_type(ref)[0] or "application/octet-stream"
-        with open(ref, "rb") as fh:
-            url = f"data:{mime};base64,{base64.b64encode(fh.read()).decode('ascii')}"
+        try:
+            with open(ref, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise MissingModality(f"image {ref!r} cannot be read: {exc.strerror}") from exc
+        url = f"data:{mime};base64,{base64.b64encode(data).decode('ascii')}"
     return {"type": "image_url", "image_url": {"url": url}}
 
 
@@ -161,6 +166,11 @@ class HttpBackend:
     session: object = None  # requests.Session-compatible; injectable for tests
 
     def __post_init__(self):
+        if not self.endpoint.startswith(("http://", "https://")):
+            raise ConfigError(
+                f"endpoint must start with http:// or https://, got {self.endpoint!r}")
+        if not 0 < self.timeout < math.inf:
+            raise ConfigError(f"timeout must be a finite number > 0, got {self.timeout!r}")
         if self.session is None:
             import requests
 
@@ -187,6 +197,9 @@ class HttpBackend:
         if resp.status_code != 200:
             raise BackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         try:
-            return resp.json()["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, ValueError) as exc:
-            raise BackendError(f"malformed completion response: {exc}") from exc
+            content = resp.json()["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise BackendError(f"malformed completion response: {exc!r}") from exc
+        if not isinstance(content, str):
+            raise BackendError(f"malformed completion response: content is {content!r}")
+        return content

@@ -130,23 +130,20 @@ def cmd_rerank(args: argparse.Namespace) -> list[str]:
     corpus = {d.id: d for d in types.read_documents(args.corpus)}
     run = metrics.read_run(args.run)
     candidate_lists = {
-        qid: types.CandidateList(qid, tuple(e.doc_id for e in group),
-                                 tuple(e.score for e in group))
+        qid: types.CandidateList(qid, tuple(e.doc_id for e in group))
         for qid, group in metrics.ranked_by_query(run).items()
     }
     backend = _make_backend(args)
-    method = "pairwise" if args.pairwise else "listwise"
     results, failed = engine.rerank_many(
         queries, candidate_lists, corpus, backend,
-        method=method,
+        method=args.method,
         window=cfg.window,
         mode=cfg.mode,
         parallelism=cfg.parallelism,
     )
     entries = []
     for cl in results:
-        entries.extend(metrics.run_from_candidates(
-            cl.query_id, cl.doc_ids, cl.first_stage_scores, tag=args.tag))
+        entries.extend(metrics.run_from_candidates(cl.query_id, cl.doc_ids, tag=args.tag))
     metrics.write_run(entries, args.out)
     return failed
 
@@ -200,11 +197,18 @@ def cmd_eval(args: argparse.Namespace) -> None:
     print(text)
 
 
+def _run_tag(text: str) -> str:
+    """A ``--tag`` value: the run id, which is the last field of every run line."""
+    try:
+        types.check_id("run", text)
+    except RankkitError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file with pipeline settings")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--parallelism", type=int, default=None)
 
     backend_args = argparse.ArgumentParser(add_help=False)
     backend_args.add_argument("--backend", default="identity",
@@ -229,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--embeddings", required=True)
     s.add_argument("--algorithm", default="greedy", choices=["greedy", "random", "kmeans"])
     s.add_argument("--k", dest="selection_k", type=int, default=None)
+    s.add_argument("--seed", type=int, default=None)
     s.add_argument("--trace", action="store_true")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_select)
@@ -245,14 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
     rr.add_argument("--queries", required=True)
     rr.add_argument("--corpus", required=True)
     group = rr.add_mutually_exclusive_group()
-    group.add_argument("--listwise", action="store_true", default=True)
-    group.add_argument("--pairwise", action="store_true", default=False)
+    group.add_argument("--listwise", dest="method", action="store_const", const="listwise")
+    group.add_argument("--pairwise", dest="method", action="store_const", const="pairwise")
+    rr.add_argument("--parallelism", type=int, default=None)
     rr.add_argument("--window-size", dest="window_size", type=int, default=None)
     rr.add_argument("--stride", type=int, default=None)
     rr.add_argument("--mode", choices=prompts.MODES, default=None)
-    rr.add_argument("--tag", default="rankkit")
+    rr.add_argument("--tag", type=_run_tag, default="rankkit")
     rr.add_argument("--out", required=True)
-    rr.set_defaults(func=cmd_rerank)
+    rr.set_defaults(func=cmd_rerank, method="listwise")
 
     d = sub.add_parser("distill", parents=[common, backend_args], help="teacher labeling")
     d.add_argument("--queries", required=True)
@@ -264,6 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--budget", type=int, default=None)
     d.add_argument("--budget-filter", action="store_true",
                    help="apply confidence filtering to the budget before writing")
+    d.add_argument("--seed", type=int, default=None)
+    d.add_argument("--parallelism", type=int, default=None)
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_distill)
 

@@ -40,6 +40,8 @@ class WindowConfig:
     stride: int = 10
 
     def __post_init__(self):
+        if self.window_size < 2:
+            raise InvariantViolation(f"need window_size >= 2, got window_size={self.window_size}")
         if not 1 <= self.stride <= self.window_size:
             raise InvariantViolation(
                 f"need 1 <= stride <= window_size, got stride={self.stride}, "
@@ -78,11 +80,6 @@ def resolve_docs(doc_ids: Sequence[str], docs: Mapping[str, Document]) -> list[D
             raise MissingDoc(f"candidate {did} not in corpus")
         resolved.append(docs[did])
     return resolved
-
-
-def _ranked_scores(n: int) -> tuple[float, ...]:
-    # Post-rerank scores only need to be monotone in rank for run-file output.
-    return tuple(float(n - r) for r in range(n))
 
 
 def rank_window(
@@ -129,27 +126,25 @@ def rerank_listwise(
 ) -> CandidateList:
     """Sliding-window listwise rerank of one candidate list.
 
-    The result is always a permutation of the input ids; new scores are
-    descending rank positions so downstream run files sort correctly.
+    The result is always a permutation of the input ids, best first.  Every
+    candidate is looked up in ``docs`` before the first backend call.
     """
     if not candidates.doc_ids:
         raise InvariantViolation(f"query {query.id}: empty candidate list")
     window = window or WindowConfig()
     retry = retry or RetryPolicy()
-    ids = list(candidates.doc_ids)
-    n = len(ids)
-    if n == 1:
-        return CandidateList(query.id, tuple(ids), _ranked_scores(1))
-    for w_index, s in enumerate(window_starts(n, window)):
-        chunk = ids[s : s + window.window_size]
-        chunk_docs = resolve_docs(chunk, docs)
-        prompt = build_listwise_prompt(query, chunk_docs, mode=mode)
+    ranked = resolve_docs(candidates.doc_ids, docs)
+    if len(ranked) == 1:
+        return CandidateList(query.id, candidates.doc_ids)
+    for w_index, s in enumerate(window_starts(len(ranked), window)):
+        chunk = ranked[s : s + window.window_size]
+        prompt = build_listwise_prompt(query, chunk, mode=mode)
         try:
             perm = rank_window(backend, prompt, len(chunk), retry, report=report)
         except BackendError as exc:
             raise BackendError(f"window {w_index}: {exc}", window_index=w_index) from exc
-        ids[s : s + window.window_size] = [chunk[i - 1] for i in perm.order]
-    return CandidateList(query.id, tuple(ids), _ranked_scores(n))
+        ranked[s : s + window.window_size] = [chunk[i - 1] for i in perm.order]
+    return CandidateList(query.id, tuple(d.id for d in ranked))
 
 
 def rerank_pairwise(
@@ -178,8 +173,7 @@ def rerank_pairwise(
             report.fallbacks += 1
             is_rel = False
         (relevant if is_rel else irrelevant).append(did)
-    ids = relevant + irrelevant
-    return CandidateList(query.id, tuple(ids), _ranked_scores(len(ids)))
+    return CandidateList(query.id, tuple(relevant + irrelevant))
 
 
 def map_ordered(fn: Callable, queries: Iterable, parallelism: int) -> tuple[list, list[str]]:

@@ -13,7 +13,7 @@ from rankkit.backends import (
     call_with_retries,
     script_to_messages,
 )
-from rankkit.errors import BackendError, ScriptExhausted, TransportError
+from rankkit.errors import BackendError, ConfigError, MissingModality, ScriptExhausted, TransportError
 from rankkit.prompts import build_listwise_prompt, build_pairwise_prompt
 from rankkit.types import Document, Query
 
@@ -147,22 +147,49 @@ class TestHttpBackend:
         assert body["messages"][0] == {"role": "system", "content": LISTWISE.turns[0].text}
 
     def test_5xx_is_transport_error(self):
-        backend = HttpBackend(endpoint="x", model="m", session=FakeSession([FakeResponse(503)]))
+        backend = HttpBackend(endpoint="http://x", model="m",
+                              session=FakeSession([FakeResponse(503)]))
         with pytest.raises(TransportError):
             backend.complete(LISTWISE)
 
     def test_4xx_is_fatal(self):
-        backend = HttpBackend(endpoint="x", model="m",
+        backend = HttpBackend(endpoint="http://x", model="m",
                               session=FakeSession([FakeResponse(401, text="denied")]))
         with pytest.raises(BackendError) as exc:
             backend.complete(LISTWISE)
         assert not isinstance(exc.value, TransportError)
 
     def test_connection_error_is_transport_error(self):
-        backend = HttpBackend(endpoint="x", model="m",
+        backend = HttpBackend(endpoint="http://x", model="m",
                               session=FakeSession([OSError("connection reset")]))
         with pytest.raises(TransportError):
             backend.complete(LISTWISE)
+
+    @pytest.mark.parametrize("payload", [
+        {"choices": None},
+        {"choices": [{"message": {"content": None}}]},
+        {"choices": [{"message": {"content": [{"type": "text", "text": "[1] > [2]"}]}}]},
+        [1],
+    ])
+    def test_a_reply_without_string_content_is_a_backend_error(self, payload):
+        backend = HttpBackend(endpoint="http://x", model="m",
+                              session=FakeSession([FakeResponse(payload=payload)]))
+        with pytest.raises(BackendError, match="malformed completion response"):
+            backend.complete(LISTWISE)
+
+    @pytest.mark.parametrize("settings,key", [
+        ({"endpoint": "localhost:8000/v1"}, "endpoint"),
+        ({"endpoint": "ftp://x"}, "endpoint"),
+        ({"timeout": 0}, "timeout"),
+        ({"timeout": -1.0}, "timeout"),
+        ({"timeout": float("nan")}, "timeout"),
+        ({"timeout": float("inf")}, "timeout"),
+    ])
+    def test_bad_settings_are_a_config_error_before_any_request(self, settings, key):
+        session = FakeSession([])
+        with pytest.raises(ConfigError, match=key):
+            HttpBackend(**{"endpoint": "http://x", "model": "m", "session": session, **settings})
+        assert session.requests == []
 
 
 class TestMessageSerialization:
@@ -177,6 +204,13 @@ class TestMessageSerialization:
         url = parts[1]["image_url"]["url"]
         assert url.startswith("data:image/png;base64,")
         assert base64.b64decode(url.split(",", 1)[1]) == b"\x89PNG fake"
+
+    def test_unreadable_local_image_is_missing_modality_naming_the_path(self, tmp_path):
+        ref = str(tmp_path / "gone.png")
+        doc = Document(id="h1", text="quarterly revenue", image_ref=ref, modality="hybrid")
+        with pytest.raises(MissingModality, match="gone.png") as exc:
+            script_to_messages(build_pairwise_prompt(Q, doc))
+        assert not isinstance(exc.value, BackendError)
 
     def test_remote_image_passes_through(self):
         doc = Document(id="h1", image_ref="https://cdn.example/x.jpg", modality="image")

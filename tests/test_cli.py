@@ -1,7 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import requests
 
 from rankkit import cli
 from rankkit.embedding import EmbeddingRecord, euclidean_dist, read_embeddings, write_embeddings
@@ -44,6 +46,27 @@ def workspace(tmp_path):
 
 def run_cli(*args):
     return cli.main([str(a) for a in args])
+
+
+class ReplySession:
+    """Stands in for ``requests.Session``: each post answers 200 with the next
+    chat-completions body; a post with no body left fails the test."""
+
+    def __init__(self, bodies=()):
+        self.bodies = list(bodies)
+
+    def post(self, url, **kwargs):
+        if not self.bodies:
+            pytest.fail(f"unexpected request to {url}")
+        body = self.bodies.pop(0)
+        return SimpleNamespace(status_code=200, json=lambda: body)
+
+
+def reply(content):
+    return {"choices": [{"message": {"content": content}}]}
+
+
+HTTP = ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1", "--model", "m"]
 
 
 class TestSelect:
@@ -238,6 +261,89 @@ class TestRerank:
                [(e.query_id, e.doc_id) for e in run]
 
 
+    def test_listwise_and_pairwise_set_one_method(self):
+        base = ["rerank", "--run", "r", "--queries", "q", "--corpus", "c", "--out", "o"]
+        parse = cli.build_parser().parse_args
+        assert vars(parse(base))["method"] == "listwise"
+        assert vars(parse(base + ["--listwise"]))["method"] == "listwise"
+        assert vars(parse(base + ["--pairwise"]))["method"] == "pairwise"
+        assert "pairwise" not in vars(parse(base + ["--pairwise"]))
+
+    @pytest.mark.parametrize("method", ["--listwise", "--pairwise"])
+    def test_run_file_scores_are_n_minus_rank_not_first_stage_scores(self, workspace, method):
+        first = [e for e in read_run(str(workspace / "input.run")) if e.query_id == "q1"]
+        ids = [e.doc_id for e in first]
+        write_run(run_from_candidates("q1", ids, [0.5 ** r for r in range(10)], tag="bm25"),
+                  str(workspace / "scored.run"))
+        out = workspace / "reverse.run"
+        code = run_cli("rerank", method, "--run", workspace / "scored.run",
+                       "--queries", workspace / "queries.jsonl",
+                       "--corpus", workspace / "corpus.jsonl",
+                       "--backend", "reverse", "--tag", "rev", "--out", out)
+        assert code == 0
+        # the reverse backend mirrors each listwise window and answers no to
+        # every pairwise question
+        expected = ids[::-1] if method == "--listwise" else ids
+        assert [(e.doc_id, e.rank, e.score, e.tag) for e in read_run(str(out))] == \
+               [(d, r + 1, float(10 - r), "rev") for r, d in enumerate(expected)]
+
+    @pytest.mark.parametrize("method", ["--listwise", "--pairwise"])
+    def test_a_candidate_missing_from_the_corpus_fails_its_query(self, workspace, caplog, method):
+        with open(workspace / "queries.jsonl", "a") as fh:
+            for qid in ("q4", "q5"):
+                fh.write(json.dumps({"id": qid, "text": "lost"}) + "\n")
+        run = read_run(str(workspace / "input.run"))
+        write_run(run + run_from_candidates("q4", ["nope"], tag="bm25")
+                  + run_from_candidates("q5", ["d1", "nope"], tag="bm25"),
+                  str(workspace / "gap.run"))
+        out = workspace / "gap_out.run"
+        code = run_cli("rerank", method, "--run", workspace / "gap.run",
+                       "--queries", workspace / "queries.jsonl",
+                       "--corpus", workspace / "corpus.jsonl", "--out", out)
+        assert code == 2
+        assert {e.query_id for e in read_run(str(out))} == {"q1", "q2", "q3"}
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["query q4 failed: candidate nope not in corpus",
+                          "query q5 failed: candidate nope not in corpus",
+                          "2 queries failed: q4, q5"]
+
+    def test_an_unreadable_image_fails_only_its_query(self, tmp_path, monkeypatch, caplog):
+        (tmp_path / "a.png").write_bytes(b"png")
+        (tmp_path / "b.png").write_bytes(b"png")
+        write_documents([Document(id=d, image_ref=str(tmp_path / f"{d}.png"), modality="image")
+                         for d in ("a", "b", "gone")], str(tmp_path / "corpus.jsonl"))
+        (tmp_path / "queries.jsonl").write_text(
+            "".join(json.dumps({"id": q, "text": "chart"}) + "\n" for q in ("q1", "q2")))
+        write_run(run_from_candidates("q1", ["a", "b"]) + run_from_candidates("q2", ["a", "gone"]),
+                  str(tmp_path / "first.run"))
+        monkeypatch.setattr(requests, "Session", lambda: ReplySession([reply("[2] > [1]")]))
+        out = tmp_path / "out.run"
+        code = run_cli("rerank", "--run", tmp_path / "first.run",
+                       "--queries", tmp_path / "queries.jsonl",
+                       "--corpus", tmp_path / "corpus.jsonl", "--mode", "multimodal",
+                       *HTTP, "--out", out)
+        assert code == 2
+        assert [(e.query_id, e.doc_id) for e in read_run(str(out))] == [("q1", "b"), ("q1", "a")]
+        assert f"query q2 failed: image {str(tmp_path / 'gone.png')!r} cannot be read" \
+            in caplog.text
+
+    def test_a_reply_without_string_content_fails_only_its_query(self, workspace, monkeypatch,
+                                                                 caplog):
+        identity = reply(" > ".join(f"[{i}]" for i in range(1, 11)))
+        session = ReplySession([{"choices": None}, reply(None), identity])
+        monkeypatch.setattr(requests, "Session", lambda: session)
+        out = workspace / "out.run"
+        code = run_cli("rerank", "--run", workspace / "input.run",
+                       "--queries", workspace / "queries.jsonl",
+                       "--corpus", workspace / "corpus.jsonl", *HTTP, "--out", out)
+        assert code == 2
+        assert {e.query_id for e in read_run(str(out))} == {"q3"}
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert [e.split(":")[0] for e in errors] == ["query q1 failed", "query q2 failed",
+                                                     "2 queries failed"]
+        assert all("malformed completion response" in e for e in errors[:2])
+
+
 class TestDistill:
     def test_distill_writes_labels_with_manifest(self, workspace):
         out = workspace / "labels.jsonl"
@@ -327,6 +433,7 @@ class TestConfigAndErrors:
         ({"mode": "image"}, "mode"),
         ({"top_k": True}, "top_k"),
         ({"window_size": 5, "stride": 10}, "stride"),
+        ({"window_size": 1, "stride": 1}, "window_size"),
     ])
     def test_bad_config_is_fatal_and_names_the_key(self, workspace, caplog, config, key):
         cfg = workspace / "cfg.json"
@@ -335,6 +442,25 @@ class TestConfigAndErrors:
         code = run_cli("distill", "--config", cfg, "--queries", workspace / "queries.jsonl",
                        "--query-embeddings", workspace / "query_embs.jsonl",
                        "--doc-embeddings", workspace / "doc_embs.jsonl", "--out", out)
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and key in errors[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,key", [
+        (["--timeout", "0"], "timeout"),
+        (["--timeout", "-1"], "timeout"),
+        (["--timeout", "nan"], "timeout"),
+        (["--endpoint", "localhost:8000/v1"], "endpoint"),
+        (["--window-size", "1", "--stride", "1"], "window_size"),
+    ])
+    def test_bad_rerank_setting_is_fatal_before_any_request(self, workspace, monkeypatch,
+                                                           caplog, argv, key):
+        monkeypatch.setattr(requests, "Session", ReplySession)
+        out = workspace / "out.run"
+        code = run_cli("rerank", "--run", workspace / "input.run",
+                       "--queries", workspace / "queries.jsonl",
+                       "--corpus", workspace / "corpus.jsonl", *HTTP, *argv, "--out", out)
         assert code == 1
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and key in errors[0]
@@ -494,14 +620,20 @@ class TestArgumentChecks:
         (["select", "--algorithm", "greedy", "--k", -2], "selection_k"),
         (["select", "--algorithm", "kmeans", "--k", 2, "--seed", -1], "seed"),
         (["select", "--algorithm", "random", "--k", 2, "--seed", -1], "seed"),
-        (["select", "--algorithm", "greedy", "--k", 2, "--parallelism", 0], "parallelism"),
+        (["rerank", "--parallelism", 0], "parallelism"),
         (["retrieve", "--k", 0], "top_k"),
-        (["retrieve", "--k", 2, "--parallelism", -1], "parallelism"),
+        (["distill", "--top-k", 2, "--parallelism", -1], "parallelism"),
     ])
     def test_bad_argument_is_fatal_and_names_its_key(self, workspace, caplog, argv, key):
         files = {"select": ["--embeddings", workspace / "doc_embs.jsonl"],
                  "retrieve": ["--query-embeddings", workspace / "query_embs.jsonl",
-                              "--doc-embeddings", workspace / "doc_embs.jsonl"]}[argv[0]]
+                              "--doc-embeddings", workspace / "doc_embs.jsonl"],
+                 "rerank": ["--run", workspace / "input.run",
+                            "--queries", workspace / "queries.jsonl",
+                            "--corpus", workspace / "corpus.jsonl"],
+                 "distill": ["--queries", workspace / "queries.jsonl",
+                             "--query-embeddings", workspace / "query_embs.jsonl",
+                             "--doc-embeddings", workspace / "doc_embs.jsonl"]}[argv[0]]
         out = workspace / "out.txt"
         assert run_cli(*argv, *files, "--out", out) == 1
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
@@ -543,6 +675,10 @@ class TestRepeatedIds:
         assert not out.exists()
 
 
+RERANK = ["rerank", "--run", "@input.run", "--queries", "@queries.jsonl",
+          "--corpus", "@corpus.jsonl", "--out", "@o"]
+
+
 class TestExitCodes:
     def test_failed_queries_give_one_summary_error_and_exit_2(self, workspace, caplog):
         embs = (workspace / "query_embs.jsonl").read_text().splitlines()
@@ -572,6 +708,18 @@ class TestExitCodes:
         ["eval", "--run", "@input.run", "--qrels", "@qrels.txt",
          "--config", "/nonexistent.json", "--seed", "-5", "--parallelism", "0"],
         ["eval", "--run", "@input.run", "--qrels", "@qrels.txt", "--seed", "3"],
+        # each command takes only the options it reads
+        ["filter", "--query-embeddings", "@query_embs.jsonl", "--doc-embeddings",
+         "@doc_embs.jsonl", "--seed", "3", "--out", "@o"],
+        ["retrieve", "--query-embeddings", "@query_embs.jsonl", "--doc-embeddings",
+         "@doc_embs.jsonl", "--k", "2", "--parallelism", "2", "--out", "@o"],
+        ["select", "--embeddings", "@doc_embs.jsonl", "--k", "2", "--parallelism", "2",
+         "--out", "@o"],
+        RERANK + ["--seed", "3"],
+        # the tag is the last field of every run line
+        RERANK + ["--tag", "a b"],
+        RERANK + ["--tag", ""],
+        RERANK + ["--listwise", "--pairwise"],
     ])
     def test_usage_error_exits_1_with_usage_on_stderr(self, workspace, capsys, argv):
         code = run_cli(*[workspace / a[1:] if a.startswith("@") else a for a in argv])

@@ -15,8 +15,9 @@ from rankkit.types import Document, write_documents
 
 FLAG = object()  # a store_true flag, which takes no value
 
-COMMON = {"--config": ["@cfg.json", "@bad_cfg.json", "@missing.json"],
-          "--seed": ["3", "-1", "x"], "--parallelism": ["1", "2", "0"]}
+CONFIG = {"--config": ["@cfg.json", "@bad_cfg.json", "@missing.json"]}
+SEED = {"--seed": ["3", "-1", "x"]}
+PARALLELISM = {"--parallelism": ["1", "2", "0"]}
 # no --endpoint: the http backend must fail before any connection
 BACKEND = {"--backend": ["identity", "reverse", "oracle", "http", "nope"],
            "--qrels": ["@qrels.txt", "@non_utf8.jsonl"]}
@@ -32,25 +33,25 @@ K = ["2", "0", "-1", "9", "x"]
 FLAGS = {
     "filter": ({"--query-embeddings": QUERY_EMBS, "--doc-embeddings": DOC_EMBS},
                {"--pairs": ["@pairs.jsonl", "@non_utf8.jsonl"],
-                "--quality-threshold": ["0.3", "-1", "x"], **COMMON}),
+                "--quality-threshold": ["0.3", "-1", "x"], **CONFIG}),
     "select": ({"--embeddings": DOC_EMBS},
                {"--algorithm": ["greedy", "random", "kmeans", "nope"], "--k": K,
-                "--trace": [FLAG], **COMMON}),
+                "--trace": [FLAG], **CONFIG, **SEED}),
     "retrieve": ({"--query-embeddings": QUERY_EMBS, "--doc-embeddings": DOC_EMBS},
-                 {"--k": K, **COMMON}),
+                 {"--k": K, **CONFIG}),
     "rerank": ({"--run": RUNS, "--queries": QUERIES,
                 "--corpus": ["@docs.jsonl", "@dup_docs.jsonl"]},
-               {"--pairwise": [FLAG], "--window-size": ["2", "0"], "--stride": ["1", "3"],
-                "--mode": ["text", "multimodal", "nope"], "--tag": ["t"], **COMMON, **BACKEND}),
+               {"--listwise": [FLAG], "--pairwise": [FLAG], "--window-size": ["2", "0", "1"],
+                "--stride": ["1", "3"], "--mode": ["text", "multimodal", "nope"],
+                "--tag": ["t", "a b", ""], **CONFIG, **PARALLELISM, **BACKEND}),
     "distill": ({"--queries": QUERIES, "--query-embeddings": QUERY_EMBS,
                  "--doc-embeddings": DOC_EMBS},
                 {"--corpus": ["@docs.jsonl", "@dup_docs.jsonl"], "--top-k": K,
                  "--mode": ["text", "multimodal"], "--budget": ["1", "0"],
-                 "--budget-filter": [FLAG], **COMMON, **BACKEND}),
+                 "--budget-filter": [FLAG], **CONFIG, **SEED, **PARALLELISM, **BACKEND}),
     "eval": ({"--run": RUNS, "--qrels": ["@qrels.txt", "@non_utf8.jsonl"]},
              {"--metrics": ["ndcg@2,mrr", "recall@3", "ndcg@x"],
-              "--gain": ["linear", "exponential", "cubic"], "--rel-threshold": ["1", "x"],
-              **COMMON}),
+              "--gain": ["linear", "exponential", "cubic"], "--rel-threshold": ["1", "x"]}),
 }
 
 
@@ -129,6 +130,20 @@ def files(tmp_path_factory):
 @example(argv=["distill", "--queries", "@queries.jsonl",
                "--query-embeddings", "@partial_query_embs.jsonl",
                "--doc-embeddings", "@doc_embs.jsonl", "--out", "@out"])
+@example(argv=["filter", "--query-embeddings", "@query_embs.jsonl",
+               "--doc-embeddings", "@doc_embs.jsonl", "--seed", "3", "--out", "@out"])
+@example(argv=["retrieve", "--query-embeddings", "@query_embs.jsonl",
+               "--doc-embeddings", "@doc_embs.jsonl", "--parallelism", "2", "--out", "@out"])
+@example(argv=["select", "--embeddings", "@doc_embs.jsonl", "--parallelism", "2",
+               "--out", "@out"])
+@example(argv=["rerank", "--run", "@first.run", "--queries", "@queries.jsonl",
+               "--corpus", "@docs.jsonl", "--seed", "3", "--out", "@out"])
+@example(argv=["rerank", "--run", "@first.run", "--queries", "@queries.jsonl",
+               "--corpus", "@docs.jsonl", "--tag", "a b", "--out", "@out"])
+@example(argv=["rerank", "--run", "@first.run", "--queries", "@queries.jsonl",
+               "--corpus", "@docs.jsonl", "--listwise", "--pairwise", "--out", "@out"])
+@example(argv=["rerank", "--run", "@first.run", "--queries", "@queries.jsonl",
+               "--corpus", "@docs.jsonl", "--window-size", "1", "--stride", "1", "--out", "@out"])
 @settings(max_examples=150, deadline=None)
 def test_main_returns_an_exit_code_and_2_only_with_its_output(files, argv):
     out = files / "out"

@@ -1,10 +1,12 @@
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankkit.backends import (
+    HttpBackend,
     IdentityBackend,
     OracleBackend,
     RetryPolicy,
@@ -24,6 +26,22 @@ from rankkit.errors import BackendError, InvariantViolation, MissingDoc, Transpo
 from rankkit.types import CandidateList, Document, Query
 
 NO_SLEEP = RetryPolicy(sleep=lambda _: None)
+
+
+def reply(content):
+    """A chat-completions reply body carrying ``content``."""
+    return {"choices": [{"message": {"content": content}}]}
+
+
+class ReplySession:
+    """Stands in for ``requests.Session``: each post answers 200 with the next body."""
+
+    def __init__(self, bodies):
+        self.bodies = list(bodies)
+
+    def post(self, url, **kwargs):
+        body = self.bodies.pop(0)
+        return SimpleNamespace(status_code=200, json=lambda: body)
 
 
 def make_fixture(n, qid="q1"):
@@ -50,6 +68,11 @@ class TestWindowSchedule:
         with pytest.raises(InvariantViolation):
             WindowConfig(window_size=10, stride=0)
 
+    def test_a_window_of_one_is_rejected(self):
+        # a one-doc window cannot be ranked, so every longer list would fail
+        with pytest.raises(InvariantViolation, match="window_size"):
+            WindowConfig(window_size=1, stride=1)
+
 
 class TestRerankListwise:
     def test_reverse_backend_single_window(self):
@@ -57,7 +80,6 @@ class TestRerankListwise:
         out = rerank_listwise(q, cands, docs, ReverseBackend(),
                               window=WindowConfig(4, 2), retry=NO_SLEEP)
         assert out.doc_ids == ("d4", "d3", "d2", "d1")
-        assert out.first_stage_scores == (4.0, 3.0, 2.0, 1.0)
 
     @pytest.mark.parametrize("window,stride", [(2, 1), (3, 2), (5, 5), (20, 10)])
     def test_identity_backend_preserves_order(self, window, stride):
@@ -86,6 +108,36 @@ class TestRerankListwise:
         backend = ScriptedBackend([])  # would raise if consulted
         out = rerank_listwise(q, cands, docs, backend, retry=NO_SLEEP)
         assert out.doc_ids == ("d1",)
+
+    def test_singleton_missing_from_corpus_fails_before_any_backend_call(self):
+        q, cands, _ = make_fixture(1)
+        backend = ScriptedBackend([])
+        with pytest.raises(MissingDoc, match="d1"):
+            rerank_listwise(q, cands, {}, backend, retry=NO_SLEEP)
+        assert backend.calls == []
+
+    def test_missing_doc_in_the_front_window_fails_before_any_backend_call(self):
+        q, cands, docs = make_fixture(30)
+        del docs["d1"]
+        backend = ScriptedBackend([])
+        with pytest.raises(MissingDoc, match="d1"):
+            rerank_listwise(q, cands, docs, backend, window=WindowConfig(10, 5), retry=NO_SLEEP)
+        assert backend.calls == []
+
+    def test_each_candidate_is_looked_up_once_per_query(self):
+        class CountingDocs(dict):
+            lookups = 0
+
+            def __getitem__(self, key):
+                CountingDocs.lookups += 1
+                return super().__getitem__(key)
+
+        q, cands, docs = make_fixture(100)
+        out = rerank_listwise(q, cands, CountingDocs(docs), IdentityBackend(),
+                              window=WindowConfig(20, 10), retry=NO_SLEEP)
+        assert out.doc_ids == cands.doc_ids
+        # nine overlapping windows, but one lookup per candidate
+        assert CountingDocs.lookups == 100
 
     def test_malformed_output_is_repaired(self):
         q, cands, docs = make_fixture(3)
@@ -223,6 +275,31 @@ class TestRerankMany:
         assert failed == ["q2"]
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == ["query q2 failed: query q2 is in the run but not in the queries"]
+
+    def test_an_unreadable_image_fails_only_its_query(self, tmp_path):
+        (tmp_path / "a.png").write_bytes(b"png")
+        docs = {did: Document(id=did, image_ref=str(tmp_path / f"{did}.png"), modality="image")
+                for did in ("a", "gone")}
+        docs["b"] = Document(id="b", image_ref="https://cdn.example/b.png", modality="image")
+        queries = [Query(id="q1", text="t"), Query(id="q2", text="t")]
+        lists = {"q1": CandidateList("q1", ("a", "b")), "q2": CandidateList("q2", ("a", "gone"))}
+        backend = HttpBackend(endpoint="http://x", model="m",
+                              session=ReplySession([reply("[2] > [1]")]))
+        results, failed = rerank_many(queries, lists, docs, backend, mode="multimodal",
+                                      retry=NO_SLEEP)
+        assert [r.doc_ids for r in results] == [("b", "a")]
+        assert failed == ["q2"]
+
+    @pytest.mark.parametrize("bad", [{"choices": None}, reply(None), reply(7)])
+    def test_a_reply_without_string_content_fails_only_its_query(self, bad):
+        q1, c1, docs = make_fixture(3, "q1")
+        q2, c2, _ = make_fixture(3, "q2")
+        backend = HttpBackend(endpoint="http://x", model="m",
+                              session=ReplySession([bad, reply("[3] > [2] > [1]")]))
+        results, failed = rerank_many([q1, q2], {"q1": c1, "q2": c2}, docs, backend,
+                                      retry=NO_SLEEP)
+        assert [(r.query_id, r.doc_ids) for r in results] == [("q2", ("d3", "d2", "d1"))]
+        assert failed == ["q1"]
 
     def test_parallel_matches_serial(self):
         docs = {}
