@@ -288,6 +288,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _trim_heap() -> None:
+    """Hand the heap pages the command freed back to the OS (glibc only).
+
+    Freeing a corpus-sized matrix raises glibc's mmap threshold past its
+    size, so the next command's matrix comes from the heap, and a freed heap
+    block stays resident.  Once small objects land in it, a later command in
+    the same process cannot reuse it and holds two corpus matrices: its peak
+    RSS would depend on the heap layout, by one matrix."""
+    import ctypes
+
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim(0)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and map its outcome to the exit code."""
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
@@ -300,6 +315,8 @@ def main(argv: list[str] | None = None) -> int:
     except (RankkitError, OSError, json.JSONDecodeError) as exc:
         logger.error("%s", exc)
         return EXIT_FATAL
+    finally:
+        _trim_heap()
     if failed:
         logger.error("%d queries failed: %s", len(failed), ", ".join(failed))
         return EXIT_PARTIAL

@@ -387,8 +387,15 @@ def kmeans_centroid_select(
     rng = np.random.default_rng(seed)
     centroids = x[rng.permutation(n)[:k]].copy()
     assign = np.zeros(n, dtype=int)
+    # One N x k x d buffer for every iteration: a fresh one each time could
+    # land in a heap hole that small objects have since split, and the peak
+    # RSS would then depend on the heap layout.
+    diff = np.empty((n, k, x.shape[1]))
+    d2 = np.empty((n, k))
     for _ in range(KMEANS_MAX_ITERS):
-        d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        np.subtract(x[:, None, :], centroids[None, :, :], out=diff)
+        np.square(diff, out=diff)
+        diff.sum(axis=2, out=d2)
         new_assign = np.argmin(d2, axis=1)
         sizes = np.bincount(new_assign, minlength=k)
         for c in np.flatnonzero(sizes == 0):

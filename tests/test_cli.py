@@ -729,6 +729,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert not (workspace / "o").exists()
 
+    def test_every_run_command_trims_the_heap_whatever_its_outcome(self, workspace,
+                                                                   monkeypatch):
+        cli._trim_heap()  # callable as it stands, glibc or not
+        trims = []
+        monkeypatch.setattr(cli, "_trim_heap", lambda: trims.append(1))
+        select = ["select", "--embeddings", workspace / "doc_embs.jsonl", "--k", 2]
+        assert run_cli(*select, "--out", workspace / "sel.jsonl") == 0
+        assert run_cli(*select[:2], workspace / "missing.jsonl", *select[3:],
+                       "--out", workspace / "o") == 1
+        assert len(trims) == 2
+
     @pytest.mark.parametrize("argv", [["--help"], ["eval", "--help"], ["rerank", "-h"]])
     def test_help_exits_0(self, capsys, argv):
         assert run_cli(*argv) == 0
