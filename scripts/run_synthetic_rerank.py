@@ -15,7 +15,7 @@ import numpy as np
 
 from rankkit.backends import IdentityBackend, OracleBackend, ReverseBackend
 from rankkit.engine import WindowConfig, rerank_many
-from rankkit.metrics import Qrels, mrr, ndcg_at_k, run_from_candidates, write_run
+from rankkit.metrics import Qrels, mrr, ndcg_at_k, ranked_by_query, run_from_candidates, write_run
 from rankkit.types import CandidateList, Document, Query
 
 logger = logging.getLogger("run_synthetic_rerank")
@@ -39,8 +39,9 @@ def build_task(n_queries, n_candidates, seed):
 
 
 def evaluate(qrels, run):
-    return (ndcg_at_k(qrels, run, 10).mean,
-            mrr(qrels, run, rel_threshold=1).mean)
+    ranked = ranked_by_query(run)
+    return (ndcg_at_k(qrels, ranked, 10).mean,
+            mrr(qrels, ranked, rel_threshold=1).mean)
 
 
 def main():

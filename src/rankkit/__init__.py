@@ -31,7 +31,7 @@ from .ranking_math import (
     plackett_luce_prob,
 )
 from .engine import WindowConfig, rerank_listwise, rerank_pairwise
-from .metrics import Qrels, RunEntry, kendall_tau, mrr, ndcg_at_k, recall_at_k
+from .metrics import Qrels, RunEntry, kendall_tau, mrr, ndcg_at_k, ranked_by_query, recall_at_k
 from .pipeline import PipelineConfig, TeacherLabel, confidence_filter, confidence_score, distill
 
 __version__ = "0.1.0"

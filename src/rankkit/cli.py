@@ -168,19 +168,19 @@ def cmd_distill(args: argparse.Namespace) -> list[str]:
 
 def cmd_eval(args: argparse.Namespace) -> None:
     qrels = metrics.read_qrels(args.qrels, groups_path=args.groups)
-    run = metrics.read_run(args.run)
+    ranked = metrics.ranked_by_query(metrics.read_run(args.run))
     reports = []
     for item in args.metrics.split(","):
         item = item.strip().lower()
         name, _, cutoff = item.partition("@")
         if item == "mrr":
-            reports.append(metrics.mrr(qrels, run, rel_threshold=args.rel_threshold))
+            reports.append(metrics.mrr(qrels, ranked, rel_threshold=args.rel_threshold))
         elif name not in ("ndcg", "recall") or not cutoff.isdecimal():
             raise RankkitError(f"unknown metric {item!r}; expected ndcg@K, recall@K or mrr")
         elif name == "ndcg":
-            reports.append(metrics.ndcg_at_k(qrels, run, int(cutoff), gain=args.gain))
+            reports.append(metrics.ndcg_at_k(qrels, ranked, int(cutoff), gain=args.gain))
         else:
-            reports.append(metrics.recall_at_k(qrels, run, int(cutoff),
+            reports.append(metrics.recall_at_k(qrels, ranked, int(cutoff),
                                                rel_threshold=args.rel_threshold))
     payload = {
         "config": {

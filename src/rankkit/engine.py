@@ -26,6 +26,7 @@ from .prompts import (
     append_turns,
     build_listwise_prompt,
     build_pairwise_prompt,
+    check_modality,
 )
 from .types import CandidateList, Document, Permutation, Query, identity_permutation
 
@@ -127,13 +128,15 @@ def rerank_listwise(
     """Sliding-window listwise rerank of one candidate list.
 
     The result is always a permutation of the input ids, best first.  Every
-    candidate is looked up in ``docs`` before the first backend call.
+    candidate is looked up in ``docs`` and held to the modality rule of
+    ``mode`` before the first backend call.
     """
     if not candidates.doc_ids:
         raise InvariantViolation(f"query {query.id}: empty candidate list")
     window = window or WindowConfig()
     retry = retry or RetryPolicy()
     ranked = resolve_docs(candidates.doc_ids, docs)
+    check_modality(ranked, mode)
     if len(ranked) == 1:
         return CandidateList(query.id, candidates.doc_ids)
     for w_index, s in enumerate(window_starts(len(ranked), window)):
@@ -152,19 +155,24 @@ def rerank_pairwise(
     candidates: CandidateList,
     docs: Mapping[str, Document],
     backend: Backend,
+    mode: str = "text",
     retry: RetryPolicy | None = None,
     report: RerankReport | None = None,
 ) -> CandidateList:
     """Pairwise rerank: one relevance question per candidate, relevant docs
-    promoted ahead of irrelevant ones with stable order inside each part."""
+    promoted ahead of irrelevant ones with stable order inside each part.
+    Every candidate is looked up and held to the modality rule of ``mode``
+    before the first backend call."""
     if not candidates.doc_ids:
         raise InvariantViolation(f"query {query.id}: empty candidate list")
     retry = retry or RetryPolicy()
     report = report if report is not None else RerankReport()
+    resolved = resolve_docs(candidates.doc_ids, docs)
+    check_modality(resolved, mode)
     relevant: list[str] = []
     irrelevant: list[str] = []
-    for did, doc in zip(candidates.doc_ids, resolve_docs(candidates.doc_ids, docs)):
-        prompt = build_pairwise_prompt(query, doc)
+    for did, doc in zip(candidates.doc_ids, resolved):
+        prompt = build_pairwise_prompt(query, doc, mode=mode)
         raw = call_with_retries(backend, prompt, retry)
         report.backend_calls += 1
         try:
@@ -227,7 +235,7 @@ def rerank_many(
         cands = candidate_lists[q.id]
         if method == "listwise":
             return rerank_listwise(q, cands, docs, backend, window=window, mode=mode, retry=retry)
-        return rerank_pairwise(q, cands, docs, backend, retry=retry)
+        return rerank_pairwise(q, cands, docs, backend, mode=mode, retry=retry)
 
     items = [q for q in queries if q.id in candidate_lists]
     items += [SimpleNamespace(id=qid) for qid in candidate_lists if qid not in known]

@@ -5,6 +5,9 @@ Conventions follow trec_eval where the choice matters: nDCG defaults to
 linear gain, queries present in the qrels but absent from the run score 0
 and stay in the mean, and IDCG is computed from all judged grades of the
 query (not just the retrieved ones).
+
+The metrics take a run grouped by ``ranked_by_query``, so a caller that
+computes several metrics groups the run once.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvariantViolation, LengthMismatch, MalformedLine, TooShort
 from .types import Permutation, read_json_object, read_lines
@@ -55,8 +59,9 @@ class Qrels:
         return dict(self._by_query.get(query_id, {}))
 
 
-@dataclass(frozen=True)
-class RunEntry:
+class RunEntry(NamedTuple):
+    """One line of a TREC run file."""
+
     query_id: str
     doc_id: str
     rank: int
@@ -80,12 +85,16 @@ class MetricReport:
         }
 
 
-def ranked_by_query(run: Sequence[RunEntry]) -> dict[str, list[RunEntry]]:
+# query id -> that query's entries, best first: what ``ranked_by_query`` returns
+RankedRun = Mapping[str, Sequence[RunEntry]]
+
+
+def ranked_by_query(run: Iterable[RunEntry]) -> dict[str, list[RunEntry]]:
     """Each query's entries sorted by (rank, doc_id), queries in order of
-    first appearance in ``run``."""
+    first appearance in ``run``.  This is the run that the metrics take."""
     by_query: dict[str, list[RunEntry]] = {}
-    for e in run:
-        by_query.setdefault(e.query_id, []).append(e)
+    for qid, entries in groupby(run, key=attrgetter("query_id")):
+        by_query.setdefault(qid, []).extend(entries)
     key = attrgetter("rank", "doc_id")
     for group in by_query.values():
         group.sort(key=key)
@@ -102,7 +111,7 @@ def _gain(grade: int, gain: str) -> float:
 
 def ndcg_at_k(
     qrels: Qrels,
-    run: Sequence[RunEntry],
+    ranked: RankedRun,
     k: int,
     gain: str = "linear",
 ) -> MetricReport:
@@ -113,7 +122,6 @@ def ndcg_at_k(
     """
     if k < 1:
         raise InvariantViolation(f"k must be >= 1, got {k}")
-    ranked = ranked_by_query(run)
     per_query: "OrderedDict[str, float]" = OrderedDict()
     for qid in qrels.query_ids():
         grades = qrels.grades_for(qid)
@@ -131,9 +139,8 @@ def ndcg_at_k(
     return MetricReport(f"ndcg@{k}", per_query, mean, {"gain": gain})
 
 
-def mrr(qrels: Qrels, run: Sequence[RunEntry], rel_threshold: int = 1) -> MetricReport:
+def mrr(qrels: Qrels, ranked: RankedRun, rel_threshold: int = 1) -> MetricReport:
     """Reciprocal rank of the first retrieved doc with grade >= threshold."""
-    ranked = ranked_by_query(run)
     per_query: "OrderedDict[str, float]" = OrderedDict()
     for qid in qrels.query_ids():
         grades = qrels.grades_for(qid)
@@ -149,7 +156,7 @@ def mrr(qrels: Qrels, run: Sequence[RunEntry], rel_threshold: int = 1) -> Metric
 
 def recall_at_k(
     qrels: Qrels,
-    run: Sequence[RunEntry],
+    ranked: RankedRun,
     k: int,
     rel_threshold: int = 1,
 ) -> MetricReport:
@@ -161,7 +168,6 @@ def recall_at_k(
     """
     if k < 1:
         raise InvariantViolation(f"k must be >= 1, got {k}")
-    ranked = ranked_by_query(run)
     per_query: "OrderedDict[str, float]" = OrderedDict()
     skipped: list[str] = []
     for qid in qrels.query_ids():
@@ -190,25 +196,46 @@ def recall_at_k(
     )
 
 
+def _sort_counting_inversions(seq: list[int]) -> tuple[list[int], int]:
+    """``seq`` sorted, and the number of pairs i < j with seq[i] > seq[j]:
+    a merge sort, O(n log n)."""
+    n = len(seq)
+    if n < 2:
+        return seq, 0
+    left, inv_left = _sort_counting_inversions(seq[: n // 2])
+    right, inv_right = _sort_counting_inversions(seq[n // 2 :])
+    merged: list[int] = []
+    count = inv_left + inv_right
+    i = j = 0
+    while i < len(left) and j < len(right):
+        if left[i] <= right[j]:
+            merged.append(left[i])
+            i += 1
+        else:
+            merged.append(right[j])
+            j += 1
+            count += len(left) - i
+    merged += left[i:]
+    merged += right[j:]
+    return merged, count
+
+
 def kendall_tau(perm_a: Permutation, perm_b: Permutation) -> float:
-    """Rank correlation over all index pairs: (concordant - discordant) / C(n,2)."""
+    """Rank correlation over all index pairs: (concordant - discordant) / C(n,2).
+
+    A pair is discordant when ``perm_a`` and ``perm_b`` order its two items
+    differently; orderings have no ties, so every other pair is concordant.
+    """
     n = len(perm_a)
     if n != len(perm_b):
         raise LengthMismatch(f"{n} vs {len(perm_b)}")
     if n < 2:
         raise TooShort("kendall tau needs n >= 2")
-    pos_a = {v: i for i, v in enumerate(perm_a.order)}
     pos_b = {v: i for i, v in enumerate(perm_b.order)}
-    concordant = discordant = 0
-    items = list(pos_a)
-    for i in range(n):
-        for j in range(i + 1, n):
-            da = pos_a[items[i]] - pos_a[items[j]]
-            db = pos_b[items[i]] - pos_b[items[j]]
-            if da * db > 0:
-                concordant += 1
-            elif da * db < 0:
-                discordant += 1
+    if len(pos_b) != n or set(perm_a.order) != pos_b.keys():
+        raise InvariantViolation("kendall tau needs two orderings of the same items")
+    _, discordant = _sort_counting_inversions([pos_b[v] for v in perm_a.order])
+    concordant = n * (n - 1) // 2 - discordant
     return (concordant - discordant) / (n * (n - 1) / 2)
 
 

@@ -80,6 +80,18 @@ PARSE_RETRY_REMINDER = (
 )
 
 
+def check_modality(docs: Sequence[Document], mode: str) -> None:
+    """The modality rule of every prompt: in text mode each doc needs text,
+    in multimodal mode an image_ref."""
+    if mode not in MODES:
+        raise InvariantViolation(f"unknown prompt mode {mode!r}")
+    for d in docs:
+        if mode == "text" and not d.text:
+            raise MissingModality(f"doc {d.id} has no text for text-mode ranking")
+        if mode == "multimodal" and not d.image_ref:
+            raise MissingModality(f"doc {d.id} has no image_ref for multimodal ranking")
+
+
 def build_listwise_prompt(
     query: Query,
     docs: Sequence[Document],
@@ -89,14 +101,10 @@ def build_listwise_prompt(
     n = len(docs)
     if n < 2:
         raise TooFewDocs(f"listwise ranking needs at least 2 docs, got {n}")
-    if mode not in MODES:
-        raise InvariantViolation(f"unknown prompt mode {mode!r}")
+    check_modality(docs, mode)
 
     turns: list[Turn] = []
     if mode == "text":
-        for d in docs:
-            if not d.text:
-                raise MissingModality(f"doc {d.id} has no text for text-mode ranking")
         turns.append(Turn("system", TEXT_LISTWISE_SYSTEM))
         turns.append(
             Turn(
@@ -120,9 +128,6 @@ def build_listwise_prompt(
             )
         )
     else:
-        for d in docs:
-            if not d.image_ref:
-                raise MissingModality(f"doc {d.id} has no image_ref for multimodal ranking")
         turns.append(Turn("system", MM_LISTWISE_SYSTEM))
         turns.append(
             Turn(
@@ -155,15 +160,16 @@ def build_listwise_prompt(
     )
 
 
-def build_pairwise_prompt(query: Query, doc: Document) -> PromptScript:
-    """Single yes/no relevance question for one document."""
-    if doc.text is None and doc.image_ref is None:
-        raise MissingModality(f"doc {doc.id} carries neither text nor image")
+def build_pairwise_prompt(query: Query, doc: Document, mode: str = "text") -> PromptScript:
+    """Single yes/no relevance question for one document.  Text mode sends
+    the doc's text and no image; multimodal mode sends its image and any
+    text."""
+    check_modality((doc,), mode)
     lines = [f"Query: {query.text}"]
     if doc.text:
         lines.append(f"Document Text: {doc.text}")
     refs: tuple[str, ...] = ()
-    if doc.image_ref:
+    if mode == "multimodal":
         lines.append("Document Image: [Attached]")
         refs = (doc.image_ref,)
     lines.append("Is this document relevant to the query? Answer only 'Yes' or 'No'.")

@@ -22,7 +22,9 @@ from rankkit.embedding import (
     greedy_diversity_select,
 )
 from rankkit.errors import Unparseable
-from rankkit.metrics import mrr, ndcg_at_k, read_run, recall_at_k, run_from_candidates, write_run
+from rankkit.metrics import (
+    mrr, ndcg_at_k, ranked_by_query, read_run, recall_at_k, run_from_candidates, write_run,
+)
 from rankkit.parsing import parse_ranking, render_ranking
 from rankkit.ranking_math import listwise_loss, listwise_loss_grad, plackett_luce_prob
 from rankkit.types import Document, Permutation, write_documents
@@ -172,7 +174,7 @@ class TestMetricOracle:
             qrels = Qrels()
             for doc, g in grades.items():
                 qrels.add("q", doc, g)
-            run = run_from_candidates("q", ranked)
+            run = ranked_by_query(run_from_candidates("q", ranked))
             for k in (10, 50):
                 ref, _, _ = reference_metrics(grades, ranked, k)
                 got = ndcg_at_k(qrels, run, k).per_query["q"]
@@ -199,7 +201,8 @@ class TestMetricOracle:
         qrels = Qrels()
         qrels.add("q1", "d1", 3)
         qrels.add("q1", "d2", 1)
-        got = ndcg_at_k(qrels, run_from_candidates("q1", ["d2", "d1"]), 10).per_query["q1"]
+        ranked = ranked_by_query(run_from_candidates("q1", ["d2", "d1"]))
+        got = ndcg_at_k(qrels, ranked, 10).per_query["q1"]
         expected = (1.0 + 3.0 / math.log2(3)) / (3.0 + 1.0 / math.log2(3))
         verdict(
             f"metrics: hand-derived nDCG fixture matches within 1e-9 "
@@ -302,7 +305,7 @@ class TestEndToEndRerank:
         from rankkit.metrics import read_qrels
 
         qrels = read_qrels(str(ws / "qrels.txt"))
-        input_score = ndcg_at_k(qrels, inp, 10).mean
+        input_score = ndcg_at_k(qrels, ranked_by_query(inp), 10).mean
         moved = input_score < 1.0
         verdict(
             "end to end: oracle mock rerank lifts nDCG@10 from "

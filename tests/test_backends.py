@@ -197,7 +197,7 @@ class TestMessageSerialization:
         img = tmp_path / "chart.png"
         img.write_bytes(b"\x89PNG fake")
         doc = Document(id="h1", text="quarterly revenue", image_ref=str(img), modality="hybrid")
-        script = build_pairwise_prompt(Q, doc)
+        script = build_pairwise_prompt(Q, doc, mode="multimodal")
         messages = script_to_messages(script)
         parts = messages[1]["content"]
         assert parts[0]["type"] == "text"
@@ -209,12 +209,12 @@ class TestMessageSerialization:
         ref = str(tmp_path / "gone.png")
         doc = Document(id="h1", text="quarterly revenue", image_ref=ref, modality="hybrid")
         with pytest.raises(MissingModality, match="gone.png") as exc:
-            script_to_messages(build_pairwise_prompt(Q, doc))
+            script_to_messages(build_pairwise_prompt(Q, doc, mode="multimodal"))
         assert not isinstance(exc.value, BackendError)
 
     def test_remote_image_passes_through(self):
         doc = Document(id="h1", image_ref="https://cdn.example/x.jpg", modality="image")
-        script = build_pairwise_prompt(Q, doc)
+        script = build_pairwise_prompt(Q, doc, mode="multimodal")
         parts = script_to_messages(script)[1]["content"]
         assert parts[1]["image_url"]["url"] == "https://cdn.example/x.jpg"
 

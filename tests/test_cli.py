@@ -261,6 +261,30 @@ class TestRerank:
                [(e.query_id, e.doc_id) for e in run]
 
 
+    @pytest.mark.parametrize("method,candidates", [
+        ("--listwise", ["img"]),
+        ("--pairwise", ["img"]),
+        ("--pairwise", ["d1", "img"]),
+    ])
+    def test_every_method_fails_an_image_only_doc_in_text_mode(self, workspace, caplog,
+                                                                method, candidates):
+        with open(workspace / "corpus.jsonl", "a") as fh:
+            fh.write(json.dumps({"id": "img", "image_ref": "img.png", "modality": "image"}) + "\n")
+        with open(workspace / "queries.jsonl", "a") as fh:
+            fh.write(json.dumps({"id": "q4", "text": "find the image"}) + "\n")
+        run = read_run(str(workspace / "input.run"))
+        write_run(run + run_from_candidates("q4", candidates, tag="bm25"),
+                  str(workspace / "mixed.run"))
+        out = workspace / "text_mode.run"
+        code = run_cli("rerank", method, "--run", workspace / "mixed.run",
+                       "--queries", workspace / "queries.jsonl",
+                       "--corpus", workspace / "corpus.jsonl",
+                       "--backend", "identity", "--mode", "text", "--out", out)
+        assert code == 2
+        assert {e.query_id for e in read_run(str(out))} == {"q1", "q2", "q3"}
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors[0] == "query q4 failed: doc img has no text for text-mode ranking"
+
     def test_listwise_and_pairwise_set_one_method(self):
         base = ["rerank", "--run", "r", "--queries", "q", "--corpus", "c", "--out", "o"]
         parse = cli.build_parser().parse_args
@@ -388,6 +412,23 @@ class TestDistill:
                     "--backend", "identity", "--top-k", 4, "--seed", 3, "--out", out)
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestEval:
+    def test_line_order_of_the_run_does_not_change_the_report(self, workspace):
+        lines = (workspace / "input.run").read_text().splitlines(keepends=True)
+        shuffled = [lines[i] for i in np.random.default_rng(5).permutation(len(lines))]
+        qids = [line.split()[0] for line in shuffled]
+        # interleaved: far more query changes between neighbours than queries
+        assert sum(a != b for a, b in zip(qids, qids[1:])) > 2 * len(set(qids))
+        (workspace / "shuffled.run").write_text("".join(shuffled))
+        reports = []
+        for name in ("input.run", "shuffled.run"):
+            out = workspace / f"{name}.eval.json"
+            assert run_cli("eval", "--run", workspace / name, "--qrels", workspace / "qrels.txt",
+                           "--metrics", "ndcg@3,mrr,recall@5", "--out", out) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestConfigAndErrors:

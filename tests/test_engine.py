@@ -22,7 +22,13 @@ from rankkit.engine import (
     rerank_pairwise,
     window_starts,
 )
-from rankkit.errors import BackendError, InvariantViolation, MissingDoc, TransportError
+from rankkit.errors import (
+    BackendError,
+    InvariantViolation,
+    MissingDoc,
+    MissingModality,
+    TransportError,
+)
 from rankkit.types import CandidateList, Document, Query
 
 NO_SLEEP = RetryPolicy(sleep=lambda _: None)
@@ -109,6 +115,17 @@ class TestRerankListwise:
         out = rerank_listwise(q, cands, docs, backend, retry=NO_SLEEP)
         assert out.doc_ids == ("d1",)
 
+    @pytest.mark.parametrize("mode,doc", [
+        ("text", Document(id="d1", image_ref="d1.png", modality="image")),
+        ("multimodal", Document(id="d1", text="passage number 1")),
+    ])
+    def test_singleton_follows_the_modality_rule_without_a_backend_call(self, mode, doc):
+        q, cands, _ = make_fixture(1)
+        backend = ScriptedBackend([])
+        with pytest.raises(MissingModality, match="doc d1 has no"):
+            rerank_listwise(q, cands, {"d1": doc}, backend, mode=mode, retry=NO_SLEEP)
+        assert backend.calls == []
+
     def test_singleton_missing_from_corpus_fails_before_any_backend_call(self):
         q, cands, _ = make_fixture(1)
         backend = ScriptedBackend([])
@@ -122,6 +139,15 @@ class TestRerankListwise:
         backend = ScriptedBackend([])
         with pytest.raises(MissingDoc, match="d1"):
             rerank_listwise(q, cands, docs, backend, window=WindowConfig(10, 5), retry=NO_SLEEP)
+        assert backend.calls == []
+
+    def test_image_only_doc_in_the_front_window_fails_before_any_backend_call(self):
+        q, cands, docs = make_fixture(30)
+        docs["d1"] = Document(id="d1", image_ref="d1.png", modality="image")
+        backend = ScriptedBackend([])
+        with pytest.raises(MissingModality, match="doc d1 has no text"):
+            rerank_listwise(q, cands, docs, backend, window=WindowConfig(10, 5), mode="text",
+                            retry=NO_SLEEP)
         assert backend.calls == []
 
     def test_each_candidate_is_looked_up_once_per_query(self):
@@ -216,6 +242,29 @@ class TestRerankPairwise:
         q, cands, docs = make_fixture(4)
         out = rerank_pairwise(q, cands, docs, ReverseBackend(), retry=NO_SLEEP)
         assert out.doc_ids == cands.doc_ids
+
+    def test_text_mode_needs_text_and_sends_no_image(self):
+        q, cands, docs = make_fixture(2)
+        docs["d1"] = Document(id="d1", text="passage number 1", image_ref="d1.png",
+                              modality="hybrid")
+        backend = ScriptedBackend(["Yes", "No"])
+        rerank_pairwise(q, cands, docs, backend, mode="text", retry=NO_SLEEP)
+        assert [p.turns[1].image_refs for p in backend.calls] == [(), ()]
+        docs["d2"] = Document(id="d2", image_ref="d2.png", modality="image")
+        backend = ScriptedBackend(["Yes"])
+        with pytest.raises(MissingModality, match="doc d2 has no text for text-mode ranking"):
+            rerank_pairwise(q, cands, docs, backend, mode="text", retry=NO_SLEEP)
+        assert backend.calls == []
+
+    def test_multimodal_mode_needs_an_image_and_sends_it(self):
+        q, cands, docs = make_fixture(1)
+        backend = ScriptedBackend(["Yes"])
+        with pytest.raises(MissingModality, match="doc d1 has no image_ref"):
+            rerank_pairwise(q, cands, docs, backend, mode="multimodal", retry=NO_SLEEP)
+        assert backend.calls == []
+        docs["d1"] = Document(id="d1", image_ref="d1.png", modality="image")
+        rerank_pairwise(q, cands, docs, backend, mode="multimodal", retry=NO_SLEEP)
+        assert backend.calls[0].turns[1].image_refs == ("d1.png",)
 
 
 class TestMapOrdered:

@@ -43,31 +43,32 @@ def make_qrels(entries, groups=None):
 class TestNdcg:
     def test_ideal_ranking_scores_one(self):
         qrels = make_qrels([("q1", "d1", 3), ("q1", "d2", 2), ("q1", "d3", 1)])
-        report = ndcg_at_k(qrels, make_run("q1", ["d1", "d2", "d3"]), 10)
+        report = ndcg_at_k(qrels, ranked_by_query(make_run("q1", ["d1", "d2", "d3"])), 10)
         assert report.per_query["q1"] == pytest.approx(1.0)
 
     def test_hand_derived_fixture(self):
         # qrels {d1:3, d2:1}, run [d2, d1]:
         # DCG = 1/log2(2) + 3/log2(3); IDCG = 3/log2(2) + 1/log2(3)
         qrels = make_qrels([("q1", "d1", 3), ("q1", "d2", 1)])
-        report = ndcg_at_k(qrels, make_run("q1", ["d2", "d1"]), 10, gain="linear")
+        report = ndcg_at_k(qrels, ranked_by_query(make_run("q1", ["d2", "d1"])), 10, gain="linear")
         expected = (1.0 + 3.0 / math.log2(3)) / (3.0 + 1.0 / math.log2(3))
         assert report.per_query["q1"] == pytest.approx(expected, abs=1e-9)
 
     def test_no_relevant_docs_scores_zero(self):
         qrels = make_qrels([("q1", "d1", 0), ("q1", "d2", 0)])
-        report = ndcg_at_k(qrels, make_run("q1", ["d1", "d2"]), 10)
+        report = ndcg_at_k(qrels, ranked_by_query(make_run("q1", ["d1", "d2"])), 10)
         assert report.per_query["q1"] == 0.0
 
     def test_query_missing_from_run_scores_zero_and_counts(self):
         qrels = make_qrels([("q1", "d1", 1), ("q2", "d1", 1)])
-        report = ndcg_at_k(qrels, make_run("q1", ["d1"]), 10)
+        report = ndcg_at_k(qrels, ranked_by_query(make_run("q1", ["d1"])), 10)
         assert report.per_query["q2"] == 0.0
         assert report.mean == pytest.approx(0.5)
 
     def test_exponential_gain(self):
         qrels = make_qrels([("q1", "d1", 2), ("q1", "d2", 1)])
-        report = ndcg_at_k(qrels, make_run("q1", ["d2", "d1"]), 10, gain="exponential")
+        report = ndcg_at_k(qrels, ranked_by_query(make_run("q1", ["d2", "d1"])), 10,
+                           gain="exponential")
         expected = (1.0 + 3.0 / math.log2(3)) / (3.0 + 1.0 / math.log2(3))
         assert report.per_query["q1"] == pytest.approx(expected)
 
@@ -78,54 +79,57 @@ class TestNdcg:
             grades = rng.integers(0, 4, size=n)
             qrels = make_qrels([("q", f"d{i}", int(g)) for i, g in enumerate(grades)])
             order = list(rng.permutation(n))
-            before = ndcg_at_k(qrels, make_run("q", [f"d{i}" for i in order]), n).per_query["q"]
+            before = ndcg_at_k(qrels, ranked_by_query(make_run("q", [f"d{i}" for i in order])),
+                               n).per_query["q"]
             # find an adjacent inversion and fix it
             for pos in range(n - 1):
                 if grades[order[pos]] < grades[order[pos + 1]]:
                     order[pos], order[pos + 1] = order[pos + 1], order[pos]
                     break
-            after = ndcg_at_k(qrels, make_run("q", [f"d{i}" for i in order]), n).per_query["q"]
+            after = ndcg_at_k(qrels, ranked_by_query(make_run("q", [f"d{i}" for i in order])),
+                              n).per_query["q"]
             assert after >= before - 1e-12
 
     def test_binary_grades_all_relevant_first_is_one(self):
         qrels = make_qrels([("q", "d1", 1), ("q", "d2", 0), ("q", "d3", 1)])
-        report = ndcg_at_k(qrels, make_run("q", ["d1", "d3", "d2"]), 10)
+        report = ndcg_at_k(qrels, ranked_by_query(make_run("q", ["d1", "d3", "d2"])), 10)
         assert report.per_query["q"] == pytest.approx(1.0)
 
 
 class TestMrr:
     def test_first_ranked_relevant(self):
         qrels = make_qrels([("q", "d1", 1)])
-        assert mrr(qrels, make_run("q", ["d1", "d2"])).per_query["q"] == 1.0
+        assert mrr(qrels, ranked_by_query(make_run("q", ["d1", "d2"]))).per_query["q"] == 1.0
 
     def test_first_relevant_at_rank_three(self):
         qrels = make_qrels([("q", "d3", 2)])
-        assert mrr(qrels, make_run("q", ["d1", "d2", "d3"])).per_query["q"] == pytest.approx(1 / 3)
+        assert mrr(qrels, ranked_by_query(make_run("q", ["d1", "d2", "d3"]))).per_query["q"] == \
+            pytest.approx(1 / 3)
 
     def test_no_relevant_retrieved(self):
         qrels = make_qrels([("q", "dX", 1)])
-        assert mrr(qrels, make_run("q", ["d1", "d2"])).per_query["q"] == 0.0
+        assert mrr(qrels, ranked_by_query(make_run("q", ["d1", "d2"]))).per_query["q"] == 0.0
 
     def test_threshold_respected(self):
         qrels = make_qrels([("q", "d1", 1), ("q", "d2", 2)])
-        report = mrr(qrels, make_run("q", ["d1", "d2"]), rel_threshold=2)
+        report = mrr(qrels, ranked_by_query(make_run("q", ["d1", "d2"])), rel_threshold=2)
         assert report.per_query["q"] == pytest.approx(0.5)
 
 
 class TestRecall:
     def test_all_relevant_in_top_k(self):
         qrels = make_qrels([("q", "d1", 1), ("q", "d2", 1)])
-        report = recall_at_k(qrels, make_run("q", ["d1", "d2", "d3"]), 3)
+        report = recall_at_k(qrels, ranked_by_query(make_run("q", ["d1", "d2", "d3"])), 3)
         assert report.per_query["q"] == 1.0
 
     def test_partial_recall(self):
         qrels = make_qrels([("q", "d1", 1), ("q", "d2", 1), ("q", "d9", 1)])
-        report = recall_at_k(qrels, make_run("q", ["d1", "d2", "d3"]), 3)
+        report = recall_at_k(qrels, ranked_by_query(make_run("q", ["d1", "d2", "d3"])), 3)
         assert report.per_query["q"] == pytest.approx(2 / 3)
 
     def test_zero_relevant_excluded_and_reported(self):
         qrels = make_qrels([("q1", "d1", 1), ("q2", "d1", 0)])
-        report = recall_at_k(qrels, make_run("q1", ["d1"]), 1)
+        report = recall_at_k(qrels, ranked_by_query(make_run("q1", ["d1"])), 1)
         assert "q2" not in report.per_query
         assert report.extras["skipped_no_relevant"] == ["q2"]
 
@@ -137,15 +141,43 @@ class TestRecall:
             entries += [(q, "d1", 1), (q, "d2", 1)]
             run += make_run(q, ["d1", "dX"])
         qrels = make_qrels(entries, groups={"a1": "A", "b1": "B", "b2": "B", "b3": "B"})
-        report = recall_at_k(qrels, run, 2)
+        report = recall_at_k(qrels, ranked_by_query(run), 2)
         assert report.extras["macro"] == pytest.approx(0.75)
         assert report.extras["micro"] == pytest.approx((1.0 + 0.5 * 3) / 4)
 
     def test_macro_defaults_to_micro_without_groups(self):
         qrels = make_qrels([("q1", "d1", 1), ("q2", "d1", 1)])
         run = make_run("q1", ["d1"]) + make_run("q2", ["dX"])
-        report = recall_at_k(qrels, run, 1)
+        report = recall_at_k(qrels, ranked_by_query(run), 1)
         assert report.extras["macro"] == report.extras["micro"]
+
+
+class TestRunEntry:
+    def test_is_immutable_with_named_fields_and_default_tag(self):
+        e = RunEntry("q1", "d1", 1, 2.5)
+        with pytest.raises(AttributeError):
+            e.rank = 2
+        assert e.tag == "run"
+        assert (e.query_id, e.doc_id, e.rank, e.score) == ("q1", "d1", 1, 2.5)
+        assert RunEntry(query_id="q1", doc_id="d1", rank=1, score=2.5, tag="bm25").tag == "bm25"
+
+
+def kendall_tau_oracle(perm_a, perm_b):
+    """The O(n^2) pair loop that ``kendall_tau`` replaced, kept as its oracle."""
+    n = len(perm_a)
+    pos_a = {v: i for i, v in enumerate(perm_a.order)}
+    pos_b = {v: i for i, v in enumerate(perm_b.order)}
+    concordant = discordant = 0
+    items = list(pos_a)
+    for i in range(n):
+        for j in range(i + 1, n):
+            da = pos_a[items[i]] - pos_a[items[j]]
+            db = pos_b[items[i]] - pos_b[items[j]]
+            if da * db > 0:
+                concordant += 1
+            elif da * db < 0:
+                discordant += 1
+    return (concordant - discordant) / (n * (n - 1) / 2)
 
 
 class TestKendallTau:
@@ -175,6 +207,20 @@ class TestKendallTau:
         r = Permutation(tuple(reversed(order)))
         assert kendall_tau(p, p) == 1.0
         assert kendall_tau(p, r) == -1.0
+
+    @given(st.integers(2, 200).flatmap(lambda n: st.tuples(
+        st.permutations(list(range(1, n + 1))), st.permutations(list(range(1, n + 1))))))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_pair_loop_exactly(self, orders):
+        a, b = (Permutation(tuple(o)) for o in orders)
+        assert kendall_tau(a, b) == kendall_tau_oracle(a, b)
+
+    @pytest.mark.parametrize("other", [(1, 2, 4), (1, 1, 2)])
+    def test_orderings_of_different_items_are_rejected(self, other):
+        with pytest.raises(InvariantViolation):
+            kendall_tau(Permutation((1, 2, 3)), Permutation(other))
+        with pytest.raises(InvariantViolation):
+            kendall_tau(Permutation(other), Permutation((1, 2, 3)))
 
 
 QIDS = ["q1", "q2", "q10"]
@@ -254,7 +300,8 @@ class TestRankedByQuery:
             assert list(ranked_by_query(entries).items()) == expected
         for metric in (lambda r: ndcg_at_k(qrels, r, 2), lambda r: mrr(qrels, r),
                        lambda r: recall_at_k(qrels, r, 2)):
-            assert metric(run).to_json() == metric(shuffled).to_json()
+            assert metric(ranked_by_query(run)).to_json() == \
+                metric(ranked_by_query(shuffled)).to_json()
 
 
 class TestTrecIO:

@@ -80,14 +80,14 @@ class TestPairwisePrompt:
         assert script.turns[1].image_refs == ()
 
     def test_hybrid_doc_attaches_image(self):
-        script = build_pairwise_prompt(Q, HYBRID_DOCS[0])
+        script = build_pairwise_prompt(Q, HYBRID_DOCS[0], mode="multimodal")
         assert "Document Text:" in script.turns[1].text
         assert "Document Image: [Attached]" in script.turns[1].text
         assert script.turns[1].image_refs == ("a.png",)
 
     def test_image_only_doc_omits_text_line(self):
         doc = Document(id="i1", image_ref="x.png", modality="image")
-        script = build_pairwise_prompt(Q, doc)
+        script = build_pairwise_prompt(Q, doc, mode="multimodal")
         assert "Document Text:" not in script.turns[1].text
         assert script.turns[1].image_refs == ("x.png",)
 
