@@ -32,6 +32,6 @@ from .ranking_math import (
 )
 from .engine import WindowConfig, rerank_listwise, rerank_pairwise
 from .metrics import Qrels, RunEntry, kendall_tau, mrr, ndcg_at_k, ranked_by_query, recall_at_k
-from .pipeline import PipelineConfig, TeacherLabel, confidence_filter, confidence_score, distill
+from .pipeline import PipelineConfig, TeacherLabel, confidence_filter, distill
 
 __version__ = "0.1.0"

@@ -44,10 +44,9 @@ class RetryPolicy:
     jitter: float = 0.1
     sleep: Callable[[float], None] = time.sleep
 
-    def delay(self, attempt: int, rng: random.Random | None = None) -> float:
+    def delay(self, attempt: int) -> float:
         d = self.base_delay * (self.factor**attempt)
-        r = rng or random
-        return d * (1.0 + r.uniform(-self.jitter, self.jitter))
+        return d * (1.0 + random.uniform(-self.jitter, self.jitter))
 
 
 def call_with_retries(backend: Backend, prompt: PromptScript, policy: RetryPolicy) -> str:

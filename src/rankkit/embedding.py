@@ -1,9 +1,9 @@
 """Embedding-space geometry and data selection.
 
 Covers cosine/Euclidean similarity, quality filtering of query-document
-pairs, greedy maximum-diversity subset selection with a literal brute-force
-oracle, exact top-k retrieval, and the random / k-means-centroid baseline
-selectors used by the selection ablation.
+pairs, greedy maximum-diversity subset selection, exact top-k retrieval,
+and the random / k-means-centroid baseline selectors used by the selection
+ablation.
 
 Selection is deterministic: every argmin/argmax tie is broken by lowest
 input index, and similarities are computed in float64 regardless of the
@@ -16,7 +16,11 @@ literal ``norm(x - q)``, so it only nominates candidates: every row whose
 distance could, within a rigorous floating-point error bound, reach the
 k-th smallest is re-scored exactly as ``norm(x[rows] - q, axis=1)`` and
 stably sorted by (distance, row).  The ids returned are therefore the same,
-ties included, as a stable sort of the literal distances of every row.
+ties included, as a stable sort of the literal distances of every row.  The
+k-means assignment step certifies each row's nearest centroid with the same
+bound (``_sq_dist_bounds``) and re-scores the rows it leaves undecided with
+the literal ``np.square(x - c).sum()``: its selections are those of the
+literal computation, with rows x k temporaries, not the N x k x d tensor.
 
 ``read_embeddings`` returns ``EmbeddingRows``: one C-contiguous float64
 matrix and a tuple of ids, each record a view of its row, so the index and
@@ -51,15 +55,15 @@ from .errors import (
     InvariantViolation,
     KTooLarge,
     RankkitError,
-    TooLarge,
     ZeroVector,
 )
 from .types import check_id, read_jsonl
 
 logger = logging.getLogger(__name__)
 
-ORACLE_MAX_N = 32
 KMEANS_MAX_ITERS = 50
+# bytes of a k-means block: rows x k bounds, or rows x k x d literal differences
+_BLOCK_BYTES = 1 << 19
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _TINY = np.finfo(np.float64).tiny
@@ -236,48 +240,41 @@ def greedy_diversity_select(
     )
 
 
-def brute_force_diversity_oracle(
-    records: Sequence[EmbeddingRecord],
-    k: int,
-    keep_trace: bool = False,
-) -> SelectionResult:
-    """Literal replay of greedy diversity selection with no incremental state.
+def _sq_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared norms and norms of the rows of ``x`` (or of the vector ``x``)."""
+    sq = np.einsum("...j,...j->...", x, x)  # einsum overflows to inf silently
+    return sq, np.sqrt(sq)
 
-    Every step recomputes each candidate's average similarity to the current
-    selection from scratch with scalar cosine calls.  Capped at small N; this
-    exists only to pin the optimized implementation.
-    """
-    if len(records) > ORACLE_MAX_N:
-        raise TooLarge(f"oracle is capped at N={ORACLE_MAX_N}, got {len(records)}")
-    _rows(records)  # dimension + emptiness checks
-    for r in records:
-        if float(np.linalg.norm(np.asarray(r.vector, dtype=np.float64))) == 0.0:
-            raise ZeroVector(r.id)
-    n = len(records)
-    if k < 1:
-        raise KTooLarge(f"k must be >= 1, got {k}")
-    k = min(k, n)
-    selected = [0]
-    trace = [(records[0].id, 0.0)]
-    while len(selected) < k:
-        best_j = -1
-        best_avg = np.inf
-        for j in range(n):
-            if j in selected:
-                continue
-            total = 0.0
-            for i in selected:
-                total += cosine_sim(records[i].vector, records[j].vector)
-            avg = total / len(selected)
-            if avg < best_avg:
-                best_avg = avg
-                best_j = j
-        selected.append(best_j)
-        trace.append((records[best_j].id, best_avg))
-    return SelectionResult(
-        selected_ids=tuple(records[i].id for i in selected),
-        trace=tuple(trace) if keep_trace else None,
-    )
+
+def _sq_dist_bounds(x: np.ndarray, x_sq: np.ndarray, x_norms: np.ndarray, y: np.ndarray,
+                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on the literal squared distance of each row of
+    ``x`` to each row of ``y`` (or to the vector ``y``) from one product
+    ``x @ y.T``.  ``x_sq``, ``x_norms``: ``_sq_norms(x)``, broadcastable to
+    its shape; ``out``: None or three arrays of its shape to work in.  An
+    overflowed bound is inf or NaN, which callers send to the literal path."""
+    d = x.shape[1]
+    y_sq, y_norms = _sq_norms(y)
+    approx, slack, lower = (None, None, None) if out is None else out
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = np.matmul(x, y.T, out=approx)
+        approx *= -2.0
+        approx += x_sq
+        approx += y_sq
+        # slack bounds |approx - s|, s being the literal sum of squared
+        # differences or the square of the literal norm of the difference:
+        # the three length-d dot products in `approx` err by at most
+        # d*u*(|x| + |y|)^2 together, s lies within (d + 4)*u*|x - y|^2 of
+        # the true squared distance, and |x - y| <= |x| + |y|.  The factor 4
+        # and the +8 cover combining the terms and forming the bound itself;
+        # the tiny term covers underflow.
+        slack = np.add(x_norms, y_norms, out=slack)
+        slack *= slack
+        slack *= 4 * (d + 8) * _UNIT_ROUNDOFF
+        slack += (d + 8) * _TINY
+        lower = np.subtract(approx, slack, out=lower)
+        approx += slack
+        return lower, approx
 
 
 class CorpusIndex:
@@ -293,8 +290,7 @@ class CorpusIndex:
     def __init__(self, records: Sequence[EmbeddingRecord]):
         rows = _rows(records)
         self.matrix = rows.matrix
-        self.sq_norms = np.einsum("ij,ij->i", self.matrix, self.matrix)
-        self.norms = np.sqrt(self.sq_norms)
+        self.sq_norms, self.norms = _sq_norms(self.matrix)
         self.ids = rows.ids
         self.by_id = {ident: i for i, ident in enumerate(self.ids)}
 
@@ -302,23 +298,14 @@ class CorpusIndex:
         """Rows of the k nearest records to ``q``, in the order of
         ``np.argsort(np.linalg.norm(matrix - q, axis=1), kind="stable")[:k]``."""
         x = self.matrix
-        n, d = x.shape
-        k = min(k, n)
-        approx = self.sq_norms - 2.0 * (x @ q) + np.dot(q, q)
-        # slack bounds |approx - r^2|, r being the literal row distance: the
-        # three length-d dot products in `approx` err by at most
-        # d*u*(|x| + |q|)^2 together, r^2 lies within (d + 4)*u*|x - q|^2 of
-        # the true squared distance, and |x - q| <= |x| + |q|.  The factor 4
-        # and the +8 cover combining the terms and forming the bound itself;
-        # the tiny term covers underflow.
-        slack = (4 * (d + 8) * _UNIT_ROUNDOFF) * (self.norms + np.linalg.norm(q)) ** 2
-        slack += (d + 8) * _TINY
-        upper = approx + slack
+        k = min(k, x.shape[0])
+        lower, upper = _sq_dist_bounds(x, self.sq_norms, self.norms, q)
         kth_upper = upper[np.argpartition(upper, k - 1)[k - 1]]
         # `not >` keeps the rows whose bound overflowed to NaN; at k = n,
         # kth_upper is the largest bound (or NaN), so every row is kept
-        rows = np.flatnonzero(~(approx - slack > kth_upper))
-        exact = np.linalg.norm(x[rows] - q, axis=1)
+        rows = np.flatnonzero(~(lower > kth_upper))
+        with np.errstate(over="ignore"):
+            exact = np.linalg.norm(x[rows] - q, axis=1)
         return rows[np.argsort(exact, kind="stable")[:k]]
 
 
@@ -386,28 +373,25 @@ def kmeans_centroid_select(
         raise KTooLarge(f"k must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
     centroids = x[rng.permutation(n)[:k]].copy()
+    # one set of work arrays per run: fresh ones per block fault their pages
+    # in anew (twice the time of a step) and shift the heap layout
+    work = np.empty((3, max(1, min(n, _BLOCK_BYTES // (8 * k))), k))
     assign = np.zeros(n, dtype=int)
-    # One N x k x d buffer for every iteration: a fresh one each time could
-    # land in a heap hole that small objects have since split, and the peak
-    # RSS would then depend on the heap layout.
-    diff = np.empty((n, k, x.shape[1]))
-    d2 = np.empty((n, k))
-    for _ in range(KMEANS_MAX_ITERS):
-        np.subtract(x[:, None, :], centroids[None, :, :], out=diff)
-        np.square(diff, out=diff)
-        diff.sum(axis=2, out=d2)
-        new_assign = np.argmin(d2, axis=1)
+    for it in range(KMEANS_MAX_ITERS):
+        new_assign = _nearest_centroids(x, centroids, work)
         sizes = np.bincount(new_assign, minlength=k)
-        for c in np.flatnonzero(sizes == 0):
-            # an emptied cluster grabs the point farthest from its centroid
-            # among clusters of two or more, so no cluster is left empty
-            far_d2 = np.where(sizes[new_assign] > 1, d2[np.arange(n), new_assign], -np.inf)
-            far = int(np.argmax(far_d2))
-            sizes[new_assign[far]] -= 1
-            sizes[c] = 1
-            new_assign[far] = c
-        if np.array_equal(new_assign, assign) and _ > 0:
-            assign = new_assign
+        empty = np.flatnonzero(sizes == 0)
+        if empty.size:
+            with np.errstate(over="ignore"):
+                own_d2 = np.square(x - centroids[new_assign]).sum(axis=1)
+            for c in empty:
+                # an emptied cluster grabs the point farthest from its centroid
+                # among clusters of two or more, so no cluster is left empty
+                far = int(np.argmax(np.where(sizes[new_assign] > 1, own_d2, -np.inf)))
+                sizes[new_assign[far]] -= 1
+                sizes[c] = 1
+                new_assign[far] = c
+        if np.array_equal(new_assign, assign) and it > 0:
             break
         assign = new_assign
         for c in range(k):
@@ -415,9 +399,40 @@ def kmeans_centroid_select(
     reps = []
     for c in range(k):
         members = np.flatnonzero(assign == c)
-        dists = np.linalg.norm(x[members] - centroids[c], axis=1)
-        reps.append(int(members[int(np.argmin(dists))]))
+        with np.errstate(over="ignore"):
+            reps.append(members[np.argmin(np.linalg.norm(x[members] - centroids[c], axis=1))])
     return SelectionResult(selected_ids=tuple(rows.ids[i] for i in reps))
+
+
+def _nearest_centroids(x: np.ndarray, centroids: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Each row's centroid of least literal squared distance, lowest index on
+    ties: its best centroid when no other centroid's lower bound reaches that
+    one's upper bound, else re-scored literally.  ``work``: 3 x rows x k."""
+    out = np.empty(x.shape[0], dtype=np.intp)
+    x_sq, x_norms = _sq_norms(x)
+    for start in range(0, x.shape[0], work.shape[1]):
+        block = slice(start, start + work.shape[1])
+        rows = x[block]
+        lower, upper = _sq_dist_bounds(rows, x_sq[block, None], x_norms[block, None],
+                                       centroids, work[:, :rows.shape[0]])
+        at = np.arange(rows.shape[0])
+        out[block] = best = np.argmin(upper, axis=1)
+        best_upper = upper[at, best]
+        lower[at, best] = np.inf
+        undecided = start + np.flatnonzero(~(lower.min(axis=1) > best_upper))  # NaN too
+        out[undecided] = _literal_nearest(x[undecided], centroids)
+    return out
+
+
+def _literal_nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Each row's ``argmin`` of ``np.square(x_i - centroids).sum(axis=1)``."""
+    out = np.empty(x.shape[0], dtype=np.intp)
+    step = max(1, _BLOCK_BYTES // (8 * centroids.size))
+    with np.errstate(over="ignore"):
+        for start in range(0, x.shape[0], step):
+            d2 = np.square(x[start:start + step, None, :] - centroids[None]).sum(axis=2)
+            out[start:start + step] = np.argmin(d2, axis=1)
+    return out
 
 
 # --- JSON-lines embedding I/O ---

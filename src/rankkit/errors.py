@@ -57,10 +57,6 @@ class EmptyCollection(RankkitError):
     pass
 
 
-class TooLarge(RankkitError):
-    pass
-
-
 class KTooLarge(RankkitError):
     pass
 

@@ -42,13 +42,10 @@ class Qrels:
         for (q, d), g in self.judgments.items():
             self._by_query.setdefault(q, {})[d] = g
 
-    def add(self, query_id: str, doc_id: str, grade: int, strict: bool = False) -> None:
+    def add(self, query_id: str, doc_id: str, grade: int) -> None:
         if grade < 0:
             raise InvariantViolation(f"negative grade for ({query_id}, {doc_id})")
-        key = (query_id, doc_id)
-        if strict and key in self.judgments:
-            raise InvariantViolation(f"duplicate judgment for {key}")
-        self.judgments[key] = grade
+        self.judgments[query_id, doc_id] = grade
         self._by_query.setdefault(query_id, {})[doc_id] = grade
 
     def query_ids(self) -> list[str]:
@@ -242,17 +239,21 @@ def kendall_tau(perm_a: Permutation, perm_b: Permutation) -> float:
 # --- TREC file I/O ---
 
 
-def read_qrels(path: str, strict: bool = False, groups_path: str | None = None) -> Qrels:
+def read_qrels(path: str, groups_path: str | None = None) -> Qrels:
     """Parse whitespace-separated ``qid 0 docid grade`` lines; an optional
-    JSON sidecar maps query ids to group keys for macro aggregation."""
+    JSON sidecar maps query ids to group keys for macro aggregation.  A
+    second judgment of one (qid, docid) is a malformed line."""
     qrels = Qrels()
     for lineno, line in read_lines(path):
         fields = line.split()
         if len(fields) != 4:
             raise MalformedLine(path, lineno, line, f"expected 4 fields, got {len(fields)}")
         qid, _, did, grade = fields
+        if (qid, did) in qrels.judgments:  # rare: read the file again for the first line
+            first = next(n for n, old in read_lines(path) if old.split()[::2] == [qid, did])
+            raise MalformedLine(path, lineno, line, f"repeats the judgment of line {first}")
         try:
-            qrels.add(qid, did, int(grade), strict=strict)
+            qrels.add(qid, did, int(grade))
         except (ValueError, InvariantViolation) as exc:
             raise MalformedLine(path, lineno, line, str(exc)) from exc
     if groups_path:

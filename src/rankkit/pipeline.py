@@ -33,7 +33,7 @@ from .embedding import (
 from .engine import RerankReport, WindowConfig, map_ordered, rank_window, resolve_docs
 from .errors import ConfigError, MalformedLine, RankkitError
 from .metrics import kendall_tau
-from .prompts import MODES, build_listwise_prompt
+from .prompts import MODES, build_listwise_prompt, check_modality
 from .types import (
     Document,
     Permutation,
@@ -167,11 +167,6 @@ def raw_confidence(teacher_perm: Permutation, repair_count: int) -> float:
     return max(-1.0, min(1.0, tau - REPAIR_PENALTY * repair_count))
 
 
-def confidence_score(label: TeacherLabel) -> float:
-    """Retrieval-agreement confidence of a teacher label (see module docstring)."""
-    return raw_confidence(label.teacher_perm, label.repair_count)
-
-
 def confidence_filter(labels: Sequence[TeacherLabel], budget: int) -> list[TeacherLabel]:
     """Top ``budget`` labels by confidence descending, ties by query id."""
     if budget < 1:
@@ -202,20 +197,20 @@ def distill_one(
         docs = resolve_docs(candidate_ids, corpus)
     else:
         docs = [_placeholder_doc(did, cfg.mode) for did in candidate_ids]
+    check_modality(docs, cfg.mode)
     report = RerankReport()
     if len(docs) == 1:
         perm = identity_permutation(1)
     else:
         prompt = build_listwise_prompt(query, docs, mode=cfg.mode)
         perm = rank_window(backend, prompt, len(docs), RetryPolicy(), report=report)
-    tag = type(backend).__name__
     return TeacherLabel(
         query_id=query.id,
         candidate_ids=tuple(candidate_ids),
         teacher_perm=perm,
         confidence=raw_confidence(perm, report.repair_count),
         repair_count=report.repair_count,
-        backend_tag=tag,
+        backend_tag=type(backend).__name__,
     )
 
 

@@ -38,7 +38,6 @@ class LossReport:
     loss: float
     per_step_terms: tuple[float, ...]
     temperature: float
-    gradient: tuple[float, ...] | None = None
 
 
 def _check_args(scores: np.ndarray, perm: Permutation) -> None:

@@ -104,12 +104,6 @@ class Permutation:
     def __iter__(self) -> Iterator[int]:
         return iter(self.order)
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.order)
-        for pos, idx in enumerate(self.order):
-            inv[idx - 1] = pos + 1
-        return Permutation(tuple(inv))
-
 
 def validate_permutation(order: Sequence[int], n: int) -> Permutation:
     """Check that ``order`` is a bijection on 1..n of integral entries;

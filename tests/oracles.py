@@ -1,0 +1,99 @@
+"""Literal oracles for the selection kernels in ``rankkit.embedding``.
+
+Each oracle recomputes its answer the slow, obvious way, so the tests can
+pin the optimized code against it.  Nothing in the package calls them.
+"""
+
+import numpy as np
+
+from rankkit.embedding import KMEANS_MAX_ITERS, SelectionResult, _rows, cosine_sim
+from rankkit.errors import KTooLarge, RankkitError, ZeroVector
+
+ORACLE_MAX_N = 32
+
+
+class TooLarge(RankkitError):
+    """The input is past what a brute-force oracle replays."""
+
+
+def brute_force_diversity_oracle(records, k, keep_trace=False):
+    """Literal replay of greedy diversity selection with no incremental state.
+
+    Every step recomputes each candidate's average similarity to the current
+    selection from scratch with scalar cosine calls.  Capped at small N; this
+    exists only to pin the optimized implementation.
+    """
+    if len(records) > ORACLE_MAX_N:
+        raise TooLarge(f"oracle is capped at N={ORACLE_MAX_N}, got {len(records)}")
+    _rows(records)  # dimension + emptiness checks
+    for r in records:
+        if float(np.linalg.norm(np.asarray(r.vector, dtype=np.float64))) == 0.0:
+            raise ZeroVector(r.id)
+    n = len(records)
+    if k < 1:
+        raise KTooLarge(f"k must be >= 1, got {k}")
+    k = min(k, n)
+    selected = [0]
+    trace = [(records[0].id, 0.0)]
+    while len(selected) < k:
+        best_j = -1
+        best_avg = np.inf
+        for j in range(n):
+            if j in selected:
+                continue
+            total = 0.0
+            for i in selected:
+                total += cosine_sim(records[i].vector, records[j].vector)
+            avg = total / len(selected)
+            if avg < best_avg:
+                best_avg = avg
+                best_j = j
+        selected.append(best_j)
+        trace.append((records[best_j].id, best_avg))
+    return SelectionResult(
+        selected_ids=tuple(records[i].id for i in selected),
+        trace=tuple(trace) if keep_trace else None,
+    )
+
+
+def kmeans_oracle(records, k, seed):
+    """Lloyd's k-means with the literal N x k x d distance tensor: every
+    step takes ``argmin`` of ``np.square(x - c).sum(axis=2)`` over all rows
+    and centroids, and an emptied cluster grabs the row farthest from its
+    own centroid among clusters of two or more."""
+    rows = _rows(records)
+    x = rows.matrix
+    n = x.shape[0]
+    if k > n:
+        raise KTooLarge(f"k={k} exceeds N={n}")
+    if k < 1:
+        raise KTooLarge(f"k must be >= 1, got {k}")
+    rng = np.random.default_rng(seed)
+    centroids = x[rng.permutation(n)[:k]].copy()
+    assign = np.zeros(n, dtype=int)
+    diff = np.empty((n, k, x.shape[1]))
+    d2 = np.empty((n, k))
+    for _ in range(KMEANS_MAX_ITERS):
+        np.subtract(x[:, None, :], centroids[None, :, :], out=diff)
+        np.square(diff, out=diff)
+        diff.sum(axis=2, out=d2)
+        new_assign = np.argmin(d2, axis=1)
+        sizes = np.bincount(new_assign, minlength=k)
+        for c in np.flatnonzero(sizes == 0):
+            far_d2 = np.where(sizes[new_assign] > 1, d2[np.arange(n), new_assign], -np.inf)
+            far = int(np.argmax(far_d2))
+            sizes[new_assign[far]] -= 1
+            sizes[c] = 1
+            new_assign[far] = c
+        if np.array_equal(new_assign, assign) and _ > 0:
+            assign = new_assign
+            break
+        assign = new_assign
+        for c in range(k):
+            centroids[c] = x[assign == c].mean(axis=0)
+    reps = []
+    for c in range(k):
+        members = np.flatnonzero(assign == c)
+        dists = np.linalg.norm(x[members] - centroids[c], axis=1)
+        reps.append(int(members[int(np.argmin(dists))]))
+    return SelectionResult(selected_ids=tuple(rows.ids[i] for i in reps))

@@ -14,13 +14,10 @@ import time
 
 import numpy as np
 import pytest
+from oracles import brute_force_diversity_oracle
 
 from rankkit import cli
-from rankkit.embedding import (
-    EmbeddingRecord,
-    brute_force_diversity_oracle,
-    greedy_diversity_select,
-)
+from rankkit.embedding import EmbeddingRecord, greedy_diversity_select
 from rankkit.errors import Unparseable
 from rankkit.metrics import (
     mrr, ndcg_at_k, ranked_by_query, read_run, recall_at_k, run_from_candidates, write_run,

@@ -402,6 +402,26 @@ class TestDistill:
                        "--backend", "identity", "--top-k", 4, "--out", workspace / "labels.jsonl")
         assert code == 1
 
+    def test_one_candidate_obeys_the_modality_rule(self, workspace, caplog):
+        # q1's only candidate is an image-only doc: text mode has nothing to label
+        with open(workspace / "corpus.jsonl", "a") as fh:
+            fh.write(json.dumps({"id": "img", "image_ref": "img.png", "modality": "image"}) + "\n")
+        q1 = read_embeddings(str(workspace / "query_embs.jsonl"))[0]
+        docs = list(read_embeddings(str(workspace / "doc_embs.jsonl")))
+        write_embeddings(docs + [EmbeddingRecord("img", q1.vector)], str(workspace / "with_img.jsonl"))
+        out = workspace / "labels.jsonl"
+        code = run_cli("distill", "--queries", workspace / "queries.jsonl",
+                       "--query-embeddings", workspace / "query_embs.jsonl",
+                       "--doc-embeddings", workspace / "with_img.jsonl",
+                       "--corpus", workspace / "corpus.jsonl", "--mode", "text",
+                       "--backend", "identity", "--top-k", 1, "--out", out)
+        assert code == 2
+        labels = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+        assert "q1" not in {label["query_id"] for label in labels}
+        assert all(label["candidate_ids"] != ["img"] for label in labels)
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors[0] == "query q1 failed: doc img has no text for text-mode ranking"
+
     def test_deterministic_across_runs(self, workspace):
         outs = []
         for name in ("l1.jsonl", "l2.jsonl"):
@@ -531,6 +551,17 @@ class TestConfigAndErrors:
         bad.write_text("not enough fields\n")
         code = run_cli("eval", "--run", workspace / "input.run", "--qrels", bad)
         assert code == 1
+
+    def test_repeated_judgment_is_fatal_and_names_both_lines(self, workspace, caplog):
+        lines = (workspace / "qrels.txt").read_text().splitlines()
+        qid, _, did, grade = lines[2].split()
+        bad = workspace / "repeat_qrels.txt"
+        bad.write_text("\n".join(lines + [f"{qid} 0 {did} {int(grade) + 1}"]) + "\n")
+        out = workspace / "eval.json"
+        code = run_cli("eval", "--run", workspace / "input.run", "--qrels", bad, "--out", out)
+        assert code == 1
+        assert f"{bad}:{len(lines) + 1}: repeats the judgment of line 3: '{qid} 0 {did}" in caplog.text
+        assert not out.exists()
 
 
 HEADER = json.dumps({"manifest": {"top_k": 2}})

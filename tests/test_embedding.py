@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import TooLarge, brute_force_diversity_oracle, kmeans_oracle
 
+from rankkit import embedding
 from rankkit.embedding import (
     CorpusIndex,
     EmbeddingRecord,
-    brute_force_diversity_oracle,
     cosine_sim,
     euclidean_dist,
     greedy_diversity_select,
@@ -26,7 +29,6 @@ from rankkit.errors import (
     EmptyCollection,
     InvariantViolation,
     KTooLarge,
-    TooLarge,
     ZeroVector,
 )
 
@@ -331,6 +333,111 @@ def test_kmeans_on_duplicate_heavy_data_selects_k_distinct_ids(case):
         warnings.simplefilter("error")
         ids = kmeans_centroid_select(recs, k, seed).selected_ids
     assert len(ids) == len(set(ids)) == k
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """Inputs built to stress the certified k-means assignment: integer grid
+    points and duplicate-heavy rows put rows at equal distances from
+    centroids (which may themselves coincide, emptying a cluster), k runs up
+    to N, magnitudes span 1e-3 .. 1e3, and a shared shift cancels most
+    digits of |x|^2 - 2 x.c + |c|^2.  The block budget is the module's or
+    one that cuts N into blocks of a few rows, so blocks of the product and
+    of the literal re-score begin and end anywhere."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "duplicates", "uniform"]))
+    if kind == "grid":
+        x = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    elif kind == "duplicates":
+        pool = rng.integers(-3, 4, size=(draw(st.integers(1, 3)), d)).astype(np.float64)
+        x = pool[rng.integers(0, len(pool), size=n)]
+    else:
+        x = rng.uniform(-1, 1, size=(n, d))
+    x = x * 10.0 ** draw(st.integers(-3, 3)) + draw(st.sampled_from([0.0, 1e3, -7e2]))
+    k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    budget = draw(st.sampled_from([embedding._BLOCK_BYTES, 1, 8 * k, 24 * k * d, 40 * k]))
+    return x, k, draw(st.integers(0, 2**16)), budget
+
+
+class TestKmeansAssignment:
+    """``kmeans_centroid_select`` against the literal N x k x d oracle."""
+
+    @given(kmeans_inputs())
+    @settings(max_examples=300, deadline=None)
+    # four copies of one point and one other: two centroids coincide, so the
+    # tie goes to the literal path and the emptied cluster is repaired
+    @example((np.array([[1.0, 1.0]] * 4 + [[5.0, 0.0]]), 3, 0, 1))
+    def test_matches_the_literal_oracle(self, case):
+        x, k, seed, budget = case
+        recs = records_from(x)
+        expected = kmeans_oracle(recs, k, seed).selected_ids
+        with mock.patch.object(embedding, "_BLOCK_BYTES", budget):
+            assert kmeans_centroid_select(recs, k, seed).selected_ids == expected
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_row_counts_across_the_block_boundary(self, offset):
+        # k centroids put `block` rows in one block of the product, and
+        # block - 1 >= k, so N = block - 1, block, block + 1 are all legal
+        k = math.isqrt(embedding._BLOCK_BYTES // 8) - 1
+        block = embedding._BLOCK_BYTES // (8 * k)
+        rng = np.random.default_rng(block + offset)
+        x = rng.integers(-3, 4, size=(block + offset, 3)).astype(np.float64)
+        recs = records_from(x)
+        assert kmeans_centroid_select(recs, k, 5).selected_ids == \
+            kmeans_oracle(recs, k, 5).selected_ids
+
+    def test_ties_take_the_literal_path_and_empty_clusters_are_repaired(self):
+        literal_rows = []
+        real = embedding._literal_nearest
+
+        def spy(x, centroids):
+            literal_rows.append(len(x))
+            return real(x, centroids)
+
+        # seed 0 starts from two copies of (1, 1): their rows tie, and the
+        # second copy's cluster empties in the first step
+        recs = records_from([[1.0, 1.0]] * 4 + [[5.0, 0.0]] * 2 + [[0.0, 0.0]])
+        with mock.patch.object(embedding, "_literal_nearest", spy):
+            got = kmeans_centroid_select(recs, 3, 0).selected_ids
+        assert sum(literal_rows) > 0
+        assert got == kmeans_oracle(recs, 3, 0).selected_ids
+        assert len(set(got)) == 3
+
+    def test_peak_memory_stays_far_below_the_distance_tensor(self):
+        # the literal N x k x d float64 tensor would be 410 MB here
+        rng = np.random.default_rng(0)
+        recs = embedding.EmbeddingRows(rng.normal(size=(4000, 64)),
+                                       tuple(f"v{i}" for i in range(4000)))
+        tracemalloc.start()
+        try:
+            kmeans_centroid_select(recs, 200, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("query_row", [0, 1])
+def test_huge_finite_vectors_warn_nothing_and_match_the_oracles(query_row):
+    # squares of entries near 1e200 overflow to inf: retrieval and k-means
+    # must handle that without a RuntimeWarning and still agree with the
+    # literal oracles, whose own overflow warnings are silenced
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(24, 4))
+    x[::2] *= 1e200
+    q = x[query_row]
+    recs = records_from(x)
+    with np.errstate(all="ignore"):
+        order = np.argsort(np.linalg.norm(x - q, axis=1), kind="stable")
+        expected = [kmeans_oracle(recs, k, 3).selected_ids for k in (1, 5, 24)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        index = CorpusIndex(recs)
+        for k in range(1, len(x) + 1):
+            assert top_k_by_distance(q, index, k) == [f"v{i + 1}" for i in order[:k]]
+        assert [kmeans_centroid_select(recs, k, 3).selected_ids for k in (1, 5, 24)] == expected
 
 
 @pytest.mark.parametrize("bad_id", [5, None, ("v1",)])

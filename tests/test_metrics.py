@@ -241,7 +241,7 @@ class TestQrelsIndex:
     def test_matches_literal_scan(self, initial, added):
         qrels = Qrels(judgments=dict(initial))
         for (qid, did), grade in added:
-            qrels.add(qid, did, grade)  # non-strict: overwrites keep their position
+            qrels.add(qid, did, grade)  # overwrites keep their position
         for qid in QIDS + ["absent"]:
             assert list(qrels.grades_for(qid).items()) == list(scan_grades(qrels, qid).items())
         assert qrels.query_ids() == sorted({q for q, _ in qrels.judgments})
@@ -263,8 +263,6 @@ class TestQrelsIndex:
 
     def test_rejected_add_leaves_index_unchanged(self):
         qrels = make_qrels([("q1", "d1", 1)])
-        with pytest.raises(InvariantViolation):
-            qrels.add("q1", "d1", 2, strict=True)
         with pytest.raises(InvariantViolation):
             qrels.add("q2", "d1", -1)
         assert qrels.grades_for("q1") == {"d1": 1}
@@ -321,10 +319,10 @@ class TestTrecIO:
 
     def test_qrels_strict_duplicate(self, tmp_path):
         path = tmp_path / "qrels.txt"
-        path.write_text("q1 0 d7 2\nq1 0 d7 1\n")
-        read_qrels(str(path))  # last-write-wins by default
-        with pytest.raises(MalformedLine):
-            read_qrels(str(path), strict=True)
+        path.write_text("q1 0 d7 2\nq2 0 d7 1\nq1 0 d8 0\nq1 0 d7 1\n")
+        with pytest.raises(MalformedLine, match="repeats the judgment of line 1") as exc:
+            read_qrels(str(path))
+        assert exc.value.lineno == 4
 
     def test_qrels_groups_sidecar(self, tmp_path):
         qpath = tmp_path / "qrels.txt"
@@ -391,9 +389,11 @@ class TestTrecIO:
         (read_qrels, b"q1 0 d1 1\n"),
     ])
     def test_non_utf8_line_is_malformed_with_its_line(self, tmp_path, reader, good_line):
-        # 5000 valid lines first, so the bad byte lies well past the first read buffer
+        # 5000 valid lines first, so the bad byte lies well past the first read
+        # buffer; each names its own doc, as a repeated judgment is malformed too
         path = tmp_path / "bad.txt"
-        path.write_bytes(good_line * 5000 + b"x \xff y\n" + good_line)
+        valid = b"".join(good_line.replace(b"d1", b"d%d" % i) for i in range(5000))
+        path.write_bytes(valid + b"x \xff y\n" + good_line)
         lineno = 5001
         with pytest.raises(MalformedLine) as exc:
             reader(str(path))

@@ -13,10 +13,10 @@ from rankkit.pipeline import (
     PipelineConfig,
     TeacherLabel,
     confidence_filter,
-    confidence_score,
     config_from_json,
     curate,
     distill,
+    raw_confidence,
     read_labels,
     write_labels,
 )
@@ -117,12 +117,12 @@ class TestConfidence:
     def test_score_matches_stored(self):
         label = TeacherLabel("q", ("a", "b", "c"), Permutation((2, 1, 3)),
                              confidence=1 / 3 - 0.2, repair_count=2)
-        assert confidence_score(label) == pytest.approx(label.confidence)
+        assert raw_confidence(label.teacher_perm, label.repair_count) == pytest.approx(label.confidence)
 
     def test_clamped_at_minus_one(self):
         label = TeacherLabel("q", ("a", "b"), Permutation((2, 1)),
                              confidence=-1.0, repair_count=7)
-        assert confidence_score(label) == -1.0
+        assert raw_confidence(label.teacher_perm, label.repair_count) == -1.0
 
 
 class TestConfidenceFilter:

@@ -13,6 +13,7 @@ from rankkit.errors import (
 from rankkit.types import (
     CandidateList,
     Document,
+    Permutation,
     Query,
     apply_permutation,
     identity_permutation,
@@ -81,7 +82,8 @@ class TestApplyPermutation:
         n = len(order)
         perm = validate_permutation(order, n)
         items = list(range(n))
-        assert apply_permutation(apply_permutation(items, perm), perm.inverse()) == items
+        inverse = Permutation(tuple(perm.order.index(i) + 1 for i in range(1, n + 1)))
+        assert apply_permutation(apply_permutation(items, perm), inverse) == items
 
     @given(permutations)
     def test_sorted_order_is_identity_range(self, order):
