@@ -6,8 +6,22 @@ and the random / k-means-centroid baseline selectors used by the selection
 ablation.
 
 Selection is deterministic: every argmin/argmax tie is broken by lowest
-input index, and similarities are computed in float64 regardless of the
-storage precision of the vectors.
+input index, and the similarities and distances that decide a pick are
+computed in float64 regardless of the storage precision of the vectors.
+
+Greedy diversity selection scores a row by ``s_i = (u_i * P).sum()``: its
+unit row ``u_i = x_i / norms[i]`` against the float64 sum ``P`` of the
+picked unit rows.  That is a per-row numpy reduction, so scoring a subset
+of rows gives the same bits as scoring them all.  Each step scans every row
+in float32 with one matrix-vector product over a float32 copy of the unit
+rows, and ``_scan_slack`` bounds the scan's error for every row at once by
+one scalar E, proportional to ``|P|``: the rounding of ``u`` and ``P`` to
+float32, Higham's gamma_{d+1} for the float32 dot product in any summation
+order, with or without FMA, gamma_{d+1} for the float64 score, and an
+absolute term for float32 subnormals.  Only the unpicked rows whose scan
+lies within 2E of the least are re-scored in float64, so the pick is that of
+the float64 rule over every row; on the benchmark's clustered data that is
+about one row a step.
 
 Retrieval goes through a ``CorpusIndex``: each command stacks its corpus
 once and ranks every query against it with one matrix-vector product,
@@ -67,6 +81,10 @@ _BLOCK_BYTES = 1 << 19
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _TINY = np.finfo(np.float64).tiny
+_UNIT_ROUNDOFF32 = float(np.finfo(np.float32).eps) / 2
+# half the spacing of float32's subnormals: the most that rounding a value
+# into that range, or a product that underflows, moves it
+_SUBNORMAL32 = float(np.finfo(np.float32).smallest_subnormal) / 2
 
 
 @dataclass(frozen=True)
@@ -193,15 +211,6 @@ def _rows(records: Sequence[EmbeddingRecord]) -> EmbeddingRows:
                          tuple(r.id for r in records))
 
 
-def _unit_rows(rows: EmbeddingRows) -> np.ndarray:
-    x = rows.matrix
-    norms = np.linalg.norm(x, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ZeroVector(rows.ids[int(zero[0])])
-    return x / norms[:, None]
-
-
 def greedy_diversity_select(
     records: Sequence[EmbeddingRecord],
     k: int,
@@ -209,35 +218,114 @@ def greedy_diversity_select(
 ) -> SelectionResult:
     """Greedy maximum-diversity subset selection.
 
-    Seeds with the first record, then repeatedly adds the
-    candidate with the lowest average cosine similarity to everything chosen
-    so far.  Per-candidate similarity sums are maintained incrementally, so
-    each step is one matrix-vector product: O(k * N * d) total rather than
-    the O(k^2 * N * d) of recomputing averages from scratch.
+    Seeds with the first record, then repeatedly adds the unpicked record of
+    least score ``s_i = (u_i * P).sum()``, lowest index on ties.  Here
+    ``u_i = x_i / norms[i]`` is record i's unit row and ``P`` the running
+    float64 sum of the picked unit rows, so ``s_i / t`` is the record's mean
+    cosine similarity to the ``t`` records picked so far; the trace reports
+    that mean for each pick.
+
+    Each step scans every row in float32, ``u32 @ float32(P)``, which reads
+    half the bytes of a float64 scan, and re-scores with the rule above only
+    the unpicked rows whose scan lies within ``2E`` of the least one; ``E``
+    (``_scan_slack``) bounds every row's scan error, so every row that could
+    score as low as the winner is re-scored.  The selection is therefore that of the
+    rule applied to every row, whatever the BLAS kernel, summation order or
+    thread split.  No float64 unit matrix is kept: ``u32`` is built in row
+    blocks, and the candidates' unit rows are recomputed from ``x``.
     """
     rows = _rows(records)
-    u = _unit_rows(rows)
-    n = u.shape[0]
+    x = rows.matrix
+    n, d = x.shape
+    norms, u32, u_max = _unit_rows32(rows)
     if k < 1:
         raise KTooLarge(f"k must be >= 1, got {k}")
     k = min(k, n)
-    chosen = [0]
-    trace = [(rows.ids[0], 0.0)]
+    chosen = np.zeros(k, dtype=np.intp)
     picked = np.zeros(n, dtype=bool)
     picked[0] = True
-    sums = u @ u[0]
-    for _ in range(k - 1):
-        avg = sums / len(chosen)
-        avg[picked] = np.inf
-        j = int(np.argmin(avg))  # argmin takes the first occurrence: lowest index wins ties
-        chosen.append(j)
-        trace.append((rows.ids[j], float(avg[j])))
+    trace = [(rows.ids[0], 0.0)]
+    p = x[0] / norms[0]
+    s32 = np.empty(n, dtype=np.float32)
+    for t in range(1, k):
+        np.matmul(u32, p.astype(np.float32), out=s32)
+        s32[chosen[:t]] = np.inf
+        # round the threshold up to float32, so the comparison loses no row;
+        # `not >` keeps NaN scans
+        limit = np.float32(float(s32.min()) + 2.0 * _scan_slack(d, u_max, p))
+        limit = np.nextafter(limit, np.float32(np.inf))
+        cand = np.flatnonzero(~(s32 > limit))
+        cand = cand[~picked[cand]]
+        scores = (x[cand] / norms[cand, None] * p).sum(axis=1)
+        best = int(np.argmin(scores))  # the first occurrence: lowest index wins ties
+        j = int(cand[best])
+        trace.append((rows.ids[j], float(scores[best] / t)))
+        chosen[t] = j
         picked[j] = True
-        sums = sums + u @ u[j]
+        p += x[j] / norms[j]
     return SelectionResult(
         selected_ids=tuple(rows.ids[i] for i in chosen),
         trace=tuple(trace) if keep_trace else None,
     )
+
+
+def _unit_rows32(rows: EmbeddingRows) -> tuple[np.ndarray, np.ndarray, float]:
+    """The row norms ``np.linalg.norm(x, axis=1)``, the unit rows
+    ``x / norms[:, None]`` rounded to float32 and the largest norm of a
+    float64 unit row, built in row blocks so that no float64 temporary has
+    N x d entries.  A zero row raises ``ZeroVector`` with its id."""
+    x = rows.matrix
+    norms = np.empty(x.shape[0])
+    u32 = np.empty(x.shape, dtype=np.float32)
+    u_max = 0.0
+    step = max(1, _BLOCK_BYTES // (8 * x.shape[1]))
+    for start in range(0, x.shape[0], step):
+        block = slice(start, start + step)
+        with np.errstate(over="ignore"):
+            norms[block] = np.linalg.norm(x[block], axis=1)
+        zero = np.flatnonzero(norms[block] == 0.0)
+        if zero.size:
+            raise ZeroVector(rows.ids[start + int(zero[0])])
+        u = x[block] / norms[block, None]
+        u32[block] = u
+        u_max = max(u_max, float(_sq_norms(u)[1].max()))
+    return norms, u32, u_max
+
+
+def _gamma(n: int, unit: float) -> float:
+    """``n u / (1 - n u)``: the relative error bound of an n-term dot product
+    in any summation order, with or without FMA (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 3.1); inf once
+    ``n u`` reaches 1."""
+    nu = n * unit
+    return nu / (1.0 - nu) if nu < 1.0 else np.inf
+
+
+def _scan_slack(d: int, u_max: float, p: np.ndarray) -> float:
+    """E: a bound on ``|s32_i - s_i|`` for every row i, ``s32_i`` being the
+    float32 scan of ``greedy_diversity_select`` and ``s_i`` the float64 score
+    ``(u_i * p).sum()``; ``u_max`` bounds each ``|u_i|`` within rounding.
+
+    With a = u_i and a' = float32(a), p' = float32(p), and u32 and u64 the
+    unit roundoffs: rounding to float32 moves each entry by at most
+    u32 times its size plus eta = 2^-150 (a value in float32's subnormal
+    range), so ``|a'.p' - a.p| <= (2 u32 + u32^2)|a||p| + 2 eta sqrt(d)(|a| + |p|)
+    + d eta^2``.  The float32 dot product errs by at most
+    ``gamma_{d+1}(u32)|a'||p'|`` plus ``2 d eta`` for products that underflow,
+    and the float64 score by ``gamma_{d+1}(u64)|a||p|`` plus d times the much
+    smaller float64 eta.  With ``|a'| <= (1 + u32)|a| + sqrt(d) eta`` and
+    gamma <= 1 (else E is inf and every row is re-scored), the sum is at most
+    ``(3 u32 + gamma_{d+1}(u32)(1 + u32)^2 + gamma_{d+1}(u64))|a||p|`` plus
+    ``4 eta (d + 1)(1 + sqrt(d)(|a| + |p|))``.  The computed ``u_max`` and
+    ``|p|`` each lie within ``gamma_{d+2}(u64)`` of the true norms, or their
+    squares underflowed and the eta term dominates; the factor
+    ``1 + gamma_{2d+12}(u64)`` covers that and forming E itself.
+    """
+    p_norm = float(np.sqrt(p @ p))
+    rel = (3 * _UNIT_ROUNDOFF32 + _gamma(d + 1, _UNIT_ROUNDOFF32) * (1 + _UNIT_ROUNDOFF32) ** 2
+           + _gamma(d + 1, _UNIT_ROUNDOFF))
+    tiny = 4 * _SUBNORMAL32 * (d + 1) * (1 + np.sqrt(d) * (u_max + p_norm))
+    return (rel * u_max * p_norm + tiny) * (1 + _gamma(2 * d + 12, _UNIT_ROUNDOFF))
 
 
 def _sq_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -394,14 +482,21 @@ def kmeans_centroid_select(
         if np.array_equal(new_assign, assign) and it > 0:
             break
         assign = new_assign
-        for c in range(k):
-            centroids[c] = x[assign == c].mean(axis=0)
+        for c, members in enumerate(_cluster_members(assign, k)):
+            centroids[c] = x[members].mean(axis=0)
     reps = []
-    for c in range(k):
-        members = np.flatnonzero(assign == c)
+    for c, members in enumerate(_cluster_members(assign, k)):
         with np.errstate(over="ignore"):
             reps.append(members[np.argmin(np.linalg.norm(x[members] - centroids[c], axis=1))])
     return SelectionResult(selected_ids=tuple(rows.ids[i] for i in reps))
+
+
+def _cluster_members(assign: np.ndarray, k: int) -> list[np.ndarray]:
+    """The rows of each of the k clusters in ascending order, as
+    ``np.flatnonzero(assign == c)`` gives them, from one stable sort of
+    ``assign`` instead of k scans of it."""
+    order = np.argsort(assign, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(assign, minlength=k))[:-1])
 
 
 def _nearest_centroids(x: np.ndarray, centroids: np.ndarray, work: np.ndarray) -> np.ndarray:

@@ -97,3 +97,35 @@ def kmeans_oracle(records, k, seed):
         dists = np.linalg.norm(x[members] - centroids[c], axis=1)
         reps.append(int(members[int(np.argmin(dists))]))
     return SelectionResult(selected_ids=tuple(rows.ids[i] for i in reps))
+
+
+def greedy_oracle(records, k, keep_trace=False):
+    """Literal greedy diversity selection over the whole float64 unit matrix
+    ``u = x / norms[:, None]``: every step scores every unpicked row with
+    ``(u * P).sum(axis=1)``, ``P`` being the sum of the picked unit rows,
+    and takes the ``argmin``, lowest index on ties.  The trace holds each
+    pick's score divided by the number of picks before it."""
+    rows = _rows(records)
+    x = rows.matrix
+    n = x.shape[0]
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1)
+    if np.any(norms == 0.0):
+        raise ZeroVector(rows.ids[int(np.argmax(norms == 0.0))])
+    if k < 1:
+        raise KTooLarge(f"k must be >= 1, got {k}")
+    u = x / norms[:, None]
+    selected = [0]
+    trace = [(rows.ids[0], 0.0)]
+    p = u[0].copy()
+    while len(selected) < min(k, n):
+        scores = (u * p).sum(axis=1)
+        scores[selected] = np.inf
+        j = int(np.argmin(scores))
+        trace.append((rows.ids[j], float(scores[j] / len(selected))))
+        selected.append(j)
+        p = p + u[j]
+    return SelectionResult(
+        selected_ids=tuple(rows.ids[i] for i in selected),
+        trace=tuple(trace) if keep_trace else None,
+    )

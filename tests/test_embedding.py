@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import TooLarge, brute_force_diversity_oracle, kmeans_oracle
+from oracles import TooLarge, brute_force_diversity_oracle, greedy_oracle, kmeans_oracle
 
 from rankkit import embedding
 from rankkit.embedding import (
@@ -187,6 +187,85 @@ class TestGreedyDiversity:
         result = greedy_diversity_select(recs, 4, keep_trace=True)
         assert len(result.trace) == 4
         assert result.trace[0] == (recs[0].id, 0.0)
+
+
+@st.composite
+def greedy_inputs(draw):
+    """Inputs built to stress the certified float32 scan of greedy
+    selection: duplicate rows and mirrored grid points tie exactly, near
+    copies differ by far less than the scan's error bound, rows may be
+    scaled by 1e-150 or 1e150, d runs down to 1 and k from 1 to past N."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "duplicates", "mirrored", "near_ties"]))
+    if kind == "duplicates":
+        pool = rng.normal(size=(draw(st.integers(1, 4)), d))
+        x = pool[rng.integers(0, len(pool), size=n)]
+    elif kind == "mirrored":
+        half = rng.integers(-2, 3, size=((n + 1) // 2, d)).astype(np.float64)
+        x = np.vstack([half, -half])[:n]
+    elif kind == "near_ties":
+        pool = rng.normal(size=(draw(st.integers(1, 4)), d))
+        x = pool[rng.integers(0, len(pool), size=n)] * (1 + 1e-9 * rng.normal(size=(n, d)))
+    else:
+        x = rng.normal(size=(n, d))
+    x[~x.any(axis=1)] = 1.0
+    scales = draw(st.sampled_from([(1.0,), (1e-150,), (1e150,), (1.0, 1e-150, 1e150)]))
+    x = x * rng.choice(scales, size=(n, 1))
+    k = draw(st.one_of(st.just(1), st.integers(1, n), st.integers(n, n + 3)))
+    return x, k
+
+
+class TestGreedyAgainstLiteralOracle:
+    """``greedy_diversity_select`` against ``greedy_oracle``, which scores
+    every unpicked row in float64 at every step."""
+
+    @given(greedy_inputs())
+    @settings(max_examples=300, deadline=None)
+    # mirrored points: the first two picks cancel, so P is exactly 0 and
+    # every unpicked row ties for the third
+    @example((np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [-1.0, 0.0]]), 4))
+    def test_same_ids_and_bit_equal_trace(self, case):
+        x, k = case
+        recs = records_from(x)
+        fast = greedy_diversity_select(recs, k, keep_trace=True)
+        slow = greedy_oracle(recs, k, keep_trace=True)
+        assert fast.selected_ids == slow.selected_ids
+        assert fast.trace == slow.trace  # floats compare bit for bit but for -0.0
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 64, 1000, 4096]),
+           st.sampled_from([1.0, 1e-30, 1e-200]))
+    @settings(max_examples=60, deadline=None)
+    def test_scan_error_stays_within_the_slack(self, seed, d, p_scale):
+        # u32 @ p32 in BLAS order, and a float32 running sum in index order,
+        # both lie within E of the float64 score; a tiny P puts P's float32
+        # rounding in the subnormal range, where only the absolute term holds
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(50, d)) + (rng.random() < 0.5) * 3.0
+        norms, u32, u_max = embedding._unit_rows32(embedding._rows(records_from(x)))
+        u = x / norms[:, None]
+        p = u[rng.integers(0, 50, size=rng.integers(1, 20))].sum(axis=0) * p_scale
+        s = (u * p).sum(axis=1)
+        slack = embedding._scan_slack(d, u_max, p)
+        p32 = p.astype(np.float32)
+        ordered = np.cumsum(u32 * p32, axis=1, dtype=np.float32)[:, -1]
+        for scan in (u32 @ p32, ordered):
+            assert np.all(np.abs(scan.astype(np.float64) - s) <= slack)
+
+    def test_peak_memory_has_no_float64_copy_of_the_rows(self):
+        # a float64 unit matrix, or any other N x d float64 temporary, is
+        # 4 MB here; the float32 scan matrix is half that
+        rng = np.random.default_rng(0)
+        n, d = 2000, 256
+        recs = embedding.EmbeddingRows(rng.normal(size=(n, d)), tuple(f"v{i}" for i in range(n)))
+        tracemalloc.start()
+        try:
+            greedy_diversity_select(recs, 50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8
 
 
 class TestTopK:
@@ -375,6 +454,21 @@ class TestKmeansAssignment:
         expected = kmeans_oracle(recs, k, seed).selected_ids
         with mock.patch.object(embedding, "_BLOCK_BYTES", budget):
             assert kmeans_centroid_select(recs, k, seed).selected_ids == expected
+
+    @given(st.integers(1, 60), st.integers(0, 3), st.integers(1, 4), st.booleans(),
+           st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_k_close_to_n_leaves_many_single_member_clusters(self, n, gap, d, duplicates, seed):
+        # most clusters hold one row, and with duplicates some empty and are
+        # repaired: each cluster's slice of the sorted rows must still be its
+        # members in ascending order
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-2, 3, size=(n, d)).astype(np.float64) if duplicates \
+            else rng.normal(size=(n, d))
+        recs = records_from(x)
+        k = max(1, n - gap)
+        assert kmeans_centroid_select(recs, k, seed).selected_ids == \
+            kmeans_oracle(recs, k, seed).selected_ids
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_row_counts_across_the_block_boundary(self, offset):

@@ -1,11 +1,15 @@
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankkit import types
 from rankkit.errors import (
     DuplicateIndex,
     InvariantViolation,
     LengthMismatch,
+    MalformedLine,
     OutOfRange,
     PermutationError,
     WrongLength,
@@ -18,6 +22,7 @@ from rankkit.types import (
     apply_permutation,
     identity_permutation,
     read_documents,
+    read_lines,
     read_queries,
     validate_permutation,
     write_documents,
@@ -150,3 +155,80 @@ def test_read_queries(tmp_path):
     path = tmp_path / "queries.jsonl"
     path.write_text('{"id": "q1", "text": "what is x"}\n')
     assert read_queries(str(path)) == [Query(id="q1", text="what is x")]
+
+
+def literal_lines(path):
+    """``read_lines`` as a per-line decode: (line number, stripped text) for
+    each non-blank line, or the line number of the first line that is not
+    UTF-8."""
+    out = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                return out, lineno
+            if line:
+                out.append((lineno, line))
+    return out, None
+
+
+def read_all(path):
+    """What ``read_lines`` yields before it stops, and the line number of
+    the ``MalformedLine`` it raised, if any."""
+    out = []
+    try:
+        for item in read_lines(path):
+            out.append(item)
+    except MalformedLine as exc:
+        assert str(exc).startswith(f"{path}:{exc.lineno}: ")
+        return out, exc.lineno
+    return out, None
+
+
+class TestReadLines:
+    """``read_lines`` decodes whole chunks but must name the same lines and
+    the same bad line as decoding each line on its own."""
+
+    def test_bad_byte_on_the_first_line(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"a \xff b\ngood\n")
+        assert read_all(str(path)) == ([], 1)
+        with pytest.raises(MalformedLine) as exc:
+            list(read_lines(str(path)))
+        assert exc.value.content == "a \ufffd b"
+
+    def test_bad_byte_in_the_middle_of_a_later_chunk(self, tmp_path):
+        path = tmp_path / "f.txt"
+        lines = [b"line %d\n" % i for i in range(1, 200)]
+        lines[149] = b"line \xc3( 150\n"  # a lead byte without its continuation
+        path.write_bytes(b"".join(lines))
+        with mock.patch.object(types, "_LINES_CHUNK_BYTES", 256):
+            got = read_all(str(path))
+        assert got == ([(i, f"line {i}") for i in range(1, 150)], 150)
+
+    def test_bad_byte_on_a_last_line_without_newline(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"one\n\ntwo\nthree \xe2\x82")  # a cut-off euro sign
+        assert read_all(str(path)) == ([(1, "one"), (3, "two")], 4)
+
+    def test_multibyte_characters_across_chunks(self, tmp_path):
+        path = tmp_path / "f.txt"
+        text = "".join(f"\u00e9 {i} \u20ac \U0001f600\n" for i in range(300))
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(types, "_LINES_CHUNK_BYTES", 100):
+            got = read_all(str(path))
+        assert got == ([(i + 1, f"\u00e9 {i} \u20ac \U0001f600") for i in range(300)], None)
+
+    @given(st.lists(st.one_of(
+        st.text(alphabet=st.sampled_from("ab \t\r\x0b\x0c\x1c\x85\u2028\u00e9\u20ac\U0001f600"),
+                max_size=6).map(lambda t: t.encode("utf-8")),
+        st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\x80 x"]),
+    ), max_size=30).map(b"\n".join), st.sampled_from([1, 7, 64, 1 << 18]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_line_decode(self, tmp_path_factory, data, chunk):
+        # only "\n" ends a line: "\r", "\x85" and "\u2028" stay inside one
+        path = tmp_path_factory.mktemp("lines") / "f.txt"
+        path.write_bytes(data)
+        with mock.patch.object(types, "_LINES_CHUNK_BYTES", chunk):
+            assert read_all(str(path)) == literal_lines(str(path))
