@@ -128,10 +128,9 @@ def cmd_rerank(args: argparse.Namespace) -> list[str]:
     cfg = _load_config(args)
     queries = types.read_queries(args.queries)
     corpus = {d.id: d for d in types.read_documents(args.corpus)}
-    run = metrics.read_run(args.run)
     candidate_lists = {
-        qid: types.CandidateList(qid, tuple(e.doc_id for e in group))
-        for qid, group in metrics.ranked_by_query(run).items()
+        qid: types.CandidateList(qid, doc_ids)
+        for qid, doc_ids in metrics.ranked_by_query(metrics.read_run(args.run)).items()
     }
     backend = _make_backend(args)
     results, failed = engine.rerank_many(

@@ -6,21 +6,33 @@ linear gain, queries present in the qrels but absent from the run score 0
 and stay in the mean, and IDCG is computed from all judged grades of the
 query (not just the retrieved ones).
 
-The metrics take a run grouped by ``ranked_by_query``, so a caller that
-computes several metrics groups the run once.
+``read_run`` returns a ``Run``: the file's columns (query ids, doc ids,
+ranks, scores, tags) as lists in file order, with no object per line; a
+``RunEntry`` is built only when a caller indexes or iterates the run.  Each
+chunk of lines is decoded and split in one call, and a chunk that fails a
+check is parsed again line by line, so a bad line raises ``MalformedLine``
+with its file:line.  The run's grouping by query is computed once and kept:
+in the common case (each query's lines contiguous, ranks 1..n in file
+order) one linear pass over the columns finds it with no sort.
+
+The metrics take a run grouped by ``ranked_by_query`` (each query's doc
+ids, best first), so a caller that computes several metrics groups the run
+once.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+import operator
+import sys
+from collections import OrderedDict, abc
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
+from functools import cached_property
+from itertools import chain, groupby
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvariantViolation, LengthMismatch, MalformedLine, TooShort
-from .types import Permutation, read_json_object, read_lines
+from .types import Permutation, chunk_lines, line_chunks, read_json_object, read_lines
 
 
 @dataclass
@@ -82,20 +94,88 @@ class MetricReport:
         }
 
 
-# query id -> that query's entries, best first: what ``ranked_by_query`` returns
-RankedRun = Mapping[str, Sequence[RunEntry]]
+# (query id, start, stop) of each query's rows, in the grouped row order
+Bounds = list[tuple[str, int, int]]
 
 
-def ranked_by_query(run: Iterable[RunEntry]) -> dict[str, list[RunEntry]]:
-    """Each query's entries sorted by (rank, doc_id), queries in order of
+class Run(abc.Sequence):
+    """The lines of a run file as columns, lists in file order.
+
+    ``run[i]`` is ``RunEntry(query_ids[i], doc_ids[i], ranks[i], scores[i],
+    tags[i])``, built on demand for an integer ``i``.  ``==`` compares the
+    entries with those of any sequence of ``RunEntry``.  The columns are
+    read-only: the run keeps its grouping by query.
+    """
+
+    def __init__(self, query_ids: list[str], doc_ids: list[str], ranks: list[int],
+                 scores: list[float], tags: list[str]):
+        self.query_ids = query_ids
+        self.doc_ids = doc_ids
+        self.ranks = ranks
+        self.scores = scores
+        self.tags = tags
+
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def __getitem__(self, i: int) -> RunEntry:
+        i = operator.index(i)
+        return RunEntry(self.query_ids[i], self.doc_ids[i], self.ranks[i], self.scores[i],
+                        self.tags[i])
+
+    def __iter__(self):
+        return map(RunEntry, self.query_ids, self.doc_ids, self.ranks, self.scores, self.tags)
+
+    def __eq__(self, other):
+        if not isinstance(other, abc.Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    @cached_property
+    def _groups(self) -> tuple[list[int] | None, Bounds]:
+        """The row order of ``ranked_by_query`` (None for file order) and
+        each query's bounds in it."""
+        return _group_rows(self.query_ids, self.doc_ids, self.ranks)
+
+
+def _group_rows(query_ids: list[str], doc_ids: list[str],
+                ranks: list[int]) -> tuple[list[int] | None, Bounds]:
+    """Queries in order of first appearance, each query's rows sorted by
+    (rank, doc_id), stably.  When every query's rows are one contiguous
+    block with ranks 1..n in file order, that is file order, found in one
+    linear pass; otherwise the rows are sorted per query."""
+    bounds, stop = [], 0
+    for qid, rows in groupby(query_ids):
+        start, stop = stop, stop + len(list(rows))
+        bounds.append((qid, start, stop))
+    if (len({qid for qid, _, _ in bounds}) == len(bounds)
+            and ranks == list(chain.from_iterable(range(1, stop - start + 1)
+                                                  for _, start, stop in bounds))):
+        return None, bounds
+    rows_of: dict[str, list[int]] = {}
+    for qid, start, stop in bounds:
+        rows_of.setdefault(qid, []).extend(range(start, stop))
+    order: list[int] = []
+    bounds = []
+    for qid, rows in rows_of.items():
+        rows.sort(key=lambda i: (ranks[i], doc_ids[i]))
+        bounds.append((qid, len(order), len(order) + len(rows)))
+        order += rows
+    return order, bounds
+
+
+# query id -> that query's doc ids, best first: what ``ranked_by_query`` returns
+RankedRun = Mapping[str, Sequence[str]]
+
+
+def ranked_by_query(run: Iterable[RunEntry]) -> dict[str, list[str]]:
+    """Each query's doc ids sorted by (rank, doc_id), queries in order of
     first appearance in ``run``.  This is the run that the metrics take."""
-    by_query: dict[str, list[RunEntry]] = {}
-    for qid, entries in groupby(run, key=attrgetter("query_id")):
-        by_query.setdefault(qid, []).extend(entries)
-    key = attrgetter("rank", "doc_id")
-    for group in by_query.values():
-        group.sort(key=key)
-    return by_query
+    if not isinstance(run, Run):
+        run = Run(*([list(col) for col in zip(*run)] or [[], [], [], [], []]))
+    order, bounds = run._groups
+    doc_ids = run.doc_ids if order is None else [run.doc_ids[i] for i in order]
+    return {qid: doc_ids[start:stop] for qid, start, stop in bounds}
 
 
 def _gain(grade: int, gain: str) -> float:
@@ -128,8 +208,8 @@ def ndcg_at_k(
             per_query[qid] = 0.0
             continue
         dcg = sum(
-            _gain(grades.get(e.doc_id, 0), gain) / math.log2(r + 1)
-            for r, e in enumerate(ranked.get(qid, [])[:k], start=1)
+            _gain(grades.get(did, 0), gain) / math.log2(r + 1)
+            for r, did in enumerate(ranked.get(qid, [])[:k], start=1)
         )
         per_query[qid] = dcg / idcg
     mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
@@ -142,8 +222,8 @@ def mrr(qrels: Qrels, ranked: RankedRun, rel_threshold: int = 1) -> MetricReport
     for qid in qrels.query_ids():
         grades = qrels.grades_for(qid)
         rr = 0.0
-        for r, e in enumerate(ranked.get(qid, []), start=1):
-            if grades.get(e.doc_id, 0) >= rel_threshold:
+        for r, did in enumerate(ranked.get(qid, []), start=1):
+            if grades.get(did, 0) >= rel_threshold:
                 rr = 1.0 / r
                 break
         per_query[qid] = rr
@@ -173,7 +253,7 @@ def recall_at_k(
         if not relevant:
             skipped.append(qid)
             continue
-        hits = sum(1 for e in ranked.get(qid, [])[:k] if e.doc_id in relevant)
+        hits = sum(1 for did in ranked.get(qid, [])[:k] if did in relevant)
         per_query[qid] = hits / len(relevant)
     micro = sum(per_query.values()) / len(per_query) if per_query else 0.0
     if qrels.group_of:
@@ -261,35 +341,91 @@ def read_qrels(path: str, groups_path: str | None = None) -> Qrels:
     return qrels
 
 
-def _validate_run(entries: Sequence[RunEntry]) -> None:
-    for qid, group in ranked_by_query(entries).items():
-        if [e.rank for e in group] != list(range(1, len(group) + 1)):
-            raise InvariantViolation(f"query {qid}: ranks are not 1..{len(group)} without gaps")
-        if len({e.doc_id for e in group}) != len(group):
+def _validate_run(run: Run) -> None:
+    """Each query's ranks are 1..n, its doc ids distinct and its scores
+    non-increasing, in the order of ``ranked_by_query``."""
+    order, bounds = run._groups
+    ranks, doc_ids, scores = (col if order is None else [col[i] for i in order]
+                              for col in (run.ranks, run.doc_ids, run.scores))
+    for qid, start, stop in bounds:
+        if ranks[start:stop] != list(range(1, stop - start + 1)):
+            raise InvariantViolation(f"query {qid}: ranks are not 1..{stop - start} without gaps")
+        if len(set(doc_ids[start:stop])) != stop - start:
             raise InvariantViolation(f"query {qid}: duplicate doc ids")
-        for prev, cur in zip(group, group[1:]):
-            if cur.score > prev.score:
-                raise InvariantViolation(
-                    f"query {qid}: score increases from rank {prev.rank} to {cur.rank}"
-                )
+        group = scores[start:stop]
+        if not all(map(operator.ge, group, group[1:])):
+            r = next(r for r in range(1, len(group)) if group[r] > group[r - 1])
+            raise InvariantViolation(f"query {qid}: score increases from rank {r} to {r + 1}")
 
 
-def read_run(path: str) -> list[RunEntry]:
-    entries = []
-    for lineno, line in read_lines(path):
+# a token for each line end in ``_parse_run_chunk``: not whitespace to split()
+_LINE_END = "\x00"
+
+
+def read_run(path: str) -> Run:
+    """The run file ``path``: whitespace-separated six-field lines ``qid Q0
+    docid rank score tag`` with an integer rank and a finite score, and
+    per query ranks 1..n, distinct doc ids and non-increasing scores."""
+    cols: list[list] = [[], [], [], [], []]
+    for start, chunk in line_chunks(path):
+        part = _parse_run_chunk(chunk) or _parse_run_lines(path, start, chunk)
+        for col, values in zip(cols, part):
+            col += values
+    run = Run(*cols)
+    _validate_run(run)
+    return run
+
+
+def _parse_run_chunk(chunk: list[bytes]) -> list[list] | None:
+    """The columns of a chunk of lines that are all UTF-8, six fields, a
+    rank that ``int`` takes and a finite score that ``float`` takes; None
+    for any other chunk, blank lines included.
+
+    One decode and one ``str.split()`` of the whole chunk, with a
+    ``_LINE_END`` token put at each line end: then every line has six
+    fields exactly when the tokens are seven per line and every seventh is
+    a line end."""
+    try:
+        text = b"".join(chunk).decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if _LINE_END in text:
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    tokens = text.replace("\n", f" {_LINE_END} ").split()
+    n = len(chunk)
+    if len(tokens) != 7 * n or tokens[6::7].count(_LINE_END) != n:
+        return None
+    try:
+        ranks = list(map(int, tokens[3::7]))
+        scores = list(map(float, tokens[4::7]))
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, scores)):
+        return None
+    return [list(map(sys.intern, tokens[0::7])), tokens[2::7], ranks, scores,
+            list(map(sys.intern, tokens[5::7]))]
+
+
+def _parse_run_lines(path: str, start: int, chunk: list[bytes]) -> list[list]:
+    """The columns of a chunk, line by line: the first bad line raises
+    ``MalformedLine`` with its path:line."""
+    cols: list[list] = [[], [], [], [], []]
+    for lineno, line in chunk_lines(path, start, chunk):
         fields = line.split()
         if len(fields) != 6:
             raise MalformedLine(path, lineno, line, f"expected 6 fields, got {len(fields)}")
         qid, _, did, rank, score, tag = fields
         try:
-            entry = RunEntry(qid, did, int(rank), float(score), tag)
-            if not math.isfinite(entry.score):
+            values = (sys.intern(qid), did, int(rank), float(score), sys.intern(tag))
+            if not math.isfinite(values[3]):
                 raise ValueError(f"non-finite score {score!r}")
-            entries.append(entry)
         except ValueError as exc:
             raise MalformedLine(path, lineno, line, str(exc)) from exc
-    _validate_run(entries)
-    return entries
+        for col, value in zip(cols, values):
+            col.append(value)
+    return cols
 
 
 def write_run(entries: Iterable[RunEntry], path: str) -> None:

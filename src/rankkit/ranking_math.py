@@ -74,7 +74,7 @@ def listwise_loss(
     terms = _suffix_logsumexp(t) - t
     return LossReport(
         loss=float(np.sum(terms)),
-        per_step_terms=tuple(float(x) for x in terms),
+        per_step_terms=tuple(terms.tolist()),
         temperature=float(tau),
     )
 

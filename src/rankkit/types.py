@@ -142,7 +142,7 @@ def apply_permutation(items: Sequence[T], perm: Permutation) -> list[T]:
 # --- JSON-lines corpus / query I/O ---
 
 
-# bytes of a read_lines chunk; all of a chunk's lines are alive at once, and
+# bytes of a line_chunks chunk; all of a chunk's lines are alive at once, and
 # larger chunks read no faster but raised the peak RSS of a run-file read
 _LINES_CHUNK_BYTES = 1 << 14
 
@@ -151,23 +151,41 @@ def read_lines(path: str) -> Iterator[tuple[int, str]]:
     """(line number, stripped text) for each non-blank line of ``path``.
 
     Lines end at "\\n" alone.  The file is read as bytes in chunks of whole
-    lines, and each chunk is decoded in one call: no UTF-8 sequence holds a
-    newline byte, so that gives the lines that decoding each on its own
-    would.  A chunk that is not UTF-8 is decoded again line by line, so the
-    first bad line raises ``MalformedLine`` naming its own path:line.
+    lines (``line_chunks``), and each chunk is decoded in one call
+    (``chunk_lines``).
     """
+    for start, chunk in line_chunks(path):
+        yield from chunk_lines(path, start, chunk)
+
+
+def line_chunks(path: str) -> Iterator[tuple[int, list[bytes]]]:
+    """(number of its first line, raw lines) for each chunk of whole lines
+    of ``path``, about ``_LINES_CHUNK_BYTES`` each; the last line may lack
+    its "\\n"."""
     with open(path, "rb") as fh:
         start = 1
         for chunk in iter(partial(fh.readlines, _LINES_CHUNK_BYTES), []):
-            try:
-                lines = b"".join(chunk).decode("utf-8").split("\n")[:len(chunk)]
-            except UnicodeDecodeError:
-                lines = (_decode_line(path, n, raw) for n, raw in enumerate(chunk, start))
-            for n, line in enumerate(lines, start):
-                line = line.strip()
-                if line:
-                    yield n, line
+            yield start, chunk
             start += len(chunk)
+
+
+def chunk_lines(path: str, start: int, chunk: list[bytes]) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) for each non-blank line of a chunk that
+    ``line_chunks`` gave.
+
+    The chunk is decoded in one call: no UTF-8 sequence holds a newline
+    byte, so that gives the lines that decoding each on its own would.  A
+    chunk that is not UTF-8 is decoded again line by line, so the first bad
+    line raises ``MalformedLine`` naming its own path:line.
+    """
+    try:
+        lines = b"".join(chunk).decode("utf-8").split("\n")[:len(chunk)]
+    except UnicodeDecodeError:
+        lines = (_decode_line(path, n, raw) for n, raw in enumerate(chunk, start))
+    for n, line in enumerate(lines, start):
+        line = line.strip()
+        if line:
+            yield n, line
 
 
 def _decode_line(path: str, lineno: int, raw: bytes) -> str:

@@ -1,13 +1,21 @@
-"""Literal oracles for the selection kernels in ``rankkit.embedding``.
+"""Literal oracles for the selection kernels in ``rankkit.embedding`` and
+for the run-file reader in ``rankkit.metrics``.
 
 Each oracle recomputes its answer the slow, obvious way, so the tests can
 pin the optimized code against it.  Nothing in the package calls them.
 """
 
+import math
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable, Sequence
+
 import numpy as np
 
 from rankkit.embedding import KMEANS_MAX_ITERS, SelectionResult, _rows, cosine_sim
-from rankkit.errors import KTooLarge, RankkitError, ZeroVector
+from rankkit.errors import InvariantViolation, KTooLarge, MalformedLine, RankkitError, ZeroVector
+from rankkit.metrics import RunEntry
+from rankkit.types import read_lines
 
 ORACLE_MAX_N = 32
 
@@ -129,3 +137,51 @@ def greedy_oracle(records, k, keep_trace=False):
         selected_ids=tuple(rows.ids[i] for i in selected),
         trace=tuple(trace) if keep_trace else None,
     )
+
+
+# The run-file reader as it was with one ``RunEntry`` per line: it parses
+# each line on its own and validates the run by sorting each query's
+# entries.  ``read_run_oracle`` returns the entry list.
+
+
+def ranked_entries_oracle(run: Iterable[RunEntry]) -> dict[str, list[RunEntry]]:
+    """Each query's entries sorted by (rank, doc_id), queries in order of
+    first appearance in ``run``."""
+    by_query: dict[str, list[RunEntry]] = {}
+    for qid, entries in groupby(run, key=attrgetter("query_id")):
+        by_query.setdefault(qid, []).extend(entries)
+    key = attrgetter("rank", "doc_id")
+    for group in by_query.values():
+        group.sort(key=key)
+    return by_query
+
+
+def _validate_run_oracle(entries: Sequence[RunEntry]) -> None:
+    for qid, group in ranked_entries_oracle(entries).items():
+        if [e.rank for e in group] != list(range(1, len(group) + 1)):
+            raise InvariantViolation(f"query {qid}: ranks are not 1..{len(group)} without gaps")
+        if len({e.doc_id for e in group}) != len(group):
+            raise InvariantViolation(f"query {qid}: duplicate doc ids")
+        for prev, cur in zip(group, group[1:]):
+            if cur.score > prev.score:
+                raise InvariantViolation(
+                    f"query {qid}: score increases from rank {prev.rank} to {cur.rank}"
+                )
+
+
+def read_run_oracle(path: str) -> list[RunEntry]:
+    entries = []
+    for lineno, line in read_lines(path):
+        fields = line.split()
+        if len(fields) != 6:
+            raise MalformedLine(path, lineno, line, f"expected 6 fields, got {len(fields)}")
+        qid, _, did, rank, score, tag = fields
+        try:
+            entry = RunEntry(qid, did, int(rank), float(score), tag)
+            if not math.isfinite(entry.score):
+                raise ValueError(f"non-finite score {score!r}")
+            entries.append(entry)
+        except ValueError as exc:
+            raise MalformedLine(path, lineno, line, str(exc)) from exc
+    _validate_run_oracle(entries)
+    return entries

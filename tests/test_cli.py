@@ -248,7 +248,7 @@ class TestRerank:
             fh.write(json.dumps({"id": "img", "image_ref": "img.png", "modality": "image"}) + "\n")
         with open(workspace / "queries.jsonl", "a") as fh:
             fh.write(json.dumps({"id": "q4", "text": "find the image"}) + "\n")
-        run = read_run(str(workspace / "input.run"))
+        run = list(read_run(str(workspace / "input.run")))
         write_run(run + run_from_candidates("q4", ["d1", "img"], tag="bm25"),
                   str(workspace / "mixed.run"))
         out = workspace / "text_mode.run"
@@ -272,7 +272,7 @@ class TestRerank:
             fh.write(json.dumps({"id": "img", "image_ref": "img.png", "modality": "image"}) + "\n")
         with open(workspace / "queries.jsonl", "a") as fh:
             fh.write(json.dumps({"id": "q4", "text": "find the image"}) + "\n")
-        run = read_run(str(workspace / "input.run"))
+        run = list(read_run(str(workspace / "input.run")))
         write_run(run + run_from_candidates("q4", candidates, tag="bm25"),
                   str(workspace / "mixed.run"))
         out = workspace / "text_mode.run"
@@ -316,7 +316,7 @@ class TestRerank:
         with open(workspace / "queries.jsonl", "a") as fh:
             for qid in ("q4", "q5"):
                 fh.write(json.dumps({"id": qid, "text": "lost"}) + "\n")
-        run = read_run(str(workspace / "input.run"))
+        run = list(read_run(str(workspace / "input.run")))
         write_run(run + run_from_candidates("q4", ["nope"], tag="bm25")
                   + run_from_candidates("q5", ["d1", "nope"], tag="bm25"),
                   str(workspace / "gap.run"))
@@ -442,13 +442,16 @@ class TestEval:
         # interleaved: far more query changes between neighbours than queries
         assert sum(a != b for a, b in zip(qids, qids[1:])) > 2 * len(set(qids))
         (workspace / "shuffled.run").write_text("".join(shuffled))
+        # round robin: each query's lines in rank order, but never two in a row
+        by_query = [[line for line in lines if line.split()[0] == q] for q in ("q1", "q2", "q3")]
+        (workspace / "interleaved.run").write_text("".join(sum(zip(*by_query), ())))
         reports = []
-        for name in ("input.run", "shuffled.run"):
+        for name in ("input.run", "shuffled.run", "interleaved.run"):
             out = workspace / f"{name}.eval.json"
             assert run_cli("eval", "--run", workspace / name, "--qrels", workspace / "qrels.txt",
                            "--metrics", "ndcg@3,mrr,recall@5", "--out", out) == 0
             reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
 
 
 class TestConfigAndErrors:

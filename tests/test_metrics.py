@@ -1,18 +1,23 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ranked_entries_oracle, read_run_oracle
+from rankkit import types
 from rankkit.errors import (
     InvariantViolation,
     LengthMismatch,
     MalformedLine,
+    RankkitError,
     TooShort,
 )
 from rankkit.metrics import (
     Qrels,
+    Run,
     RunEntry,
     kendall_tau,
     mrr,
@@ -292,8 +297,8 @@ class TestRankedByQuery:
         run, shuffled, qrels = case
         for entries in (run, shuffled):
             first_seen = list(dict.fromkeys(e.query_id for e in entries))
-            expected = [(q, sorted((e for e in entries if e.query_id == q),
-                                   key=lambda e: (e.rank, e.doc_id)))
+            expected = [(q, [e.doc_id for e in sorted((e for e in entries if e.query_id == q),
+                                                      key=lambda e: (e.rank, e.doc_id))])
                         for q in first_seen]
             assert list(ranked_by_query(entries).items()) == expected
         for metric in (lambda r: ndcg_at_k(qrels, r, 2), lambda r: mrr(qrels, r),
@@ -399,3 +404,129 @@ class TestTrecIO:
             reader(str(path))
         assert exc.value.lineno == lineno
         assert str(exc.value).startswith(f"{path}:{lineno}: ")
+
+    def test_runs_of_different_files_with_the_same_length_differ(self, tmp_path):
+        a, b = tmp_path / "a.run", tmp_path / "b.run"
+        a.write_text("q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 1.0 t\n")
+        b.write_text("q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 0.5 t\n")
+        assert len(read_run(str(a))) == len(read_run(str(b)))
+        assert read_run(str(a)) != read_run(str(b))
+        assert read_run(str(a)) == read_run(str(a))
+        assert read_run(str(a)) == [RunEntry("q1", "d1", 1, 2.0, "t"),
+                                    RunEntry("q1", "d2", 2, 1.0, "t")]
+        assert read_run(str(a)) != list(read_run(str(b)))
+
+    def test_run_is_a_sequence_of_entries(self, tmp_path):
+        path = tmp_path / "a.run"
+        path.write_text("q1 Q0 d1 1 2.0 t\nq1 Q0 d2 2 1.0 t\nq2 Q0 d1 1 0.5 u\n")
+        run = read_run(str(path))
+        entries = read_run_oracle(str(path))
+        assert len(run) == 3
+        assert [run[i] for i in range(-3, 3)] == entries + entries
+        assert list(run)[1:] == entries[1:] and list(reversed(run)) == entries[::-1]
+        assert RunEntry("q2", "d1", 1, 0.5, "u") in run
+        with pytest.raises(IndexError):
+            run[3]
+        with pytest.raises(TypeError):
+            run[1:]
+
+
+# Whitespace that str.split() splits at, "\x1c" and an em space included, so
+# a run line's fields may be separated by any of them
+SEPARATORS = [" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\u2003", " \t "]
+RUN_QIDS = ["q1", "q2", "q10", "qé"]
+RUN_DIDS = ["d1", "d2", "d3", "dé", "文", "d٣"]
+RANK_FORMS = [str, str, str, lambda r: f"+{r}", lambda r: f"0{r}", lambda r: "_".join(str(r))]
+SCORE_TOKENS = ["nan", "1e999", "-inf", "-0.0", "0.0", "1_0.5", "0x1", "1e-5"]
+
+
+@st.composite
+def run_files(draw):
+    """The bytes of a run file: queries contiguous, interleaved, shuffled or
+    with one query in two blocks; ranks 1..n in any spelling int() takes,
+    now and then out of order or with a gap; scores falling, now and then
+    not; any whitespace and blank lines; and in some files a bad line (5 or
+    7 fields, a bad rank, a byte that is not UTF-8) or a line of 5 fields
+    and then one of 7."""
+    qids = draw(st.lists(st.sampled_from(RUN_QIDS), min_size=1, max_size=4, unique=True))
+    groups = []
+    for qid in qids:
+        dids = draw(st.lists(st.sampled_from(RUN_DIDS), min_size=1, max_size=6,
+                             unique=not draw(st.integers(0, 9)) == 9))
+        ranks = list(range(1, len(dids) + 1))
+        if draw(st.integers(0, 9)) == 9:
+            ranks = draw(st.permutations(ranks)) if draw(st.booleans()) else \
+                [draw(st.integers(1, 12)) for _ in ranks]
+        top = draw(st.floats(-1e6, 1e6))
+        drops = draw(st.lists(st.floats(0, 10), min_size=len(dids), max_size=len(dids)))
+        scores = [repr(top - sum(drops[:i])) for i in range(len(dids))]
+        if draw(st.integers(0, 9)) == 9:
+            scores[draw(st.integers(0, len(dids) - 1))] = draw(st.sampled_from(SCORE_TOKENS))
+        groups.append([[qid, "Q0", did, draw(st.sampled_from(RANK_FORMS))(rank), score, "t"]
+                       for did, rank, score in zip(dids, ranks, scores)])
+    order = draw(st.sampled_from(["contiguous", "interleaved", "shuffled", "split"]))
+    if order == "split":  # the first query's lines in two blocks, the second one last
+        at = draw(st.integers(0, len(groups[0])))
+        head, tail = groups[0][:at], groups[0][at:]
+        if draw(st.booleans()):  # each block ranked from 1
+            tail = [row[:3] + [str(r)] + row[4:] for r, row in enumerate(tail, start=1)]
+        groups = [head] + groups[1:] + [tail]
+    if order in ("contiguous", "split"):
+        rows = [row for group in groups for row in group]
+    elif order == "interleaved":
+        rows = [group[i] for i in range(6) for group in groups if i < len(group)]
+    else:
+        rows = draw(st.permutations([row for group in groups for row in group]))
+    lines = []
+    for fields in rows:
+        sep = draw(st.sampled_from(SEPARATORS))
+        line = draw(st.sampled_from(["", " ", "\r"])) + sep.join(fields) + \
+            draw(st.sampled_from(["", "\r", " \x1c"]))
+        lines.append(line.encode("utf-8"))
+        if draw(st.integers(0, 9)) == 9:
+            lines.append(draw(st.sampled_from([b"", b" ", b"\r", b"\x0c"])))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = draw(st.sampled_from([
+            b"q1 Q0 d1 1 2.0", b"q1 Q0 d1 1 2.0 t x", b"q1 Q0 d1 1.0 2.0 t", b"q1 \xff d1",
+            b"q1 Q0 d1 1 2.0\nx q1 Q0 d2 2 1.0 t"]))
+    return b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
+
+
+def raised(read, path):
+    """What ``read(path)`` returns, or its exception's type, line and text."""
+    try:
+        return read(path)
+    except RankkitError as exc:
+        return type(exc), getattr(exc, "lineno", None), str(exc)
+
+
+class TestReadRunOracle:
+    """``read_run`` against the literal per-line reader it replaced."""
+
+    @given(run_files(), st.sampled_from([1, 40, 1 << 14]))
+    @settings(max_examples=500, deadline=None)
+    def test_same_entries_or_same_error(self, tmp_path_factory, data, chunk_bytes):
+        path = str(tmp_path_factory.mktemp("runs") / "r.run")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with mock.patch.object(types, "_LINES_CHUNK_BYTES", chunk_bytes):
+            got, expected = raised(read_run, path), raised(read_run_oracle, path)
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        assert isinstance(got, Run)
+        assert list(got) == expected
+        assert got == expected
+        assert list(ranked_by_query(got).items()) == \
+            [(q, [e.doc_id for e in g]) for q, g in ranked_entries_oracle(expected).items()]
+
+    def test_file_of_many_chunks(self, tmp_path):
+        # 3000 lines of 2 interleaved queries, well past one read chunk
+        path = tmp_path / "long.run"
+        rows = [f"q{i % 2}\x0bQ0\td{i}  {i // 2 + 1} {-i / 7!r} run" for i in range(3000)]
+        path.write_text("\n".join(rows))
+        got = read_run(str(path))
+        assert len(got) == 3000 and got == read_run_oracle(str(path))
+        assert list(ranked_by_query(got)) == ["q0", "q1"]
+        assert ranked_by_query(got)["q1"] == [f"d{i}" for i in range(1, 3000, 2)]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rankkit.errors import LengthMismatch, NonPositiveTemperature
 from rankkit.ranking_math import (
+    _suffix_logsumexp,
     listwise_loss,
     listwise_loss_grad,
     plackett_luce_prob,
@@ -141,6 +142,18 @@ class TestListwiseLoss:
         report = listwise_loss(scores, identity_permutation(6), 0.5)
         assert sum(report.per_step_terms) == pytest.approx(report.loss)
         assert all(t >= -1e-12 for t in report.per_step_terms)
+
+    @given(tied_loss_cases())
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_per_step_terms_are_the_python_floats_of_the_terms(self, case):
+        scores, perm, tau = case
+        t = np.asarray(scores, dtype=np.float64)[np.asarray(perm.order) - 1] / tau
+        terms = _suffix_logsumexp(t) - t
+        got = listwise_loss(scores, perm, tau).per_step_terms
+        assert all(type(x) is float for x in got)
+        # bit-equal, the sign of zero included
+        assert [x.hex() for x in got] == [float(x).hex() for x in terms]
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(11)

@@ -113,6 +113,21 @@ def test_each_separator_reads_as_json_loads_reads_it(tmp_path, sep):
     assert isinstance(got, EmbeddingRows) == (sep in FAST_SEPS)
 
 
+# vector bodies with "-" in odd places: the grammar check deletes every "-",
+# so a misplaced one rests on np.loadtxt rejecting each token that JSON
+# rejects; only the last is a fast body
+MINUS_BODIES = ["1-2", "0-1", "--1", "-", "-01", "-.5", "1e-05", "-0", "1, -", "-, 1",
+                "1.-5", "- 1", "1, 2-", "-1-", "-1, -2"]
+
+
+@pytest.mark.parametrize("body", MINUS_BODIES)
+def test_each_minus_placement_reads_as_json_loads_reads_it(tmp_path, body):
+    path = tmp_path / "emb.jsonl"
+    path.write_text(line("a", ["1.5", "-2"]) + "\n" + line("b", [body]) + "\n")
+    got = assert_same_as_reference(path)
+    assert isinstance(got, EmbeddingRows) == (body == "-1, -2")
+
+
 @pytest.mark.parametrize("body", ["", " ", "\t", "\x0b"])
 def test_empty_vector_is_malformed_without_a_warning(tmp_path, body):
     path = tmp_path / "emb.jsonl"
