@@ -7,7 +7,6 @@ from .types import (
     Document,
     Permutation,
     Query,
-    apply_permutation,
     identity_permutation,
     validate_permutation,
 )

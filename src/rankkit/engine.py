@@ -157,7 +157,6 @@ def rerank_pairwise(
     backend: Backend,
     mode: str = "text",
     retry: RetryPolicy | None = None,
-    report: RerankReport | None = None,
 ) -> CandidateList:
     """Pairwise rerank: one relevance question per candidate, relevant docs
     promoted ahead of irrelevant ones with stable order inside each part.
@@ -166,7 +165,6 @@ def rerank_pairwise(
     if not candidates.doc_ids:
         raise InvariantViolation(f"query {query.id}: empty candidate list")
     retry = retry or RetryPolicy()
-    report = report if report is not None else RerankReport()
     resolved = resolve_docs(candidates.doc_ids, docs)
     check_modality(resolved, mode)
     relevant: list[str] = []
@@ -174,11 +172,9 @@ def rerank_pairwise(
     for did, doc in zip(candidates.doc_ids, resolved):
         prompt = build_pairwise_prompt(query, doc, mode=mode)
         raw = call_with_retries(backend, prompt, retry)
-        report.backend_calls += 1
         try:
             is_rel = parse_yes_no(raw)
         except Unparseable:
-            report.fallbacks += 1
             is_rel = False
         (relevant if is_rel else irrelevant).append(did)
     return CandidateList(query.id, tuple(relevant + irrelevant))

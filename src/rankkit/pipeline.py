@@ -1,10 +1,8 @@
-"""Data curation and teacher-label distillation.
+"""Teacher-label distillation and the shared pipeline config.
 
 The pipeline retrieves top-k candidates per query by Euclidean distance in
 a shared embedding space, asks a teacher backend to rerank them, scores
 each label's confidence, and keeps the best labels up to a budget.
-Curation (quality filtering then diversity selection) runs on the document
-embeddings alone.
 
 Confidence is a proxy: the Kendall tau between the teacher's ordering and
 the retrieval-similarity order the candidates were presented in, minus 0.1
@@ -20,16 +18,7 @@ from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
 from .backends import Backend, RetryPolicy
-from .embedding import (
-    CorpusIndex,
-    EmbeddingRecord,
-    EmbeddingRows,
-    SelectionResult,
-    greedy_diversity_select,
-    nearest_pairs,
-    quality_filter,
-    top_k_by_distance,
-)
+from .embedding import CorpusIndex, EmbeddingRecord, top_k_by_distance
 from .engine import RerankReport, WindowConfig, map_ordered, rank_window, resolve_docs
 from .errors import ConfigError, MalformedLine, RankkitError
 from .metrics import kendall_tau
@@ -297,54 +286,3 @@ def _label_from_json(rec: dict) -> TeacherLabel:
         repair_count=rec.get("repair_count", 0),
         backend_tag=rec.get("backend_tag", ""),
     )
-
-
-@dataclass
-class CurationManifest:
-    total: int
-    paired: int
-    kept_after_filter: int
-    selected: int
-    threshold: float
-    selection_k: int
-    seed: int
-
-    def to_json(self) -> dict:
-        return self.__dict__.copy()
-
-
-def curate(
-    corpus_embs: Sequence[EmbeddingRecord],
-    cfg: PipelineConfig,
-    query_embs: Sequence[EmbeddingRecord] | None = None,
-) -> tuple[SelectionResult, CurationManifest]:
-    """Quality filtering then greedy diversity selection.
-
-    When query embeddings are given, each query is paired with its nearest
-    document (top-1 by Euclidean distance) and the pair must clear the cosine
-    threshold for the document to survive; without queries the filter stage
-    is a no-op and every document survives.
-    """
-    paired = 0
-    if query_embs is not None:
-        index = CorpusIndex(corpus_embs)
-        pairs = nearest_pairs(query_embs, index)
-        paired = len(pairs)
-        kept = quality_filter(pairs, cfg.quality_threshold).kept
-        kept_ids = tuple(dict.fromkeys(did for _, _, (_, did) in kept))
-        survivors = EmbeddingRows(index.matrix[[index.by_id[i] for i in kept_ids]], kept_ids)
-    else:
-        survivors = corpus_embs
-    if not survivors:
-        raise ConfigError("quality filter removed every record; lower the threshold")
-    selection = greedy_diversity_select(survivors, cfg.selection_k, keep_trace=True)
-    manifest = CurationManifest(
-        total=len(corpus_embs),
-        paired=paired,
-        kept_after_filter=len(survivors),
-        selected=len(selection.selected_ids),
-        threshold=cfg.quality_threshold,
-        selection_k=cfg.selection_k,
-        seed=cfg.seed,
-    )
-    return selection, manifest

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import (
     ConfigError,
@@ -132,13 +132,6 @@ def identity_permutation(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
 
 
-def apply_permutation(items: Sequence[T], perm: Permutation) -> list[T]:
-    """Reorder ``items`` so position i holds items[perm.order[i] - 1]."""
-    if len(items) != len(perm):
-        raise LengthMismatch(f"{len(items)} items vs permutation of size {len(perm)}")
-    return [items[i - 1] for i in perm.order]
-
-
 # --- JSON-lines corpus / query I/O ---
 
 
@@ -246,14 +239,3 @@ def read_documents(path: str) -> list[Document]:
 
 def read_queries(path: str) -> list[Query]:
     return read_jsonl(path, lambda rec: Query(id=rec["id"], text=rec["text"]))
-
-
-def write_documents(docs: Iterable[Document], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in docs:
-            rec = {"id": d.id, "modality": d.modality}
-            if d.text is not None:
-                rec["text"] = d.text
-            if d.image_ref is not None:
-                rec["image_ref"] = d.image_ref
-            fh.write(json.dumps(rec) + "\n")

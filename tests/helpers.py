@@ -1,0 +1,19 @@
+"""File writers that only the tests need: the package reads these formats
+but never writes them."""
+
+import json
+from typing import Iterable
+
+from rankkit.types import Document
+
+
+def write_documents(docs: Iterable[Document], path: str) -> None:
+    """A corpus file that ``rankkit.types.read_documents`` reads back as ``docs``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for d in docs:
+            rec = {"id": d.id, "modality": d.modality}
+            if d.text is not None:
+                rec["text"] = d.text
+            if d.image_ref is not None:
+                rec["image_ref"] = d.image_ref
+            fh.write(json.dumps(rec) + "\n")

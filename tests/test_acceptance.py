@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers import write_documents
 from oracles import brute_force_diversity_oracle
 
 from rankkit import cli
@@ -24,7 +25,7 @@ from rankkit.metrics import (
 )
 from rankkit.parsing import parse_ranking, render_ranking
 from rankkit.ranking_math import listwise_loss, listwise_loss_grad, plackett_luce_prob
-from rankkit.types import Document, Permutation, write_documents
+from rankkit.types import Document, Permutation
 
 
 def verdict(name, ok):

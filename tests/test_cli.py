@@ -4,13 +4,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import requests
+from helpers import write_documents
 
 from rankkit import cli
 from rankkit.embedding import EmbeddingRecord, euclidean_dist, read_embeddings, write_embeddings
 from rankkit.errors import MalformedLine
 from rankkit.metrics import read_run, run_from_candidates, write_run
-from rankkit.pipeline import CONFIDENCE_FORMULA, PipelineConfig, curate, read_labels
-from rankkit.types import Document, Query, read_documents, read_queries, write_documents
+from rankkit.pipeline import CONFIDENCE_FORMULA, read_labels
+from rankkit.types import Document, Query, read_documents, read_queries
 
 
 @pytest.fixture
@@ -143,7 +144,7 @@ class TestFilterRetrieve:
         assert f"{pairs}:2: unknown doc_id 'nope'" in caplog.text
 
 
-    def test_curate_keeps_the_docs_that_filter_keeps(self, tmp_path):
+    def test_filter_drops_zero_and_below_threshold_and_repeats_a_shared_doc(self, tmp_path):
         rng = np.random.default_rng(8)
         docs = [EmbeddingRecord(f"d{i}", v) for i, v in enumerate(rng.normal(size=(12, 4)))]
         qvecs = list(rng.normal(size=(10, 4)))
@@ -158,19 +159,14 @@ class TestFilterRetrieve:
                        "--quality-threshold", 0.3, "--out", out)
         assert code == 0
         lines = [json.loads(line) for line in out.read_text().splitlines()]
-        kept = [rec["doc_id"] for rec in lines[1:]]
-        survivors = list(dict.fromkeys(kept))
+        kept = {rec["query_id"]: rec["doc_id"] for rec in lines[1:]}
         assert lines[0]["meta"]["dropped_zero"] == 1
+        assert "q10" not in kept
         assert lines[0]["meta"]["dropped_below"] >= 1
-        assert len(survivors) < len(kept)
-
-        selection, manifest = curate(docs, PipelineConfig(quality_threshold=0.3),
-                                     query_embs=queries)
-        assert manifest.paired == len(queries)
-        assert manifest.kept_after_filter == len(survivors)
-        # greedy selection seeds with the first survivor and keeps them all
-        assert selection.selected_ids[0] == survivors[0]
-        assert sorted(selection.selected_ids) == sorted(survivors)
+        assert len(kept) == lines[0]["meta"]["kept"]
+        # q0 and its copy keep the same doc, and it is written once for each
+        assert kept["q0"] == kept["q11"]
+        assert [rec["doc_id"] for rec in lines[1:]].count(kept["q0"]) >= 2
 
 
 class TestRerank:

@@ -7,11 +7,12 @@ import json
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import write_documents
 
 from rankkit import cli
 from rankkit.embedding import EmbeddingRecord, write_embeddings
 from rankkit.metrics import run_from_candidates, write_run
-from rankkit.types import Document, write_documents
+from rankkit.types import Document
 
 FLAG = object()  # a store_true flag, which takes no value
 

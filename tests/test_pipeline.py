@@ -14,7 +14,6 @@ from rankkit.pipeline import (
     TeacherLabel,
     confidence_filter,
     config_from_json,
-    curate,
     distill,
     raw_confidence,
     read_labels,
@@ -197,50 +196,6 @@ class TestLabelIO:
             write_labels(labels, str(p), CFG3)
             out.append(p.read_bytes())
         assert out[0] == out[1]
-
-
-class TestCurate:
-    def test_no_queries_means_no_filter(self):
-        recs = line_corpus(6)
-        cfg = PipelineConfig(top_k=3, selection_k=6, quality_threshold=-1.0)
-        selection, manifest = curate(recs, cfg)
-        assert sorted(selection.selected_ids) == sorted(r.id for r in recs)
-        assert manifest.kept_after_filter == 6
-
-    def test_threshold_excludes_pairs_before_selection(self):
-        docs = [
-            EmbeddingRecord("near", np.array([1.0, 0.0])),
-            EmbeddingRecord("anti", np.array([-5.0, 0.0])),
-        ]
-        queries = [
-            EmbeddingRecord("qn", np.array([0.9, 0.1])),
-            EmbeddingRecord("qa", np.array([-4.0, -0.5])),
-        ]
-        cfg = PipelineConfig(top_k=1, selection_k=2, quality_threshold=0.25)
-        selection, manifest = curate(docs, cfg, query_embs=queries)
-        # qa's top-1 is "anti" but cos(qa, anti) ~ 0.99; both survive
-        assert manifest.kept_after_filter == 2
-        # cos(qn, near) ~ 0.994 clears 0.9; qa is not paired at all
-        strict = PipelineConfig(top_k=1, selection_k=2, quality_threshold=0.9)
-        selection, manifest = curate(docs, strict, query_embs=[queries[0]])
-        assert manifest.kept_after_filter == 1
-        assert selection.selected_ids == ("near",)
-
-    def test_manifest_counts_trace_stages(self):
-        rng = np.random.default_rng(21)
-        docs = [EmbeddingRecord(f"d{i}", rng.normal(size=3)) for i in range(12)]
-        queries = [EmbeddingRecord(f"q{i}", rng.normal(size=3)) for i in range(5)]
-        cfg = PipelineConfig(top_k=1, selection_k=3, quality_threshold=-1.0)
-        selection, manifest = curate(docs, cfg, query_embs=queries)
-        assert manifest.total == 12
-        assert manifest.paired == 5
-        # threshold -1 keeps every distinct top-1 doc
-        tops = []
-        for q in queries:
-            dists = [float(np.linalg.norm(q.vector - d.vector)) for d in docs]
-            tops.append(docs[int(np.argmin(dists))].id)
-        assert manifest.kept_after_filter == len(dict.fromkeys(tops))
-        assert manifest.selected == min(3, manifest.kept_after_filter)
 
 
 class TestConfig:

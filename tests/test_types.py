@@ -3,6 +3,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import write_documents
 
 from rankkit import types
 from rankkit.errors import (
@@ -17,15 +18,12 @@ from rankkit.errors import (
 from rankkit.types import (
     CandidateList,
     Document,
-    Permutation,
     Query,
-    apply_permutation,
     identity_permutation,
     read_documents,
     read_lines,
     read_queries,
     validate_permutation,
-    write_documents,
 )
 
 permutations = st.integers(min_value=1, max_value=8).flatmap(
@@ -66,30 +64,6 @@ class TestValidatePermutation:
     def test_integral_floats_accepted(self):
         assert validate_permutation([2.0, 1.0, 3.0], 3).order == (2, 1, 3)
 
-
-class TestApplyPermutation:
-    def test_basic(self):
-        perm = validate_permutation([2, 1, 3], 3)
-        assert apply_permutation(["a", "b", "c"], perm) == ["b", "a", "c"]
-
-    def test_singleton(self):
-        assert apply_permutation(["a"], identity_permutation(1)) == ["a"]
-
-    def test_swap(self):
-        assert apply_permutation(["a", "b"], validate_permutation([2, 1], 2)) == ["b", "a"]
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            apply_permutation(["a", "b"], identity_permutation(3))
-
-    @given(permutations)
-    def test_inverse_roundtrip(self, order):
-        n = len(order)
-        perm = validate_permutation(order, n)
-        items = list(range(n))
-        inverse = Permutation(tuple(perm.order.index(i) + 1 for i in range(1, n + 1)))
-        assert apply_permutation(apply_permutation(items, perm), inverse) == items
-
     @given(permutations)
     def test_sorted_order_is_identity_range(self, order):
         n = len(order)
@@ -101,11 +75,6 @@ def test_identity_permutation():
     assert identity_permutation(3).order == (1, 2, 3)
     assert identity_permutation(0).order == ()
     assert identity_permutation(1).order == (1,)
-
-
-@given(st.lists(st.integers(min_value=0, max_value=20), min_size=0, max_size=20))
-def test_identity_application_is_noop(items):
-    assert apply_permutation(items, identity_permutation(len(items))) == items
 
 
 class TestDomainTypes:
