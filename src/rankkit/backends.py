@@ -18,6 +18,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Protocol, Sequence
 
 from .errors import BackendError, ConfigError, MissingModality, ScriptExhausted, TransportError
@@ -155,6 +156,149 @@ def script_to_messages(prompt: PromptScript) -> list[dict]:
     return messages
 
 
+def _split_url(text: str, what: str):
+    """``urllib.parse.urlsplit`` of an http(s) URL with a host and a valid
+    port; anything else is a ``ConfigError`` naming ``what``."""
+    import urllib.parse
+
+    if not text.startswith(("http://", "https://")):
+        raise ConfigError(f"{what} must start with http:// or https://, got {text!r}")
+    # http.client sends the target as it is; it would reject these per request
+    if not text.isascii() or any(c <= " " or c == "\x7f" for c in text):
+        raise ConfigError(f"{what} must be printable ASCII without spaces, got {text!r}")
+    url = urllib.parse.urlsplit(text)
+    try:
+        url.port
+    except ValueError as exc:
+        raise ConfigError(f"{what} has a bad port: {text!r} ({exc})") from None
+    if not url.hostname:
+        raise ConfigError(f"{what} has no host: {text!r}")
+    return url
+
+
+def _default_port(url) -> int:
+    return url.port or (443 if url.scheme == "https" else 80)
+
+
+@dataclass
+class HttpReply:
+    """The part of a response that ``HttpBackend`` reads."""
+
+    status_code: int
+    content: bytes
+
+    @property
+    def text(self) -> str:
+        return self.content.decode("utf-8", "replace")
+
+    def json(self):
+        return json.loads(self.content)
+
+
+class HttpTransport:
+    """Keep-alive POSTs to one endpoint over the standard library's
+    ``http.client``: ``HttpBackend``'s session unless a test injects one.
+
+    Idle connections wait on a stack.  A call pops one or opens one, reads
+    the whole response and pushes the connection back, so no connection
+    serves two threads at once and no more are open than calls run at once.
+    An error drops the connection.  A reused connection that the server
+    closed while it sat idle (reset or broken pipe before a status line) is
+    replaced by a fresh one and the request sent once more; a request on a
+    fresh connection is never sent twice.
+
+    ``http_proxy``, ``https_proxy``, ``all_proxy`` and ``no_proxy`` are read
+    once, here.  Through a proxy, an http endpoint is requested in absolute
+    form and an https endpoint through a CONNECT tunnel.  TLS is verified
+    against the system's trust store.
+    """
+
+    def __init__(self, endpoint: str):
+        import http.client
+        import ssl
+        import urllib.parse
+        import urllib.request
+
+        url = _split_url(endpoint, "endpoint")
+        self.endpoint = endpoint
+        origin = (url.hostname, _default_port(url))
+        path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._target = path
+        self._proxy_headers: dict[str, str] = {}
+        self._address = origin
+        self._tunnel = None
+        proxies = urllib.request.getproxies()
+        proxy = proxies.get(url.scheme) or proxies.get("all")
+        if proxy and not urllib.request.proxy_bypass(url.netloc):
+            via = _split_url(proxy if "://" in proxy else f"http://{proxy}", "proxy")
+            if via.scheme != "http":
+                raise ConfigError(f"proxy must be an http:// URL, got {proxy!r}")
+            self._address = (via.hostname, _default_port(via))
+            auth = {}
+            if via.username is not None:
+                user = urllib.parse.unquote(via.username)
+                password = urllib.parse.unquote(via.password or "")
+                token = base64.b64encode(f"{user}:{password}".encode()).decode("ascii")
+                auth["Proxy-Authorization"] = f"Basic {token}"
+            if url.scheme == "http":
+                self._target = f"http://{url.netloc}{path}"
+                self._proxy_headers = auth
+            else:
+                self._tunnel = (*origin, auth)
+        if url.scheme == "https":
+            context = ssl.create_default_context()
+            self._connection = partial(http.client.HTTPSConnection, context=context)
+        else:
+            self._connection = http.client.HTTPConnection
+        # list.append and list.pop are atomic, so the stack needs no lock
+        self._idle: list = []
+
+    def post(self, url: str, *, data: str, headers: Mapping[str, str],
+             timeout: float) -> HttpReply:
+        if url != self.endpoint:
+            raise ValueError(f"this transport posts to {self.endpoint!r} only, not {url!r}")
+        body = data.encode("utf-8")
+        headers = {**self._proxy_headers, **headers}
+        try:
+            conn = self._idle.pop()
+            conn.sock.settimeout(timeout)
+            reused = True
+        except IndexError:
+            conn = self._open(timeout)
+            reused = False
+        try:
+            try:
+                conn.request("POST", self._target, body, headers)
+                resp = conn.getresponse()
+            # http.client.RemoteDisconnected is a ConnectionResetError
+            except (ConnectionResetError, BrokenPipeError):
+                if not reused:
+                    raise
+                conn.close()
+                conn = self._open(timeout)
+                conn.request("POST", self._target, body, headers)
+                resp = conn.getresponse()
+            content = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if not resp.will_close:
+            self._idle.append(conn)
+        return HttpReply(resp.status, content)
+
+    def _open(self, timeout: float):
+        conn = self._connection(*self._address, timeout=timeout)
+        if self._tunnel is not None:
+            conn.set_tunnel(*self._tunnel)
+        return conn
+
+    def close(self) -> None:
+        """Close the idle connections; call when no request is in flight."""
+        idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+
 @dataclass
 class HttpBackend:
     """Chat-completions client.  API key comes from $RERANK_API_KEY."""
@@ -162,20 +306,27 @@ class HttpBackend:
     endpoint: str
     model: str
     timeout: float = 120.0
-    session: object = None  # requests.Session-compatible; injectable for tests
+    # anything with HttpTransport's post(); injectable for tests
+    session: object = None
 
     def __post_init__(self):
-        if not self.endpoint.startswith(("http://", "https://")):
-            raise ConfigError(
-                f"endpoint must start with http:// or https://, got {self.endpoint!r}")
+        if _split_url(self.endpoint, "endpoint").username is not None:
+            raise ConfigError(f"endpoint must not carry user:password; the key comes "
+                              f"from ${API_KEY_ENV}")
         if not 0 < self.timeout < math.inf:
             raise ConfigError(f"timeout must be a finite number > 0, got {self.timeout!r}")
         if self.session is None:
-            import requests
+            self.session = HttpTransport(self.endpoint)
 
-            self.session = requests.Session()
+    def close(self) -> None:
+        """Close the session's idle connections, if it keeps any."""
+        close = getattr(self.session, "close", None)
+        if close is not None:
+            close()
 
     def complete(self, prompt: PromptScript) -> str:
+        import http.client  # on first use: ``rankkit.cli`` loads neither it nor ssl
+
         payload = {
             "model": self.model,
             "messages": script_to_messages(prompt),
@@ -189,7 +340,7 @@ class HttpBackend:
             resp = self.session.post(
                 self.endpoint, data=json.dumps(payload), headers=headers, timeout=self.timeout
             )
-        except Exception as exc:  # connection errors, timeouts
+        except (OSError, http.client.HTTPException) as exc:  # connection, timeout, TLS
             raise TransportError(f"request failed: {exc}") from exc
         if resp.status_code >= 500 or resp.status_code == 429:
             raise TransportError(f"HTTP {resp.status_code}")

@@ -52,6 +52,13 @@ def _make_backend(args: argparse.Namespace) -> backends.Backend:
     raise RankkitError(f"unknown backend {kind!r}")
 
 
+def _close_backend(backend: backends.Backend) -> None:
+    """Close an HTTP backend's idle connections when its command ends; the
+    mocks hold none."""
+    if isinstance(backend, backends.HttpBackend):
+        backend.close()
+
+
 def cmd_filter(args: argparse.Namespace) -> None:
     cfg = _load_config(args)
     query_embs = embedding.read_embeddings(args.query_embeddings)
@@ -133,13 +140,16 @@ def cmd_rerank(args: argparse.Namespace) -> list[str]:
         for qid, doc_ids in metrics.ranked_by_query(metrics.read_run(args.run)).items()
     }
     backend = _make_backend(args)
-    results, failed = engine.rerank_many(
-        queries, candidate_lists, corpus, backend,
-        method=args.method,
-        window=cfg.window,
-        mode=cfg.mode,
-        parallelism=cfg.parallelism,
-    )
+    try:
+        results, failed = engine.rerank_many(
+            queries, candidate_lists, corpus, backend,
+            method=args.method,
+            window=cfg.window,
+            mode=cfg.mode,
+            parallelism=cfg.parallelism,
+        )
+    finally:
+        _close_backend(backend)
     entries = []
     for cl in results:
         entries.extend(metrics.run_from_candidates(cl.query_id, cl.doc_ids, tag=args.tag))
@@ -156,8 +166,11 @@ def cmd_distill(args: argparse.Namespace) -> list[str]:
     if args.corpus:
         corpus = {d.id: d for d in types.read_documents(args.corpus)}
     backend = _make_backend(args)
-    labels, summary = pipeline.distill(queries, query_embs, corpus_embs, backend, cfg,
-                                       corpus=corpus)
+    try:
+        labels, summary = pipeline.distill(queries, query_embs, corpus_embs, backend, cfg,
+                                           corpus=corpus)
+    finally:
+        _close_backend(backend)
     if args.budget_filter:
         labels = pipeline.confidence_filter(labels, cfg.budget)
     pipeline.write_labels(labels, args.out, cfg)

@@ -165,6 +165,15 @@ class TestHttpBackend:
         with pytest.raises(TransportError):
             backend.complete(LISTWISE)
 
+    def test_a_non_transport_exception_propagates_without_retries(self):
+        sleeps = []
+        session = FakeSession([TypeError("bad argument"), completion("[1] > [2] > [3]")])
+        backend = HttpBackend(endpoint="http://x", model="m", session=session)
+        with pytest.raises(TypeError, match="bad argument"):
+            call_with_retries(backend, LISTWISE, RetryPolicy(sleep=sleeps.append))
+        assert len(session.requests) == 1
+        assert sleeps == []
+
     @pytest.mark.parametrize("payload", [
         {"choices": None},
         {"choices": [{"message": {"content": None}}]},
@@ -184,6 +193,12 @@ class TestHttpBackend:
         ({"timeout": -1.0}, "timeout"),
         ({"timeout": float("nan")}, "timeout"),
         ({"timeout": float("inf")}, "timeout"),
+        ({"endpoint": "http://"}, "endpoint"),
+        ({"endpoint": "http:///v1"}, "endpoint"),
+        ({"endpoint": "http://h:x/v1"}, "endpoint"),
+        ({"endpoint": "http://h:70000/v1"}, "endpoint"),
+        ({"endpoint": "http://h/v 1"}, "endpoint"),
+        ({"endpoint": "http://user:pw@h/v1"}, "endpoint"),
     ])
     def test_bad_settings_are_a_config_error_before_any_request(self, settings, key):
         session = FakeSession([])

@@ -3,10 +3,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import requests
 from helpers import write_documents
 
-from rankkit import cli
+from rankkit import backends, cli
 from rankkit.embedding import EmbeddingRecord, euclidean_dist, read_embeddings, write_embeddings
 from rankkit.errors import MalformedLine
 from rankkit.metrics import read_run, run_from_candidates, write_run
@@ -50,7 +49,7 @@ def run_cli(*args):
 
 
 class ReplySession:
-    """Stands in for ``requests.Session``: each post answers 200 with the next
+    """Stands in for ``backends.HttpTransport``: each post answers 200 with the next
     chat-completions body; a post with no body left fails the test."""
 
     def __init__(self, bodies=()):
@@ -336,7 +335,8 @@ class TestRerank:
             "".join(json.dumps({"id": q, "text": "chart"}) + "\n" for q in ("q1", "q2")))
         write_run(run_from_candidates("q1", ["a", "b"]) + run_from_candidates("q2", ["a", "gone"]),
                   str(tmp_path / "first.run"))
-        monkeypatch.setattr(requests, "Session", lambda: ReplySession([reply("[2] > [1]")]))
+        monkeypatch.setattr(backends, "HttpTransport",
+                            lambda endpoint: ReplySession([reply("[2] > [1]")]))
         out = tmp_path / "out.run"
         code = run_cli("rerank", "--run", tmp_path / "first.run",
                        "--queries", tmp_path / "queries.jsonl",
@@ -351,7 +351,7 @@ class TestRerank:
                                                                  caplog):
         identity = reply(" > ".join(f"[{i}]" for i in range(1, 11)))
         session = ReplySession([{"choices": None}, reply(None), identity])
-        monkeypatch.setattr(requests, "Session", lambda: session)
+        monkeypatch.setattr(backends, "HttpTransport", lambda endpoint: session)
         out = workspace / "out.run"
         code = run_cli("rerank", "--run", workspace / "input.run",
                        "--queries", workspace / "queries.jsonl",
@@ -513,10 +513,13 @@ class TestConfigAndErrors:
         (["--timeout", "nan"], "timeout"),
         (["--endpoint", "localhost:8000/v1"], "endpoint"),
         (["--window-size", "1", "--stride", "1"], "window_size"),
+        (["--endpoint", "http://"], "endpoint"),
+        (["--endpoint", "http:///v1"], "endpoint"),
+        (["--endpoint", "http://h:x/v1"], "endpoint"),
     ])
     def test_bad_rerank_setting_is_fatal_before_any_request(self, workspace, monkeypatch,
                                                            caplog, argv, key):
-        monkeypatch.setattr(requests, "Session", ReplySession)
+        monkeypatch.setattr(backends, "HttpTransport", lambda endpoint: ReplySession())
         out = workspace / "out.run"
         code = run_cli("rerank", "--run", workspace / "input.run",
                        "--queries", workspace / "queries.jsonl",

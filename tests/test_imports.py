@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and importing
+the CLI loads no HTTP client.
 
 A name that a module imports and never reads is left over from deleted
 code; nothing else in the suite notices it.  ``__init__.py`` is skipped,
@@ -7,6 +8,8 @@ because its imports are the package's re-exports.
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -45,3 +48,13 @@ def test_scan_finds_an_unused_import():
 
 def test_modules_found():
     assert {p.name for p in MODULES} >= {"cli.py", "engine.py", "pipeline.py", "types.py"}
+
+
+def test_importing_the_cli_loads_no_http_client():
+    """``http.client`` and ``ssl`` load on the first HTTP backend, so the
+    start-up of every command that never builds one does not pay for them."""
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import rankkit.cli; "
+            "print([m for m in ('requests', 'http.client', 'ssl') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
