@@ -12,7 +12,7 @@ import logging
 import numpy as np
 
 from rankkit.embedding import (
-    EmbeddingRecord,
+    EmbeddingRows,
     greedy_diversity_select,
     kmeans_centroid_select,
     random_select,
@@ -26,13 +26,13 @@ def make_corpus(n, d, clusters, seed):
     centers = rng.normal(scale=4.0, size=(clusters, d))
     assignments = rng.integers(0, clusters, size=n)
     vectors = centers[assignments] + rng.normal(scale=0.5, size=(n, d))
-    records = [EmbeddingRecord(f"r{i}", vectors[i]) for i in range(n)]
+    rows = EmbeddingRows(vectors, [f"r{i}" for i in range(n)])
     cluster_of = {f"r{i}": int(assignments[i]) for i in range(n)}
-    return records, cluster_of
+    return rows, cluster_of
 
 
-def mean_pairwise_similarity(records, selected_ids):
-    by_id = {r.id: r.vector for r in records}
+def mean_pairwise_similarity(rows, selected_ids):
+    by_id = dict(zip(rows.ids, rows.matrix))
     x = np.stack([by_id[i] for i in selected_ids])
     x = x / np.linalg.norm(x, axis=1, keepdims=True)
     sims = x @ x.T
@@ -50,16 +50,16 @@ def main():
     args = parser.parse_args()
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
 
-    records, cluster_of = make_corpus(args.n, args.dim, args.clusters, args.seed)
+    rows, cluster_of = make_corpus(args.n, args.dim, args.clusters, args.seed)
     strategies = {
-        "greedy": lambda: greedy_diversity_select(records, args.k),
-        "random": lambda: random_select(records, args.k, args.seed),
-        "kmeans": lambda: kmeans_centroid_select(records, args.k, args.seed),
+        "greedy": lambda: greedy_diversity_select(rows, args.k),
+        "random": lambda: random_select(rows, args.k, args.seed),
+        "kmeans": lambda: kmeans_centroid_select(rows, args.k, args.seed),
     }
     print(f"{'strategy':<10} {'mean cos sim':>14} {'clusters hit':>14}")
     for name, run in strategies.items():
         result = run()
-        sim = mean_pairwise_similarity(records, result.selected_ids)
+        sim = mean_pairwise_similarity(rows, result.selected_ids)
         hit = len({cluster_of[i] for i in result.selected_ids})
         print(f"{name:<10} {sim:>14.4f} {hit:>9}/{args.clusters}")
 

@@ -21,6 +21,7 @@ from .embedding import (
     kmeans_centroid_select,
     quality_filter,
     random_select,
+    stack_records,
     top_k_by_distance,
 )
 from .ranking_math import (

@@ -84,8 +84,8 @@ def cmd_filter(args: argparse.Namespace) -> None:
 def _read_pairs(path: str, query_embs, doc_embs) -> list:
     """(query vector, doc vector, (query id, doc id)) for each line of a
     JSONL file of {query_id, doc_id}; unknown ids are fatal with file:line."""
-    q_by_id = {r.id: r.vector for r in query_embs}
-    d_by_id = {r.id: r.vector for r in doc_embs}
+    q_by_id = dict(zip(query_embs.ids, query_embs.matrix))
+    d_by_id = dict(zip(doc_embs.ids, doc_embs.matrix))
     return types.read_jsonl(path, lambda rec: (
         _vector(q_by_id, rec, "query_id"),
         _vector(d_by_id, rec, "doc_id"),
@@ -102,14 +102,14 @@ def _vector(by_id: dict, rec: dict, field: str):
 
 def cmd_select(args: argparse.Namespace) -> None:
     cfg = _load_config(args)
-    records = embedding.read_embeddings(args.embeddings)
+    rows = embedding.read_embeddings(args.embeddings)
     k = cfg.selection_k
     if args.algorithm == "greedy":
-        result = embedding.greedy_diversity_select(records, k, keep_trace=args.trace)
+        result = embedding.greedy_diversity_select(rows, k, keep_trace=args.trace)
     elif args.algorithm == "random":
-        result = embedding.random_select(records, k, cfg.seed)
+        result = embedding.random_select(rows, k, cfg.seed)
     else:
-        result = embedding.kmeans_centroid_select(records, k, cfg.seed)
+        result = embedding.kmeans_centroid_select(rows, k, cfg.seed)
     embedding.write_selection(result, args.out, {
         "algorithm": args.algorithm, "k": k, "seed": cfg.seed,
         "threshold": cfg.quality_threshold,
@@ -121,13 +121,12 @@ def cmd_retrieve(args: argparse.Namespace) -> None:
     query_embs = embedding.read_embeddings(args.query_embeddings)
     index = embedding.CorpusIndex(embedding.read_embeddings(args.doc_embeddings))
     entries = []
-    for q in query_embs:
-        ids = embedding.top_k_by_distance(q.vector, index, cfg.top_k)
+    for qid, q in zip(query_embs.ids, query_embs.matrix):
+        ids = embedding.top_k_by_distance(q, index, cfg.top_k)
         # 1-D euclidean_dist, not the index's row-wise norm: the two differ in
         # the last bit on some rows, and the written scores stay as they were
-        scores = [-embedding.euclidean_dist(q.vector, index.matrix[index.by_id[d]])
-                  for d in ids]
-        entries.extend(metrics.run_from_candidates(q.id, ids, scores, tag="retrieve"))
+        scores = [-embedding.euclidean_dist(q, index.matrix[index.by_id[d]]) for d in ids]
+        entries.extend(metrics.run_from_candidates(qid, ids, scores, tag="retrieve"))
     metrics.write_run(entries, args.out)
 
 
@@ -160,7 +159,8 @@ def cmd_rerank(args: argparse.Namespace) -> list[str]:
 def cmd_distill(args: argparse.Namespace) -> list[str]:
     cfg = _load_config(args)
     queries = types.read_queries(args.queries)
-    query_embs = {r.id: r.vector for r in embedding.read_embeddings(args.query_embeddings)}
+    query_rows = embedding.read_embeddings(args.query_embeddings)
+    query_embs = dict(zip(query_rows.ids, query_rows.matrix))
     corpus_embs = embedding.read_embeddings(args.doc_embeddings)
     corpus = None
     if args.corpus:

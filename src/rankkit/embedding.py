@@ -36,10 +36,10 @@ bound (``_sq_dist_bounds``) and re-scores the rows it leaves undecided with
 the literal ``np.square(x - c).sum()``: its selections are those of the
 literal computation, with rows x k temporaries, not the N x k x d tensor.
 
-``read_embeddings`` returns ``EmbeddingRows``: one C-contiguous float64
-matrix and a tuple of ids, each record a view of its row, so the index and
-the selectors take the file's matrix without another copy (a record list
-built in memory is stacked once).  The file is streamed in chunks of about
+``read_embeddings`` returns ``EmbeddingRows``, the one input type of every
+kernel: a read-only C-contiguous float64 matrix and a tuple of ids, each
+record a view of its row, so the index and the selectors take the file's
+matrix without another copy.  The file is streamed in chunks of about
 256 KiB.  A chunk takes the fast path when every line has the exact shape
 ``{"id": "<id>", "vector": [<numbers>]}`` that ``write_embeddings`` writes,
 the id holds no quote, backslash or control byte, and the bodies pass
@@ -47,8 +47,8 @@ the id holds no quote, backslash or control byte, and the bodies pass
 and their row count, width and finiteness are checked.  Any line or chunk
 that fails a check sends the whole file through the JSON-per-line reader
 (``types.read_jsonl``), which is the specification: it reports every
-``MalformedLine`` with its file:line and returns a plain record list,
-ragged or not.  Both paths give the same ids and bit-identical vectors.
+``MalformedLine`` with its file:line (a row of another width than the first
+too), then stacks the rows.  Both give the same ids and bit-identical rows.
 """
 
 from __future__ import annotations
@@ -173,15 +173,16 @@ def quality_filter(
 
 
 class EmbeddingRows(abc.Sequence):
-    """Embedding records whose vectors are the rows of one float64 matrix:
-    ``rows[i]`` is ``EmbeddingRecord(ids[i], matrix[i])``, its vector a view
-    of the row, and a slice is again ``EmbeddingRows``."""
+    """Embedding records as the rows of one C-contiguous float64 matrix (any
+    other matrix is copied into one): ``rows[i]`` is ``EmbeddingRecord(ids[i],
+    matrix[i])``, a view of its row, and a slice is again ``EmbeddingRows``."""
 
-    def __init__(self, matrix: np.ndarray, ids: tuple[str, ...]):
+    def __init__(self, matrix: np.ndarray, ids: Sequence[str]):
+        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != len(ids):
             raise InvariantViolation(f"{len(ids)} ids for a matrix of shape {matrix.shape}")
         self.matrix = matrix
-        self.ids = ids
+        self.ids = tuple(ids)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -191,28 +192,30 @@ class EmbeddingRows(abc.Sequence):
             return EmbeddingRows(self.matrix[i], self.ids[i])
         return EmbeddingRecord(self.ids[i], self.matrix[i])
 
-    def __iter__(self):
-        return map(EmbeddingRecord, self.ids, self.matrix)
 
-
-def _rows(records: Sequence[EmbeddingRecord]) -> EmbeddingRows:
-    """``records`` as one matrix: ``EmbeddingRows`` as they are, any other
-    record list stacked into a new one.  Empty input or rows of different
-    dimensions raise."""
-    if not records:
-        raise EmptyCollection("no embedding records")
-    if isinstance(records, EmbeddingRows):
-        return records
-    dim = records[0].vector.shape[0]
+def stack_records(records: Sequence[EmbeddingRecord]) -> EmbeddingRows:
+    """A record list built in memory as ``EmbeddingRows`` over one new
+    read-only matrix; no records give zero rows, rows of different widths raise."""
+    dim = records[0].vector.shape[0] if records else 0
     for r in records:
         if r.vector.shape[0] != dim:
             raise DimensionMismatch(f"record {r.id}: dim {r.vector.shape[0]} != {dim}")
-    return EmbeddingRows(np.stack([r.vector for r in records], dtype=np.float64),
-                         tuple(r.id for r in records))
+    matrix = np.array([r.vector for r in records], dtype=np.float64).reshape(len(records), dim)
+    matrix.flags.writeable = False
+    return EmbeddingRows(matrix, [r.id for r in records])
+
+
+def _matrix(rows: EmbeddingRows, k: int = 1) -> np.ndarray:
+    """The matrix of ``rows`` to pick ``k`` rows from; no rows or k < 1 raise."""
+    if not rows.ids:
+        raise EmptyCollection("no embedding records")
+    if k < 1:
+        raise KTooLarge(f"k must be >= 1, got {k}")
+    return rows.matrix
 
 
 def greedy_diversity_select(
-    records: Sequence[EmbeddingRecord],
+    rows: EmbeddingRows,
     k: int,
     keep_trace: bool = False,
 ) -> SelectionResult:
@@ -234,12 +237,9 @@ def greedy_diversity_select(
     thread split.  No float64 unit matrix is kept: ``u32`` is built in row
     blocks, and the candidates' unit rows are recomputed from ``x``.
     """
-    rows = _rows(records)
-    x = rows.matrix
+    x = _matrix(rows, k)
     n, d = x.shape
     norms, u32, u_max = _unit_rows32(rows)
-    if k < 1:
-        raise KTooLarge(f"k must be >= 1, got {k}")
     k = min(k, n)
     chosen = np.zeros(k, dtype=np.intp)
     picked = np.zeros(n, dtype=bool)
@@ -371,13 +371,12 @@ class CorpusIndex:
     Holds the float64 matrix (the matrix of ``EmbeddingRows`` itself, not a
     copy), its squared row norms, the ids in input order and an id -> row
     map (for a repeated id the last row wins).  Build one per command and
-    pass it to every ``top_k_by_distance`` call; an empty corpus or rows of
-    different dimensions fail here, once.
+    pass it to every ``top_k_by_distance`` call; an empty corpus fails
+    here, once.
     """
 
-    def __init__(self, records: Sequence[EmbeddingRecord]):
-        rows = _rows(records)
-        self.matrix = rows.matrix
+    def __init__(self, rows: EmbeddingRows):
+        self.matrix = _matrix(rows)
         self.sq_norms, self.norms = _sq_norms(self.matrix)
         self.ids = rows.ids
         self.by_id = {ident: i for i, ident in enumerate(self.ids)}
@@ -405,11 +404,11 @@ def top_k_by_distance(
     """Exact top-k by ascending Euclidean distance; ties keep input order.
 
     ``corpus`` is a ``CorpusIndex`` shared across queries, or a record list
-    that is indexed for this one call.
+    that is stacked and indexed for this one call.
     """
     if k < 1:
         raise KTooLarge(f"k must be >= 1, got {k}")
-    index = corpus if isinstance(corpus, CorpusIndex) else CorpusIndex(corpus)
+    index = corpus if isinstance(corpus, CorpusIndex) else CorpusIndex(stack_records(corpus))
     q = np.asarray(query_emb, dtype=np.float64)
     dim = index.matrix.shape[1]
     if q.shape != (dim,):
@@ -418,47 +417,41 @@ def top_k_by_distance(
 
 
 def nearest_pairs(
-    queries: Sequence[EmbeddingRecord],
+    queries: EmbeddingRows,
     index: CorpusIndex,
 ) -> list[tuple[np.ndarray, np.ndarray, tuple[str, str]]]:
     """(query vector, doc vector, (query id, doc id)) for each query and its
     nearest document (top-1 by Euclidean distance), in query order: the
     pairs that ``quality_filter`` takes."""
     pairs = []
-    for q in queries:
-        top = top_k_by_distance(q.vector, index, 1)[0]
-        pairs.append((q.vector, index.matrix[index.by_id[top]], (q.id, top)))
+    for qid, q in zip(queries.ids, queries.matrix):
+        top = top_k_by_distance(q, index, 1)[0]
+        pairs.append((q, index.matrix[index.by_id[top]], (qid, top)))
     return pairs
 
 
-def random_select(records: Sequence[EmbeddingRecord], k: int, seed: int) -> SelectionResult:
+def random_select(rows: EmbeddingRows, k: int, seed: int) -> SelectionResult:
     """Uniform sample without replacement; order follows the seeded draw."""
-    if not records:
-        raise EmptyCollection("no embedding records")
-    if k > len(records):
-        raise KTooLarge(f"k={k} exceeds N={len(records)}")
-    if k < 1:
-        raise KTooLarge(f"k must be >= 1, got {k}")
+    n = len(_matrix(rows, k))
+    if k > n:
+        raise KTooLarge(f"k={k} exceeds N={n}")
     rng = np.random.default_rng(seed)
-    idx = rng.permutation(len(records))[:k]
-    return SelectionResult(selected_ids=tuple(records[int(i)].id for i in idx))
+    idx = rng.permutation(n)[:k]
+    return SelectionResult(selected_ids=tuple(rows.ids[int(i)] for i in idx))
 
 
 def kmeans_centroid_select(
-    records: Sequence[EmbeddingRecord],
+    rows: EmbeddingRows,
     k: int,
     seed: int,
 ) -> SelectionResult:
     """Lloyd's k-means, then one representative per cluster: the member record
     nearest its centroid in Euclidean distance, ties by lowest input index.
     """
-    rows = _rows(records)
-    x = rows.matrix
+    x = _matrix(rows, k)
     n = x.shape[0]
     if k > n:
         raise KTooLarge(f"k={k} exceeds N={n}")
-    if k < 1:
-        raise KTooLarge(f"k must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
     centroids = x[rng.permutation(n)[:k]].copy()
     # one set of work arrays per run: fresh ones per block fault their pages
@@ -533,15 +526,21 @@ def _literal_nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 # --- JSON-lines embedding I/O ---
 
 
-def read_embeddings(path: str) -> Sequence[EmbeddingRecord]:
-    """The records of a JSONL embeddings file, in file order: ``EmbeddingRows``
-    over one read-only matrix when the fast path takes the file, otherwise
-    the record list of ``read_jsonl``.  See the module docstring."""
+def read_embeddings(path: str) -> EmbeddingRows:
+    """The records of a JSONL embeddings file in file order, over one read-only
+    matrix; a blank file gives zero rows (see the module docstring)."""
     rows = _read_rows(path)
     if rows is not None:
         return rows
-    return read_jsonl(path, lambda rec: EmbeddingRecord(
-        id=rec["id"], vector=np.asarray(rec["vector"], dtype=np.float64)))
+    first: dict[str, int] = {}
+
+    def build(rec: dict) -> EmbeddingRecord:
+        r = EmbeddingRecord(id=rec["id"], vector=np.asarray(rec["vector"], dtype=np.float64))
+        if len(r.vector) != first.setdefault("dim", len(r.vector)):
+            raise DimensionMismatch(f"dim {len(r.vector)} != {first['dim']}, the first vector's")
+        return r
+
+    return stack_records(read_jsonl(path, build))
 
 
 _CHUNK_BYTES = 1 << 18

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
 from .backends import Backend, RetryPolicy
-from .embedding import CorpusIndex, EmbeddingRecord, top_k_by_distance
+from .embedding import CorpusIndex, EmbeddingRows, top_k_by_distance
 from .engine import RerankReport, WindowConfig, map_ordered, rank_window, resolve_docs
 from .errors import ConfigError, MalformedLine, RankkitError
 from .metrics import kendall_tau
@@ -175,13 +175,13 @@ def _placeholder_doc(doc_id: str, mode: str) -> Document:
 def distill_one(
     query: Query,
     query_emb,
-    corpus_embs: CorpusIndex | Sequence[EmbeddingRecord],
+    index: CorpusIndex,
     backend: Backend,
     cfg: PipelineConfig,
     corpus: Mapping[str, Document] | None = None,
 ) -> TeacherLabel:
     """Retrieve, prompt the teacher, parse/repair, and score one label."""
-    candidate_ids = top_k_by_distance(query_emb, corpus_embs, cfg.top_k)
+    candidate_ids = top_k_by_distance(query_emb, index, cfg.top_k)
     if corpus is not None:
         docs = resolve_docs(candidate_ids, corpus)
     else:
@@ -213,15 +213,14 @@ class DistillSummary:
 def distill(
     queries: Sequence[Query],
     query_embs: Mapping[str, Sequence[float]],
-    corpus_embs: Sequence[EmbeddingRecord],
+    corpus_embs: EmbeddingRows,
     backend: Backend,
     cfg: PipelineConfig,
     corpus: Mapping[str, Document] | None = None,
 ) -> tuple[list[TeacherLabel], DistillSummary]:
     """Produce one teacher label per query.
 
-    The corpus is indexed once, before any backend call; a corpus that
-    cannot be indexed (empty, or rows of different dimensions) raises.
+    The corpus is indexed once, before any backend call; an empty one raises.
     Per-query failures (missing embedding, query dimension mismatch, dead
     backend, unresolvable docs) are ``map_ordered``'s: logged and counted,
     never fatal.  Labels are returned in query input order regardless of

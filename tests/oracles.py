@@ -12,8 +12,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from rankkit.embedding import KMEANS_MAX_ITERS, SelectionResult, _rows, cosine_sim
-from rankkit.errors import InvariantViolation, KTooLarge, MalformedLine, RankkitError, ZeroVector
+from rankkit.embedding import KMEANS_MAX_ITERS, SelectionResult, cosine_sim, stack_records
+from rankkit.errors import (
+    EmptyCollection,
+    InvariantViolation,
+    KTooLarge,
+    MalformedLine,
+    RankkitError,
+    ZeroVector,
+)
 from rankkit.metrics import RunEntry
 from rankkit.types import read_lines
 
@@ -22,6 +29,14 @@ ORACLE_MAX_N = 32
 
 class TooLarge(RankkitError):
     """The input is past what a brute-force oracle replays."""
+
+
+def stacked(records):
+    """``records`` (``EmbeddingRows`` or a record list) stacked into a new
+    matrix; no records, or rows of different widths, raise."""
+    if not len(records):
+        raise EmptyCollection("no embedding records")
+    return stack_records(records)
 
 
 def brute_force_diversity_oracle(records, k, keep_trace=False):
@@ -33,7 +48,7 @@ def brute_force_diversity_oracle(records, k, keep_trace=False):
     """
     if len(records) > ORACLE_MAX_N:
         raise TooLarge(f"oracle is capped at N={ORACLE_MAX_N}, got {len(records)}")
-    _rows(records)  # dimension + emptiness checks
+    stacked(records)  # dimension + emptiness checks
     for r in records:
         if float(np.linalg.norm(np.asarray(r.vector, dtype=np.float64))) == 0.0:
             raise ZeroVector(r.id)
@@ -69,7 +84,7 @@ def kmeans_oracle(records, k, seed):
     step takes ``argmin`` of ``np.square(x - c).sum(axis=2)`` over all rows
     and centroids, and an emptied cluster grabs the row farthest from its
     own centroid among clusters of two or more."""
-    rows = _rows(records)
+    rows = stacked(records)
     x = rows.matrix
     n = x.shape[0]
     if k > n:
@@ -113,7 +128,7 @@ def greedy_oracle(records, k, keep_trace=False):
     ``(u * P).sum(axis=1)``, ``P`` being the sum of the picked unit rows,
     and takes the ``argmin``, lowest index on ties.  The trace holds each
     pick's score divided by the number of picks before it."""
-    rows = _rows(records)
+    rows = stacked(records)
     x = rows.matrix
     n = x.shape[0]
     with np.errstate(over="ignore"):

@@ -18,7 +18,7 @@ from helpers import write_documents
 from oracles import brute_force_diversity_oracle
 
 from rankkit import cli
-from rankkit.embedding import EmbeddingRecord, greedy_diversity_select
+from rankkit.embedding import EmbeddingRecord, EmbeddingRows, greedy_diversity_select
 from rankkit.errors import Unparseable
 from rankkit.metrics import (
     mrr, ndcg_at_k, ranked_by_query, read_run, recall_at_k, run_from_candidates, write_run,
@@ -105,11 +105,11 @@ class TestDiversitySelection:
             n = int(rng.integers(2, 16))
             d = int(rng.integers(2, 9))
             k = int(rng.integers(1, min(n, 6) + 1))
-            recs = [EmbeddingRecord(f"r{i}", rng.normal(size=d)) for i in range(n)]
+            recs = EmbeddingRows(rng.normal(size=(n, d)), [f"r{i}" for i in range(n)])
             fast = greedy_diversity_select(recs, k)
             slow = brute_force_diversity_oracle(recs, k)
             ok = ok and fast.selected_ids == slow.selected_ids
-            scaled = [EmbeddingRecord(r.id, r.vector * 3.7) for r in recs]
+            scaled = EmbeddingRows(recs.matrix * 3.7, recs.ids)
             ok = ok and greedy_diversity_select(scaled, k).selected_ids == fast.selected_ids
         elapsed = time.monotonic() - start
         verdict(
@@ -121,7 +121,7 @@ class TestDiversitySelection:
     def test_large_scale_selection_under_budget(self):
         rng = np.random.default_rng(3)
         n, d, k = 50_000, 512, 2_100
-        recs = [EmbeddingRecord(f"r{i}", v) for i, v in enumerate(rng.normal(size=(n, d)))]
+        recs = EmbeddingRows(rng.normal(size=(n, d)), [f"r{i}" for i in range(n)])
         start = time.monotonic()
         result = greedy_diversity_select(recs, k)
         elapsed = time.monotonic() - start

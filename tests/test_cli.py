@@ -631,6 +631,7 @@ MALFORMED = [
     ("labels", [HEADER, _label(query_id="q 2")]),
     ("labels", [HEADER, _label(candidate_ids=["d1", "d1"])]),
     ("labels", [HEADER, _label(candidate_ids=["d1", 2])]),
+    ("embeddings", ['{"id": "a", "vector": [1.0, 0.0]}', '{"id": "b", "vector": [1.0, 0.0, 0.0]}']),
 ]
 
 

@@ -13,6 +13,7 @@ from rankkit import embedding
 from rankkit.embedding import (
     CorpusIndex,
     EmbeddingRecord,
+    EmbeddingRows,
     cosine_sim,
     euclidean_dist,
     greedy_diversity_select,
@@ -20,6 +21,7 @@ from rankkit.embedding import (
     quality_filter,
     random_select,
     read_embeddings,
+    stack_records,
     top_k_by_distance,
     write_embeddings,
     write_selection,
@@ -34,8 +36,8 @@ from rankkit.errors import (
 
 
 def records_from(matrix, prefix="v"):
-    return [EmbeddingRecord(f"{prefix}{i + 1}", np.asarray(row, dtype=np.float64))
-            for i, row in enumerate(matrix)]
+    matrix = np.asarray(matrix)
+    return EmbeddingRows(matrix, [f"{prefix}{i + 1}" for i in range(len(matrix))])
 
 
 def random_records(rng, n, d, prefix="v"):
@@ -153,7 +155,7 @@ class TestGreedyDiversity:
 
     def test_empty_collection(self):
         with pytest.raises(EmptyCollection):
-            greedy_diversity_select([], 1)
+            greedy_diversity_select(stack_records([]), 1)
 
     def test_oracle_caps_input_size(self):
         rng = np.random.default_rng(1)
@@ -178,7 +180,7 @@ class TestGreedyDiversity:
         recs = random_records(rng, 12, 4)
         base = greedy_diversity_select(recs, 5).selected_ids
         for c in (2.0, 0.25, 3.7):
-            scaled = [EmbeddingRecord(r.id, r.vector * c) for r in recs]
+            scaled = EmbeddingRows(recs.matrix * c, recs.ids)
             assert greedy_diversity_select(scaled, 5).selected_ids == base
 
     def test_trace_records_every_step(self):
@@ -243,7 +245,7 @@ class TestGreedyAgainstLiteralOracle:
         # rounding in the subnormal range, where only the absolute term holds
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(50, d)) + (rng.random() < 0.5) * 3.0
-        norms, u32, u_max = embedding._unit_rows32(embedding._rows(records_from(x)))
+        norms, u32, u_max = embedding._unit_rows32(records_from(x))
         u = x / norms[:, None]
         p = u[rng.integers(0, 50, size=rng.integers(1, 20))].sum(axis=0) * p_scale
         s = (u * p).sum(axis=1)
@@ -301,7 +303,8 @@ def corpus_and_query(draw):
     reflections through the query put distinct rows at equal distances, rows
     are repeated, magnitudes span 1e-3 .. 1e3 (per corpus or per row), and
     the query is often a corpus row.  A large shift shared by rows and query
-    makes |x|^2 - 2 x.q + |q|^2 lose most of its digits to cancellation."""
+    makes |x|^2 - 2 x.q + |q|^2 lose most of its digits to cancellation.
+    Rows may be stored in float32, which the index must widen to float64."""
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -323,7 +326,10 @@ def corpus_and_query(draw):
     if draw(st.booleans()):
         x[n // 2:] = 2 * q - x[: n - n // 2]
     shift = draw(st.sampled_from([0.0, 1e3, -7e2]))
-    return x + shift, q + shift
+    x = x + shift
+    if draw(st.booleans()):
+        x = x.astype(np.float32)
+    return x, q + shift
 
 
 class TestCorpusIndex:
@@ -341,9 +347,10 @@ class TestCorpusIndex:
 
     def test_unindexable_corpus_fails_once_at_build(self):
         with pytest.raises(EmptyCollection):
-            CorpusIndex([])
+            CorpusIndex(stack_records([]))
         with pytest.raises(DimensionMismatch, match="v2"):
-            CorpusIndex(records_from([[1.0, 0.0], [1.0, 0.0, 0.0]]))
+            CorpusIndex(stack_records([EmbeddingRecord("v1", np.array([1.0, 0.0])),
+                                       EmbeddingRecord("v2", np.array([1.0, 0.0, 0.0]))]))
 
 
 class TestBaselineSelectors:

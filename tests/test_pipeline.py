@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rankkit.backends import IdentityBackend, OracleBackend, ReverseBackend, ScriptedBackend
-from rankkit.embedding import EmbeddingRecord
+from rankkit.embedding import EmbeddingRecord, stack_records
 from rankkit.engine import WindowConfig
 from rankkit.errors import ConfigError, MalformedLine
 from rankkit.pipeline import (
@@ -30,7 +30,7 @@ def line_corpus(n, d=4):
         v[0] = float(i)
         v[1] = 0.1  # keep vectors off the axis so cosine is defined
         recs.append(EmbeddingRecord(f"d{i}", v))
-    return recs
+    return stack_records(recs)
 
 
 def origin_query(qid="q1", d=4):

@@ -4,7 +4,8 @@
 per chunk behind a grammar check) or sends it through ``types.read_jsonl``,
 which is the specification.  These tests pin that the result does not
 depend on the path: the same ids, bit-identical vectors (the sign of zero
-included) and the same ``MalformedLine``, with file:line.
+included) and the same ``MalformedLine``, with file:line.  Which path took
+a file is probed with ``embedding._read_rows``, the fast path alone.
 """
 
 import json
@@ -22,16 +23,31 @@ from rankkit.embedding import (
     EmbeddingRows,
     greedy_diversity_select,
     read_embeddings,
+    stack_records,
     write_embeddings,
 )
-from rankkit.errors import MalformedLine
+from rankkit.errors import DimensionMismatch, MalformedLine
 from rankkit.types import read_jsonl
 
 
 def reference(path):
-    """The JSON-per-line reader that ``read_embeddings`` falls back to."""
-    return read_jsonl(path, lambda rec: EmbeddingRecord(
-        id=rec["id"], vector=np.asarray(rec["vector"], dtype=np.float64)))
+    """The JSON-per-line reader that ``read_embeddings`` falls back to: a
+    vector of another width than the first one is malformed."""
+    widths = []
+
+    def build(rec):
+        r = EmbeddingRecord(id=rec["id"], vector=np.asarray(rec["vector"], dtype=np.float64))
+        widths.append(len(r.vector))
+        if widths[-1] != widths[0]:
+            raise DimensionMismatch(f"dim {widths[-1]} != {widths[0]}, the first vector's")
+        return r
+
+    return read_jsonl(path, build)
+
+
+def fast(path) -> bool:
+    """Whether the fast path takes the file."""
+    return embedding._read_rows(str(path)) is not None
 
 
 def assert_same_as_reference(path):
@@ -49,10 +65,10 @@ def assert_same_as_reference(path):
     for a, b in zip(got, expected):
         assert a.vector.dtype == np.float64
         assert a.vector.tobytes() == b.vector.tobytes()  # bit-identical, sign bits too
-    if isinstance(got, EmbeddingRows):
-        assert got.matrix.dtype == np.float64
-        assert got.matrix.flags.c_contiguous and not got.matrix.flags.writeable
-        assert got.matrix.tobytes() == np.stack([r.vector for r in expected]).tobytes()
+    assert isinstance(got, EmbeddingRows)
+    assert got.matrix.dtype == np.float64
+    assert got.matrix.flags.c_contiguous and not got.matrix.flags.writeable
+    assert got.matrix.tobytes() == b"".join(r.vector.tobytes() for r in expected)
     return got
 
 
@@ -77,8 +93,8 @@ BAD_TOKENS = ["+1", ".5", "1.", "01", "-01", "00", "-00.5", "-.5", "+.5", "1.e5"
 def test_each_number_form_reads_as_json_loads_reads_it(tmp_path, token):
     path = tmp_path / "emb.jsonl"
     path.write_text(line("a", ["1.5", "-2"]) + "\n" + line("b", ["0.25", token]) + "\n")
-    got = assert_same_as_reference(path)
-    assert isinstance(got, EmbeddingRows) == (token in FAST_TOKENS)
+    assert_same_as_reference(path)
+    assert fast(path) == (token in FAST_TOKENS)
 
 
 # JSON text of an id between its quotes: taken by the fast path, valid JSON
@@ -92,8 +108,8 @@ BAD_IDS = ["", "a b", "\x01", "a\tb", " ", "\\u2028", '"']
 def test_each_id_form_reads_as_json_loads_reads_it(tmp_path, ident):
     path = tmp_path / "emb.jsonl"
     path.write_text(line("a", ["1.5"]) + "\n" + line(ident, ["2.5"]) + "\n", encoding="utf-8")
-    got = assert_same_as_reference(path)
-    assert isinstance(got, EmbeddingRows) == (ident in FAST_IDS)
+    assert_same_as_reference(path)
+    assert fast(path) == (ident in FAST_IDS)
 
 
 # separators between two numbers: taken by the fast path, JSON whitespace
@@ -109,8 +125,8 @@ def test_each_separator_reads_as_json_loads_reads_it(tmp_path, sep):
     path = tmp_path / "emb.jsonl"
     path.write_text(line("a", ["1.5", "-2"]) + "\n" + line("b", ["0.25", "3"], sep) + "\n",
                     encoding="utf-8", newline="")
-    got = assert_same_as_reference(path)
-    assert isinstance(got, EmbeddingRows) == (sep in FAST_SEPS)
+    assert_same_as_reference(path)
+    assert fast(path) == (sep in FAST_SEPS)
 
 
 # vector bodies with "-" in odd places: the grammar check deletes every "-",
@@ -124,8 +140,8 @@ MINUS_BODIES = ["1-2", "0-1", "--1", "-", "-01", "-.5", "1e-05", "-0", "1, -", "
 def test_each_minus_placement_reads_as_json_loads_reads_it(tmp_path, body):
     path = tmp_path / "emb.jsonl"
     path.write_text(line("a", ["1.5", "-2"]) + "\n" + line("b", [body]) + "\n")
-    got = assert_same_as_reference(path)
-    assert isinstance(got, EmbeddingRows) == (body == "-1, -2")
+    assert_same_as_reference(path)
+    assert fast(path) == (body == "-1, -2")
 
 
 @pytest.mark.parametrize("body", ["", " ", "\t", "\x0b"])
@@ -141,7 +157,8 @@ def tagged(values, kind):
     return st.sampled_from(values).map(lambda v: (v, kind))
 
 
-# (fast-path parts, other parts tagged "slow" or "bad") of each line
+# (fast-path parts, other parts tagged "slow" or "bad") of each line; a
+# line wider than the others is "bad"
 TOKENS = (st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
                     st.integers(-10**30, 10**30).map(str), st.sampled_from(FAST_TOKENS)),
           st.one_of(tagged(SLOW_TOKENS, "slow"), tagged(BAD_TOKENS, "bad")))
@@ -183,7 +200,7 @@ def embedding_files(draw):
             part(IDS), part(LAYOUTS), part(SEPARATORS))
         body = sep.join(t for t, _ in tokens)
         lines.append(layout % ((body, ident) if layout.startswith('{"vector"') else (ident, body)))
-        kinds += [id_kind, layout_kind, "slow" if ragged else "fast"]
+        kinds += [id_kind, layout_kind, "bad" if ragged else "fast"]
         kinds.append("bad" if ident in idents else "fast")  # a repeated id is malformed
         idents.add(ident)
         kinds += [kind for _, kind in tokens] + ([sep_kind] if len(tokens) > 1 else [])
@@ -194,14 +211,14 @@ def embedding_files(draw):
 @given(embedding_files(), st.sampled_from([1, 64, 1 << 18]))
 @settings(max_examples=400, deadline=None)
 def test_fast_path_matches_the_reference_reader(tmp_path_factory, case, chunk_bytes):
-    text, fast = case
+    text, fast_path = case
     path = tmp_path_factory.mktemp("emb") / "emb.jsonl"
     path.write_text(text, encoding="utf-8", newline="")
     # small chunks put lines, widths and errors in later chunks
     with mock.patch.object(embedding, "_CHUNK_BYTES", chunk_bytes):
-        got = assert_same_as_reference(path)
-    if fast:
-        assert isinstance(got, EmbeddingRows)
+        assert_same_as_reference(path)
+        if fast_path:
+            assert fast(path)
 
 
 @pytest.mark.parametrize("token", ["0.5", "01", "NaN", "-0", "9" * 400, "1, 2"])
@@ -213,8 +230,8 @@ def test_line_past_the_first_chunk(tmp_path, token):
     path = tmp_path / "emb.jsonl"
     path.write_text("\n".join(lines) + "\n")
     assert path.stat().st_size > 2 * embedding._CHUNK_BYTES
-    got = assert_same_as_reference(path)
-    assert isinstance(got, EmbeddingRows) == (token == "0.5")
+    assert_same_as_reference(path)
+    assert fast(path) == (token == "0.5")
 
 
 def test_written_embeddings_take_the_fast_path_and_share_one_matrix(tmp_path):
@@ -223,7 +240,7 @@ def test_written_embeddings_take_the_fast_path_and_share_one_matrix(tmp_path):
     path = tmp_path / "emb.jsonl"
     write_embeddings(recs, str(path))
     rows = assert_same_as_reference(path)
-    assert isinstance(rows, EmbeddingRows)
+    assert fast(path)
     assert rows.ids == tuple(r.id for r in recs)
     assert np.array_equal(rows.matrix, np.stack([r.vector for r in recs]))
     assert np.shares_memory(rows[3].vector, rows.matrix)
@@ -233,7 +250,7 @@ def test_written_embeddings_take_the_fast_path_and_share_one_matrix(tmp_path):
         rows[50]
     assert CorpusIndex(rows).matrix is rows.matrix
     assert (greedy_diversity_select(rows, 5).selected_ids
-            == greedy_diversity_select(recs, 5).selected_ids)
+            == greedy_diversity_select(stack_records(recs), 5).selected_ids)
 
 
 def test_empty_file_reads_as_no_records(tmp_path):
