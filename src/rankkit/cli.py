@@ -12,7 +12,9 @@ import json
 import logging
 import sys
 
-from . import backends, embedding, engine, metrics, pipeline, prompts, types
+# embedding and pipeline load NumPy: the four commands that use them import
+# them when they run, so rerank, eval and --help never do
+from . import backends, config, engine, metrics, prompts, types
 from .errors import RankkitError
 
 logger = logging.getLogger("rankkit")
@@ -22,15 +24,15 @@ EXIT_FATAL = 1
 EXIT_PARTIAL = 2
 
 
-def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
+def _load_config(args: argparse.Namespace) -> config.PipelineConfig:
     data: dict = {}
     if args.config:
         data = types.read_json_object(args.config)
-    for name in pipeline.CONFIG_KEYS:
+    for name in config.CONFIG_KEYS:
         val = getattr(args, name, None)
         if val is not None:
             data[name] = val
-    return pipeline.config_from_json(data)
+    return config.config_from_json(data)
 
 
 def _make_backend(args: argparse.Namespace) -> backends.Backend:
@@ -60,6 +62,8 @@ def _close_backend(backend: backends.Backend) -> None:
 
 
 def cmd_filter(args: argparse.Namespace) -> None:
+    from . import embedding
+
     cfg = _load_config(args)
     query_embs = embedding.read_embeddings(args.query_embeddings)
     doc_embs = embedding.read_embeddings(args.doc_embeddings)
@@ -101,6 +105,8 @@ def _vector(by_id: dict, rec: dict, field: str):
 
 
 def cmd_select(args: argparse.Namespace) -> None:
+    from . import embedding
+
     cfg = _load_config(args)
     rows = embedding.read_embeddings(args.embeddings)
     k = cfg.selection_k
@@ -117,6 +123,8 @@ def cmd_select(args: argparse.Namespace) -> None:
 
 
 def cmd_retrieve(args: argparse.Namespace) -> None:
+    from . import embedding
+
     cfg = _load_config(args)
     query_embs = embedding.read_embeddings(args.query_embeddings)
     index = embedding.CorpusIndex(embedding.read_embeddings(args.doc_embeddings))
@@ -157,6 +165,8 @@ def cmd_rerank(args: argparse.Namespace) -> list[str]:
 
 
 def cmd_distill(args: argparse.Namespace) -> list[str]:
+    from . import embedding, pipeline
+
     cfg = _load_config(args)
     queries = types.read_queries(args.queries)
     query_rows = embedding.read_embeddings(args.query_embeddings)

@@ -44,7 +44,8 @@ matrix without another copy.  The file is streamed in chunks of about
 ``{"id": "<id>", "vector": [<numbers>]}`` that ``write_embeddings`` writes,
 the id holds no quote, backslash or control byte, and the bodies pass
 ``_json_numbers``; then one ``np.loadtxt`` call parses all of its vectors,
-and their row count, width and finiteness are checked.  Any line or chunk
+and their row count and width are checked.  ``EmbeddingRows`` checks the
+ids and the finiteness of the whole matrix once.  Any line, chunk or matrix
 that fails a check sends the whole file through the JSON-per-line reader
 (``types.read_jsonl``), which is the specification: it reports every
 ``MalformedLine`` with its file:line (a row of another width than the first
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import abc
+from collections import Counter, abc
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -175,14 +176,30 @@ def quality_filter(
 class EmbeddingRows(abc.Sequence):
     """Embedding records as the rows of one C-contiguous float64 matrix (any
     other matrix is copied into one): ``rows[i]`` is ``EmbeddingRecord(ids[i],
-    matrix[i])``, a view of its row, and a slice is again ``EmbeddingRows``."""
+    matrix[i])``, a view of its row, and a slice is again ``EmbeddingRows``.
+
+    The one place where rows are checked, whoever builds them: one id per
+    row, each a valid id and none repeated, and only finite values."""
 
     def __init__(self, matrix: np.ndarray, ids: Sequence[str]):
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        ids = tuple(ids)
         if matrix.ndim != 2 or matrix.shape[0] != len(ids):
             raise InvariantViolation(f"{len(ids)} ids for a matrix of shape {matrix.shape}")
+        for ident in ids:
+            check_id("embedding record", ident)
+        if len(set(ids)) < len(ids):
+            repeat = next(i for i, count in Counter(ids).items() if count > 1)
+            raise InvariantViolation(f"embedding record id {repeat!r} repeats")
+        # a NaN or an inf makes the sum non-finite; only a sum of finite
+        # values that overflowed needs the scan, which takes a bool per entry
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = matrix.sum()
+        if not np.isfinite(total) and not np.isfinite(matrix).all():
+            row = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
+            raise InvariantViolation(f"embedding record {ids[row]}: non-finite entries")
         self.matrix = matrix
-        self.ids = tuple(ids)
+        self.ids = ids
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -370,9 +387,8 @@ class CorpusIndex:
 
     Holds the float64 matrix (the matrix of ``EmbeddingRows`` itself, not a
     copy), its squared row norms, the ids in input order and an id -> row
-    map (for a repeated id the last row wins).  Build one per command and
-    pass it to every ``top_k_by_distance`` call; an empty corpus fails
-    here, once.
+    map.  Build one per command and pass it to every ``top_k_by_distance``
+    call; an empty corpus fails here, once.
     """
 
     def __init__(self, rows: EmbeddingRows):
@@ -552,9 +568,9 @@ _ID_BAD_BYTES = bytes(range(0x20)) + b'"\\'
 
 def _read_rows(path: str) -> EmbeddingRows | None:
     """The fast path of ``read_embeddings``: the whole file as
-    ``EmbeddingRows``, or None when any line or chunk fails a check, an id
-    repeats or the file holds no record.  A first pass counts lines to
-    size the matrix."""
+    ``EmbeddingRows``, or None when any line or chunk fails a check, the
+    rows fail ``EmbeddingRows``' checks or the file holds no record.  A
+    first pass counts lines to size the matrix."""
     with open(path, "rb") as fh:
         capacity = sum(block.count(b"\n") for block in iter(partial(fh.read, _CHUNK_BYTES), b""))
         fh.seek(0)
@@ -571,19 +587,22 @@ def _read_rows(path: str) -> EmbeddingRows | None:
                     return None
                 matrix[len(ids):len(ids) + len(part_ids)] = x
                 ids.extend(part_ids)
-        except (ValueError, RankkitError):
+        except ValueError:
             return None
-    if matrix is None or len(set(ids)) < len(ids):
+    if matrix is None:
         return None
     matrix = matrix[:len(ids)]
     matrix.flags.writeable = False
-    return EmbeddingRows(matrix, tuple(ids))
+    try:
+        return EmbeddingRows(matrix, ids)
+    except RankkitError:  # the JSON reader names the bad line
+        return None
 
 
 def _parse_chunk(lines: list[bytes]) -> tuple[list[str], np.ndarray | None]:
     """Ids and vector matrix (None if there is no record) of the non-blank
-    ``lines``.  Raises ``ValueError`` or ``RankkitError`` when a line is not
-    in the canonical shape or fails a check."""
+    ``lines``.  Raises ``ValueError`` when a line is not in the canonical
+    shape; ``EmbeddingRows`` checks the ids and values."""
     ids, bodies = [], []
     for line in lines:
         line = line.strip()
@@ -596,17 +615,15 @@ def _parse_chunk(lines: list[bytes]) -> tuple[list[str], np.ndarray | None]:
         body = line[mid + len(_MID):-len(_TAIL)]
         if len(raw_id.translate(None, _ID_BAD_BYTES)) != len(raw_id) or not body.strip():
             raise ValueError("an id with escapes or control bytes, or an empty vector")
-        ident = raw_id.decode("utf-8")
-        check_id("embedding record", ident)
-        ids.append(ident)
+        ids.append(raw_id.decode("utf-8"))
         bodies.append(body)
     if not bodies:
         return ids, None
     if not _json_numbers(b"\n".join([b"", *bodies, b""])):
         raise ValueError("not JSON numbers")
     x = np.loadtxt(bodies, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-    if x.shape[0] != len(bodies) or not np.isfinite(x).all():
-        raise ValueError("rows lost or non-finite values")
+    if x.shape[0] != len(bodies):
+        raise ValueError("rows lost")
     # json.loads reads an integer token as an int, so "-0" becomes +0.0
     # where np.loadtxt gives -0.0; "-0.0" and "-0e0" are -0.0 for both
     for flat in np.flatnonzero((x == 0.0) & np.signbit(x)):
@@ -616,13 +633,13 @@ def _parse_chunk(lines: list[bytes]) -> tuple[list[str], np.ndarray | None]:
     return ids, x
 
 
-# Byte classes of a vector body once every "-" is deleted.
+# Byte classes of a vector body; "-" is deleted or is a separator.
 _SEP, _DOT, _ZERO, _DIGIT, _EXP, _OTHER = range(6)
 
 
 def _class_table() -> bytes:
     table = bytearray([_OTHER]) * 256
-    for chars, cls in ((b", \t\n", _SEP), (b".+", _DOT), (b"0", _ZERO),
+    for chars, cls in ((b", \t\n-", _SEP), (b".+", _DOT), (b"0", _ZERO),
                        (b"123456789", _DIGIT), (b"eE", _EXP)):
         for ch in chars:
             table[ch] = cls
@@ -666,8 +683,15 @@ def _json_numbers(text: bytes) -> bool:
     separator.  The check is one ``translate`` into classes, a trigram code
     per byte (36a + 6b + c <= 215), one ``translate`` of codes to a bad flag
     and one ``memchr``.
+
+    Where no body holds an exponent, "-" is read as a separator instead of
+    being deleted: a plain ``translate`` takes less than half the time, a
+    sign that JSON allows ("-0.5") passes as it does once deleted, and any
+    other "-" is left to loadtxt as before.  An exponent's sign must be
+    deleted, so that "1e-05" does not read as a leading zero ("01").
     """
-    c = np.frombuffer(text.translate(_NUMBER_CLASSES, b"-"), np.uint8)
+    delete = b"-" if b"e" in text or b"E" in text else b""
+    c = np.frombuffer(text.translate(_NUMBER_CLASSES, delete), np.uint8)
     trigrams = c[:-2] * 36
     trigrams += c[1:-1] * 6
     trigrams += c[2:]

@@ -547,6 +547,33 @@ def test_embedding_record_id_must_be_a_string(bad_id):
         EmbeddingRecord(bad_id, np.ones(2))
 
 
+def test_rows_with_a_repeated_id_are_refused():
+    # unchecked, top_k_by_distance([1, 0], CorpusIndex(rows), 2) gave ['a', 'a']
+    with pytest.raises(InvariantViolation, match="'a' repeats"):
+        EmbeddingRows(np.eye(2), ["a", "a"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rows_with_a_non_finite_value_are_refused(bad):
+    # unchecked, greedy_diversity_select(rows, 3) picked the NaN row b second
+    with pytest.raises(InvariantViolation, match="embedding record b: non-finite"):
+        EmbeddingRows(np.array([[1.0, 0.0], [bad, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                      ["a", "b", "c", "d"])
+
+
+@pytest.mark.parametrize("bad_id", ["", "a b", 5])
+def test_rows_with_a_bad_id_are_refused(bad_id):
+    with pytest.raises(InvariantViolation, match="embedding record id must be"):
+        EmbeddingRows(np.eye(2), ["a", bad_id])
+
+
+def test_rows_whose_sum_overflows_are_finite():
+    x = np.full((3, 2), 1.5e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert EmbeddingRows(x, ["a", "b", "c"]).matrix.tobytes() == x.tobytes()
+
+
 def test_embeddings_jsonl_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
     recs = random_records(rng, 4, 3)

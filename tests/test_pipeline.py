@@ -8,12 +8,11 @@ from rankkit.backends import IdentityBackend, OracleBackend, ReverseBackend, Scr
 from rankkit.embedding import EmbeddingRecord, stack_records
 from rankkit.engine import WindowConfig
 from rankkit.errors import ConfigError, MalformedLine
+from rankkit.config import PipelineConfig, config_from_json
 from rankkit.pipeline import (
     CONFIDENCE_FORMULA,
-    PipelineConfig,
     TeacherLabel,
     confidence_filter,
-    config_from_json,
     distill,
     raw_confidence,
     read_labels,

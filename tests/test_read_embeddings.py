@@ -129,9 +129,10 @@ def test_each_separator_reads_as_json_loads_reads_it(tmp_path, sep):
     assert fast(path) == (sep in FAST_SEPS)
 
 
-# vector bodies with "-" in odd places: the grammar check deletes every "-",
-# so a misplaced one rests on np.loadtxt rejecting each token that JSON
-# rejects; only the last is a fast body
+# vector bodies with "-" in odd places: the grammar check deletes every "-"
+# in a chunk with an exponent and reads it as a separator in any other, so a
+# misplaced one rests on np.loadtxt rejecting each token that JSON rejects;
+# only the last is a fast body
 MINUS_BODIES = ["1-2", "0-1", "--1", "-", "-01", "-.5", "1e-05", "-0", "1, -", "-, 1",
                 "1.-5", "- 1", "1, 2-", "-1-", "-1, -2"]
 
@@ -142,6 +143,23 @@ def test_each_minus_placement_reads_as_json_loads_reads_it(tmp_path, body):
     path.write_text(line("a", ["1.5", "-2"]) + "\n" + line("b", [body]) + "\n")
     assert_same_as_reference(path)
     assert fast(path) == (body == "-1, -2")
+
+
+@pytest.mark.parametrize("body", MINUS_BODIES)
+def test_each_minus_placement_reads_the_same_beside_an_exponent(tmp_path, body):
+    # "1e-05" puts an exponent in the chunk, so its every "-" is deleted
+    path = tmp_path / "emb.jsonl"
+    path.write_text(line("a", ["1e-05", "-2"]) + "\n" + line("b", [body]) + "\n")
+    assert_same_as_reference(path)
+    assert fast(path) == (body == "-1, -2")
+
+
+def test_a_repeated_id_is_malformed_at_its_line(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    path.write_text(line("a", ["1.5"]) + "\n" + line("b", ["2"]) + "\n" + line("a", ["3"]) + "\n")
+    assert not fast(path)
+    with pytest.raises(MalformedLine, match=":3:.*'a' repeats line 1"):
+        read_embeddings(str(path))
 
 
 @pytest.mark.parametrize("body", ["", " ", "\t", "\x0b"])
