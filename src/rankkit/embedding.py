@@ -30,11 +30,22 @@ literal ``norm(x - q)``, so it only nominates candidates: every row whose
 distance could, within a rigorous floating-point error bound, reach the
 k-th smallest is re-scored exactly as ``norm(x[rows] - q, axis=1)`` and
 stably sorted by (distance, row).  The ids returned are therefore the same,
-ties included, as a stable sort of the literal distances of every row.  The
-k-means assignment step certifies each row's nearest centroid with the same
-bound (``_sq_dist_bounds``) and re-scores the rows it leaves undecided with
-the literal ``np.square(x - c).sum()``: its selections are those of the
-literal computation, with rows x k temporaries, not the N x k x d tensor.
+ties included, as a stable sort of the literal distances of every row.
+
+k-means keeps two bounds per row, an upper bound on its distance to its own
+centroid and a lower bound on its distance to every other one (Hamerly,
+"Making k-means even faster", SDM 2010), and widens both after each update
+by how far the centroids moved.  A step re-scores only the rows whose
+bounds, less a rounding margin (``_widen_bounds``), no longer prove that
+their centroid's literal ``np.square(x_i - c).sum()`` is strictly the least:
+every row on the first step, then the rows near a boundary between
+clusters or in a cluster that moved far, and any row that the empty-cluster
+repair moved.  A re-scored row's nearest centroid is certified with the
+retrieval bound (``_sq_dist_bounds``), and the rows that bound leaves
+undecided are re-scored with the literal formula.  A cluster whose members
+did not change keeps its centroid, bit for bit.  Each step therefore gives
+the assignment of the literal formula over every row, with rows x k
+temporaries, not the N x k x d tensor.
 
 ``read_embeddings`` returns ``EmbeddingRows``, the one input type of every
 kernel: a read-only C-contiguous float64 matrix and a tuple of ids, each
@@ -82,6 +93,13 @@ _BLOCK_BYTES = 1 << 19
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _TINY = np.finfo(np.float64).tiny
+_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
+# 1 +- 4u: a non-negative sum, difference or square root that rounded to
+# nearest, times _WIDEN (_NARROW) and rounded again, is at least (at most)
+# its exact value; a subnormal sum or difference is exact, and a square root
+# is never subnormal
+_WIDEN = 1.0 + 4 * _UNIT_ROUNDOFF
+_NARROW = 1.0 - 4 * _UNIT_ROUNDOFF
 _UNIT_ROUNDOFF32 = float(np.finfo(np.float32).eps) / 2
 # half the spacing of float32's subnormals: the most that rounding a value
 # into that range, or a product that underflows, moves it
@@ -356,8 +374,9 @@ def _sq_dist_bounds(x: np.ndarray, x_sq: np.ndarray, x_norms: np.ndarray, y: np.
     """Lower and upper bounds on the literal squared distance of each row of
     ``x`` to each row of ``y`` (or to the vector ``y``) from one product
     ``x @ y.T``.  ``x_sq``, ``x_norms``: ``_sq_norms(x)``, broadcastable to
-    its shape; ``out``: None or three arrays of its shape to work in.  An
-    overflowed bound is inf or NaN, which callers send to the literal path."""
+    its shape; ``out``: None or three arrays of its shape to work in.  The
+    bounds hold the exact squared distance as well.  An overflowed bound is
+    inf or NaN, which callers send to the literal path."""
     d = x.shape[1]
     y_sq, y_norms = _sq_norms(y)
     approx, slack, lower = (None, None, None) if out is None else out
@@ -372,7 +391,8 @@ def _sq_dist_bounds(x: np.ndarray, x_sq: np.ndarray, x_norms: np.ndarray, y: np.
         # d*u*(|x| + |y|)^2 together, s lies within (d + 4)*u*|x - y|^2 of
         # the true squared distance, and |x - y| <= |x| + |y|.  The factor 4
         # and the +8 cover combining the terms and forming the bound itself;
-        # the tiny term covers underflow.
+        # the tiny term covers underflow.  The same slack bounds
+        # |approx - delta| for the exact squared distance delta.
         slack = np.add(x_norms, y_norms, out=slack)
         slack *= slack
         slack *= 4 * (d + 8) * _UNIT_ROUNDOFF
@@ -463,6 +483,13 @@ def kmeans_centroid_select(
 ) -> SelectionResult:
     """Lloyd's k-means, then one representative per cluster: the member record
     nearest its centroid in Euclidean distance, ties by lowest input index.
+
+    Each step assigns every row the centroid of least literal squared
+    distance ``np.square(x_i - c).sum()``, lowest index on ties, and an
+    emptied cluster grabs the row farthest from its own centroid among
+    clusters of two or more.  A step re-scores only the rows whose bounds
+    do not prove that their centroid still wins (see ``_widen_bounds``), and
+    only the clusters whose members changed recompute their mean.
     """
     x = _matrix(rows, k)
     n = x.shape[0]
@@ -473,9 +500,15 @@ def kmeans_centroid_select(
     # one set of work arrays per run: fresh ones per block fault their pages
     # in anew (twice the time of a step) and shift the heap layout
     work = np.empty((3, max(1, min(n, _BLOCK_BYTES // (8 * k))), k))
-    assign = np.zeros(n, dtype=int)
+    x_sq, x_norms = _sq_norms(x)
+    # the narrowest dtype: a stable argsort of 8- or 16-bit keys is a radix sort
+    assign = np.zeros(n, dtype=np.min_scalar_type(k - 1))
+    # each row's bounds on its distance to its own centroid and to every other
+    upper, lower = np.empty(n), np.empty(n)
+    stale = None  # the rows to re-score; None: every row, read in place
     for it in range(KMEANS_MAX_ITERS):
-        new_assign = _nearest_centroids(x, centroids, work)
+        new_assign = assign.copy()
+        _assign_rows(x, x_sq, x_norms, centroids, stale, work, new_assign, upper, lower)
         sizes = np.bincount(new_assign, minlength=k)
         empty = np.flatnonzero(sizes == 0)
         if empty.size:
@@ -488,11 +521,20 @@ def kmeans_centroid_select(
                 sizes[new_assign[far]] -= 1
                 sizes[c] = 1
                 new_assign[far] = c
-        if np.array_equal(new_assign, assign) and it > 0:
+                upper[far] = np.inf  # its bounds are for the centroid it left
+        moved = np.flatnonzero(new_assign != assign)
+        if it > 0 and not moved.size:
             break
+        # the clusters a row left or joined; an unchanged member list gives
+        # its mean the same bits, so the others move by exactly 0
+        changed = np.arange(k) if it == 0 else np.flatnonzero(
+            np.bincount(assign[moved], minlength=k) + np.bincount(new_assign[moved], minlength=k))
         assign = new_assign
-        for c, members in enumerate(_cluster_members(assign, k)):
-            centroids[c] = x[members].mean(axis=0)
+        old = centroids[changed]
+        members = _cluster_members(assign, k)
+        for c in changed:
+            centroids[c] = x[members[c]].mean(axis=0)
+        stale = _widen_bounds(upper, lower, assign, changed, old, centroids)
     reps = []
     for c, members in enumerate(_cluster_members(assign, k)):
         with np.errstate(over="ignore"):
@@ -508,24 +550,95 @@ def _cluster_members(assign: np.ndarray, k: int) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(assign, minlength=k))[:-1])
 
 
-def _nearest_centroids(x: np.ndarray, centroids: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Each row's centroid of least literal squared distance, lowest index on
-    ties: its best centroid when no other centroid's lower bound reaches that
-    one's upper bound, else re-scored literally.  ``work``: 3 x rows x k."""
-    out = np.empty(x.shape[0], dtype=np.intp)
-    x_sq, x_norms = _sq_norms(x)
-    for start in range(0, x.shape[0], work.shape[1]):
-        block = slice(start, start + work.shape[1])
-        rows = x[block]
-        lower, upper = _sq_dist_bounds(rows, x_sq[block, None], x_norms[block, None],
-                                       centroids, work[:, :rows.shape[0]])
-        at = np.arange(rows.shape[0])
-        out[block] = best = np.argmin(upper, axis=1)
-        best_upper = upper[at, best]
-        lower[at, best] = np.inf
-        undecided = start + np.flatnonzero(~(lower.min(axis=1) > best_upper))  # NaN too
-        out[undecided] = _literal_nearest(x[undecided], centroids)
-    return out
+def _assign_rows(x: np.ndarray, x_sq: np.ndarray, x_norms: np.ndarray, centroids: np.ndarray,
+                 rows: np.ndarray | None, work: np.ndarray, assign: np.ndarray,
+                 upper: np.ndarray, lower: np.ndarray) -> None:
+    """Re-score ``rows`` of ``x`` (None: every row, read in place; else an
+    index array, gathered a block at a time): set ``assign`` to each row's
+    centroid of least literal squared distance, lowest index on ties, and
+    ``upper`` and ``lower`` to bounds on its distance to that centroid and
+    to every other.
+
+    A row's best centroid by ``_sq_dist_bounds`` is its answer when no
+    other centroid's lower bound reaches that one's upper bound; the others
+    are re-scored literally, and their bounds are left open (``upper`` inf),
+    since they prove nothing.  ``x_sq``, ``x_norms``: ``_sq_norms(x)``;
+    ``work``: 3 x rows x k."""
+    count = x.shape[0] if rows is None else rows.size
+    for start in range(0, count, work.shape[1]):
+        at = slice(start, start + work.shape[1])
+        if rows is not None:
+            at = rows[at]
+        block = x[at]
+        lo, up = _sq_dist_bounds(block, x_sq[at, None], x_norms[at, None], centroids,
+                                 work[:, :block.shape[0]])
+        i = np.arange(block.shape[0])
+        best = np.argmin(up, axis=1)
+        best_up = up[i, best]
+        lo[i, best] = np.inf
+        other_lo = lo.min(axis=1)
+        undecided = np.flatnonzero(~(other_lo > best_up))  # NaN too
+        best[undecided] = _literal_nearest(block[undecided], centroids)
+        best_up[undecided] = np.inf
+        assign[at] = best
+        # `up` and `lo` bound the exact squared distances too
+        upper[at] = np.sqrt(best_up) * _WIDEN
+        lower[at] = np.sqrt(np.maximum(other_lo, 0.0)) * _NARROW
+
+
+def _widen_bounds(upper: np.ndarray, lower: np.ndarray, assign: np.ndarray,
+                  changed: np.ndarray, old: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Widen each row's bounds by how far the centroids moved, and return
+    the rows whose bounds no longer prove that their centroid wins: the
+    rows a step must re-score.  ``changed``: the clusters that recomputed
+    their mean, ``old``: their centroids before, ``centroids``: after.
+
+    The bounds are on exact distances between the stored vectors, so the
+    triangle inequality holds: a row's distance to its own centroid grows
+    by at most that centroid's move, and to any other by at most the
+    largest move of another centroid.  Each sum, difference and square
+    root is rounded outward by ``_WIDEN`` or ``_NARROW``, so the bounds stay
+    on their side of the exact distances.  A centroid's move is bounded from
+    its literal squared distance ``m = np.square(new - old).sum()``, below.
+
+    The skip test.  With u the unit roundoff, eta = 2^-1074 and
+    g = gamma_{d+2}(u), the literal ``D = np.square(x_i - c).sum()`` lies
+    within ``g delta + d eta`` of the exact squared distance delta: the
+    difference and the square each round once, a sum of d non-negative
+    terms errs by gamma_{d-1} in any order, and d squares may underflow by
+    eta / 2 each.  So with U >= sqrt(delta_own) and L <= sqrt(delta_other)
+    for every other centroid, ``L^2 (1 - g) > U^2 (1 + g) + 2 d eta``
+    gives ``D_own < D_other`` strictly, whatever the centroids' indices.
+    The test computes ``U^2 rho + tau < L^2`` with rho = 1 + 8 g and
+    tau = 4 (d + 2) eta: its four roundings (and that of rho) cost at most
+    a factor (1 + u)^5 and 3 eta, which the excess of rho over
+    (1 + g) / (1 - g), about 1 + 2 g with g >= 3 u, and of tau over
+    2 d eta cover while g <= 1/16 (past that rho is inf, and every row is
+    re-scored).  The same rho and tau bound a move, as the literal
+    distance of the old centroid to the new one:
+    ``m_exact^2 <= (m + d eta) / (1 - g) <= (m + tau) rho`` after rounding.
+    The test fails, and the row is re-scored, when a bound is NaN or inf
+    (a huge vector overflowed), when ``U^2 rho`` overflows, so that the
+    literal D_own could, or when L is 0, as a lower bound that a move took
+    below 0 is clamped."""
+    d = centroids.shape[1]
+    g = _gamma(d + 2, _UNIT_ROUNDOFF)
+    rho = 1.0 + 8.0 * g if g <= 1 / 16 else np.inf
+    tau = 4 * (d + 2) * _SUBNORMAL
+    moves = np.zeros(centroids.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        m2 = np.square(centroids[changed] - old).sum(axis=1)
+        moves[changed] = np.sqrt((m2 + tau) * rho) * _WIDEN
+        first = int(np.argmax(moves))  # NaN counts as the largest
+        others = np.full_like(moves, moves[first])
+        others[first] = np.max(np.delete(moves, first), initial=0.0)
+        upper += moves[assign]
+        upper *= _WIDEN
+        lower -= others[assign]
+        lower *= _NARROW
+        np.maximum(lower, 0.0, out=lower)
+        proven = np.square(upper) * rho + tau < np.square(lower)
+    return np.flatnonzero(~proven)
 
 
 def _literal_nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:

@@ -91,7 +91,8 @@ def rank_window(
     report: RerankReport | None = None,
 ) -> Permutation:
     """One backend round-trip with transport retries, a single parse retry,
-    and repair (or input-order fallback) as the last resort."""
+    and repair (or input-order fallback) as the last resort.  A backend that
+    fails on the retry raises ``BackendError``, as on the first call."""
     report = report if report is not None else RerankReport()
     raw = call_with_retries(backend, prompt, retry)
     report.backend_calls += 1
@@ -102,11 +103,11 @@ def rank_window(
         retry_prompt = append_turns(
             prompt, Turn("assistant", raw), Turn("user", PARSE_RETRY_REMINDER)
         )
+        raw2 = call_with_retries(backend, retry_prompt, retry)
+        report.backend_calls += 1
         try:
-            raw2 = call_with_retries(backend, retry_prompt, retry)
-            report.backend_calls += 1
             perm, log = parse_ranking(raw2, n)
-        except (Unparseable, BackendError):
+        except Unparseable:
             report.fallbacks += 1
             logger.warning("unparseable ranking for query %s; falling back to input order",
                            prompt.query_id)

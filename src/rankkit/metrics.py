@@ -309,8 +309,6 @@ def kendall_tau(perm_a: Permutation, perm_b: Permutation) -> float:
     if n < 2:
         raise TooShort("kendall tau needs n >= 2")
     pos_b = {v: i for i, v in enumerate(perm_b.order)}
-    if len(pos_b) != n or set(perm_a.order) != pos_b.keys():
-        raise InvariantViolation("kendall tau needs two orderings of the same items")
     _, discordant = _sort_counting_inversions([pos_b[v] for v in perm_a.order])
     concordant = n * (n - 1) // 2 - discordant
     return (concordant - discordant) / (n * (n - 1) / 2)

@@ -21,7 +21,7 @@ from .backends import Backend, RetryPolicy
 from .config import PipelineConfig
 from .embedding import CorpusIndex, EmbeddingRows, top_k_by_distance
 from .engine import RerankReport, map_ordered, rank_window, resolve_docs
-from .errors import ConfigError, MalformedLine, RankkitError
+from .errors import ConfigError, MalformedLine, RankkitError, Unparseable
 from .metrics import kendall_tau
 from .prompts import build_listwise_prompt, check_modality
 from .types import (
@@ -110,7 +110,10 @@ def distill_one(
     cfg: PipelineConfig,
     corpus: Mapping[str, Document] | None = None,
 ) -> TeacherLabel:
-    """Retrieve, prompt the teacher, parse/repair, and score one label."""
+    """Retrieve, prompt the teacher, parse/repair, and score one label.  A
+    teacher whose reply and parse retry are both unparseable ranked nothing,
+    so the query fails with ``Unparseable`` instead of taking the input
+    order as a label of confidence 1."""
     candidate_ids = top_k_by_distance(query_emb, index, cfg.top_k)
     if corpus is not None:
         docs = resolve_docs(candidate_ids, corpus)
@@ -123,6 +126,8 @@ def distill_one(
     else:
         prompt = build_listwise_prompt(query, docs, mode=cfg.mode)
         perm = rank_window(backend, prompt, len(docs), RetryPolicy(), report=report)
+        if report.fallbacks:
+            raise Unparseable("the teacher's reply and its parse retry were both unparseable")
     return TeacherLabel(
         query_id=query.id,
         candidate_ids=tuple(candidate_ids),

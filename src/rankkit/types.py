@@ -92,12 +92,32 @@ class CandidateList:
 
 @dataclass(frozen=True)
 class Permutation:
-    """A total ordering: order[i] is the 1-based index ranked at position i."""
+    """A total ordering: order[i] is the 1-based index ranked at position i.
+
+    ``order`` must be a bijection on 1..n of integral entries (an integral
+    float is taken as its int); positions in errors are 1-based."""
 
     order: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "order", tuple(int(i) for i in self.order))
+        order = tuple(self.order)
+        ints: list[int] = []
+        seen: set[int] = set()
+        for pos, raw in enumerate(order, start=1):
+            try:
+                idx = int(raw)
+                integral = idx == raw
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral:
+                raise PermutationError(f"non-integer index {raw!r} at position {pos}")
+            if idx < 1 or idx > len(order):
+                raise OutOfRange(pos, idx, len(order))
+            if idx in seen:
+                raise DuplicateIndex(pos, idx)
+            seen.add(idx)
+            ints.append(idx)
+        object.__setattr__(self, "order", tuple(ints))
 
     def __len__(self) -> int:
         return len(self.order)
@@ -107,25 +127,11 @@ class Permutation:
 
 
 def validate_permutation(order: Sequence[int], n: int) -> Permutation:
-    """Check that ``order`` is a bijection on 1..n of integral entries;
-    positions in errors are 1-based."""
+    """``order`` as a ``Permutation`` of 1..n: a length other than n raises
+    ``WrongLength``, and ``Permutation`` checks the entries."""
     if len(order) != n:
         raise WrongLength(n, len(order))
-    seen: set[int] = set()
-    for pos, raw in enumerate(order, start=1):
-        try:
-            idx = int(raw)
-            integral = idx == raw
-        except (TypeError, ValueError, OverflowError):
-            integral = False
-        if not integral:
-            raise PermutationError(f"non-integer index {raw!r} at position {pos}")
-        if idx < 1 or idx > n:
-            raise OutOfRange(pos, idx, n)
-        if idx in seen:
-            raise DuplicateIndex(pos, idx)
-        seen.add(idx)
-    return Permutation(tuple(int(i) for i in order))
+    return Permutation(tuple(order))
 
 
 def identity_permutation(n: int) -> Permutation:

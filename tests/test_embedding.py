@@ -427,9 +427,11 @@ def kmeans_inputs(draw):
     points and duplicate-heavy rows put rows at equal distances from
     centroids (which may themselves coincide, emptying a cluster), k runs up
     to N, magnitudes span 1e-3 .. 1e3, and a shared shift cancels most
-    digits of |x|^2 - 2 x.c + |c|^2.  The block budget is the module's or
-    one that cuts N into blocks of a few rows, so blocks of the product and
-    of the literal re-score begin and end anywhere."""
+    digits of |x|^2 - 2 x.c + |c|^2.  k = 1 leaves each row no other
+    centroid to bound, and k = N starts every cluster with one row.  The
+    block budget is the module's or one that cuts N into blocks of a few
+    rows, so blocks of the product and of the literal re-score begin and
+    end anywhere."""
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -442,7 +444,7 @@ def kmeans_inputs(draw):
     else:
         x = rng.uniform(-1, 1, size=(n, d))
     x = x * 10.0 ** draw(st.integers(-3, 3)) + draw(st.sampled_from([0.0, 1e3, -7e2]))
-    k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
     budget = draw(st.sampled_from([embedding._BLOCK_BYTES, 1, 8 * k, 24 * k * d, 40 * k]))
     return x, k, draw(st.integers(0, 2**16)), budget
 
@@ -455,6 +457,20 @@ class TestKmeansAssignment:
     # four copies of one point and one other: two centroids coincide, so the
     # tie goes to the literal path and the emptied cluster is repaired
     @example((np.array([[1.0, 1.0]] * 4 + [[5.0, 0.0]]), 3, 0, 1))
+    # seed 0 starts from (3, 1) and (0, 0); after the first update the
+    # centroids are (3, 0) and (-3, 0), and the row (0, 0) lies exactly on
+    # their bisector, so its bounds cannot prove its cluster and the tie
+    # goes to centroid 0
+    @example((np.array([[0.0, 0.0], [-6.0, 0.0], [3.0, 1.0], [3.0, -1.0]]), 2, 0,
+              embedding._BLOCK_BYTES))
+    # a cluster empties in the second step, and the repair moves a row
+    @example((np.array([[-1.0, -3.0], [2.0, 3.0], [3.0, 2.0], [-3.0, 3.0], [1.0, 3.0],
+                        [3.0, 2.0], [3.0, 0.0], [3.0, 2.0]]), 7, 27, embedding._BLOCK_BYTES))
+    # no second centroid: every lower bound is inf
+    @example((np.array([[0.5, 1.0], [2.0, -1.0], [-3.0, 0.25], [1.0, 1.0]]), 1, 0,
+              embedding._BLOCK_BYTES))
+    # one row per cluster
+    @example((np.array([[0.5, 1.0], [2.0, -1.0], [-3.0, 0.25], [1.0, 1.0]]), 4, 0, 1))
     def test_matches_the_literal_oracle(self, case):
         x, k, seed, budget = case
         recs = records_from(x)
@@ -505,6 +521,26 @@ class TestKmeansAssignment:
         assert sum(literal_rows) > 0
         assert got == kmeans_oracle(recs, 3, 0).selected_ids
         assert len(set(got)) == 3
+
+    def test_later_steps_re_score_only_the_rows_their_bounds_cannot_place(self):
+        rescored = []
+        real = embedding._assign_rows
+
+        def spy(x, x_sq, x_norms, centroids, rows, *rest):
+            rescored.append(len(x) if rows is None else len(rows))
+            return real(x, x_sq, x_norms, centroids, rows, *rest)
+
+        # eight tight blobs far apart, and k = 8
+        rng = np.random.default_rng(1)
+        centers = rng.normal(scale=100.0, size=(8, 3))
+        x = centers[rng.integers(0, 8, 400)] + rng.normal(size=(400, 3))
+        recs = records_from(x)
+        with mock.patch.object(embedding, "_assign_rows", spy):
+            got = kmeans_centroid_select(recs, 8, 2).selected_ids
+        assert got == kmeans_oracle(recs, 8, 2).selected_ids
+        assert rescored[0] == 400 and len(rescored) > 5
+        assert max(rescored[1:]) < 400
+        assert sum(rescored[3:]) < 400 * (len(rescored) - 3) / 4
 
     def test_peak_memory_stays_far_below_the_distance_tensor(self):
         # the literal N x k x d float64 tensor would be 410 MB here

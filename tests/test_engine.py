@@ -209,6 +209,27 @@ class TestRerankListwise:
                             retry=RetryPolicy(max_attempts=2, sleep=lambda _: None))
         assert exc.value.window_index == 0
 
+    def test_a_dead_backend_on_the_parse_retry_is_an_error_not_a_fallback(self):
+        class ProseThenDead:
+            calls = 0
+
+            def complete(self, prompt):
+                self.calls += 1
+                if self.calls == 1:
+                    return "I cannot rank these."
+                raise TransportError("down")
+
+        q, cands, docs = make_fixture(3)
+        backend = ProseThenDead()
+        report = RerankReport()
+        with pytest.raises(BackendError) as exc:
+            rerank_listwise(q, cands, docs, backend, window=WindowConfig(3, 1),
+                            retry=RetryPolicy(max_attempts=2, sleep=lambda _: None),
+                            report=report)
+        assert exc.value.window_index == 0
+        assert backend.calls == 3  # the reply, then two attempts at the retry
+        assert (report.parse_retries, report.fallbacks) == (1, 0)
+
     def test_missing_doc(self):
         q, cands, docs = make_fixture(3)
         del docs["d2"]

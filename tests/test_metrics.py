@@ -12,6 +12,7 @@ from rankkit.errors import (
     InvariantViolation,
     LengthMismatch,
     MalformedLine,
+    PermutationError,
     RankkitError,
     TooShort,
 )
@@ -222,9 +223,10 @@ class TestKendallTau:
 
     @pytest.mark.parametrize("other", [(1, 2, 4), (1, 1, 2)])
     def test_orderings_of_different_items_are_rejected(self, other):
-        with pytest.raises(InvariantViolation):
+        # neither is a permutation of 1..3, so it fails before kendall_tau
+        with pytest.raises(PermutationError):
             kendall_tau(Permutation((1, 2, 3)), Permutation(other))
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(PermutationError):
             kendall_tau(Permutation(other), Permutation((1, 2, 3)))
 
 

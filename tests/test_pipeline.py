@@ -67,6 +67,25 @@ class TestDistill:
         # tau([2,1,3], identity) = 1/3; penalty 0.2
         assert label.confidence == pytest.approx(1 / 3 - 0.2)
 
+    def test_a_teacher_that_never_ranks_fails_every_query(self, caplog):
+        # the input order is not the teacher's ranking: labelling it with
+        # confidence 1 would rank the failures first under --budget-filter
+        class ProseBackend:
+            def complete(self, prompt):
+                return "These passages all look relevant to me."
+
+        queries, qembs = [], {}
+        for i in range(3):
+            q, e = origin_query(f"q{i}")
+            queries.append(q)
+            qembs.update(e)
+        labels, summary = distill(queries, qembs, line_corpus(5), ProseBackend(), CFG3)
+        assert labels == []
+        assert (summary.emitted, summary.skipped) == (0, 3)
+        assert summary.failed_query_ids == ["q0", "q1", "q2"]
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert all("both unparseable" in e for e in errors) and len(errors) == 3
+
     def test_missing_embedding_is_skipped_not_fatal(self):
         q1, qembs = origin_query("q1")
         q2 = Query(id="q2", text="no embedding")

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rankkit.errors import LengthMismatch, NonPositiveTemperature
+from rankkit.errors import (
+    DuplicateIndex,
+    LengthMismatch,
+    NonPositiveTemperature,
+    OutOfRange,
+    PermutationError,
+)
 from rankkit.ranking_math import (
     _suffix_logsumexp,
     listwise_loss,
@@ -119,6 +125,19 @@ class TestPlackettLuce:
             order = tuple(rng.permutation(n) + 1)
             got = plackett_luce_prob(scores, validate_permutation(order, n))
             assert got == pytest.approx(pl_prob_oracle(scores, order), rel=1e-10)
+
+
+@pytest.mark.parametrize("fn", [plackett_luce_prob, listwise_loss, listwise_loss_grad])
+@pytest.mark.parametrize("order,error,position", [
+    ((0, 1, 2), OutOfRange, 1),  # index 0 read the last score
+    ((1, 1, 2), DuplicateIndex, 2),  # a loss of 2.86 and a gradient that did not sum to 0
+    ((3, 3, 3), DuplicateIndex, 2),  # a probability of 1/6
+    ((1, 2, 4), OutOfRange, 3),  # a bare IndexError
+    ((1.0, 2.5), PermutationError, 2),  # silently (1, 2)
+])
+def test_an_order_that_is_no_permutation_fails_before_the_math(fn, order, error, position):
+    with pytest.raises(error, match=f"at position {position}\\b"):
+        fn([1.0, 2.0, 3.0], Permutation(order))
 
 
 class TestListwiseLoss:
