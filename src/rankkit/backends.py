@@ -17,14 +17,13 @@ import mimetypes
 import os
 import random
 import time
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, Protocol, Sequence
 
 from .errors import BackendError, ConfigError, MissingModality, ScriptExhausted, TransportError
 from .parsing import render_ranking
 from .prompts import PromptScript
-from .types import Permutation
+from .types import Permutation, Value
 
 logger = logging.getLogger(__name__)
 
@@ -35,15 +34,14 @@ class Backend(Protocol):
     def complete(self, prompt: PromptScript) -> str: ...
 
 
-@dataclass
-class RetryPolicy:
+class RetryPolicy(Value):
     """Exponential backoff for transport failures."""
 
-    max_attempts: int = 5
-    base_delay: float = 1.0
-    factor: float = 2.0
-    jitter: float = 0.1
-    sleep: Callable[[float], None] = time.sleep
+    __slots__ = ("max_attempts", "base_delay", "factor", "jitter", "sleep")
+
+    def __init__(self, max_attempts: int = 5, base_delay: float = 1.0, factor: float = 2.0,
+                 jitter: float = 0.1, sleep: Callable[[float], None] = time.sleep):
+        self._set(max_attempts, base_delay, factor, jitter, sleep)
 
     def delay(self, attempt: int) -> float:
         d = self.base_delay * (self.factor**attempt)
@@ -180,12 +178,13 @@ def _default_port(url) -> int:
     return url.port or (443 if url.scheme == "https" else 80)
 
 
-@dataclass
-class HttpReply:
+class HttpReply(Value):
     """The part of a response that ``HttpBackend`` reads."""
 
-    status_code: int
-    content: bytes
+    __slots__ = ("status_code", "content")
+
+    def __init__(self, status_code: int, content: bytes):
+        self._set(status_code, content)
 
     @property
     def text(self) -> str:
@@ -299,24 +298,20 @@ class HttpTransport:
             conn.close()
 
 
-@dataclass
-class HttpBackend:
-    """Chat-completions client.  API key comes from $RERANK_API_KEY."""
+class HttpBackend(Value):
+    """Chat-completions client.  API key comes from $RERANK_API_KEY.
 
-    endpoint: str
-    model: str
-    timeout: float = 120.0
-    # anything with HttpTransport's post(); injectable for tests
-    session: object = None
+    ``session``: anything with HttpTransport's post(); injectable for tests."""
 
-    def __post_init__(self):
-        if _split_url(self.endpoint, "endpoint").username is not None:
+    __slots__ = ("endpoint", "model", "timeout", "session")
+
+    def __init__(self, endpoint: str, model: str, timeout: float = 120.0, session: object = None):
+        if _split_url(endpoint, "endpoint").username is not None:
             raise ConfigError(f"endpoint must not carry user:password; the key comes "
                               f"from ${API_KEY_ENV}")
-        if not 0 < self.timeout < math.inf:
-            raise ConfigError(f"timeout must be a finite number > 0, got {self.timeout!r}")
-        if self.session is None:
-            self.session = HttpTransport(self.endpoint)
+        if not 0 < timeout < math.inf:
+            raise ConfigError(f"timeout must be a finite number > 0, got {timeout!r}")
+        self._set(endpoint, model, timeout, HttpTransport(endpoint) if session is None else session)
 
     def close(self) -> None:
         """Close the session's idle connections, if it keeps any."""

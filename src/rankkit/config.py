@@ -7,12 +7,12 @@ embedding layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from .engine import WindowConfig
 from .errors import ConfigError
 from .prompts import MODES
+from .types import Value
 
 TEXT_BUDGET_DEFAULT = 4000
 
@@ -29,21 +29,17 @@ CONFIG_KEYS: dict[str, type] = {
     "mode": str,
     "parallelism": int,
 }
-_WINDOW_KEYS = {f.name for f in fields(WindowConfig)}
+_WINDOW_KEYS = set(WindowConfig._fields)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    top_k: int = 20
-    selection_k: int = 1000
-    quality_threshold: float = 0.25
-    window: WindowConfig = field(default_factory=WindowConfig)
-    budget: int = TEXT_BUDGET_DEFAULT
-    seed: int = 0
-    mode: str = "text"
-    parallelism: int = 1
+class PipelineConfig(Value, frozen=True):
+    __slots__ = ("top_k", "selection_k", "quality_threshold", "window", "budget", "seed", "mode",
+                 "parallelism")
 
-    def __post_init__(self):
+    def __init__(self, top_k: int = 20, selection_k: int = 1000, quality_threshold: float = 0.25,
+                 window: WindowConfig = WindowConfig(), budget: int = TEXT_BUDGET_DEFAULT,
+                 seed: int = 0, mode: str = "text", parallelism: int = 1):
+        self._set(top_k, selection_k, quality_threshold, window, budget, seed, mode, parallelism)
         for name in ("top_k", "selection_k", "budget", "parallelism"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")

@@ -68,7 +68,6 @@ from __future__ import annotations
 import json
 import logging
 from collections import Counter, abc
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from typing import Iterable, Sequence
@@ -83,7 +82,7 @@ from .errors import (
     RankkitError,
     ZeroVector,
 )
-from .types import check_id, read_jsonl
+from .types import Value, check_id, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -106,36 +105,35 @@ _UNIT_ROUNDOFF32 = float(np.finfo(np.float32).eps) / 2
 _SUBNORMAL32 = float(np.finfo(np.float32).smallest_subnormal) / 2
 
 
-@dataclass(frozen=True)
-class EmbeddingRecord:
-    id: str
-    vector: np.ndarray
+class EmbeddingRecord(Value, frozen=True):
+    __slots__ = ("id", "vector")
 
-    def __post_init__(self):
-        check_id("embedding record", self.id)
-        v = np.asarray(self.vector)
-        object.__setattr__(self, "vector", v)
+    def __init__(self, id: str, vector: np.ndarray):
+        check_id("embedding record", id)
+        v = np.asarray(vector)
         if v.ndim != 1 or v.shape[0] == 0:
-            raise DimensionMismatch(f"record {self.id}: vector must be 1-d and non-empty")
+            raise DimensionMismatch(f"record {id}: vector must be 1-d and non-empty")
         if not np.all(np.isfinite(v)):
-            raise DimensionMismatch(f"record {self.id}: non-finite entries")
+            raise DimensionMismatch(f"record {id}: non-finite entries")
+        self._set(id, v)
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(Value, frozen=True):
     """Selected ids in selection order, with an optional per-step trace of
     (chosen id, average similarity to the prior selection)."""
 
-    selected_ids: tuple[str, ...]
-    trace: tuple[tuple[str, float], ...] | None = None
+    __slots__ = ("selected_ids", "trace")
+
+    def __init__(self, selected_ids: tuple[str, ...],
+                 trace: tuple[tuple[str, float], ...] | None = None):
+        self._set(selected_ids, trace)
 
 
-@dataclass(frozen=True)
-class FilterResult:
-    kept: tuple
-    kept_count: int
-    dropped_below: int
-    dropped_zero: int
+class FilterResult(Value, frozen=True):
+    __slots__ = ("kept", "kept_count", "dropped_below", "dropped_zero")
+
+    def __init__(self, kept: tuple, kept_count: int, dropped_below: int, dropped_zero: int):
+        self._set(kept, kept_count, dropped_below, dropped_zero)
 
 
 def _check_dims(a: np.ndarray, b: np.ndarray) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -28,36 +27,35 @@ from .prompts import (
     build_pairwise_prompt,
     check_modality,
 )
-from .types import CandidateList, Document, Permutation, Query, identity_permutation
+from .types import CandidateList, Document, Permutation, Query, Value, identity_permutation
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class WindowConfig:
+class WindowConfig(Value, frozen=True):
     """Sliding-window schedule; traversal is fixed back-to-front."""
 
-    window_size: int = 20
-    stride: int = 10
+    __slots__ = ("window_size", "stride")
 
-    def __post_init__(self):
-        if self.window_size < 2:
-            raise InvariantViolation(f"need window_size >= 2, got window_size={self.window_size}")
-        if not 1 <= self.stride <= self.window_size:
+    def __init__(self, window_size: int = 20, stride: int = 10):
+        if window_size < 2:
+            raise InvariantViolation(f"need window_size >= 2, got window_size={window_size}")
+        if not 1 <= stride <= window_size:
             raise InvariantViolation(
-                f"need 1 <= stride <= window_size, got stride={self.stride}, "
-                f"window_size={self.window_size}"
+                f"need 1 <= stride <= window_size, got stride={stride}, "
+                f"window_size={window_size}"
             )
+        self._set(window_size, stride)
 
 
-@dataclass
-class RerankReport:
+class RerankReport(Value):
     """Per-query bookkeeping: backend calls made and repairs applied."""
 
-    backend_calls: int = 0
-    repair_count: int = 0
-    parse_retries: int = 0
-    fallbacks: int = 0
+    __slots__ = ("backend_calls", "repair_count", "parse_retries", "fallbacks")
+
+    def __init__(self, backend_calls: int = 0, repair_count: int = 0, parse_retries: int = 0,
+                 fallbacks: int = 0):
+        self._set(backend_calls, repair_count, parse_retries, fallbacks)
 
 
 def window_starts(n: int, window: WindowConfig) -> list[int]:

@@ -26,37 +26,43 @@ import math
 import operator
 import sys
 from collections import OrderedDict, abc
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvariantViolation, LengthMismatch, MalformedLine, TooShort
-from .types import Permutation, chunk_lines, line_chunks, read_json_object, read_lines
+from .types import Permutation, Value, chunk_lines, line_chunks, read_json_object, read_lines
 
 
-@dataclass
-class Qrels:
+# the largest grade a judgment may carry: far above TREC's 0-4 and the
+# distinct grades that rank 100 candidates in tests/test_acceptance.py, and
+# small enough that no sum of exponential gains 2^g - 1 overflows a float
+MAX_GRADE = 255
+
+
+class Qrels(Value):
     """Graded relevance judgments, with optional query grouping for macro
     aggregation.
 
     ``judgments`` is the source of truth; a per-query index of it is built
     on construction and kept up to date by ``add``, so change judgments
-    only through ``add``.
+    only through ``add``.  ``None`` stands for a new empty dict.
     """
 
-    judgments: dict[tuple[str, str], int] = field(default_factory=dict)
-    group_of: dict[str, str] = field(default_factory=dict)
-    _by_query: dict[str, dict[str, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("judgments", "group_of", "_by_query")
 
-    def __post_init__(self):
+    def __init__(self, judgments: dict[tuple[str, str], int] | None = None,
+                 group_of: dict[str, str] | None = None):
+        self._set({} if judgments is None else judgments, {} if group_of is None else group_of)
+        self._by_query: dict[str, dict[str, int]] = {}
         for (q, d), g in self.judgments.items():
             self._by_query.setdefault(q, {})[d] = g
 
     def add(self, query_id: str, doc_id: str, grade: int) -> None:
         if grade < 0:
             raise InvariantViolation(f"negative grade for ({query_id}, {doc_id})")
+        if grade > MAX_GRADE:
+            raise InvariantViolation(f"grade above {MAX_GRADE} for ({query_id}, {doc_id})")
         self.judgments[query_id, doc_id] = grade
         self._by_query.setdefault(query_id, {})[doc_id] = grade
 
@@ -78,12 +84,12 @@ class RunEntry(NamedTuple):
     tag: str = "run"
 
 
-@dataclass
-class MetricReport:
-    name: str
-    per_query: "OrderedDict[str, float]"
-    mean: float
-    extras: dict = field(default_factory=dict)
+class MetricReport(Value):
+    __slots__ = ("name", "per_query", "mean", "extras")
+
+    def __init__(self, name: str, per_query: "OrderedDict[str, float]", mean: float,
+                 extras: dict | None = None):
+        self._set(name, per_query, mean, {} if extras is None else extras)
 
     def to_json(self) -> dict:
         return {

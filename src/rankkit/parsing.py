@@ -10,22 +10,26 @@ logs every correction it had to make.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import Unparseable
-from .types import Permutation, validate_permutation
+from .types import Permutation, Value, validate_permutation
 
 _BRACKETED_INT = re.compile(r"\[(\d+)\]")
 _YES_NO = re.compile(r"^\W*(yes|no)\b", re.IGNORECASE)
 
 
-@dataclass
-class RepairLog:
-    """Every correction applied while coercing raw output to a permutation."""
+class RepairLog(Value):
+    """Every correction applied while coercing raw output to a permutation;
+    ``None`` stands for a new empty list."""
 
-    dropped_out_of_range: list[int] = field(default_factory=list)
-    dropped_duplicates: list[int] = field(default_factory=list)
-    appended_missing: list[int] = field(default_factory=list)
+    __slots__ = ("dropped_out_of_range", "dropped_duplicates", "appended_missing")
+
+    def __init__(self, dropped_out_of_range: list[int] | None = None,
+                 dropped_duplicates: list[int] | None = None,
+                 appended_missing: list[int] | None = None):
+        self._set([] if dropped_out_of_range is None else dropped_out_of_range,
+                  [] if dropped_duplicates is None else dropped_duplicates,
+                  [] if appended_missing is None else appended_missing)
 
     @property
     def count(self) -> int:

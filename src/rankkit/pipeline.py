@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .backends import Backend, RetryPolicy
@@ -28,6 +27,7 @@ from .types import (
     Document,
     Permutation,
     Query,
+    Value,
     check_id,
     identity_permutation,
     read_jsonl,
@@ -41,28 +41,25 @@ CONFIDENCE_FORMULA = "kendall_tau(teacher_perm, retrieval_order) - 0.1 * repair_
 REPAIR_PENALTY = 0.1
 
 
-@dataclass(frozen=True)
-class TeacherLabel:
-    query_id: str
-    candidate_ids: tuple[str, ...]
-    teacher_perm: Permutation
-    confidence: float
-    repair_count: int = 0
-    backend_tag: str = "mock"
+class TeacherLabel(Value, frozen=True):
+    __slots__ = ("query_id", "candidate_ids", "teacher_perm", "confidence", "repair_count",
+                 "backend_tag")
 
-    def __post_init__(self):
-        check_id("query", self.query_id)
-        for did in self.candidate_ids:
+    def __init__(self, query_id: str, candidate_ids: tuple[str, ...], teacher_perm: Permutation,
+                 confidence: float, repair_count: int = 0, backend_tag: str = "mock"):
+        check_id("query", query_id)
+        for did in candidate_ids:
             check_id("candidate", did)
-        if len(set(self.candidate_ids)) != len(self.candidate_ids):
-            raise ConfigError(f"label {self.query_id}: duplicate candidate ids")
-        if len(self.candidate_ids) != len(self.teacher_perm):
+        if len(set(candidate_ids)) != len(candidate_ids):
+            raise ConfigError(f"label {query_id}: duplicate candidate ids")
+        if len(candidate_ids) != len(teacher_perm):
             raise ConfigError(
-                f"label {self.query_id}: {len(self.candidate_ids)} candidates vs "
-                f"permutation of {len(self.teacher_perm)}"
+                f"label {query_id}: {len(candidate_ids)} candidates vs "
+                f"permutation of {len(teacher_perm)}"
             )
-        if not -1.0 <= self.confidence <= 1.0:
-            raise ConfigError(f"label {self.query_id}: confidence {self.confidence} out of bounds")
+        if not -1.0 <= confidence <= 1.0:
+            raise ConfigError(f"label {query_id}: confidence {confidence} out of bounds")
+        self._set(query_id, candidate_ids, teacher_perm, confidence, repair_count, backend_tag)
 
     @property
     def id(self) -> str:
@@ -138,11 +135,11 @@ def distill_one(
     )
 
 
-@dataclass
-class DistillSummary:
-    emitted: int
-    skipped: int
-    failed_query_ids: list[str]
+class DistillSummary(Value):
+    __slots__ = ("emitted", "skipped", "failed_query_ids")
+
+    def __init__(self, emitted: int, skipped: int, failed_query_ids: list[str]):
+        self._set(emitted, skipped, failed_query_ids)
 
 
 def distill(

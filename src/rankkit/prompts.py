@@ -13,52 +13,45 @@ acknowledgement phrasing) and backends may be sensitive to either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvariantViolation, MissingModality, TooFewDocs
-from .types import Document, Query
+from .types import Document, Query, Value
 
 ROLES = ("system", "user", "assistant")
 MODES = ("text", "multimodal")
 
 
-@dataclass(frozen=True)
-class Turn:
-    role: str
-    text: str
-    image_refs: tuple[str, ...] = ()
+class Turn(Value, frozen=True):
+    __slots__ = ("role", "text", "image_refs")
 
-    def __post_init__(self):
-        if self.role not in ROLES:
-            raise InvariantViolation(f"unknown role {self.role!r}")
-        if self.image_refs and self.role != "user":
+    def __init__(self, role: str, text: str, image_refs: tuple[str, ...] = ()):
+        if role not in ROLES:
+            raise InvariantViolation(f"unknown role {role!r}")
+        if image_refs and role != "user":
             raise InvariantViolation("attachments are only allowed on user turns")
-        object.__setattr__(self, "image_refs", tuple(self.image_refs))
+        self._set(role, text, tuple(image_refs))
 
 
-@dataclass(frozen=True)
-class PromptScript:
+class PromptScript(Value, frozen=True):
     """An ordered multi-turn conversation ready for a chat backend.
 
     ``kind``, ``query_id`` and ``doc_ids`` are engine-side metadata (used by
     deterministic mock backends); wire adapters serialize only the turns.
     """
 
-    turns: tuple[Turn, ...]
-    kind: str = "listwise"
-    query_id: str = ""
-    doc_ids: tuple[str, ...] = ()
+    __slots__ = ("turns", "kind", "query_id", "doc_ids")
 
-    def __post_init__(self):
-        turns = tuple(self.turns)
-        object.__setattr__(self, "turns", turns)
-        object.__setattr__(self, "doc_ids", tuple(self.doc_ids))
+    def __init__(self, turns: tuple[Turn, ...], kind: str = "listwise", query_id: str = "",
+                 doc_ids: tuple[str, ...] = ()):
+        turns = tuple(turns)
+        doc_ids = tuple(doc_ids)
         if not turns or turns[0].role != "system":
             raise InvariantViolation("first turn must be system")
         for prev, cur in zip(turns[1:], turns[2:]):
             if prev.role == cur.role:
                 raise InvariantViolation("user/assistant turns must alternate")
+        self._set(turns, kind, query_id, doc_ids)
 
 
 TEXT_LISTWISE_SYSTEM = (

@@ -10,13 +10,12 @@ scores 10x, which makes naive exp() overflow a real possibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvariantViolation, LengthMismatch, NonPositiveTemperature
-from .types import Permutation
+from .types import Permutation, Value
 
 
 def _as_scores(scores: Sequence[float]) -> np.ndarray:
@@ -33,11 +32,11 @@ def _suffix_logsumexp(t: np.ndarray) -> np.ndarray:
     return np.logaddexp.accumulate(t[::-1])[::-1]
 
 
-@dataclass(frozen=True)
-class LossReport:
-    loss: float
-    per_step_terms: tuple[float, ...]
-    temperature: float
+class LossReport(Value, frozen=True):
+    __slots__ = ("loss", "per_step_terms", "temperature")
+
+    def __init__(self, loss: float, per_step_terms: tuple[float, ...], temperature: float):
+        self._set(loss, per_step_terms, temperature)
 
 
 def _check_args(scores: np.ndarray, perm: Permutation) -> None:

@@ -9,7 +9,6 @@ are 1-based everywhere; the bracket grammar used by reranking backends
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -39,68 +38,117 @@ def check_id(kind: str, ident: object) -> None:
         raise InvariantViolation(f"{kind} id must be non-empty with no whitespace, got {ident!r}")
 
 
-@dataclass(frozen=True)
-class Document:
+def _refuse(self, name: str, *value) -> None:
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r} "
+                         f"of a frozen {type(self).__name__}")
+
+
+def _hash_fields(self) -> int:
+    return hash(self._values())
+
+
+class Value:
+    """Base of rankkit's value types: a ``__slots__`` class whose slots not
+    starting with "_" are its fields, in constructor order (a subclass's
+    after its base's).  Two objects are equal when they have the same class
+    and equal fields, and the repr lists the fields.  A class declared with
+    ``frozen=True`` refuses assignment and deletion once ``__init__`` stored
+    its fields, and hashes by them; the others are unhashable.
+
+    Written by hand rather than generated by the standard library's class
+    decorator, whose import and per-class code generation cost every
+    command about 18 ms of start-up (see the README, "Start-up")."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(n for n in cls.__dict__.get("__slots__", ()) if not n.startswith("_"))
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _refuse
+            cls.__hash__ = _hash_fields
+
+    def _set(self, *values) -> None:
+        """Store ``values`` as the fields, in order; frozen or not."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: the default for a slots
+        # class restores each slot by setattr, which a frozen class refuses
+        return type(self), self._values()
+
+
+class Document(Value, frozen=True):
     """One rerankable unit; may carry text, an image reference, or both."""
 
-    id: str
-    text: str | None = None
-    image_ref: str | None = None
-    modality: str = "text"
+    __slots__ = ("id", "text", "image_ref", "modality")
 
-    def __post_init__(self):
-        check_id("document", self.id)
-        if self.modality not in MODALITIES:
-            raise InvariantViolation(f"unknown modality {self.modality!r}")
-        if self.modality in ("text", "hybrid") and not self.text:
-            raise InvariantViolation(f"doc {self.id}: modality {self.modality} requires text")
-        if self.modality in ("image", "hybrid") and not self.image_ref:
-            raise InvariantViolation(f"doc {self.id}: modality {self.modality} requires image_ref")
-
-
-@dataclass(frozen=True)
-class Query:
-    id: str
-    text: str
-
-    def __post_init__(self):
-        check_id("query", self.id)
-        if not self.text:
-            raise InvariantViolation(f"query {self.id}: empty text")
+    def __init__(self, id: str, text: str | None = None, image_ref: str | None = None,
+                 modality: str = "text"):
+        check_id("document", id)
+        if modality not in MODALITIES:
+            raise InvariantViolation(f"unknown modality {modality!r}")
+        if modality in ("text", "hybrid") and not text:
+            raise InvariantViolation(f"doc {id}: modality {modality} requires text")
+        if modality in ("image", "hybrid") and not image_ref:
+            raise InvariantViolation(f"doc {id}: modality {modality} requires image_ref")
+        self._set(id, text, image_ref, modality)
 
 
-@dataclass(frozen=True)
-class CandidateList:
+class Query(Value, frozen=True):
+    __slots__ = ("id", "text")
+
+    def __init__(self, id: str, text: str):
+        check_id("query", id)
+        if not text:
+            raise InvariantViolation(f"query {id}: empty text")
+        self._set(id, text)
+
+
+class CandidateList(Value, frozen=True):
     """First-stage retrieval output for one query."""
 
-    query_id: str
-    doc_ids: tuple[str, ...]
-    first_stage_scores: tuple[float, ...] | None = None
+    __slots__ = ("query_id", "doc_ids", "first_stage_scores")
 
-    def __post_init__(self):
-        object.__setattr__(self, "doc_ids", tuple(self.doc_ids))
-        if len(set(self.doc_ids)) != len(self.doc_ids):
-            raise InvariantViolation(f"query {self.query_id}: duplicate candidate ids")
-        if self.first_stage_scores is not None:
-            object.__setattr__(self, "first_stage_scores", tuple(self.first_stage_scores))
-            if len(self.first_stage_scores) != len(self.doc_ids):
+    def __init__(self, query_id: str, doc_ids: tuple[str, ...],
+                 first_stage_scores: tuple[float, ...] | None = None):
+        doc_ids = tuple(doc_ids)
+        if len(set(doc_ids)) != len(doc_ids):
+            raise InvariantViolation(f"query {query_id}: duplicate candidate ids")
+        if first_stage_scores is not None:
+            first_stage_scores = tuple(first_stage_scores)
+            if len(first_stage_scores) != len(doc_ids):
                 raise LengthMismatch("first_stage_scores length differs from doc_ids")
+        self._set(query_id, doc_ids, first_stage_scores)
 
     def __len__(self) -> int:
         return len(self.doc_ids)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value, frozen=True):
     """A total ordering: order[i] is the 1-based index ranked at position i.
 
     ``order`` must be a bijection on 1..n of integral entries (an integral
     float is taken as its int); positions in errors are 1-based."""
 
-    order: tuple[int, ...]
+    __slots__ = ("order",)
 
-    def __post_init__(self):
-        order = tuple(self.order)
+    def __init__(self, order: tuple[int, ...]):
+        order = tuple(order)
         ints: list[int] = []
         seen: set[int] = set()
         for pos, raw in enumerate(order, start=1):
@@ -117,7 +165,7 @@ class Permutation:
                 raise DuplicateIndex(pos, idx)
             seen.add(idx)
             ints.append(idx)
-        object.__setattr__(self, "order", tuple(ints))
+        self._set(tuple(ints))
 
     def __len__(self) -> int:
         return len(self.order)

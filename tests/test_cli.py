@@ -554,6 +554,17 @@ class TestConfigAndErrors:
         code = run_cli("eval", "--run", workspace / "input.run", "--qrels", bad)
         assert code == 1
 
+    @pytest.mark.parametrize("grade,gain", [("1100", "exponential"), ("1" + "0" * 400, "linear")],
+                             ids=["1100-exponential", "1e400-linear"])
+    def test_a_grade_too_large_for_a_float_gain_is_fatal_with_its_line(self, workspace, caplog,
+                                                                        grade, gain):
+        # both once crashed eval with an OverflowError traceback
+        bad = workspace / "huge_qrels.txt"
+        bad.write_text(f"q1 0 d1 {grade}\n")
+        code = run_cli("eval", "--run", workspace / "input.run", "--qrels", bad, "--gain", gain)
+        assert code == 1
+        assert f"{bad}:1: grade above 255 for (q1, d1)" in caplog.text
+
     def test_repeated_judgment_is_fatal_and_names_both_lines(self, workspace, caplog):
         lines = (workspace / "qrels.txt").read_text().splitlines()
         qid, _, did, grade = lines[2].split()

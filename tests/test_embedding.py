@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -541,6 +542,44 @@ class TestKmeansAssignment:
         assert rescored[0] == 400 and len(rescored) > 5
         assert max(rescored[1:]) < 400
         assert sum(rescored[3:]) < 400 * (len(rescored) - 3) / 4
+
+    @staticmethod
+    def stale_rows(upper, lower, assign, centroids):
+        """``_widen_bounds`` after a step in which no centroid moved."""
+        none = np.array([], dtype=np.intp)
+        return embedding._widen_bounds(np.array(upper), np.array(lower), np.array(assign), none,
+                                       centroids[none], centroids).tolist()
+
+    def test_bounds_within_the_relative_rounding_margin_of_a_tie_are_re_scored(self):
+        # x = 0 at d = 64; centroid 0 at squared distance exactly 1, centroid
+        # 1 at exactly (1 + 2^-48)^2 = 1 + 64u (u = 2^-53) in row 0, and at
+        # 4 in row 1.  The literal distances of d terms may err by about
+        # (d + 2)u each, so row 0's exact bounds cannot prove centroid 0;
+        # only the factor rho of the skip test, not tau, sees that
+        centroids = np.zeros((2, 64))
+        centroids[0, 0] = 1.0
+        near = 1.0 + 2.0**-48
+        assert self.stale_rows([1.0, 1.0], [near, 2.0], [0, 0], centroids) == [0]
+
+    def test_bounds_within_the_absolute_rounding_margin_of_a_tie_are_re_scored(self):
+        # x = 0 at d = 4 and eta = 2^-1074.  Each entry of centroid 1 squares
+        # to just above eta / 2 and of centroid 0 to just below 1.5 eta, and
+        # both underflow to eta: the literal distances tie at 4 eta, so the
+        # literal step puts x in cluster 0, though exactly it lies nearer
+        # centroid 1 (2 eta against 6 eta).  Bounds that are exact but for
+        # rounding prove centroid 1 except for the term tau of the skip test
+        # (rho is no help this far below the normal range)
+        a = math.nextafter(math.ldexp(math.sqrt(0.5), -537), math.inf)
+        b = math.nextafter(math.ldexp(math.sqrt(1.5), -537), 0.0)
+        centroids = np.array([[b] * 4, [-a] * 4])
+        x = np.zeros((1, 4))
+        assert np.square(x - centroids).sum(axis=1).tolist() == [4 * 5e-324] * 2
+        assert embedding._literal_nearest(x, centroids).tolist() == [0]
+        # the exact squared distances, in units of eta
+        assert [float(4 * Fraction(v) ** 2 / Fraction(5e-324)) for v in (b, a)] == \
+            pytest.approx([6.0, 2.0])
+        # 2b and 2a are the exact distances, as 4 v^2 = (2v)^2
+        assert self.stale_rows([2 * a], [2 * b], [1], centroids) == [0]
 
     def test_peak_memory_stays_far_below_the_distance_tensor(self):
         # the literal N x k x d float64 tensor would be 410 MB here

@@ -17,6 +17,7 @@ from rankkit.errors import (
     TooShort,
 )
 from rankkit.metrics import (
+    MAX_GRADE,
     Qrels,
     Run,
     RunEntry,
@@ -323,6 +324,16 @@ class TestTrecIO:
         with pytest.raises(MalformedLine) as exc:
             read_qrels(str(path))
         assert exc.value.lineno == 2
+
+    @pytest.mark.parametrize("grade", [str(MAX_GRADE + 1), "1100", "1" + "0" * 400],
+                             ids=["cap+1", "1100", "1e400"])
+    def test_qrels_grade_above_the_cap_is_malformed(self, tmp_path, grade):
+        # 1100 overflowed the exponential gain, 10^400 even the linear one
+        path = tmp_path / "qrels.txt"
+        path.write_text(f"q1 0 d7 {MAX_GRADE}\nq1 0 d8 {grade}\n")
+        with pytest.raises(MalformedLine) as exc:
+            read_qrels(str(path))
+        assert str(exc.value).startswith(f"{path}:2: grade above {MAX_GRADE} for (q1, d8)")
 
     def test_qrels_strict_duplicate(self, tmp_path):
         path = tmp_path / "qrels.txt"
