@@ -61,12 +61,32 @@ that fails a check sends the whole file through the JSON-per-line reader
 (``types.read_jsonl``), which is the specification: it reports every
 ``MalformedLine`` with its file:line (a row of another width than the first
 too), then stacks the rows.  Both give the same ids and bit-identical rows.
+
+Each file is parsed once while its bytes stay the same, as Python keeps a
+hash-checked ``.pyc`` (PEP 552).  The first pass over a regular file, which
+counts its lines, also takes the SHA-256 of its bytes in the same blocks.
+What a read parsed is kept in ``__rankkit_cache__/<name>.npy`` beside the
+file, three ``numpy.lib.format`` arrays (that digest, the ids and the
+matrix), written to a temporary file and moved into place.  A later read
+whose digest matches loads the entry without pickles and builds
+``EmbeddingRows`` from it, which checks the rows again, so a hit gives the
+rows of a parse.  Any entry that fails to load or check is a miss that
+parses the file and replaces it; any failure to read or write the cache is
+logged at debug level and changes nothing else.  A cache directory or entry
+that is not the current user's, or that others may write to, is not used.
+A path that is not a regular file (a pipe, a FIFO, ``/dev/stdin``) can be
+read only once: it goes through the JSON-per-line reader alone, uncached.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import logging
+import os
+import stat
+import threading
 from collections import Counter, abc
 from functools import partial
 from itertools import product
@@ -656,9 +676,28 @@ def _literal_nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def read_embeddings(path: str) -> EmbeddingRows:
     """The records of a JSONL embeddings file in file order, over one read-only
     matrix; a blank file gives zero rows (see the module docstring)."""
-    rows = _read_rows(path)
-    if rows is not None:
-        return rows
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:
+        regular = False  # the reader's open names the error
+    if not regular:  # a pipe or FIFO can be read only once
+        return _read_json_rows(path)
+    with open(path, "rb") as fh:
+        before = os.fstat(fh.fileno())
+        digest, capacity = _scan(fh)
+    entry = _cache_entry(path)
+    rows = None if entry is None else _load_entry(entry, digest)
+    if rows is None:
+        rows = _read_rows(path, capacity)
+        if rows is None:
+            rows = _read_json_rows(path)
+        if entry is not None and _same_file(before, os.stat(path)):
+            _store_entry(entry, digest, rows)
+    return rows
+
+
+def _read_json_rows(path: str) -> EmbeddingRows:
+    """``read_embeddings`` by the JSON-per-line reader alone, in one pass."""
     first: dict[str, int] = {}
 
     def build(rec: dict) -> EmbeddingRecord:
@@ -671,20 +710,30 @@ def read_embeddings(path: str) -> EmbeddingRows:
 
 
 _CHUNK_BYTES = 1 << 18
+_CACHE_DIR = "__rankkit_cache__"
 _HEAD = b'{"id": "'
 _MID = b'", "vector": ['
 _TAIL = b"]}"
 _ID_BAD_BYTES = bytes(range(0x20)) + b'"\\'
 
 
-def _read_rows(path: str) -> EmbeddingRows | None:
+def _scan(fh) -> tuple[bytes, int]:
+    """The SHA-256 digest of the bytes of ``fh`` and their newline count, in
+    one pass of ``_CHUNK_BYTES`` blocks."""
+    sha = hashlib.sha256()
+    newlines = 0
+    for block in iter(partial(fh.read, _CHUNK_BYTES), b""):
+        sha.update(block)
+        newlines += block.count(b"\n")
+    return sha.digest(), newlines
+
+
+def _read_rows(path: str, capacity: int) -> EmbeddingRows | None:
     """The fast path of ``read_embeddings``: the whole file as
     ``EmbeddingRows``, or None when any line or chunk fails a check, the
-    rows fail ``EmbeddingRows``' checks or the file holds no record.  A
-    first pass counts lines to size the matrix."""
+    rows fail ``EmbeddingRows``' checks or the file holds no record.
+    ``capacity``: the file's newline count, which sizes the matrix."""
     with open(path, "rb") as fh:
-        capacity = sum(block.count(b"\n") for block in iter(partial(fh.read, _CHUNK_BYTES), b""))
-        fh.seek(0)
         matrix = None
         ids: list[str] = []
         try:
@@ -807,6 +856,84 @@ def _json_numbers(text: bytes) -> bool:
     trigrams += c[1:-1] * 6
     trigrams += c[2:]
     return 1 not in trigrams.tobytes().translate(_BAD_TRIGRAMS)
+
+
+def _cache_entry(path: str) -> str | None:
+    """Where the parsed copy of ``path`` lives, ``<dir>/__rankkit_cache__/<name>.npy``
+    beside the file that ``path`` resolves to; the directory is made if it is
+    missing.  None when it cannot be made or is not ``_private``."""
+    source = os.path.realpath(path)
+    folder = os.path.join(os.path.dirname(source), _CACHE_DIR)
+    try:
+        with contextlib.suppress(FileExistsError):
+            os.mkdir(folder, 0o700)
+        st = os.lstat(folder)
+    except OSError as exc:
+        logger.debug("no embeddings cache for %s: %s", path, exc)
+        return None
+    if not (stat.S_ISDIR(st.st_mode) and _private(st)):
+        logger.debug("embeddings cache %s is not a private directory; not used", folder)
+        return None
+    return os.path.join(folder, os.path.basename(source) + ".npy")
+
+
+def _private(st: os.stat_result) -> bool:
+    """Whether a cache directory or entry is the current user's and no one
+    else may write to it, so no other user can plant vectors in it."""
+    return st.st_uid == os.geteuid() and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+
+
+def _same_file(before: os.stat_result, after: os.stat_result) -> bool:
+    """Whether nothing wrote to the file between two stats: a write moves
+    ``st_ctime_ns``, which ``os.utime`` cannot set back."""
+    fields = ("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
+    return all(getattr(before, f) == getattr(after, f) for f in fields)
+
+
+def _load_entry(entry: str, digest: bytes) -> EmbeddingRows | None:
+    """The rows a cache entry holds, if it is ``_private`` and was written for
+    a file of SHA-256 ``digest``; None on any failure, a miss.  The rows pass
+    ``EmbeddingRows``' checks again."""
+    # a cache never fails a read: whatever a damaged entry raises is a miss
+    try:
+        with open(os.open(entry, os.O_RDONLY | os.O_NOFOLLOW), "rb") as fh:
+            st = os.fstat(fh.fileno())
+            if not (stat.S_ISREG(st.st_mode) and _private(st)):
+                logger.debug("embeddings cache %s is not a private file; not used", entry)
+                return None
+            stored, ids, matrix = (np.load(fh, allow_pickle=False) for _ in range(3))
+        if stored.dtype != np.uint8 or stored.tobytes() != digest:
+            return None
+        if ids.dtype.kind != "U" or ids.ndim != 1 or matrix.dtype != np.float64:
+            raise ValueError(f"ids of dtype {ids.dtype}, a matrix of dtype {matrix.dtype}")
+        rows = EmbeddingRows(matrix, ids.tolist())
+    except FileNotFoundError:
+        return None
+    except Exception:
+        logger.debug("embeddings cache %s not used", entry, exc_info=True)
+        return None
+    rows.matrix.flags.writeable = False
+    return rows
+
+
+def _store_entry(entry: str, digest: bytes, rows: EmbeddingRows) -> None:
+    """Write ``rows`` to a cache entry for a file of SHA-256 ``digest``: to a
+    temporary file beside it, moved into place.  Any failure leaves the cache
+    as it was."""
+    ids = np.array(rows.ids, dtype=str)
+    if ids.tolist() != list(rows.ids):  # a NumPy string drops trailing NULs
+        return
+    tmp = f"{entry}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW, 0o600)
+        with open(fd, "wb") as fh:
+            for array in (np.frombuffer(digest, np.uint8), ids, rows.matrix):
+                np.save(fh, array, allow_pickle=False)
+        os.replace(tmp, entry)
+    except Exception:  # a cache never fails a read
+        logger.debug("embeddings cache %s not written", entry, exc_info=True)
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def write_embeddings(records: Iterable[EmbeddingRecord], path: str) -> None:

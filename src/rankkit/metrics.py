@@ -40,6 +40,13 @@ from .types import Permutation, Value, chunk_lines, line_chunks, read_json_objec
 MAX_GRADE = 255
 
 
+def _check_grade(query_id: str, doc_id: str, grade: int) -> None:
+    if grade < 0:
+        raise InvariantViolation(f"negative grade for ({query_id}, {doc_id})")
+    if grade > MAX_GRADE:
+        raise InvariantViolation(f"grade above {MAX_GRADE} for ({query_id}, {doc_id})")
+
+
 class Qrels(Value):
     """Graded relevance judgments, with optional query grouping for macro
     aggregation.
@@ -56,13 +63,11 @@ class Qrels(Value):
         self._set({} if judgments is None else judgments, {} if group_of is None else group_of)
         self._by_query: dict[str, dict[str, int]] = {}
         for (q, d), g in self.judgments.items():
+            _check_grade(q, d, g)
             self._by_query.setdefault(q, {})[d] = g
 
     def add(self, query_id: str, doc_id: str, grade: int) -> None:
-        if grade < 0:
-            raise InvariantViolation(f"negative grade for ({query_id}, {doc_id})")
-        if grade > MAX_GRADE:
-            raise InvariantViolation(f"grade above {MAX_GRADE} for ({query_id}, {doc_id})")
+        _check_grade(query_id, doc_id, grade)
         self.judgments[query_id, doc_id] = grade
         self._by_query.setdefault(query_id, {})[doc_id] = grade
 

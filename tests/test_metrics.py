@@ -276,6 +276,16 @@ class TestQrelsIndex:
         assert qrels.grades_for("q1") == {"d1": 1}
         assert qrels.query_ids() == ["q1"]
 
+    def test_constructor_rejects_a_negative_grade(self):
+        # stored unchecked, it scored nDCG 1.0 for a doc judged -3
+        with pytest.raises(InvariantViolation, match="negative grade for \\(q1, d1\\)"):
+            ndcg_at_k(Qrels({("q1", "d1"): -3}), {"q1": ["d1"]}, 10)
+
+    def test_constructor_rejects_a_grade_whose_gain_overflows(self):
+        # stored unchecked, 2^1100 - 1 raised OverflowError inside the metric
+        with pytest.raises(InvariantViolation, match=f"grade above {MAX_GRADE}"):
+            ndcg_at_k(Qrels({("q1", "d1"): 1100}), {"q1": ["d1"]}, 10, gain="exponential")
+
 
 @st.composite
 def shuffled_runs(draw):

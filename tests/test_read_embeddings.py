@@ -6,9 +6,18 @@ which is the specification.  These tests pin that the result does not
 depend on the path: the same ids, bit-identical vectors (the sign of zero
 included) and the same ``MalformedLine``, with file:line.  Which path took
 a file is probed with ``embedding._read_rows``, the fast path alone.
+
+A read keeps what it parsed under ``__rankkit_cache__`` beside the file.
+The tests at the end pin that a hit gives the rows of a parse without
+parsing, that the key is the file's bytes, and that a damaged entry, a
+non-regular file or a cache others may write to is read as if there were
+no cache.
 """
 
+import hashlib
 import json
+import os
+import threading
 import warnings
 from unittest import mock
 
@@ -47,7 +56,9 @@ def reference(path):
 
 def fast(path) -> bool:
     """Whether the fast path takes the file."""
-    return embedding._read_rows(str(path)) is not None
+    with open(path, "rb") as fh:
+        capacity = embedding._scan(fh)[1]
+    return embedding._read_rows(str(path), capacity) is not None
 
 
 def assert_same_as_reference(path):
@@ -272,6 +283,236 @@ def test_written_embeddings_take_the_fast_path_and_share_one_matrix(tmp_path):
 
 
 def test_empty_file_reads_as_no_records(tmp_path):
+    for name, text in (("blank.jsonl", "\n  \n"), ("empty.jsonl", "")):
+        path = tmp_path / name
+        path.write_text(text)
+        assert list(read_embeddings(str(path))) == []
+        with spy(embedding, "_read_rows") as read_rows:  # a cache hit, zero rows too
+            rows = read_embeddings(str(path))
+        read_rows.assert_not_called()
+        assert rows.ids == () and rows.matrix.shape[0] == 0
+
+
+# --- the parsed copy under __rankkit_cache__ ---
+
+
+def entry_of(path):
+    return path.parent / "__rankkit_cache__" / (path.name + ".npy")
+
+
+def digest_of(path) -> bytes:
+    return hashlib.sha256(path.read_bytes()).digest()
+
+
+def write_entry(entry, digest: bytes, ids, matrix) -> None:
+    """An entry as ``read_embeddings`` writes one, mode 0600 whatever the umask."""
+    with open(entry, "wb") as fh:
+        for array in (np.frombuffer(digest, np.uint8), np.array(ids, dtype=str), matrix):
+            np.save(fh, array)
+    os.chmod(entry, 0o600)
+
+
+def read_entry(entry):
+    with open(entry, "rb") as fh:
+        return [np.load(fh) for _ in range(3)]
+
+
+def spy(owner, name):
+    return mock.patch.object(owner, name, wraps=getattr(owner, name))
+
+
+def assert_same_rows(got, expected):
+    assert got.ids == expected.ids
+    assert got.matrix.dtype == np.float64 and got.matrix.shape == expected.matrix.shape
+    assert got.matrix.tobytes() == expected.matrix.tobytes()  # sign bits too
+    assert got.matrix.flags.c_contiguous and not got.matrix.flags.writeable
+
+
+@pytest.fixture
+def source(tmp_path):
+    """A file of canonical lines, signed zeros and subnormals included."""
     path = tmp_path / "emb.jsonl"
-    path.write_text("\n  \n")
-    assert list(read_embeddings(str(path))) == []
+    path.write_text(line("a", ["-0.0", "0.5", "-0e0"]) + "\n" + line("b", ["0", repr(5e-324), "-2"])
+                    + "\n" + line("c", ["1e-05", "-0.0", "3.25"]) + "\n")
+    return path
+
+
+def test_a_hit_gives_the_rows_of_a_miss(source):
+    miss = read_embeddings(str(source))
+    assert entry_of(source).is_file()
+    with spy(embedding, "_read_rows") as read_rows:
+        hit = read_embeddings(str(source))
+    read_rows.assert_not_called()
+    assert_same_rows(hit, miss)
+    assert np.signbit(hit.matrix[0, 0]) and np.signbit(hit.matrix[2, 1])
+    stored, ids, matrix = read_entry(entry_of(source))
+    assert stored.tobytes() == digest_of(source)
+    assert ids.tolist() == list(miss.ids) and matrix.tobytes() == miss.matrix.tobytes()
+
+
+def test_a_second_read_of_an_unchanged_file_does_not_parse_it(source):
+    read_embeddings(str(source))
+    with spy(embedding, "_read_rows") as read_rows, spy(np, "loadtxt") as loadtxt:
+        read_embeddings(str(source))
+    read_rows.assert_not_called()
+    loadtxt.assert_not_called()
+
+
+def test_the_key_is_the_content_not_the_stat(source):
+    read_embeddings(str(source))
+    before = source.stat()
+    text = source.read_text()
+    source.write_text(text.replace("0.5", "0.7").replace("3.25", "3.75"))
+    os.utime(source, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = source.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    rows = read_embeddings(str(source))
+    assert rows.matrix[0, 1] == 0.7 and rows.matrix[2, 2] == 3.75
+    assert read_entry(entry_of(source))[0].tobytes() == digest_of(source)
+
+
+def test_a_valid_entry_is_what_a_hit_returns(source):
+    # the control for the damaged entries below: a planted entry is read
+    read_embeddings(str(source))
+    write_entry(entry_of(source), digest_of(source), ["x", "y", "z"], np.full((3, 3), 9.0))
+    rows = read_embeddings(str(source))
+    assert rows.ids == ("x", "y", "z") and (rows.matrix == 9.0).all()
+
+
+def truncated(entry, digest, ids, matrix):
+    write_entry(entry, digest, ids, matrix)
+    os.truncate(entry, entry.stat().st_size - 8)
+
+
+DAMAGE = {
+    "truncated": truncated,
+    "foreign digest": lambda e, d, i, m: write_entry(e, hashlib.sha256(b"x").digest(), i, m),
+    "float32 matrix": lambda e, d, i, m: write_entry(e, d, i, m.astype(np.float32)),
+    "1-d matrix": lambda e, d, i, m: write_entry(e, d, i, m.ravel()),
+    "id count": lambda e, d, i, m: write_entry(e, d, i[:-1], m),
+    "NaN": lambda e, d, i, m: write_entry(e, d, i, np.where(m == 0.5, np.nan, m)),
+    "repeated id": lambda e, d, i, m: write_entry(e, d, [i[0], *i[:-1]], m),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+def test_a_damaged_entry_is_a_miss_that_is_replaced(source, damage):
+    expected = read_embeddings(str(source))
+    entry = entry_of(source)
+    DAMAGE[damage](entry, digest_of(source), list(expected.ids), expected.matrix.copy())
+    with spy(embedding, "_read_rows") as read_rows:
+        got = read_embeddings(str(source))
+    read_rows.assert_called_once()
+    assert_same_rows(got, expected)
+    stored, ids, matrix = read_entry(entry)
+    assert stored.tobytes() == digest_of(source)
+    assert ids.tolist() == list(expected.ids) and matrix.tobytes() == expected.matrix.tobytes()
+
+
+def test_an_unwritable_cache_reads_the_file(source):
+    expected = reference(str(source))
+    entry_of(source).parent.write_text("not a directory")
+    for _ in range(2):
+        rows = read_embeddings(str(source))
+        assert [r.id for r in rows] == [r.id for r in expected]
+        assert rows.matrix.tobytes() == b"".join(r.vector.tobytes() for r in expected)
+    assert entry_of(source).parent.read_text() == "not a directory"
+
+
+def test_a_malformed_file_writes_no_entry(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    path.write_text(line("a", ["1.5"]) + "\n" + line("b", ["NaN"]) + "\n")
+    with pytest.raises(MalformedLine) as expected:
+        reference(str(path))
+    for _ in range(2):
+        with pytest.raises(MalformedLine, match=":2:") as got:
+            read_embeddings(str(path))
+        assert str(got.value) == str(expected.value)
+    assert not entry_of(path).exists()
+
+
+def plant(source):
+    """A valid entry for ``source`` that holds other vectors."""
+    read_embeddings(str(source))
+    write_entry(entry_of(source), digest_of(source), ["x", "y", "z"], np.full((3, 3), 9.0))
+    return entry_of(source).read_bytes()
+
+
+def test_a_cache_directory_others_may_write_is_neither_read_nor_written(source):
+    expected = reference(str(source))
+    planted = plant(source)
+    os.chmod(entry_of(source).parent, 0o777)
+    with spy(embedding, "_read_rows") as read_rows:
+        got = read_embeddings(str(source))
+    read_rows.assert_called_once()
+    assert got.ids == tuple(r.id for r in expected)
+    assert got.matrix.tobytes() == b"".join(r.vector.tobytes() for r in expected)
+    assert entry_of(source).read_bytes() == planted
+
+
+def test_an_entry_others_may_write_is_not_read_and_is_replaced(source):
+    expected = reference(str(source))
+    plant(source)
+    os.chmod(entry_of(source), 0o666)
+    got = read_embeddings(str(source))
+    assert got.ids == tuple(r.id for r in expected)
+    assert got.matrix.tobytes() == b"".join(r.vector.tobytes() for r in expected)
+    assert entry_of(source).stat().st_mode & 0o077 == 0
+    assert read_entry(entry_of(source))[1].tolist() == list(got.ids)
+
+
+def test_a_fifo_is_read_in_one_pass_without_a_cache(tmp_path, source):
+    # a second pass over a FIFO fails to seek, or opens it again and waits
+    # for a writer that never comes: both run in threads with a timeout
+    expected = read_embeddings(str(source))
+    fifo = tmp_path / "fifo" / "emb.jsonl"
+    fifo.parent.mkdir()
+    os.mkfifo(fifo)
+    text = source.read_bytes()
+    got = []
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(text)
+
+    def read():
+        try:
+            got.append(read_embeddings(str(fifo)))
+        except Exception as exc:
+            got.append(exc)
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (feed, read)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    if not isinstance(got[0], EmbeddingRows):
+        raise got[0]
+    assert_same_rows(got[0], expected)
+    assert os.listdir(fifo.parent) == ["emb.jsonl"]
+
+
+def test_an_id_a_numpy_string_cannot_hold_is_not_cached(tmp_path):
+    # a NumPy string array drops an id's trailing NUL, so the rows are parsed each time
+    path = tmp_path / "emb.jsonl"
+    path.write_text(line("a\\u0000", ["1.5"]) + "\n" + line("a", ["2.5"]) + "\n")
+    for _ in range(2):
+        assert read_embeddings(str(path)).ids == ("a\x00", "a")
+    assert not entry_of(path).exists()
+
+
+def test_a_file_written_during_a_read_is_not_cached(source):
+    # the digest is of the bytes before the write, the rows of those after it
+    text = source.read_text()
+    parse = embedding._read_rows
+
+    def rewrite_then_parse(path, capacity):
+        source.write_text(text.replace("0.5", "0.7"))
+        return parse(path, capacity)
+
+    with mock.patch.object(embedding, "_read_rows", rewrite_then_parse):
+        assert read_embeddings(str(source)).matrix[0, 1] == 0.7
+    assert not entry_of(source).exists()
+    source.write_text(text)
+    assert read_embeddings(str(source)).matrix[0, 1] == 0.5
