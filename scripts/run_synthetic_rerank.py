@@ -7,6 +7,7 @@ window ceiling; the identity backend is a no-op control.
 """
 
 import argparse
+import contextlib
 import logging
 import tempfile
 from pathlib import Path
@@ -57,8 +58,17 @@ def main():
 
     queries, lists, docs, qrels = build_task(args.queries, args.candidates, args.seed)
     window = WindowConfig(args.window_size, args.stride)
-    out_dir = Path(args.out_dir) if args.out_dir else Path(tempfile.mkdtemp())
+    # without --out-dir the run files go to a directory removed at the end
+    keep = contextlib.nullcontext(args.out_dir) if args.out_dir else tempfile.TemporaryDirectory()
+    with keep as out:
+        report(queries, lists, docs, qrels, window, Path(out))
+    if args.out_dir:
+        logger.info("run files written to %s", args.out_dir)
 
+
+def report(queries, lists, docs, qrels, window, out_dir):
+    """Print nDCG@10 and MRR of the input run and of each mock backend's
+    rerank, writing each reranked run to ``out_dir``."""
     baseline = []
     for q in queries:
         baseline.extend(run_from_candidates(q.id, lists[q.id].doc_ids, tag="first"))
@@ -81,8 +91,6 @@ def main():
         n, m = evaluate(qrels, run)
         print(f"{name:<10} {n:>9.4f} {m:>9.4f}")
         write_run(run, str(out_dir / f"{name}.run"))
-    logger.info("run files written to %s", out_dir)
-
 
 if __name__ == "__main__":
     main()

@@ -62,18 +62,37 @@ that fails a check sends the whole file through the JSON-per-line reader
 ``MalformedLine`` with its file:line (a row of another width than the first
 too), then stacks the rows.  Both give the same ids and bit-identical rows.
 
-Each file is parsed once while its bytes stay the same, as Python keeps a
-hash-checked ``.pyc`` (PEP 552).  The first pass over a regular file, which
-counts its lines, also takes the SHA-256 of its bytes in the same blocks.
-What a read parsed is kept in ``__rankkit_cache__/<name>.npy`` beside the
-file, three ``numpy.lib.format`` arrays (that digest, the ids and the
-matrix), written to a temporary file and moved into place.  A later read
-whose digest matches loads the entry without pickles and builds
-``EmbeddingRows`` from it, which checks the rows again, so a hit gives the
-rows of a parse.  Any entry that fails to load or check is a miss that
-parses the file and replaces it; any failure to read or write the cache is
-logged at debug level and changes nothing else.  A cache directory or entry
-that is not the current user's, or that others may write to, is not used.
+Each file is parsed once while its bytes stay the same.  The first pass
+over a regular file, which counts its lines, also takes the SHA-256 of its
+bytes in the same blocks.  What a read parsed is kept in
+``__rankkit_cache__/<name>.npy`` beside the file, four ``numpy.lib.format``
+arrays (that digest, the ids, the matrix and a stat record), written to a
+temporary file and moved into place.  The stat record is the file's
+``st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns`` from the stat taken
+before hashing, and the time read just before that stat.  A later read
+whose ``os.stat`` equals a trusted record is a hit without hashing: a
+record is trusted when its time is more than ``_RACY_NS`` (2 s, FAT's
+timestamp step) past the file's last change, which proves that the
+timestamp step of that change had closed before the hash began, so any
+later write moves ``st_ctime_ns``, which ``os.utime`` cannot set back
+(git's "racy git" rule; CPython's default ``.pyc`` check trusts mtime and
+size alone).  Any other read hashes the file, and a digest that matches is
+a hit; the entry is then rewritten only if its new record is trusted, so a
+``touch`` costs one hash and a file changed in the last 2 s is hashed on
+each read.  On a network filesystem whose clock runs more than 2 s behind
+this host's, a write in the same timestamp step as the hashing stat may go
+unseen until the file changes again.  A hit maps the entry's matrix
+read-only instead of copying it, after checking that its header fits the
+file, and builds ``EmbeddingRows`` from it, which checks the rows again, so
+a hit gives the rows of a parse.  rankkit only ever replaces an entry with
+``os.replace``, so rows mapped from the old entry keep their values; an
+entry truncated in place by another hand can crash a reader that has it
+mapped.  Any entry that fails to load or check is a miss that parses the
+file and replaces it; any failure to read or write the cache is logged at
+debug level and changes nothing else, and each read logs one debug line
+with its outcome: ``stat hit``, ``digest hit``, ``miss`` or ``uncached``.
+A cache directory or entry that is not the current user's, or that others
+may write to, is not used.
 A path that is not a regular file (a pipe, a FIFO, ``/dev/stdin``) can be
 read only once: it goes through the JSON-per-line reader alone, uncached.
 """
@@ -90,9 +109,11 @@ import threading
 from collections import Counter, abc
 from functools import partial
 from itertools import product
+from time import time_ns
 from typing import Iterable, Sequence
 
 import numpy as np
+import numpy.lib.format as npy_format
 
 from .errors import (
     DimensionMismatch,
@@ -677,22 +698,33 @@ def read_embeddings(path: str) -> EmbeddingRows:
     """The records of a JSONL embeddings file in file order, over one read-only
     matrix; a blank file gives zero rows (see the module docstring)."""
     try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
+        st = os.stat(path)
     except OSError:
-        regular = False  # the reader's open names the error
-    if not regular:  # a pipe or FIFO can be read only once
+        st = None  # the reader's open names the error
+    if st is None or not stat.S_ISREG(st.st_mode):  # a pipe or FIFO can be read only once
+        logger.debug("embeddings %s: uncached", path)
         return _read_json_rows(path)
+    entry = _cache_entry(path)
+    stored_digest, stored_record, stored_rows = _NO_ENTRY if entry is None else _load_entry(entry)
+    if _trusted(stored_record) and stored_record[:5] == _stat_key(st):
+        logger.debug("embeddings %s: stat hit", path)
+        return stored_rows
     with open(path, "rb") as fh:
+        now = time_ns()
         before = os.fstat(fh.fileno())
         digest, capacity = _scan(fh)
-    entry = _cache_entry(path)
-    rows = None if entry is None else _load_entry(entry, digest)
+    record = (*_stat_key(before), now)
+    if stored_digest == digest:
+        if _trusted(record):  # once per change, not once per read
+            _store_entry(entry, digest, stored_rows, record)
+        logger.debug("embeddings %s: digest hit", path)
+        return stored_rows
+    logger.debug("embeddings %s: %s", path, "uncached" if entry is None else "miss")
+    rows = _read_rows(path, capacity)
     if rows is None:
-        rows = _read_rows(path, capacity)
-        if rows is None:
-            rows = _read_json_rows(path)
-        if entry is not None and _same_file(before, os.stat(path)):
-            _store_entry(entry, digest, rows)
+        rows = _read_json_rows(path)
+    if entry is not None and _stat_key(before) == _stat_key(os.stat(path)):
+        _store_entry(entry, digest, rows, record)
     return rows
 
 
@@ -711,6 +743,9 @@ def _read_json_rows(path: str) -> EmbeddingRows:
 
 _CHUNK_BYTES = 1 << 18
 _CACHE_DIR = "__rankkit_cache__"
+# how long after a file's last change a stat of it must be taken for a cache
+# entry to trust that stat instead of hashing; covers FAT's 2 s timestamps
+_RACY_NS = 2_000_000_000
 _HEAD = b'{"id": "'
 _MID = b'", "vector": ['
 _TAIL = b"]}"
@@ -883,43 +918,69 @@ def _private(st: os.stat_result) -> bool:
     return st.st_uid == os.geteuid() and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
 
 
-def _same_file(before: os.stat_result, after: os.stat_result) -> bool:
-    """Whether nothing wrote to the file between two stats: a write moves
+def _stat_key(st: os.stat_result) -> tuple[int, ...]:
+    """``st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns`` of ``st``, each
+    wrapped to a signed 64-bit value as a cache entry stores it.  Nothing
+    wrote to a file between two stats with the same key: a write moves
     ``st_ctime_ns``, which ``os.utime`` cannot set back."""
-    fields = ("st_dev", "st_ino", "st_size", "st_mtime_ns", "st_ctime_ns")
-    return all(getattr(before, f) == getattr(after, f) for f in fields)
+    fields = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+    return tuple((f + (1 << 63)) % (1 << 64) - (1 << 63) for f in fields)
 
 
-def _load_entry(entry: str, digest: bytes) -> EmbeddingRows | None:
-    """The rows a cache entry holds, if it is ``_private`` and was written for
-    a file of SHA-256 ``digest``; None on any failure, a miss.  The rows pass
-    ``EmbeddingRows``' checks again."""
+def _trusted(record: tuple[int, ...] | None) -> bool:
+    """Whether a stat record (``_stat_key`` and the time just before that
+    stat) proves that the file's last change was more than ``_RACY_NS``
+    before it, so that any later write moves the key."""
+    return record is not None and record[5] - max(record[3], record[4]) > _RACY_NS
+
+
+# what _load_entry gives for a missing, damaged or foreign entry
+_NO_ENTRY = (None, None, None)
+
+
+def _load_entry(entry: str) -> tuple[bytes | None, tuple[int, ...] | None, EmbeddingRows | None]:
+    """The SHA-256 digest, the stat record (None in an entry without one) and
+    the rows of a cache entry, if it is ``_private``; ``_NO_ENTRY`` on any
+    failure, a miss.  The matrix is mapped read-only, not copied, and the
+    rows pass ``EmbeddingRows``' checks again."""
     # a cache never fails a read: whatever a damaged entry raises is a miss
     try:
         with open(os.open(entry, os.O_RDONLY | os.O_NOFOLLOW), "rb") as fh:
             st = os.fstat(fh.fileno())
             if not (stat.S_ISREG(st.st_mode) and _private(st)):
                 logger.debug("embeddings cache %s is not a private file; not used", entry)
-                return None
-            stored, ids, matrix = (np.load(fh, allow_pickle=False) for _ in range(3))
-        if stored.dtype != np.uint8 or stored.tobytes() != digest:
-            return None
-        if ids.dtype.kind != "U" or ids.ndim != 1 or matrix.dtype != np.float64:
-            raise ValueError(f"ids of dtype {ids.dtype}, a matrix of dtype {matrix.dtype}")
+                return _NO_ENTRY
+            digest, ids = (np.load(fh, allow_pickle=False) for _ in range(2))
+            if npy_format.read_magic(fh) != (1, 0):
+                raise ValueError("not a version 1.0 array")
+            shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
+            if fortran_order or dtype != np.float64 or len(shape) != 2:
+                raise ValueError(f"a matrix of dtype {dtype}, shape {shape}")
+            offset = fh.tell()
+            end = offset + 8 * shape[0] * shape[1]
+            if end > st.st_size:  # a map past the end of the file raises SIGBUS when read
+                raise ValueError(f"a matrix that ends at byte {end} of {st.st_size}")
+            matrix = np.memmap(fh, np.float64, "r", offset, shape)
+            fh.seek(end)
+            record = None if end == st.st_size else np.load(fh, allow_pickle=False)
+        if digest.dtype != np.uint8 or ids.dtype.kind != "U" or ids.ndim != 1:
+            raise ValueError(f"a digest of dtype {digest.dtype}, ids of dtype {ids.dtype}")
+        if record is not None and (record.dtype != np.int64 or record.shape != (6,)):
+            raise ValueError(f"a stat record of dtype {record.dtype}, shape {record.shape}")
         rows = EmbeddingRows(matrix, ids.tolist())
     except FileNotFoundError:
-        return None
+        return _NO_ENTRY
     except Exception:
         logger.debug("embeddings cache %s not used", entry, exc_info=True)
-        return None
-    rows.matrix.flags.writeable = False
-    return rows
+        return _NO_ENTRY
+    return digest.tobytes(), None if record is None else tuple(record.tolist()), rows
 
 
-def _store_entry(entry: str, digest: bytes, rows: EmbeddingRows) -> None:
-    """Write ``rows`` to a cache entry for a file of SHA-256 ``digest``: to a
-    temporary file beside it, moved into place.  Any failure leaves the cache
-    as it was."""
+def _store_entry(entry: str, digest: bytes, rows: EmbeddingRows, record: tuple[int, ...]) -> None:
+    """Write ``rows`` to a cache entry for a file of SHA-256 ``digest`` and
+    stat ``record``: to a temporary file beside it, moved into place, so a
+    reader that maps the old entry keeps its rows.  Any failure leaves the
+    cache as it was."""
     ids = np.array(rows.ids, dtype=str)
     if ids.tolist() != list(rows.ids):  # a NumPy string drops trailing NULs
         return
@@ -927,7 +988,8 @@ def _store_entry(entry: str, digest: bytes, rows: EmbeddingRows) -> None:
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW, 0o600)
         with open(fd, "wb") as fh:
-            for array in (np.frombuffer(digest, np.uint8), ids, rows.matrix):
+            for array in (np.frombuffer(digest, np.uint8), ids, rows.matrix,
+                          np.array(record, np.int64)):
                 np.save(fh, array, allow_pickle=False)
         os.replace(tmp, entry)
     except Exception:  # a cache never fails a read

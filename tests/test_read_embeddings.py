@@ -11,17 +11,23 @@ A read keeps what it parsed under ``__rankkit_cache__`` beside the file.
 The tests at the end pin that a hit gives the rows of a parse without
 parsing, that the key is the file's bytes, and that a damaged entry, a
 non-regular file or a cache others may write to is read as if there were
-no cache.
+no cache.  The last ones pin when a hit may skip the hash (a trusted stat
+record that matches), that a hit maps the entry's matrix read-only, and
+the one debug line each read logs.  They move the module's clock or its
+2 s margin instead of sleeping.
 """
 
 import hashlib
 import json
+import logging
+import mmap
 import os
 import threading
 import warnings
 from unittest import mock
 
 import numpy as np
+import numpy.lib.format as npy_format
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -516,3 +522,164 @@ def test_a_file_written_during_a_read_is_not_cached(source):
     assert not entry_of(source).exists()
     source.write_text(text)
     assert read_embeddings(str(source)).matrix[0, 1] == 0.5
+
+
+# --- hits by stat, and the mapped matrix ---
+
+
+def stat_record(entry) -> tuple:
+    """The stat record, the fourth array of an entry."""
+    with open(entry, "rb") as fh:
+        arrays = [np.load(fh) for _ in range(4)]
+    return tuple(arrays[3].tolist())
+
+
+def mapped(array) -> bool:
+    """Whether ``array`` is a view of a memory map."""
+    while array is not None:
+        if isinstance(array, mmap.mmap):
+            return True
+        array = getattr(array, "base", None)
+    return False
+
+
+@pytest.fixture
+def later(monkeypatch):
+    """The module's clock 10 s ahead, so that a stat taken now is trusted."""
+    now = embedding.time_ns
+    monkeypatch.setattr(embedding, "time_ns", lambda: now() + 10**10)
+
+
+def rewrite_keeping_mtime(path, text, before):
+    """Write ``text`` to ``path`` and restore ``before``'s mtime, again until
+    the ctime differs from ``before``'s.  The clock moved ahead trusts a stat
+    taken in the timestamp step of the last change; a write in that same
+    step is what the real 2 s margin rules out, so the test waits it out by
+    writing, not sleeping."""
+    while True:
+        path.write_text(text)
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        if path.stat().st_ctime_ns != before.st_ctime_ns:
+            return
+
+
+def test_a_trusted_stat_that_matches_is_a_hit_without_hashing(source, later):
+    miss = read_embeddings(str(source))
+    with spy(embedding, "_scan") as scan, spy(embedding, "_read_rows") as read_rows:
+        hit = read_embeddings(str(source))
+    scan.assert_not_called()
+    read_rows.assert_not_called()
+    assert_same_rows(hit, miss)
+    assert stat_record(entry_of(source))[:5] == embedding._stat_key(source.stat())
+
+
+def test_a_file_changed_within_the_margin_is_hashed_on_each_read(source, monkeypatch):
+    monkeypatch.setattr(embedding, "_RACY_NS", 3600 * 10**9)
+    miss = read_embeddings(str(source))
+    stored = entry_of(source).read_bytes()
+    with (spy(embedding, "_scan") as scan, spy(embedding, "_store_entry") as store,
+          spy(embedding, "_read_rows") as read_rows):
+        for _ in range(3):
+            assert_same_rows(read_embeddings(str(source)), miss)
+    assert scan.call_count == 3
+    store.assert_not_called()
+    read_rows.assert_not_called()
+    assert entry_of(source).read_bytes() == stored
+
+
+def test_a_changed_stat_over_the_same_bytes_refreshes_the_record_once(source, later):
+    miss = read_embeddings(str(source))
+    os.utime(source, ns=(10**9, 10**9))  # a touch: a new stat, the same bytes
+    with (spy(embedding, "_scan") as scan, spy(embedding, "_store_entry") as store,
+          spy(embedding, "_read_rows") as read_rows):
+        for _ in range(3):
+            assert_same_rows(read_embeddings(str(source)), miss)
+    scan.assert_called_once()
+    store.assert_called_once()
+    read_rows.assert_not_called()
+    assert stat_record(entry_of(source))[:5] == embedding._stat_key(source.stat())
+
+
+def test_a_trusted_entry_still_sees_a_rewrite_that_keeps_size_and_mtime(source, later):
+    # test_the_key_is_the_content_not_the_stat, after the entry became trusted
+    read_embeddings(str(source))
+    before = source.stat()
+    assert embedding._trusted(stat_record(entry_of(source)))
+    rewrite_keeping_mtime(source, source.read_text().replace("0.5", "0.7").replace("3.25", "3.75"),
+                          before)
+    after = source.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    rows = read_embeddings(str(source))
+    assert rows.matrix[0, 1] == 0.7 and rows.matrix[2, 2] == 3.75
+    assert read_entry(entry_of(source))[0].tobytes() == digest_of(source)
+
+
+def test_a_hit_maps_the_entry_read_only(source):
+    miss = read_embeddings(str(source))
+    hit = read_embeddings(str(source))
+    assert mapped(hit.matrix) and not mapped(miss.matrix)
+    assert_same_rows(hit, miss)
+    assert np.signbit(hit.matrix[0, 0]) and np.signbit(hit.matrix[2, 1])
+    with pytest.raises(ValueError):
+        hit.matrix[0, 0] = 1.0
+
+
+def test_an_entry_without_a_stat_record_is_a_hit_that_hashes(source, later):
+    expected = read_embeddings(str(source))
+    write_entry(entry_of(source), digest_of(source), list(expected.ids), expected.matrix.copy())
+    with spy(embedding, "_scan") as scan, spy(embedding, "_read_rows") as read_rows:
+        hit = read_embeddings(str(source))
+    scan.assert_called_once()
+    read_rows.assert_not_called()
+    assert_same_rows(hit, expected)
+
+
+def test_a_matrix_header_past_the_end_of_the_entry_is_a_miss(source):
+    expected = read_embeddings(str(source))
+    entry = entry_of(source)
+    with open(entry, "wb") as fh:
+        np.save(fh, np.frombuffer(digest_of(source), np.uint8))
+        np.save(fh, np.array(expected.ids, dtype=str))
+        header = {"descr": "<f8", "fortran_order": False, "shape": (1 << 16, 3)}
+        npy_format.write_array_header_1_0(fh, header)
+        fh.write(expected.matrix.tobytes())
+    with spy(embedding, "_read_rows") as read_rows:
+        got = read_embeddings(str(source))
+    read_rows.assert_called_once()
+    assert_same_rows(got, expected)
+    assert read_entry(entry)[2].tobytes() == expected.matrix.tobytes()
+
+
+def test_mapped_rows_keep_their_values_when_the_entry_is_replaced(source):
+    read_embeddings(str(source))
+    hit = read_embeddings(str(source))
+    assert mapped(hit.matrix)
+    values = hit.matrix.tobytes()
+    entry = entry_of(source)
+    replacement = entry.with_name("replacement.npy")
+    write_entry(replacement, digest_of(source), ["x", "y", "z"], np.full((3, 3), 9.0))
+    os.replace(replacement, entry)
+    assert hit.matrix.tobytes() == values
+    assert read_embeddings(str(source)).ids == ("x", "y", "z")
+
+
+def test_each_read_logs_its_outcome(tmp_path, source, later, caplog):
+    caplog.set_level(logging.DEBUG, logger=embedding.__name__)
+
+    def outcome(path):
+        caplog.clear()
+        read_embeddings(str(path))
+        prefix = f"embeddings {path}: "
+        return [r.getMessage()[len(prefix):] for r in caplog.records
+                if r.getMessage().startswith(prefix)]
+
+    assert outcome(source) == ["miss"]
+    assert outcome(source) == ["stat hit"]
+    os.utime(source, ns=(10**9, 10**9))
+    assert outcome(source) == ["digest hit"]
+    assert outcome(source) == ["stat hit"]
+    lone = tmp_path / "lone" / "emb.jsonl"
+    lone.parent.mkdir()
+    lone.write_text(source.read_text())
+    entry_of(lone).parent.write_text("not a directory")
+    assert outcome(lone) == ["uncached"]
