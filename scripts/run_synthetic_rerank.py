@@ -9,6 +9,7 @@ window ceiling; the identity backend is a no-op control.
 import argparse
 import contextlib
 import logging
+import os
 import tempfile
 from pathlib import Path
 
@@ -58,6 +59,8 @@ def main():
 
     queries, lists, docs, qrels = build_task(args.queries, args.candidates, args.seed)
     window = WindowConfig(args.window_size, args.stride)
+    if args.out_dir:  # before any output, so a path that cannot be made fails first
+        os.makedirs(args.out_dir, exist_ok=True)
     # without --out-dir the run files go to a directory removed at the end
     keep = contextlib.nullcontext(args.out_dir) if args.out_dir else tempfile.TemporaryDirectory()
     with keep as out:

@@ -128,9 +128,10 @@ def cmd_retrieve(args: argparse.Namespace) -> None:
     cfg = _load_config(args)
     query_embs = embedding.read_embeddings(args.query_embeddings)
     index = embedding.CorpusIndex(embedding.read_embeddings(args.doc_embeddings))
+    candidates = index.candidates(query_embs.matrix, cfg.top_k)
     entries = []
-    for qid, q in zip(query_embs.ids, query_embs.matrix):
-        ids = embedding.top_k_by_distance(q, index, cfg.top_k)
+    for qid, q, rows in zip(query_embs.ids, query_embs.matrix, candidates):
+        ids = embedding.top_k_by_distance(q, index, cfg.top_k, rows)
         # 1-D euclidean_dist, not the index's row-wise norm: the two differ in
         # the last bit on some rows, and the written scores stay as they were
         scores = [-embedding.euclidean_dist(q, index.matrix[index.by_id[d]]) for d in ids]

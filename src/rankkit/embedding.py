@@ -24,13 +24,23 @@ the float64 rule over every row; on the benchmark's clustered data that is
 about one row a step.
 
 Retrieval goes through a ``CorpusIndex``: each command stacks its corpus
-once and ranks every query against it with one matrix-vector product,
-``|x|^2 - 2 x.q + |q|^2``.  That expansion rounds differently from the
-literal ``norm(x - q)``, so it only nominates candidates: every row whose
-distance could, within a rigorous floating-point error bound, reach the
-k-th smallest is re-scored exactly as ``norm(x[rows] - q, axis=1)`` and
-stably sorted by (distance, row).  The ids returned are therefore the same,
-ties included, as a stable sort of the literal distances of every row.
+once and nominates the candidates of all its queries before it ranks any
+(``CorpusIndex.candidates``), in blocks of queries with one matrix product
+each, ``|x|^2 - 2 x.q + |q|^2`` for every query of the block and every
+row.  The B x N product of a block stays within ``_PRODUCT_BYTES``
+(64 MiB; one query at least), and it is formed one tile of about
+``_TILE_BYTES`` (128 KiB) of corpus rows at a time.  OpenBLAS packs the
+rows of each product into per-thread buffers whose touched pages stay
+resident, and one product over the whole corpus raised the benchmark's
+peak RSS by more than twice as much as the tiles do.  The product is laid
+out query by query, so that each query's bounds and k-th upper bound read
+one contiguous row.  That expansion rounds differently from the literal
+``norm(x - q)``, so it only nominates candidates: every row whose distance
+could, within a rigorous floating-point error bound, reach the k-th
+smallest.  ``top_k_by_distance`` then re-scores one query's candidates
+exactly as ``norm(x[rows] - q, axis=1)`` and stably sorts them by
+(distance, row).  The ids returned are therefore the same, ties included,
+as a stable sort of the literal distances of every row.
 
 k-means keeps two bounds per row, an upper bound on its distance to its own
 centroid and a lower bound on its distance to every other one (Hamerly,
@@ -104,6 +114,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import stat
 import threading
 from collections import Counter, abc
@@ -130,6 +141,16 @@ logger = logging.getLogger(__name__)
 KMEANS_MAX_ITERS = 50
 # bytes of a k-means block: rows x k bounds, or rows x k x d literal differences
 _BLOCK_BYTES = 1 << 19
+# bytes of corpus rows in one matrix product of a retrieval block: OpenBLAS
+# packs each product's operands into its per-thread buffers, and the pages
+# a product touches there stay in the process's resident set
+_TILE_BYTES = 1 << 17
+# bytes of a retrieval block's B x N product, queries by corpus rows
+_PRODUCT_BYTES = 1 << 26
+
+# the characters that str.split() splits at, as `\s` matches exactly
+# the characters for which str.isspace() is true
+_WHITESPACE = re.compile(r"\s")
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _TINY = np.finfo(np.float64).tiny
@@ -236,15 +257,25 @@ class EmbeddingRows(abc.Sequence):
     matrix[i])``, a view of its row, and a slice is again ``EmbeddingRows``.
 
     The one place where rows are checked, whoever builds them: one id per
-    row, each a valid id and none repeated, and only finite values."""
+    row, each a valid id and none repeated, rows of one or more values,
+    and only finite values."""
 
     def __init__(self, matrix: np.ndarray, ids: Sequence[str]):
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
         ids = tuple(ids)
         if matrix.ndim != 2 or matrix.shape[0] != len(ids):
             raise InvariantViolation(f"{len(ids)} ids for a matrix of shape {matrix.shape}")
-        for ident in ids:
-            check_id("embedding record", ident)
+        if ids and not matrix.shape[1]:  # as EmbeddingRecord refuses an empty vector
+            raise DimensionMismatch(f"record {ids[0]}: vector must be 1-d and non-empty")
+        # one pass over all ids for check_id's rule, non-empty strings with
+        # no whitespace; the loop names the first bad one
+        try:
+            valid = all(ids) and _WHITESPACE.search("".join(ids)) is None
+        except TypeError:  # an id that is not a string
+            valid = False
+        if not valid:
+            for ident in ids:
+                check_id("embedding record", ident)
         if len(set(ids)) < len(ids):
             repeat = next(i for i, count in Counter(ids).items() if count > 1)
             raise InvariantViolation(f"embedding record id {repeat!r} repeats")
@@ -408,19 +439,21 @@ def _sq_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sq, np.sqrt(sq)
 
 
-def _sq_dist_bounds(x: np.ndarray, x_sq: np.ndarray, x_norms: np.ndarray, y: np.ndarray,
+def _sq_dist_bounds(dots: np.ndarray, x_sq: np.ndarray, x_norms: np.ndarray,
+                    y_sq: np.ndarray, y_norms: np.ndarray, d: int,
                     out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on the literal squared distance of each row of
-    ``x`` to each row of ``y`` (or to the vector ``y``) from one product
-    ``x @ y.T``.  ``x_sq``, ``x_norms``: ``_sq_norms(x)``, broadcastable to
-    its shape; ``out``: None or three arrays of its shape to work in.  The
-    bounds hold the exact squared distance as well.  An overflowed bound is
-    inf or NaN, which callers send to the literal path."""
-    d = x.shape[1]
-    y_sq, y_norms = _sq_norms(y)
-    approx, slack, lower = (None, None, None) if out is None else out
+    """Lower and upper bounds on the literal squared distance between
+    vectors x and y of width d, from their dot products ``dots``, each
+    summed in any order, with or without FMA (a matrix product of any
+    blocking).  The upper bounds overwrite ``dots``.  ``x_sq``, ``x_norms``
+    and ``y_sq``, ``y_norms``: ``_sq_norms`` of the x and y vectors,
+    broadcastable to the shape of ``dots``; ``out``: None or two arrays of
+    that shape to work in.  The bounds hold the exact squared distance as
+    well.  An overflowed bound is inf or NaN, which callers send to the
+    literal path."""
+    approx = dots
+    slack, lower = (None, None) if out is None else out
     with np.errstate(over="ignore", invalid="ignore"):
-        approx = np.matmul(x, y.T, out=approx)
         approx *= -2.0
         approx += x_sq
         approx += y_sq
@@ -456,30 +489,62 @@ class CorpusIndex:
         self.ids = rows.ids
         self.by_id = {ident: i for i, ident in enumerate(self.ids)}
 
-    def nearest_rows(self, q: np.ndarray, k: int) -> np.ndarray:
-        """Rows of the k nearest records to ``q``, in the order of
-        ``np.argsort(np.linalg.norm(matrix - q, axis=1), kind="stable")[:k]``."""
+    def candidates(self, queries: np.ndarray, k: int) -> list[np.ndarray]:
+        """For each row of the matrix ``queries``, in ascending order, the
+        rows of the corpus whose distance to it could, within the bound of
+        ``_sq_dist_bounds``, be among its k least: a set that holds its k
+        nearest rows, ties included.  A query of another width than the
+        corpus raises ``DimensionMismatch``.
+
+        The queries go in blocks whose B x N product of dot products stays
+        within ``_PRODUCT_BYTES`` (one query at least).  Each block's
+        product is formed by one matrix product per tile of about
+        ``_TILE_BYTES`` of corpus rows, written query-major, so that each
+        query's bounds, k-th upper bound and test read one contiguous row."""
+        queries = np.asarray(queries, dtype=np.float64)
         x = self.matrix
-        k = min(k, x.shape[0])
-        lower, upper = _sq_dist_bounds(x, self.sq_norms, self.norms, q)
-        kth_upper = upper[np.argpartition(upper, k - 1)[k - 1]]
-        # `not >` keeps the rows whose bound overflowed to NaN; at k = n,
-        # kth_upper is the largest bound (or NaN), so every row is kept
-        rows = np.flatnonzero(~(lower > kth_upper))
-        with np.errstate(over="ignore"):
-            exact = np.linalg.norm(x[rows] - q, axis=1)
-        return rows[np.argsort(exact, kind="stable")[:k]]
+        n, d = x.shape
+        if len(queries) and queries.shape[1:] != (d,):
+            raise DimensionMismatch(f"query shape {queries.shape[1:]} vs corpus dim {d}")
+        k = min(k, n)
+        q_sq, q_norms = _sq_norms(queries)
+        tile = max(1, _TILE_BYTES // (8 * d))
+        step = max(1, _PRODUCT_BYTES // (8 * n))
+        product = np.empty((min(step, len(queries)), n))
+        work = np.empty((2, n))
+        out = []
+        for start in range(0, len(queries), step):
+            block = queries[start:start + step]
+            dots = product[:len(block)]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for t in range(0, n, tile):
+                    np.matmul(block, x[t:t + tile].T, out=dots[:, t:t + tile])
+            for row, sq, norm in zip(dots, q_sq[start:], q_norms[start:]):
+                lower, upper = _sq_dist_bounds(row, self.sq_norms, self.norms, sq, norm, d, work)
+                kth_upper = upper[np.argpartition(upper, k - 1)[k - 1]]
+                # `not >` keeps the rows whose bound overflowed to NaN; at
+                # k = n, kth_upper is the largest bound (or NaN), so every
+                # row is kept
+                out.append(np.flatnonzero(~(lower > kth_upper)))
+        return out
 
 
 def top_k_by_distance(
     query_emb: Sequence[float],
     corpus: CorpusIndex | Sequence[EmbeddingRecord],
     k: int,
+    rows: np.ndarray | None = None,
 ) -> list[str]:
     """Exact top-k by ascending Euclidean distance; ties keep input order.
 
     ``corpus`` is a ``CorpusIndex`` shared across queries, or a record list
-    that is stacked and indexed for this one call.
+    that is stacked and indexed for this one call.  ``rows``: the query's
+    candidates from ``CorpusIndex.candidates`` for this k or a larger one
+    (any ascending row array that holds them will do), or None to nominate
+    them here, as a block of one.  The candidates are re-scored with the
+    literal ``np.linalg.norm(x[rows] - q, axis=1)`` and stably sorted, so
+    the ids are those of a stable sort of the literal distances of every
+    row.
     """
     if k < 1:
         raise KTooLarge(f"k must be >= 1, got {k}")
@@ -488,7 +553,11 @@ def top_k_by_distance(
     dim = index.matrix.shape[1]
     if q.shape != (dim,):
         raise DimensionMismatch(f"query shape {q.shape} vs corpus dim {dim}")
-    return [index.ids[int(i)] for i in index.nearest_rows(q, k)]
+    if rows is None:
+        rows = index.candidates(q[None], k)[0]
+    with np.errstate(over="ignore"):
+        exact = np.linalg.norm(index.matrix[rows] - q, axis=1)
+    return [index.ids[int(i)] for i in rows[np.argsort(exact, kind="stable")[:k]]]
 
 
 def nearest_pairs(
@@ -499,8 +568,8 @@ def nearest_pairs(
     nearest document (top-1 by Euclidean distance), in query order: the
     pairs that ``quality_filter`` takes."""
     pairs = []
-    for qid, q in zip(queries.ids, queries.matrix):
-        top = top_k_by_distance(q, index, 1)[0]
+    for qid, q, rows in zip(queries.ids, queries.matrix, index.candidates(queries.matrix, 1)):
+        top = top_k_by_distance(q, index, 1, rows)[0]
         pairs.append((q, index.matrix[index.by_id[top]], (qid, top)))
     return pairs
 
@@ -604,14 +673,18 @@ def _assign_rows(x: np.ndarray, x_sq: np.ndarray, x_norms: np.ndarray, centroids
     since they prove nothing.  ``x_sq``, ``x_norms``: ``_sq_norms(x)``;
     ``work``: 3 x rows x k."""
     count = x.shape[0] if rows is None else rows.size
+    c_sq, c_norms = _sq_norms(centroids)
     for start in range(0, count, work.shape[1]):
         at = slice(start, start + work.shape[1])
         if rows is not None:
             at = rows[at]
         block = x[at]
-        lo, up = _sq_dist_bounds(block, x_sq[at, None], x_norms[at, None], centroids,
-                                 work[:, :block.shape[0]])
-        i = np.arange(block.shape[0])
+        m = block.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            dots = np.matmul(block, centroids.T, out=work[0, :m])
+        lo, up = _sq_dist_bounds(dots, x_sq[at, None], x_norms[at, None], c_sq, c_norms,
+                                 x.shape[1], work[1:, :m])
+        i = np.arange(m)
         best = np.argmin(up, axis=1)
         best_up = up[i, best]
         lo[i, best] = np.inf

@@ -16,6 +16,8 @@ import json
 import logging
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .backends import Backend, RetryPolicy
 from .config import PipelineConfig
 from .embedding import CorpusIndex, EmbeddingRows, top_k_by_distance
@@ -106,12 +108,14 @@ def distill_one(
     backend: Backend,
     cfg: PipelineConfig,
     corpus: Mapping[str, Document] | None = None,
+    rows: np.ndarray | None = None,
 ) -> TeacherLabel:
     """Retrieve, prompt the teacher, parse/repair, and score one label.  A
     teacher whose reply and parse retry are both unparseable ranked nothing,
     so the query fails with ``Unparseable`` instead of taking the input
-    order as a label of confidence 1."""
-    candidate_ids = top_k_by_distance(query_emb, index, cfg.top_k)
+    order as a label of confidence 1.  ``rows``: the query's candidates, as
+    ``top_k_by_distance`` takes them."""
+    candidate_ids = top_k_by_distance(query_emb, index, cfg.top_k, rows)
     if corpus is not None:
         docs = resolve_docs(candidate_ids, corpus)
     else:
@@ -152,18 +156,26 @@ def distill(
 ) -> tuple[list[TeacherLabel], DistillSummary]:
     """Produce one teacher label per query.
 
-    The corpus is indexed once, before any backend call; an empty one raises.
-    Per-query failures (missing embedding, query dimension mismatch, dead
-    backend, unresolvable docs) are ``map_ordered``'s: logged and counted,
-    never fatal.  Labels are returned in query input order regardless of
-    worker parallelism, so output files are reproducible.
+    The corpus is indexed once, and the candidates of every query whose
+    vector has the corpus's width are nominated in blocks, before any
+    backend call; an empty corpus raises.  Per-query failures (missing
+    embedding, query dimension mismatch, dead backend, unresolvable docs)
+    are ``map_ordered``'s: logged and counted, never fatal.  Labels are
+    returned in query input order regardless of worker parallelism, so
+    output files are reproducible.
     """
     index = CorpusIndex(corpus_embs)
+    vectors = {q.id: np.asarray(query_embs[q.id], dtype=np.float64)
+               for q in queries if q.id in query_embs}
+    dim = index.matrix.shape[1]
+    fit = [qid for qid, v in vectors.items() if v.shape == (dim,)]
+    block = np.reshape([vectors[qid] for qid in fit], (len(fit), dim))
+    candidates = dict(zip(fit, index.candidates(block, cfg.top_k)))
 
     def one(q: Query) -> TeacherLabel:
-        if q.id not in query_embs:
+        if q.id not in vectors:
             raise ConfigError(f"query {q.id} has no embedding")
-        return distill_one(q, query_embs[q.id], index, backend, cfg, corpus)
+        return distill_one(q, vectors[q.id], index, backend, cfg, corpus, candidates.get(q.id))
 
     labels, failed = map_ordered(one, queries, cfg.parallelism)
     return labels, DistillSummary(len(labels), len(failed), failed)

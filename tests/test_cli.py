@@ -7,7 +7,7 @@ from helpers import write_documents
 
 from rankkit import backends, cli
 from rankkit.embedding import EmbeddingRecord, euclidean_dist, read_embeddings, write_embeddings
-from rankkit.errors import MalformedLine
+from rankkit.errors import DimensionMismatch, MalformedLine
 from rankkit.metrics import read_run, run_from_candidates, write_run
 from rankkit.pipeline import CONFIDENCE_FORMULA, read_labels
 from rankkit.types import Document, Query, read_documents, read_queries
@@ -131,6 +131,18 @@ class TestFilterRetrieve:
                 expected.append((f"q{qi}", f"d{i}", str(rank), repr(-euclidean_dist(q, x[i]))))
         got = [tuple(line.split()[i] for i in (0, 2, 3, 4)) for line in out.read_text().splitlines()]
         assert got == expected
+
+    def test_retrieve_with_queries_of_another_width_is_fatal(self, workspace, caplog):
+        queries = workspace / "wide_queries.jsonl"
+        write_embeddings([EmbeddingRecord("q1", np.ones(7))], str(queries))
+        argv = ["retrieve", "--query-embeddings", queries,
+                "--doc-embeddings", workspace / "doc_embs.jsonl", "--k", 3,
+                "--out", workspace / "retrieved.run"]
+        assert run_cli(*argv) == 1
+        assert "query shape (7,) vs corpus dim 6" in caplog.text
+        assert not (workspace / "retrieved.run").exists()
+        with pytest.raises(DimensionMismatch):
+            cli.cmd_retrieve(cli.build_parser().parse_args([str(a) for a in argv]))
 
     def test_filter_pairs_with_unknown_id_is_fatal_with_file_and_line(self, workspace, caplog):
         pairs = workspace / "pairs_in.jsonl"

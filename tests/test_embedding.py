@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -34,6 +35,7 @@ from rankkit.errors import (
     KTooLarge,
     ZeroVector,
 )
+from rankkit.types import check_id
 
 
 def records_from(matrix, prefix="v"):
@@ -333,6 +335,26 @@ def corpus_and_query(draw):
     return x, q + shift
 
 
+@st.composite
+def corpus_and_block(draw):
+    """``corpus_and_query``'s corpora with a block of B - 1, B or B + 1
+    queries for a block size B: its query first, then its query again,
+    corpus rows and midpoints of two rows (at equal distances to both).
+    The tile has fewer rows than a corpus of two rows or more."""
+    x, q = draw(corpus_and_query())
+    n = len(x)
+    x64 = x.astype(np.float64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = draw(st.integers(1, 4))
+    m = max(1, block + draw(st.sampled_from([-1, 0, 1])))
+    a, b = x64[rng.integers(0, n, size=m)], x64[rng.integers(0, n, size=m)]
+    kind = rng.integers(0, 3, size=m)
+    queries = np.where((kind == 0)[:, None], a, (a + b) / 2)
+    queries[kind == 2] = q
+    queries[0] = q
+    return x, queries, block, draw(st.integers(1, max(1, n - 1)))
+
+
 class TestCorpusIndex:
     @settings(max_examples=300, deadline=None)
     @given(corpus_and_query())
@@ -345,6 +367,48 @@ class TestCorpusIndex:
         for k in range(1, len(x) + 3):  # every k, so ties straddling the k-th place and k >= N
             got = top_k_by_distance(q, index, k)
             assert got == [f"v{i + 1}" for i in oracle[:k]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpus_and_block())
+    # corpus_and_query's ties, in blocks of two split over tiles of two rows
+    @example((np.array([[3.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]]),
+              np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), 2, 2))
+    def test_blocks_match_the_literal_oracle_for_every_query_and_k(self, case):
+        x, queries, block, tile = case
+        index = CorpusIndex(records_from(x))
+        with mock.patch.object(embedding, "_PRODUCT_BYTES", 8 * len(x) * block), \
+                mock.patch.object(embedding, "_TILE_BYTES", 8 * x.shape[1] * tile):
+            for k in range(1, len(x) + 3):
+                candidates = index.candidates(queries, k)
+                assert len(candidates) == len(queries)
+                for q, rows in zip(queries, candidates):
+                    assert np.all(np.diff(rows) > 0)
+                    oracle = np.argsort(np.linalg.norm(x - q, axis=1), kind="stable")
+                    expected = [f"v{i + 1}" for i in oracle[:k]]
+                    assert top_k_by_distance(q, index, k, rows) == expected
+                    assert top_k_by_distance(q, index, k) == expected
+
+    def test_a_block_holds_its_product_within_the_cap(self):
+        # one product for all 300 queries would be 4.8 MB
+        rng = np.random.default_rng(0)
+        n, d, cap = 2000, 64, 1 << 20
+        index = CorpusIndex(random_records(rng, n, d))
+        queries = rng.normal(size=(300, d))
+        with mock.patch.object(embedding, "_PRODUCT_BYTES", cap):
+            tracemalloc.start()
+            try:
+                index.candidates(queries, 10)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        # beyond the product: a few length-N work vectors and the candidates
+        assert peak < cap + 16 * 8 * n
+
+    def test_a_query_of_another_width_fails_the_block(self):
+        index = CorpusIndex(records_from([[1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(DimensionMismatch, match=r"query shape \(3,\) vs corpus dim 2"):
+            index.candidates(np.ones((2, 3)), 1)
+        assert index.candidates(np.empty((0, 0)), 1) == []
 
     def test_unindexable_corpus_fails_once_at_build(self):
         with pytest.raises(EmptyCollection):
@@ -616,6 +680,21 @@ def test_huge_finite_vectors_warn_nothing_and_match_the_oracles(query_row):
         assert [kmeans_centroid_select(recs, k, 3).selected_ids for k in (1, 5, 24)] == expected
 
 
+def test_huge_finite_vectors_in_one_block_warn_nothing_and_match_the_oracle():
+    # every row is a query, in one block over tiles of five rows
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(24, 4))
+    x[::2] *= 1e200
+    with np.errstate(all="ignore"):
+        orders = [np.argsort(np.linalg.norm(x - q, axis=1), kind="stable") for q in x]
+    with warnings.catch_warnings(), mock.patch.object(embedding, "_TILE_BYTES", 8 * 4 * 5):
+        warnings.simplefilter("error")
+        index = CorpusIndex(records_from(x))
+        for k in range(1, len(x) + 1):
+            for q, rows, order in zip(x, index.candidates(x, k), orders):
+                assert top_k_by_distance(q, index, k, rows) == [f"v{i + 1}" for i in order[:k]]
+
+
 @pytest.mark.parametrize("bad_id", [5, None, ("v1",)])
 def test_embedding_record_id_must_be_a_string(bad_id):
     with pytest.raises(InvariantViolation, match="id must be a string"):
@@ -640,6 +719,32 @@ def test_rows_with_a_non_finite_value_are_refused(bad):
 def test_rows_with_a_bad_id_are_refused(bad_id):
     with pytest.raises(InvariantViolation, match="embedding record id must be"):
         EmbeddingRows(np.eye(2), ["a", bad_id])
+
+
+@pytest.mark.parametrize("bad_id", ["", " a", "a b", "a\nb", "\x1c", " ", "\xa0", "\u3000",
+                                    5, None, b"a"])
+def test_rows_name_the_first_bad_id_as_check_id_does(bad_id):
+    with pytest.raises(InvariantViolation) as expected:
+        check_id("embedding record", bad_id)
+    with pytest.raises(InvariantViolation) as got:
+        EmbeddingRows(np.eye(3), ["a", bad_id, "b c"])
+    assert str(got.value) == str(expected.value)
+
+
+def test_rows_refuse_every_whitespace_character_and_no_other():
+    spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+    for c in spaces:
+        with pytest.raises(InvariantViolation, match="no whitespace"):
+            EmbeddingRows(np.eye(2), ["a", f"b{c}c"])
+    others = [c for c in map(chr, range(1 << 16)) if not c.isspace()]
+    assert EmbeddingRows(np.zeros((len(others), 1)), others).ids == tuple(others)
+
+
+def test_rows_of_no_values_are_refused():
+    # unchecked, the index's tiles and the selectors' blocks divided by the width
+    with pytest.raises(DimensionMismatch, match="record a: vector must be 1-d and non-empty"):
+        EmbeddingRows(np.empty((2, 0)), ["a", "b"])
+    assert len(EmbeddingRows(np.empty((0, 0)), [])) == 0
 
 
 def test_rows_whose_sum_overflows_are_finite():

@@ -94,6 +94,19 @@ class TestDistill:
         assert summary.skipped == 1
         assert summary.failed_query_ids == ["q2"]
 
+    def test_a_query_vector_of_another_width_fails_only_its_query(self, caplog):
+        # the other queries' candidates are nominated in one block first
+        q1, qembs = origin_query("q1")
+        q2, wide = origin_query("q2", d=5)
+        q3, _ = origin_query("q3")
+        qembs.update(wide, q3=qembs["q1"])
+        labels, summary = distill([q1, q2, q3], qembs, line_corpus(5), IdentityBackend(), CFG3)
+        assert [(l.query_id, l.candidate_ids) for l in labels] == [
+            ("q1", ("d1", "d2", "d3")), ("q3", ("d1", "d2", "d3"))]
+        assert summary.failed_query_ids == ["q2"]
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["query q2 failed: query shape (5,) vs corpus dim 4"]
+
     def test_candidate_missing_from_the_corpus_fails_only_its_query(self, caplog):
         q1, qembs = origin_query("q1")
         q2 = Query(id="q2", text="query q2")

@@ -28,3 +28,14 @@ def test_synthetic_rerank_removes_its_run_files(tmp_path):
                       tmpdir=tmpdir) == table
     assert sorted(p.name for p in out_dir.iterdir()) == ["identity.run", "oracle.run", "reverse.run"]
     assert list(tmpdir.iterdir()) == []
+
+
+def test_synthetic_rerank_makes_a_missing_out_dir(tmp_path):
+    # the script wrote into the directory without making it, and failed with
+    # a traceback at the first run file, after the table's first rows
+    out_dir = tmp_path / "missing" / "runs"
+    table = run_script("run_synthetic_rerank.py", "--queries", "3", "--out-dir", str(out_dir),
+                       tmpdir=tmp_path)
+    assert [row.split()[0] for row in table.splitlines()] == [
+        "backend", "(input)", "identity", "reverse", "oracle"]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["identity.run", "oracle.run", "reverse.run"]
