@@ -20,10 +20,10 @@ _SOURCES = {name: module for module, names in {
                   "kmeans_centroid_select", "quality_filter", "random_select", "stack_records",
                   "top_k_by_distance"),
     "ranking_math": ("LossReport", "listwise_loss", "listwise_loss_grad", "plackett_luce_prob"),
-    "engine": ("WindowConfig", "rerank_listwise", "rerank_pairwise"),
+    "engine": ("rerank_listwise", "rerank_pairwise"),
     "metrics": ("Qrels", "RunEntry", "kendall_tau", "mrr", "ndcg_at_k", "ranked_by_query",
                 "recall_at_k"),
-    "config": ("PipelineConfig",),
+    "config": ("PipelineConfig", "WindowConfig"),
     "pipeline": ("TeacherLabel", "confidence_filter", "distill"),
 }.items() for name in names}
 

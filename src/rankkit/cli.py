@@ -12,9 +12,10 @@ import json
 import logging
 import sys
 
-# embedding and pipeline load NumPy: the four commands that use them import
-# them when they run, so rerank, eval and --help never do
-from . import backends, config, engine, metrics, prompts, types
+# the parser needs only the config schema: each command imports the layers
+# it runs when it runs, so --help loads none of them, eval and retrieve no
+# rerank engine, and rerank and eval no NumPy
+from . import config, types
 from .errors import RankkitError
 
 logger = logging.getLogger("rankkit")
@@ -35,7 +36,9 @@ def _load_config(args: argparse.Namespace) -> config.PipelineConfig:
     return config.config_from_json(data)
 
 
-def _make_backend(args: argparse.Namespace) -> backends.Backend:
+def _make_backend(args: argparse.Namespace):
+    from . import backends, metrics
+
     kind = args.backend
     if kind == "identity":
         return backends.IdentityBackend()
@@ -54,9 +57,11 @@ def _make_backend(args: argparse.Namespace) -> backends.Backend:
     raise RankkitError(f"unknown backend {kind!r}")
 
 
-def _close_backend(backend: backends.Backend) -> None:
+def _close_backend(backend) -> None:
     """Close an HTTP backend's idle connections when its command ends; the
     mocks hold none."""
+    from . import backends
+
     if isinstance(backend, backends.HttpBackend):
         backend.close()
 
@@ -123,7 +128,7 @@ def cmd_select(args: argparse.Namespace) -> None:
 
 
 def cmd_retrieve(args: argparse.Namespace) -> None:
-    from . import embedding
+    from . import embedding, metrics
 
     cfg = _load_config(args)
     query_embs = embedding.read_embeddings(args.query_embeddings)
@@ -140,6 +145,8 @@ def cmd_retrieve(args: argparse.Namespace) -> None:
 
 
 def cmd_rerank(args: argparse.Namespace) -> list[str]:
+    from . import engine, metrics
+
     cfg = _load_config(args)
     queries = types.read_queries(args.queries)
     corpus = {d.id: d for d in types.read_documents(args.corpus)}
@@ -190,6 +197,8 @@ def cmd_distill(args: argparse.Namespace) -> list[str]:
 
 
 def cmd_eval(args: argparse.Namespace) -> None:
+    from . import metrics
+
     qrels = metrics.read_qrels(args.qrels, groups_path=args.groups)
     ranked = metrics.ranked_by_query(metrics.read_run(args.run))
     reports = []
@@ -198,13 +207,18 @@ def cmd_eval(args: argparse.Namespace) -> None:
         name, _, cutoff = item.partition("@")
         if item == "mrr":
             reports.append(metrics.mrr(qrels, ranked, rel_threshold=args.rel_threshold))
-        elif name not in ("ndcg", "recall") or not cutoff.isdecimal():
+            continue
+        if name not in ("ndcg", "recall") or not cutoff.isdecimal():
             raise RankkitError(f"unknown metric {item!r}; expected ndcg@K, recall@K or mrr")
-        elif name == "ndcg":
-            reports.append(metrics.ndcg_at_k(qrels, ranked, int(cutoff), gain=args.gain))
+        try:
+            k = int(cutoff)
+        except ValueError:  # past int()'s digit limit, 4300 by default
+            raise RankkitError(
+                f"metric {name}@K: a cutoff of {len(cutoff)} digits is too long") from None
+        if name == "ndcg":
+            reports.append(metrics.ndcg_at_k(qrels, ranked, k, gain=args.gain))
         else:
-            reports.append(metrics.recall_at_k(qrels, ranked, int(cutoff),
-                                               rel_threshold=args.rel_threshold))
+            reports.append(metrics.recall_at_k(qrels, ranked, k, rel_threshold=args.rel_threshold))
     payload = {
         "config": {
             "gain": args.gain,
@@ -278,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     rr.add_argument("--parallelism", type=int, default=None)
     rr.add_argument("--window-size", dest="window_size", type=int, default=None)
     rr.add_argument("--stride", type=int, default=None)
-    rr.add_argument("--mode", choices=prompts.MODES, default=None)
+    rr.add_argument("--mode", choices=config.MODES, default=None)
     rr.add_argument("--tag", type=_run_tag, default="rankkit")
     rr.add_argument("--out", required=True)
     rr.set_defaults(func=cmd_rerank, method="listwise")
@@ -289,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--doc-embeddings", required=True)
     d.add_argument("--corpus", help="optional document corpus JSONL")
     d.add_argument("--top-k", dest="top_k", type=int, default=None)
-    d.add_argument("--mode", choices=prompts.MODES, default=None)
+    d.add_argument("--mode", choices=config.MODES, default=None)
     d.add_argument("--budget", type=int, default=None)
     d.add_argument("--budget-filter", action="store_true",
                    help="apply confidence filtering to the budget before writing")

@@ -1,20 +1,21 @@
 """The pipeline config schema: every key a ``--config`` file or a CLI flag
-may set, its type, its default and its checks.
+may set, its type, its default and its checks, with the window schedule
+(``WindowConfig``) and the prompt modes (``MODES``) that the keys take.
 
-It loads no NumPy, so every command reads its config without paying for the
-embedding layer.
+It imports only ``types`` and ``errors``: no NumPy and no rerank engine, so
+every command reads its config, and ``--help`` lists its choices, without
+loading the layers that the command does not run.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .engine import WindowConfig
-from .errors import ConfigError
-from .prompts import MODES
+from .errors import ConfigError, InvariantViolation
 from .types import Value
 
 TEXT_BUDGET_DEFAULT = 4000
+MODES = ("text", "multimodal")
 
 # Every config key with its type, in manifest order.  The defaults live in
 # PipelineConfig and WindowConfig.
@@ -29,6 +30,24 @@ CONFIG_KEYS: dict[str, type] = {
     "mode": str,
     "parallelism": int,
 }
+
+
+class WindowConfig(Value, frozen=True):
+    """Sliding-window schedule; traversal is fixed back-to-front."""
+
+    __slots__ = ("window_size", "stride")
+
+    def __init__(self, window_size: int = 20, stride: int = 10):
+        if window_size < 2:
+            raise InvariantViolation(f"need window_size >= 2, got window_size={window_size}")
+        if not 1 <= stride <= window_size:
+            raise InvariantViolation(
+                f"need 1 <= stride <= window_size, got stride={stride}, "
+                f"window_size={window_size}"
+            )
+        self._set(window_size, stride)
+
+
 _WINDOW_KEYS = set(WindowConfig._fields)
 
 

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .backends import Backend, RetryPolicy, call_with_retries
+from .config import WindowConfig
 from .errors import BackendError, ConfigError, InvariantViolation, MissingDoc, RankkitError, Unparseable
 from .parsing import parse_ranking, parse_yes_no
 from .prompts import (
@@ -30,22 +31,6 @@ from .prompts import (
 from .types import CandidateList, Document, Permutation, Query, Value, identity_permutation
 
 logger = logging.getLogger(__name__)
-
-
-class WindowConfig(Value, frozen=True):
-    """Sliding-window schedule; traversal is fixed back-to-front."""
-
-    __slots__ = ("window_size", "stride")
-
-    def __init__(self, window_size: int = 20, stride: int = 10):
-        if window_size < 2:
-            raise InvariantViolation(f"need window_size >= 2, got window_size={window_size}")
-        if not 1 <= stride <= window_size:
-            raise InvariantViolation(
-                f"need 1 <= stride <= window_size, got stride={stride}, "
-                f"window_size={window_size}"
-            )
-        self._set(window_size, stride)
 
 
 class RerankReport(Value):

@@ -15,12 +15,18 @@ from .errors import Unparseable
 from .types import Permutation, Value, validate_permutation
 
 _BRACKETED_INT = re.compile(r"\[(\d+)\]")
+# a bracketed id of more digits than this, past its leading zeros, is out of
+# range for every window; int() would refuse one of more than 4300 digits
+_ID_DIGITS = 18
 _YES_NO = re.compile(r"^\W*(yes|no)\b", re.IGNORECASE)
 
 
 class RepairLog(Value):
     """Every correction applied while coercing raw output to a permutation;
-    ``None`` stands for a new empty list."""
+    ``None`` stands for a new empty list.  An id of more than ``_ID_DIGITS``
+    digits past its leading zeros is out of range for every window: it is
+    not converted, and ``dropped_out_of_range`` records it as -1, a value no
+    reply can hold."""
 
     __slots__ = ("dropped_out_of_range", "dropped_duplicates", "appended_missing")
 
@@ -53,7 +59,7 @@ def parse_ranking(raw: str, n: int) -> tuple[Permutation, RepairLog]:
     """
     if n < 1:
         raise Unparseable(f"cannot parse a ranking of size {n}")
-    found = [int(m) for m in _BRACKETED_INT.findall(raw)]
+    found = [_bracketed_id(m) for m in _BRACKETED_INT.findall(raw)]
     if not found:
         raise Unparseable(f"no bracketed integer in {raw!r}")
     log = RepairLog()
@@ -72,6 +78,13 @@ def parse_ranking(raw: str, n: int) -> tuple[Permutation, RepairLog]:
             order.append(idx)
             log.appended_missing.append(idx)
     return validate_permutation(order, n), log
+
+
+def _bracketed_id(digits: str) -> int:
+    """The value of a bracketed id, or -1 if it has more than ``_ID_DIGITS``
+    digits past its leading zeros."""
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= _ID_DIGITS else -1
 
 
 def render_ranking(perm: Permutation) -> str:

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .config import MODES
 from .errors import InvariantViolation, MissingModality, TooFewDocs
 from .types import Document, Query, Value
 
 ROLES = ("system", "user", "assistant")
-MODES = ("text", "multimodal")
 
 
 class Turn(Value, frozen=True):

@@ -747,6 +747,17 @@ class TestArgumentChecks:
         assert repr(metric) in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["ndcg", "recall"])
+    def test_a_cutoff_past_the_int_digit_limit_is_fatal_and_named(self, workspace, caplog, name):
+        # int() refuses more than 4300 digits; this once ended in a traceback
+        out = workspace / "eval.json"
+        code = run_cli("eval", "--run", workspace / "input.run", "--qrels", workspace / "qrels.txt",
+                       "--metrics", f"mrr,{name}@{'9' * 5000}", "--out", out)
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"metric {name}@K: a cutoff of 5000 digits is too long"]
+        assert not out.exists()
+
 
 class TestRepeatedIds:
     def test_retrieve_rejects_a_repeated_doc_id(self, tmp_path, caplog):

@@ -371,6 +371,23 @@ class TestRerankMany:
         assert [(r.query_id, r.doc_ids) for r in results] == [("q2", ("d3", "d2", "d1"))]
         assert failed == ["q1"]
 
+    def test_a_reply_with_an_id_past_the_int_digit_limit_is_repaired(self):
+        # such an id once raised a bare ValueError that aborted the whole batch
+        docs, queries, lists = {}, [], {}
+        for i in range(4):
+            q, c, d = make_fixture(3, f"q{i}")
+            docs.update(d)
+            queries.append(q)
+            lists[q.id] = c
+        huge = "[" + "9" * 5000 + "]"
+        backend = ScriptedBackend(["[3] > [2] > [1]"] * 3 + [f"{huge} > [3] > [2] > [1]"])
+        results, failed = rerank_many(queries, lists, docs, backend, retry=NO_SLEEP,
+                                      parallelism=2)
+        assert failed == []
+        assert [(r.query_id, r.doc_ids) for r in results] \
+            == [(f"q{i}", ("d3", "d2", "d1")) for i in range(4)]
+        assert backend.responses == []
+
     def test_parallel_matches_serial(self):
         docs = {}
         queries = []

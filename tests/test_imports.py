@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, importing the
-CLI loads no HTTP client and no ``dataclasses``, and the commands that do
-no embedding work start without NumPy.
+CLI loads no HTTP client and no ``dataclasses``, the commands that do no
+embedding work start without NumPy, and the parser loads only the config
+schema, not the rerank engine.
 
 A name that a module imports and never reads is left over from deleted
 code; nothing else in the suite notices it.  ``__init__.py`` is checked
@@ -116,6 +117,50 @@ def test_rerank_and_eval_run_with_numpy_unimportable(tmp_path):
     assert out.splitlines()[-1] == "codes [0, 0]"
     assert [line.split()[2] for line in (tmp_path / "out.run").read_text().splitlines()] \
         == ["d3", "d2", "d1"]
+
+
+START_UP_MODULES = ["rankkit", "rankkit.cli", "rankkit.config", "rankkit.errors", "rankkit.types"]
+# the rerank stack, which only rerank and distill run
+RERANK_MODULES = ("rankkit.backends", "rankkit.engine", "rankkit.prompts", "rankkit.parsing")
+BLOCK_RERANK = "".join(f"sys.modules[{m!r}] = None\n" for m in RERANK_MODULES)
+
+
+def test_the_parser_loads_only_the_config_schema():
+    """What a command pays before it runs: the CLI, the config schema and
+    the leaves they import, and no other layer of the package."""
+    out = fresh("import rankkit.cli as cli\ncli.build_parser()\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'rankkit'))\n"
+                "print('concurrent.futures' in sys.modules)")
+    assert out.splitlines() == [str(START_UP_MODULES), "False"]
+
+
+def test_eval_runs_with_the_rerank_stack_unimportable(tmp_path):
+    (tmp_path / "in.run").write_text("".join(f"q1 Q0 d{i} {i} {4 - i} bm25\n" for i in (1, 2, 3)))
+    (tmp_path / "qrels.txt").write_text("q1 0 d3 2\nq1 0 d1 1\n")
+    evaluate = ["eval", "--run", str(tmp_path / "in.run"), "--qrels", str(tmp_path / "qrels.txt")]
+    out = fresh(f"{BLOCK_RERANK}import rankkit.cli as cli\nprint('code', cli.main({evaluate!r}))")
+    assert out.splitlines()[-1] == "code 0"
+
+
+def test_every_help_runs_with_the_rerank_stack_unimportable():
+    commands = ["filter", "select", "retrieve", "rerank", "distill", "eval"]
+    argvs = [["--help"]] + [[c, "--help"] for c in commands]
+    out = fresh(f"{BLOCK_RERANK}import rankkit.cli as cli\n"
+                f"print('codes', [cli.main(argv) for argv in {argvs!r}])")
+    assert out.splitlines()[-1] == f"codes {[0] * len(argvs)}"
+
+
+def test_the_rerank_layers_share_the_config_schema():
+    out = fresh("from rankkit import config, engine, prompts\n"
+                "print(engine.WindowConfig is config.WindowConfig, prompts.MODES is config.MODES)")
+    assert out == "True True"
+
+
+def test_the_package_window_config_loads_no_rerank_engine():
+    out = fresh("import rankkit\nrankkit.WindowConfig\n"
+                "print([m for m in ('rankkit.engine', 'rankkit.backends', 'concurrent.futures') "
+                "if m in sys.modules])")
+    assert out == "[]"
 
 
 # the names the package exported when it imported them all eagerly

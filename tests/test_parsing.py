@@ -26,6 +26,18 @@ class TestParseRanking:
         assert log.dropped_out_of_range == [9]
         assert log.appended_missing == [3]
 
+    def test_an_id_past_the_int_digit_limit_is_dropped_as_out_of_range(self):
+        # int() refuses more than 4300 digits; this once raised a bare ValueError
+        perm, log = parse_ranking("[" + "9" * 5000 + "] > [2] > [1]", 2)
+        assert perm.order == (2, 1)
+        assert log.dropped_out_of_range == [-1]
+        assert log.count == 1
+
+    def test_leading_zeros_do_not_make_an_id_long(self):
+        perm, log = parse_ranking("[" + "0" * 5000 + "2] > [1]", 2)
+        assert perm.order == (2, 1)
+        assert not log
+
     def test_no_brackets_unparseable(self):
         with pytest.raises(Unparseable):
             parse_ranking("no brackets here", 3)
