@@ -30,6 +30,16 @@ logger = logging.getLogger(__name__)
 API_KEY_ENV = "RERANK_API_KEY"
 
 
+def _api_key() -> str | None:
+    """$RERANK_API_KEY, which goes into a request header as it is: a key with
+    a control or non-ASCII character raises ``ConfigError``, whose message
+    never shows the key."""
+    key = os.environ.get(API_KEY_ENV)
+    if key and not (key.isascii() and key.isprintable()):
+        raise ConfigError(f"${API_KEY_ENV} holds a control or non-ASCII character")
+    return key
+
+
 class Backend(Protocol):
     def complete(self, prompt: PromptScript) -> str: ...
 
@@ -299,7 +309,8 @@ class HttpTransport:
 
 
 class HttpBackend(Value):
-    """Chat-completions client.  API key comes from $RERANK_API_KEY.
+    """Chat-completions client.  API key comes from $RERANK_API_KEY, checked
+    at construction and read again by each call.
 
     ``session``: anything with HttpTransport's post(); injectable for tests."""
 
@@ -311,6 +322,7 @@ class HttpBackend(Value):
                               f"from ${API_KEY_ENV}")
         if not 0 < timeout < math.inf:
             raise ConfigError(f"timeout must be a finite number > 0, got {timeout!r}")
+        _api_key()
         self._set(endpoint, model, timeout, HttpTransport(endpoint) if session is None else session)
 
     def close(self) -> None:
@@ -328,7 +340,7 @@ class HttpBackend(Value):
             "temperature": 0,
         }
         headers = {"Content-Type": "application/json"}
-        key = os.environ.get(API_KEY_ENV)
+        key = _api_key()
         if key:
             headers["Authorization"] = f"Bearer {key}"
         try:

@@ -33,13 +33,17 @@ CONFIG_KEYS: dict[str, type] = {
 
 
 class WindowConfig(Value, frozen=True):
-    """Sliding-window schedule; traversal is fixed back-to-front."""
+    """Sliding-window schedule; traversal is fixed back-to-front.  With no
+    stride given it is 10, or ``window_size // 2`` for a window of fewer
+    than 10 documents."""
 
     __slots__ = ("window_size", "stride")
 
-    def __init__(self, window_size: int = 20, stride: int = 10):
+    def __init__(self, window_size: int = 20, stride: int | None = None):
         if window_size < 2:
             raise InvariantViolation(f"need window_size >= 2, got window_size={window_size}")
+        if stride is None:
+            stride = 10 if window_size >= 10 else window_size // 2
         if not 1 <= stride <= window_size:
             raise InvariantViolation(
                 f"need 1 <= stride <= window_size, got stride={stride}, "

@@ -56,13 +56,19 @@ def window_starts(n: int, window: WindowConfig) -> list[int]:
     return starts
 
 
-def resolve_docs(doc_ids: Sequence[str], docs: Mapping[str, Document]) -> list[Document]:
-    """``docs[i]`` for each of ``doc_ids``; an id not in ``docs`` raises ``MissingDoc``."""
+def resolve_docs(query_id: str, doc_ids: Sequence[str], docs: Mapping[str, Document],
+                 mode: str) -> list[Document]:
+    """``docs[i]`` for each of ``doc_ids``: every ranked query's one step
+    before its first backend call.  It refuses an empty list, then an id not
+    in ``docs`` (``MissingDoc``), then a breach of ``check_modality``."""
+    if not doc_ids:
+        raise InvariantViolation(f"query {query_id}: empty candidate list")
     resolved = []
     for did in doc_ids:
         if did not in docs:
             raise MissingDoc(f"candidate {did} not in corpus")
         resolved.append(docs[did])
+    check_modality(resolved, mode)
     return resolved
 
 
@@ -115,12 +121,9 @@ def rerank_listwise(
     candidate is looked up in ``docs`` and held to the modality rule of
     ``mode`` before the first backend call.
     """
-    if not candidates.doc_ids:
-        raise InvariantViolation(f"query {query.id}: empty candidate list")
+    ranked = resolve_docs(query.id, candidates.doc_ids, docs, mode)
     window = window or WindowConfig()
     retry = retry or RetryPolicy()
-    ranked = resolve_docs(candidates.doc_ids, docs)
-    check_modality(ranked, mode)
     if len(ranked) == 1:
         return CandidateList(query.id, candidates.doc_ids)
     for w_index, s in enumerate(window_starts(len(ranked), window)):
@@ -146,11 +149,8 @@ def rerank_pairwise(
     promoted ahead of irrelevant ones with stable order inside each part.
     Every candidate is looked up and held to the modality rule of ``mode``
     before the first backend call."""
-    if not candidates.doc_ids:
-        raise InvariantViolation(f"query {query.id}: empty candidate list")
+    resolved = resolve_docs(query.id, candidates.doc_ids, docs, mode)
     retry = retry or RetryPolicy()
-    resolved = resolve_docs(candidates.doc_ids, docs)
-    check_modality(resolved, mode)
     relevant: list[str] = []
     irrelevant: list[str] = []
     for did, doc in zip(candidates.doc_ids, resolved):

@@ -284,30 +284,6 @@ def recall_at_k(
     )
 
 
-def _sort_counting_inversions(seq: list[int]) -> tuple[list[int], int]:
-    """``seq`` sorted, and the number of pairs i < j with seq[i] > seq[j]:
-    a merge sort, O(n log n)."""
-    n = len(seq)
-    if n < 2:
-        return seq, 0
-    left, inv_left = _sort_counting_inversions(seq[: n // 2])
-    right, inv_right = _sort_counting_inversions(seq[n // 2 :])
-    merged: list[int] = []
-    count = inv_left + inv_right
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            j += 1
-            count += len(left) - i
-    merged += left[i:]
-    merged += right[j:]
-    return merged, count
-
-
 def kendall_tau(perm_a: Permutation, perm_b: Permutation) -> float:
     """Rank correlation over all index pairs: (concordant - discordant) / C(n,2).
 
@@ -320,7 +296,14 @@ def kendall_tau(perm_a: Permutation, perm_b: Permutation) -> float:
     if n < 2:
         raise TooShort("kendall tau needs n >= 2")
     pos_b = {v: i for i, v in enumerate(perm_b.order)}
-    _, discordant = _sort_counting_inversions([pos_b[v] for v in perm_a.order])
+    ranks = [pos_b[v] for v in perm_a.order]
+    # the pairs that ``ranks`` holds out of order, counted directly: at a
+    # window's 20 candidates this beats a merge sort, which wins past about 50
+    discordant = 0
+    for i, r in enumerate(ranks):
+        for later in ranks[i + 1:]:
+            if r > later:
+                discordant += 1
     concordant = n * (n - 1) // 2 - discordant
     return (concordant - discordant) / (n * (n - 1) / 2)
 

@@ -24,7 +24,7 @@ from .embedding import CorpusIndex, EmbeddingRows, top_k_by_distance
 from .engine import RerankReport, map_ordered, rank_window, resolve_docs
 from .errors import ConfigError, MalformedLine, RankkitError, Unparseable
 from .metrics import kendall_tau
-from .prompts import build_listwise_prompt, check_modality
+from .prompts import build_listwise_prompt
 from .types import (
     Document,
     Permutation,
@@ -59,8 +59,16 @@ class TeacherLabel(Value, frozen=True):
                 f"label {query_id}: {len(candidate_ids)} candidates vs "
                 f"permutation of {len(teacher_perm)}"
             )
+        if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
+            raise ConfigError(f"label {query_id}: confidence must be a number, got {confidence!r}")
         if not -1.0 <= confidence <= 1.0:
             raise ConfigError(f"label {query_id}: confidence {confidence} out of bounds")
+        if isinstance(repair_count, bool) or not isinstance(repair_count, int) or repair_count < 0:
+            raise ConfigError(f"label {query_id}: repair_count must be an int >= 0, "
+                              f"got {repair_count!r}")
+        if not isinstance(backend_tag, str):
+            raise ConfigError(f"label {query_id}: backend_tag must be a string, "
+                              f"got {backend_tag!r}")
         self._set(query_id, candidate_ids, teacher_perm, confidence, repair_count, backend_tag)
 
     @property
@@ -116,11 +124,9 @@ def distill_one(
     order as a label of confidence 1.  ``rows``: the query's candidates, as
     ``top_k_by_distance`` takes them."""
     candidate_ids = top_k_by_distance(query_emb, index, cfg.top_k, rows)
-    if corpus is not None:
-        docs = resolve_docs(candidate_ids, corpus)
-    else:
-        docs = [_placeholder_doc(did, cfg.mode) for did in candidate_ids]
-    check_modality(docs, cfg.mode)
+    if corpus is None:
+        corpus = {did: _placeholder_doc(did, cfg.mode) for did in candidate_ids}
+    docs = resolve_docs(query.id, candidate_ids, corpus, cfg.mode)
     report = RerankReport()
     if len(docs) == 1:
         perm = identity_permutation(1)
@@ -216,6 +222,9 @@ def read_labels(path: str) -> tuple[dict, list[TeacherLabel]]:
 
 
 def _label_from_json(rec: dict) -> TeacherLabel:
+    for name in ("candidate_ids", "teacher_perm"):
+        if not isinstance(rec[name], list):
+            raise ConfigError(f"{name} must be a JSON array, got {rec[name]!r}")
     candidate_ids = tuple(rec["candidate_ids"])
     try:
         perm = validate_permutation(rec["teacher_perm"], len(candidate_ids))

@@ -1,14 +1,16 @@
 """Chat prompt construction for listwise and pairwise reranking.
 
-The templates follow the multi-turn RankGPT convention: a system line, an
-announcement of how many candidates follow, one user/assistant turn pair per
-candidate (the assistant acknowledges receipt), and a final instruction turn
-that pins the ``[1] > [2]`` output grammar.  The pairwise template is a
-single yes/no relevance question.
+The listwise prompt follows the multi-turn RankGPT convention: a system
+line, an announcement of how many candidates follow, one user/assistant turn
+pair per candidate (the assistant acknowledges receipt), and a final
+instruction turn that pins the ``[1] > [2]`` output grammar.  The pairwise
+template is a single yes/no relevance question.
 
-Text and multimodal variants are kept as separate verbatim templates rather
-than unified; their wording differs in small ways (passage vs document,
-acknowledgement phrasing) and backends may be sensitive to either.
+Both modes build that one turn sequence, but each keeps its own wording
+verbatim (``_LISTWISE_WORDING``): it differs in small ways (passage vs
+document, acknowledgement phrasing) and backends may be sensitive to either.
+Only the body of a document turn differs by mode: ``[i] text`` in text mode,
+the attached image with any text in multimodal mode.
 """
 
 from __future__ import annotations
@@ -54,14 +56,34 @@ class PromptScript(Value, frozen=True):
         self._set(turns, kind, query_id, doc_ids)
 
 
-TEXT_LISTWISE_SYSTEM = (
-    "You are RankGPT, an intelligent assistant that can rank passages based on "
-    "their relevancy to the query."
-)
-MM_LISTWISE_SYSTEM = (
-    "You are a multimodal reranking assistant. Rank documents containing both "
-    "text and images based on their relevance to the query."
-)
+# Per mode, the listwise wording: the system line, the announcement, the
+# acknowledgement, the receipt of document [i] and the final instruction.
+# ``str.format`` fills {n}, {query} and {i} and leaves the query text as it is.
+_LISTWISE_WORDING = {
+    "text": (
+        "You are RankGPT, an intelligent assistant that can rank passages based on "
+        "their relevancy to the query.",
+        "I will provide you with {n} passages, each indicated by number identifier []. "
+        "Rank the passages based on their relevance to query: {query}.",
+        "Okay, please provide the passages.",
+        "Received passage [{i}].",
+        "Search Query: {query}. Rank the {n} passages above based on their relevance. "
+        "The output format should be [] > [], e.g., [1] > [2]. Only response the ranking "
+        "results, do not say any word or explain.",
+    ),
+    "multimodal": (
+        "You are a multimodal reranking assistant. Rank documents containing both "
+        "text and images based on their relevance to the query.",
+        "I will provide you with {n} multimodal documents, each containing text and "
+        "images. Rank them by relevance to query: {query}.",
+        "Understood. Please provide the documents.",
+        "Received document [{i}].",
+        "Query: {query}. Rank the {n} documents considering both textual and visual "
+        "content. Output format: [] > [], e.g., [1] > [2]. Only provide the ranking, "
+        "no explanation.",
+    ),
+}
+
 PAIRWISE_SYSTEM = (
     "You are an expert relevance assessor for multimodal documents. Determine "
     "whether the given document is relevant to the user query."
@@ -95,56 +117,21 @@ def build_listwise_prompt(
     if n < 2:
         raise TooFewDocs(f"listwise ranking needs at least 2 docs, got {n}")
     check_modality(docs, mode)
-
-    turns: list[Turn] = []
-    if mode == "text":
-        turns.append(Turn("system", TEXT_LISTWISE_SYSTEM))
-        turns.append(
-            Turn(
-                "user",
-                f"I will provide you with {n} passages, each indicated by number "
-                f"identifier []. Rank the passages based on their relevance to "
-                f"query: {query.text}.",
-            )
-        )
-        turns.append(Turn("assistant", "Okay, please provide the passages."))
-        for i, d in enumerate(docs, start=1):
+    system, announce, ack, received, instruction = _LISTWISE_WORDING[mode]
+    turns = [
+        Turn("system", system),
+        Turn("user", announce.format(n=n, query=query.text)),
+        Turn("assistant", ack),
+    ]
+    for i, d in enumerate(docs, start=1):
+        if mode == "text":
             turns.append(Turn("user", f"[{i}] {d.text}"))
-            turns.append(Turn("assistant", f"Received passage [{i}]."))
-        turns.append(
-            Turn(
-                "user",
-                f"Search Query: {query.text}. Rank the {n} passages above based on "
-                f"their relevance. The output format should be [] > [], e.g., "
-                f"[1] > [2]. Only response the ranking results, do not say any "
-                f"word or explain.",
-            )
-        )
-    else:
-        turns.append(Turn("system", MM_LISTWISE_SYSTEM))
-        turns.append(
-            Turn(
-                "user",
-                f"I will provide you with {n} multimodal documents, each containing "
-                f"text and images. Rank them by relevance to query: {query.text}.",
-            )
-        )
-        turns.append(Turn("assistant", "Understood. Please provide the documents."))
-        for i, d in enumerate(docs, start=1):
-            if d.text:
-                body = f"[{i}] Text: {d.text}\nImage: [Attached image_{i}]"
-            else:
-                body = f"[{i}] Image: [Attached image_{i}]"
-            turns.append(Turn("user", body, image_refs=(d.image_ref,)))
-            turns.append(Turn("assistant", f"Received document [{i}]."))
-        turns.append(
-            Turn(
-                "user",
-                f"Query: {query.text}. Rank the {n} documents considering both "
-                f"textual and visual content. Output format: [] > [], e.g., "
-                f"[1] > [2]. Only provide the ranking, no explanation.",
-            )
-        )
+        else:
+            text = f"Text: {d.text}\n" if d.text else ""
+            turns.append(Turn("user", f"[{i}] {text}Image: [Attached image_{i}]",
+                              image_refs=(d.image_ref,)))
+        turns.append(Turn("assistant", received.format(i=i)))
+    turns.append(Turn("user", instruction.format(n=n, query=query.text)))
     return PromptScript(
         turns=tuple(turns),
         kind="listwise",

@@ -100,6 +100,9 @@ class Document(Value, frozen=True):
     def __init__(self, id: str, text: str | None = None, image_ref: str | None = None,
                  modality: str = "text"):
         check_id("document", id)
+        for name, value in (("text", text), ("image_ref", image_ref)):
+            if value is not None and not isinstance(value, str):
+                raise InvariantViolation(f"doc {id}: {name} must be a string, got {value!r}")
         if modality not in MODALITIES:
             raise InvariantViolation(f"unknown modality {modality!r}")
         if modality in ("text", "hybrid") and not text:
@@ -114,6 +117,8 @@ class Query(Value, frozen=True):
 
     def __init__(self, id: str, text: str):
         check_id("query", id)
+        if not isinstance(text, str):
+            raise InvariantViolation(f"query {id}: text must be a string, got {text!r}")
         if not text:
             raise InvariantViolation(f"query {id}: empty text")
         self._set(id, text)
@@ -143,7 +148,8 @@ class Permutation(Value, frozen=True):
     """A total ordering: order[i] is the 1-based index ranked at position i.
 
     ``order`` must be a bijection on 1..n of integral entries (an integral
-    float is taken as its int); positions in errors are 1-based."""
+    float is taken as its int, and a bool is no index); positions in errors
+    are 1-based."""
 
     __slots__ = ("order",)
 
@@ -154,7 +160,7 @@ class Permutation(Value, frozen=True):
         for pos, raw in enumerate(order, start=1):
             try:
                 idx = int(raw)
-                integral = idx == raw
+                integral = idx == raw and not isinstance(raw, bool)
             except (TypeError, ValueError, OverflowError):
                 integral = False
             if not integral:

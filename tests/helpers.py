@@ -17,3 +17,11 @@ def write_documents(docs: Iterable[Document], path: str) -> None:
             if d.image_ref is not None:
                 rec["image_ref"] = d.image_ref
             fh.write(json.dumps(rec) + "\n")
+
+
+def set_api_key(monkeypatch, key: str) -> None:
+    """``$RERANK_API_KEY`` set to ``key`` for one test, in a copy of the
+    environment: the process environment cannot hold a null byte."""
+    import os
+
+    monkeypatch.setattr(os, "environ", {**os.environ, "RERANK_API_KEY": key})

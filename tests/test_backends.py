@@ -2,6 +2,7 @@ import base64
 import json
 
 import pytest
+from helpers import set_api_key
 
 from rankkit.backends import (
     HttpBackend,
@@ -145,6 +146,26 @@ class TestHttpBackend:
         assert body["model"] == "ranker-2b"
         assert body["temperature"] == 0
         assert body["messages"][0] == {"role": "system", "content": LISTWISE.turns[0].text}
+
+    @pytest.mark.parametrize("key", ["k\n", "k\r", "k\x00", "k\x7f", "k\tk", "k\u00e9"])
+    def test_a_key_with_a_control_or_non_ascii_character_raises_at_construction(
+            self, monkeypatch, key):
+        set_api_key(monkeypatch, key)
+        with pytest.raises(ConfigError, match=r"\$RERANK_API_KEY") as exc:
+            HttpBackend(endpoint="http://x", model="m", session=FakeSession([]))
+        assert key not in str(exc.value)
+
+    def test_each_call_checks_the_key_it_reads(self, monkeypatch):
+        monkeypatch.setenv("RERANK_API_KEY", "good key-1")
+        session = FakeSession([completion("[1] > [2] > [3]")])
+        backend = HttpBackend(endpoint="http://x", model="m", session=session)
+        monkeypatch.setenv("RERANK_API_KEY", "bad\n")
+        with pytest.raises(ConfigError, match=r"\$RERANK_API_KEY"):
+            backend.complete(LISTWISE)
+        assert session.requests == []
+        monkeypatch.setenv("RERANK_API_KEY", "good key-1")
+        assert backend.complete(LISTWISE) == "[1] > [2] > [3]"
+        assert session.requests[0]["headers"]["Authorization"] == "Bearer good key-1"
 
     def test_5xx_is_transport_error(self):
         backend = HttpBackend(endpoint="http://x", model="m",

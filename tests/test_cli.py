@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import write_documents
+from helpers import set_api_key, write_documents
 
 from rankkit import backends, cli
 from rankkit.embedding import EmbeddingRecord, euclidean_dist, read_embeddings, write_embeddings
@@ -59,6 +59,20 @@ class ReplySession:
         if not self.bodies:
             pytest.fail(f"unexpected request to {url}")
         body = self.bodies.pop(0)
+        return SimpleNamespace(status_code=200, json=lambda: body)
+
+
+class WindowSession:
+    """Stands in for ``backends.HttpTransport``: answers each listwise request
+    in presented order and records how many documents it held."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def post(self, url, data, **kwargs):
+        n = (len(json.loads(data)["messages"]) - 4) // 2
+        self.sizes.append(n)
+        body = reply(" > ".join(f"[{i}]" for i in range(1, n + 1)))
         return SimpleNamespace(status_code=200, json=lambda: body)
 
 
@@ -359,6 +373,49 @@ class TestRerank:
         assert f"query q2 failed: image {str(tmp_path / 'gone.png')!r} cannot be read" \
             in caplog.text
 
+    @pytest.mark.parametrize("line", [
+        {"id": "d1", "image_ref": ["x.png"], "modality": "image"},
+        {"id": "d1", "text": 5, "image_ref": "x.png", "modality": "hybrid"},
+    ])
+    def test_a_corpus_field_that_is_not_a_string_exits_1_before_any_request(
+            self, tmp_path, monkeypatch, caplog, line):
+        (tmp_path / "y.png").write_bytes(b"png")
+        (tmp_path / "corpus.jsonl").write_text(
+            json.dumps({"id": "d0", "image_ref": str(tmp_path / "y.png"), "modality": "image"})
+            + "\n"
+            + json.dumps(line) + "\n")
+        (tmp_path / "queries.jsonl").write_text(json.dumps({"id": "q1", "text": "chart"}) + "\n")
+        write_run(run_from_candidates("q1", ["d0", "d1"]), str(tmp_path / "first.run"))
+        # ReplySession fails the test on any request
+        monkeypatch.setattr(backends, "HttpTransport", lambda endpoint: ReplySession())
+        out = tmp_path / "out.run"
+        code = run_cli("rerank", "--run", tmp_path / "first.run",
+                       "--queries", tmp_path / "queries.jsonl",
+                       "--corpus", tmp_path / "corpus.jsonl", "--mode", "multimodal",
+                       *HTTP, "--out", out)
+        assert code == 1
+        assert f"{tmp_path / 'corpus.jsonl'}:2: doc d1: " in caplog.text
+        assert not out.exists()
+
+    def test_window_size_alone_takes_a_stride_that_fits_the_window(self, tmp_path, monkeypatch):
+        """25 candidates: window 5 takes stride 2 (11 windows), and window 15
+        keeps stride 10 (2 windows, where stride 7 would make 3)."""
+        docs = [Document(id=f"d{i}", text=f"passage {i}") for i in range(25)]
+        write_documents(docs, str(tmp_path / "corpus.jsonl"))
+        (tmp_path / "queries.jsonl").write_text(json.dumps({"id": "q1", "text": "x"}) + "\n")
+        write_run(run_from_candidates("q1", [d.id for d in docs]), str(tmp_path / "first.run"))
+        for window, sizes in ((5, [5] * 11), (15, [15, 15])):
+            session = WindowSession()
+            monkeypatch.setattr(backends, "HttpTransport", lambda endpoint: session)
+            out = tmp_path / f"w{window}.run"
+            code = run_cli("rerank", "--run", tmp_path / "first.run",
+                           "--queries", tmp_path / "queries.jsonl",
+                           "--corpus", tmp_path / "corpus.jsonl", "--window-size", window,
+                           *HTTP, "--out", out)
+            assert code == 0
+            assert session.sizes == sizes
+            assert [e.doc_id for e in read_run(str(out))] == [d.id for d in docs]
+
     def test_a_reply_without_string_content_fails_only_its_query(self, workspace, monkeypatch,
                                                                  caplog):
         identity = reply(" > ".join(f"[{i}]" for i in range(1, 11)))
@@ -559,6 +616,37 @@ class TestConfigAndErrors:
             "stride": 10, "budget": 4000, "seed": 0, "mode": "text",
             "confidence": CONFIDENCE_FORMULA}}
         assert out.read_text().splitlines()[0] == json.dumps(header)
+
+    @pytest.mark.parametrize("window_size,stride", [(5, 2), (15, 10)])
+    def test_the_manifest_records_the_default_stride(self, workspace, window_size, stride):
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps({"window_size": window_size}))
+        out = workspace / "labels.jsonl"
+        code = run_cli("distill", "--config", cfg, "--queries", workspace / "queries.jsonl",
+                       "--query-embeddings", workspace / "query_embs.jsonl",
+                       "--doc-embeddings", workspace / "doc_embs.jsonl", "--out", out)
+        assert code == 0
+        manifest = json.loads(out.read_text().splitlines()[0])["manifest"]
+        assert (manifest["window_size"], manifest["stride"]) == (window_size, stride)
+
+    @pytest.mark.parametrize("command", ["rerank", "distill"])
+    @pytest.mark.parametrize("key", ["k\n", "k\x00", "k\u00e9"])
+    def test_a_bad_api_key_exits_1_before_any_request(self, workspace, monkeypatch, caplog,
+                                                       command, key):
+        set_api_key(monkeypatch, key)
+        monkeypatch.setattr(backends, "HttpTransport", lambda endpoint: ReplySession())
+        out = workspace / "out"
+        if command == "rerank":
+            inputs = ["--run", workspace / "input.run", "--corpus", workspace / "corpus.jsonl"]
+        else:
+            inputs = ["--query-embeddings", workspace / "query_embs.jsonl",
+                      "--doc-embeddings", workspace / "doc_embs.jsonl"]
+        code = run_cli(command, "--queries", workspace / "queries.jsonl", *inputs, *HTTP,
+                       "--out", out)
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "$RERANK_API_KEY" in errors[0] and key not in errors[0]
+        assert not out.exists()
 
     def test_malformed_qrels_is_fatal(self, workspace):
         bad = workspace / "bad_qrels.txt"

@@ -20,6 +20,7 @@ from rankkit.engine import (
     rerank_listwise,
     rerank_many,
     rerank_pairwise,
+    resolve_docs,
     window_starts,
 )
 from rankkit.errors import (
@@ -78,6 +79,31 @@ class TestWindowSchedule:
         # a one-doc window cannot be ranked, so every longer list would fail
         with pytest.raises(InvariantViolation, match="window_size"):
             WindowConfig(window_size=1, stride=1)
+
+
+class TestResolveDocs:
+    """The one document step of listwise, pairwise and distill queries: an
+    empty list, then a missing document, then the modality rule."""
+
+    IMAGE = Document(id="img", image_ref="img.png", modality="image")
+
+    def test_documents_in_list_order(self):
+        docs = {"a": Document(id="a", text="x"), "b": Document(id="b", text="y")}
+        assert resolve_docs("q1", ("b", "a"), docs, "text") == [docs["b"], docs["a"]]
+
+    def test_an_empty_list_comes_first(self):
+        with pytest.raises(InvariantViolation, match="^query q1: empty candidate list$"):
+            resolve_docs("q1", (), {}, "no such mode")
+
+    def test_a_missing_document_comes_before_the_modality_rule(self):
+        with pytest.raises(MissingDoc, match="^candidate gone not in corpus$"):
+            resolve_docs("q1", ("img", "gone"), {"img": self.IMAGE}, "text")
+
+    def test_then_the_modality_rule(self):
+        with pytest.raises(MissingModality, match="doc img has no text"):
+            resolve_docs("q1", ("img",), {"img": self.IMAGE}, "text")
+        with pytest.raises(InvariantViolation, match="unknown prompt mode"):
+            resolve_docs("q1", ("img",), {"img": self.IMAGE}, "audio")
 
 
 class TestRerankListwise:

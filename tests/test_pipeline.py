@@ -7,7 +7,7 @@ import pytest
 from rankkit.backends import IdentityBackend, OracleBackend, ReverseBackend, ScriptedBackend
 from rankkit.embedding import EmbeddingRecord, stack_records
 from rankkit.engine import WindowConfig
-from rankkit.errors import ConfigError, MalformedLine
+from rankkit.errors import ConfigError, InvariantViolation, MalformedLine
 from rankkit.config import PipelineConfig, config_from_json
 from rankkit.pipeline import (
     CONFIDENCE_FORMULA,
@@ -206,6 +206,30 @@ class TestLabelIO:
         with pytest.raises(MalformedLine, match=re.escape(f"{path}:3: teacher_perm")):
             read_labels(str(path))
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("confidence", True, "confidence must be a number"),
+        ("repair_count", -4, "repair_count must be an int >= 0"),
+        ("repair_count", "many", "repair_count must be an int >= 0"),
+        ("repair_count", False, "repair_count must be an int >= 0"),
+        ("backend_tag", ["x"], "backend_tag must be a string"),
+        ("backend_tag", 7, "backend_tag must be a string"),
+        ("candidate_ids", "abc", "candidate_ids must be a JSON array"),
+        ("teacher_perm", [True, 2, 3], "teacher_perm: non-integer index True at position 1"),
+        ("teacher_perm", "123", "teacher_perm must be a JSON array"),
+    ])
+    def test_read_rejects_a_mistyped_field_at_its_line(self, tmp_path, field, value, message):
+        path = tmp_path / "labels.jsonl"
+        write_labels([TeacherLabel("q1", ("a", "b", "c"), Permutation((1, 2, 3)), confidence=1.0)],
+                     str(path), CFG3)
+        bad = {"query_id": "q2", "candidate_ids": ["a", "b", "c"], "teacher_perm": [2, 1, 3],
+               "confidence": 0.5, "repair_count": 0, "backend_tag": "IdentityBackend",
+               field: value}
+        with open(path, "a") as fh:
+            fh.write(json.dumps(bad) + "\n")
+        with pytest.raises(MalformedLine, match=re.escape(f"{path}:3: ") + ".*"
+                           + re.escape(message)):
+            read_labels(str(path))
+
     def test_read_rejects_a_repeated_query_id_naming_its_first_line(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         label = TeacherLabel("q1", ("a", "b"), Permutation((1, 2)), confidence=1.0)
@@ -237,6 +261,16 @@ class TestConfig:
         assert cfg.quality_threshold == 0.25
         assert cfg.window.window_size == 20
         assert cfg.window.stride == 10
+
+    @pytest.mark.parametrize("window_size,stride", [(2, 1), (3, 1), (5, 2), (9, 4), (10, 10),
+                                                    (15, 10), (20, 10)])
+    def test_default_stride_fits_the_window(self, window_size, stride):
+        assert WindowConfig(window_size).stride == stride
+        assert config_from_json({"window_size": window_size}).window.stride == stride
+
+    def test_an_explicit_stride_past_the_window_still_raises(self):
+        with pytest.raises(InvariantViolation, match="got stride=6, window_size=5"):
+            WindowConfig(5, 6)
 
     def test_from_json(self):
         cfg = config_from_json({"top_k": 5, "window_size": 8, "stride": 4, "budget": 2100})

@@ -69,6 +69,64 @@ class TestListwisePrompt:
         with pytest.raises(MissingModality):
             build_listwise_prompt(Q, TEXT_DOCS, mode="multimodal")
 
+    def test_unknown_mode_raises(self):
+        with pytest.raises(InvariantViolation, match="unknown prompt mode 'audio'"):
+            build_listwise_prompt(Q, TEXT_DOCS, mode="audio")
+
+
+def _turns(script):
+    return [(t.role, t.text, t.image_refs) for t in script.turns]
+
+
+class TestListwiseTemplatesVerbatim:
+    """Every turn of one prompt per mode, word for word: the templates are
+    part of the model contract, so a change to any of them shows here."""
+
+    def test_text_prompt(self):
+        script = build_listwise_prompt(Q, TEXT_DOCS, mode="text")
+        assert _turns(script) == [
+            ("system", "You are RankGPT, an intelligent assistant that can rank passages "
+                       "based on their relevancy to the query.", ()),
+            ("user", "I will provide you with 3 passages, each indicated by number identifier "
+                     "[]. Rank the passages based on their relevance to query: what is deep "
+                     "learning?.", ()),
+            ("assistant", "Okay, please provide the passages.", ()),
+            ("user", "[1] Machine learning is a subset of AI.", ()),
+            ("assistant", "Received passage [1].", ()),
+            ("user", "[2] Deep learning uses neural networks.", ()),
+            ("assistant", "Received passage [2].", ()),
+            ("user", "[3] Python is a programming language.", ()),
+            ("assistant", "Received passage [3].", ()),
+            ("user", "Search Query: what is deep learning?. Rank the 3 passages above based "
+                     "on their relevance. The output format should be [] > [], e.g., "
+                     "[1] > [2]. Only response the ranking results, do not say any word or "
+                     "explain.", ()),
+        ]
+        assert (script.kind, script.query_id, script.doc_ids) == ("listwise", "q1",
+                                                                  ("d1", "d2", "d3"))
+
+    def test_multimodal_prompt(self):
+        docs = [HYBRID_DOCS[0], Document(id="i2", image_ref="chart.png", modality="image")]
+        script = build_listwise_prompt(Q, docs, mode="multimodal")
+        assert _turns(script) == [
+            ("system", "You are a multimodal reranking assistant. Rank documents containing "
+                       "both text and images based on their relevance to the query.", ()),
+            ("user", "I will provide you with 2 multimodal documents, each containing text "
+                     "and images. Rank them by relevance to query: what is deep learning?.",
+             ()),
+            ("assistant", "Understood. Please provide the documents.", ()),
+            ("user", "[1] Text: Transformers use attention.\nImage: [Attached image_1]",
+             ("a.png",)),
+            ("assistant", "Received document [1].", ()),
+            ("user", "[2] Image: [Attached image_2]", ("chart.png",)),
+            ("assistant", "Received document [2].", ()),
+            ("user", "Query: what is deep learning?. Rank the 2 documents considering both "
+                     "textual and visual content. Output format: [] > [], e.g., [1] > [2]. "
+                     "Only provide the ranking, no explanation.", ()),
+        ]
+        assert (script.kind, script.query_id, script.doc_ids) == ("listwise", "q1",
+                                                                  ("h1", "i2"))
+
 
 class TestPairwisePrompt:
     def test_text_doc(self):

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import pytest
@@ -64,6 +65,11 @@ class TestValidatePermutation:
     def test_integral_floats_accepted(self):
         assert validate_permutation([2.0, 1.0, 3.0], 3).order == (2, 1, 3)
 
+    @pytest.mark.parametrize("order,position", [([True, 2], 1), ([2, False], 2)])
+    def test_a_bool_is_no_index(self, order, position):
+        with pytest.raises(PermutationError, match=f"at position {position}$"):
+            validate_permutation(order, 2)
+
     @given(permutations)
     def test_sorted_order_is_identity_range(self, order):
         n = len(order)
@@ -124,6 +130,28 @@ def test_read_queries(tmp_path):
     path = tmp_path / "queries.jsonl"
     path.write_text('{"id": "q1", "text": "what is x"}\n')
     assert read_queries(str(path)) == [Query(id="q1", text="what is x")]
+
+
+@pytest.mark.parametrize("line,field", [
+    ('{"id": "d1", "image_ref": ["x.png"], "modality": "image"}', "image_ref"),
+    ('{"id": "d1", "text": 5}', "text"),
+    ('{"id": "d1", "text": "t", "image_ref": 7, "modality": "hybrid"}', "image_ref"),
+])
+def test_read_documents_refuses_a_field_that_is_not_a_string(tmp_path, line, field):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "d0", "text": "fine"}\n' + line + "\n")
+    with pytest.raises(MalformedLine, match=re.escape(f"{path}:2: doc d1: {field} must be "
+                                                      f"a string")):
+        read_documents(str(path))
+
+
+@pytest.mark.parametrize("text", ["5", "[\"q\"]", "null"])
+def test_read_queries_refuses_a_text_that_is_not_a_string(tmp_path, text):
+    path = tmp_path / "queries.jsonl"
+    path.write_text('{"id": "q1", "text": %s}\n' % text)
+    with pytest.raises(MalformedLine, match=re.escape(f"{path}:1: query q1: text must be a "
+                                                      f"string")):
+        read_queries(str(path))
 
 
 def literal_lines(path):
