@@ -188,33 +188,20 @@ def _default_port(url) -> int:
     return url.port or (443 if url.scheme == "https" else 80)
 
 
-class HttpReply(Value):
-    """The part of a response that ``HttpBackend`` reads."""
-
-    __slots__ = ("status_code", "content")
-
-    def __init__(self, status_code: int, content: bytes):
-        self._set(status_code, content)
-
-    @property
-    def text(self) -> str:
-        return self.content.decode("utf-8", "replace")
-
-    def json(self):
-        return json.loads(self.content)
-
-
 class HttpTransport:
     """Keep-alive POSTs to one endpoint over the standard library's
-    ``http.client``: ``HttpBackend``'s session unless a test injects one.
+    ``http.client``, and the only code that knows HTTP: ``post`` returns the
+    body of a 200 reply.  No reply (connection, timeout, TLS or protocol
+    error), a 5xx and a 429 are a ``TransportError``, which
+    ``call_with_retries`` retries; any other status is a ``BackendError``.
 
-    Idle connections wait on a stack.  A call pops one or opens one, reads
-    the whole response and pushes the connection back, so no connection
-    serves two threads at once and no more are open than calls run at once.
-    An error drops the connection.  A reused connection that the server
-    closed while it sat idle (reset or broken pipe before a status line) is
-    replaced by a fresh one and the request sent once more; a request on a
-    fresh connection is never sent twice.
+    Idle connections wait on a stack.  A call pops one or opens one, with
+    the timeout, reads the whole response and pushes the connection back, so
+    no connection serves two threads at once and no more are open than calls
+    run at once.  An error drops the connection.  A reused connection that
+    the server closed while it sat idle (reset or broken pipe before a status
+    line) is replaced by a fresh one and the request sent once more; a
+    request on a fresh connection is never sent twice.
 
     ``http_proxy``, ``https_proxy``, ``all_proxy`` and ``no_proxy`` are read
     once, here.  Through a proxy, an http endpoint is requested in absolute
@@ -222,14 +209,13 @@ class HttpTransport:
     against the system's trust store.
     """
 
-    def __init__(self, endpoint: str):
+    def __init__(self, endpoint: str, timeout: float):
         import http.client
         import ssl
         import urllib.parse
         import urllib.request
 
         url = _split_url(endpoint, "endpoint")
-        self.endpoint = endpoint
         origin = (url.hostname, _default_port(url))
         path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._target = path
@@ -259,21 +245,19 @@ class HttpTransport:
             self._connection = partial(http.client.HTTPSConnection, context=context)
         else:
             self._connection = http.client.HTTPConnection
+        self._timeout = timeout
         # list.append and list.pop are atomic, so the stack needs no lock
         self._idle: list = []
 
-    def post(self, url: str, *, data: str, headers: Mapping[str, str],
-             timeout: float) -> HttpReply:
-        if url != self.endpoint:
-            raise ValueError(f"this transport posts to {self.endpoint!r} only, not {url!r}")
-        body = data.encode("utf-8")
+    def post(self, body: bytes, headers: Mapping[str, str]) -> bytes:
+        import http.client
+
         headers = {**self._proxy_headers, **headers}
         try:
             conn = self._idle.pop()
-            conn.sock.settimeout(timeout)
             reused = True
         except IndexError:
-            conn = self._open(timeout)
+            conn = self._open()
             reused = False
         try:
             try:
@@ -284,19 +268,26 @@ class HttpTransport:
                 if not reused:
                     raise
                 conn.close()
-                conn = self._open(timeout)
+                conn = self._open()
                 conn.request("POST", self._target, body, headers)
                 resp = conn.getresponse()
             content = resp.read()
+        except (OSError, http.client.HTTPException) as exc:  # connection, timeout, TLS
+            conn.close()
+            raise TransportError(f"request failed: {exc}") from exc
         except BaseException:
             conn.close()
             raise
         if not resp.will_close:
             self._idle.append(conn)
-        return HttpReply(resp.status, content)
+        if resp.status == 200:
+            return content
+        if resp.status >= 500 or resp.status == 429:
+            raise TransportError(f"HTTP {resp.status}")
+        raise BackendError(f"HTTP {resp.status}: {content.decode('utf-8', 'replace')[:200]}")
 
-    def _open(self, timeout: float):
-        conn = self._connection(*self._address, timeout=timeout)
+    def _open(self):
+        conn = self._connection(*self._address, timeout=self._timeout)
         if self._tunnel is not None:
             conn.set_tunnel(*self._tunnel)
         return conn
@@ -312,7 +303,8 @@ class HttpBackend(Value):
     """Chat-completions client.  API key comes from $RERANK_API_KEY, checked
     at construction and read again by each call.
 
-    ``session``: anything with HttpTransport's post(); injectable for tests."""
+    ``session``: an ``HttpTransport`` unless a test injects one.  Its
+    ``post(body: bytes, headers) -> bytes`` raises every HTTP failure."""
 
     __slots__ = ("endpoint", "model", "timeout", "session")
 
@@ -323,7 +315,8 @@ class HttpBackend(Value):
         if not 0 < timeout < math.inf:
             raise ConfigError(f"timeout must be a finite number > 0, got {timeout!r}")
         _api_key()
-        self._set(endpoint, model, timeout, HttpTransport(endpoint) if session is None else session)
+        session = HttpTransport(endpoint, timeout) if session is None else session
+        self._set(endpoint, model, timeout, session)
 
     def close(self) -> None:
         """Close the session's idle connections, if it keeps any."""
@@ -332,8 +325,6 @@ class HttpBackend(Value):
             close()
 
     def complete(self, prompt: PromptScript) -> str:
-        import http.client  # on first use: ``rankkit.cli`` loads neither it nor ssl
-
         payload = {
             "model": self.model,
             "messages": script_to_messages(prompt),
@@ -343,18 +334,9 @@ class HttpBackend(Value):
         key = _api_key()
         if key:
             headers["Authorization"] = f"Bearer {key}"
+        body = self.session.post(json.dumps(payload).encode(), headers)
         try:
-            resp = self.session.post(
-                self.endpoint, data=json.dumps(payload), headers=headers, timeout=self.timeout
-            )
-        except (OSError, http.client.HTTPException) as exc:  # connection, timeout, TLS
-            raise TransportError(f"request failed: {exc}") from exc
-        if resp.status_code >= 500 or resp.status_code == 429:
-            raise TransportError(f"HTTP {resp.status_code}")
-        if resp.status_code != 200:
-            raise BackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed completion response: {exc!r}") from exc
         if not isinstance(content, str):

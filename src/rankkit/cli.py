@@ -110,6 +110,8 @@ def _vector(by_id: dict, rec: dict, field: str):
 
 
 def cmd_select(args: argparse.Namespace) -> None:
+    if args.trace and args.algorithm != "greedy":
+        raise RankkitError(f"--trace applies to --algorithm greedy only, not {args.algorithm}")
     from . import embedding
 
     cfg = _load_config(args)
@@ -271,7 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--algorithm", default="greedy", choices=["greedy", "random", "kmeans"])
     s.add_argument("--k", dest="selection_k", type=int, default=None)
     s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--trace", action="store_true")
+    s.add_argument("--trace", action="store_true",
+                   help="record each greedy pick's mean cosine similarity to the earlier "
+                        "picks in the selection header (greedy only)")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_select)
 

@@ -18,13 +18,25 @@ from .errors import InvariantViolation, LengthMismatch, NonPositiveTemperature
 from .types import Permutation, Value
 
 
-def _as_scores(scores: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(scores, dtype=np.float64)
-    if arr.ndim != 1:
+def _scaled(scores: Sequence[float], perm: Permutation,
+            tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """``perm``'s 0-based order and the scores in that order divided by tau,
+    checked once: every scaled value must be finite."""
+    if not tau > 0:
+        raise NonPositiveTemperature(f"tau={tau}")
+    s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1:
         raise InvariantViolation("scores must be a flat sequence")
-    if not np.all(np.isfinite(arr)):
-        raise InvariantViolation("scores must be finite")
-    return arr
+    if len(perm) != s.shape[0]:
+        raise LengthMismatch(f"{s.shape[0]} scores vs permutation of size {len(perm)}")
+    order = np.asarray(perm.order) - 1
+    with np.errstate(over="ignore"):
+        t = s[order] / tau
+    if not np.all(np.isfinite(t)):
+        if not np.all(np.isfinite(s)):
+            raise InvariantViolation("scores must be finite")
+        raise InvariantViolation(f"scores / tau overflow at tau={tau}")
+    return order, t
 
 
 def _suffix_logsumexp(t: np.ndarray) -> np.ndarray:
@@ -39,18 +51,11 @@ class LossReport(Value, frozen=True):
         self._set(loss, per_step_terms, temperature)
 
 
-def _check_args(scores: np.ndarray, perm: Permutation) -> None:
-    if len(perm) != scores.shape[0]:
-        raise LengthMismatch(f"{scores.shape[0]} scores vs permutation of size {len(perm)}")
-
-
 def plackett_luce_prob(scores: Sequence[float], perm: Permutation) -> float:
     """Probability of observing ``perm`` under the Plackett-Luce model:
     a product of sequential softmax choices over the remaining candidates.
     """
-    s = _as_scores(scores)
-    _check_args(s, perm)
-    t = s[np.asarray(perm.order) - 1]
+    _, t = _scaled(scores, perm)
     log_p = float(np.sum(t - _suffix_logsumexp(t)))
     return float(np.exp(log_p))
 
@@ -65,11 +70,7 @@ def listwise_loss(
     Equals -log plackett_luce_prob(scores / tau, perm); per_step_terms are the
     n negative log softmax factors, each nonnegative.
     """
-    if not tau > 0:
-        raise NonPositiveTemperature(f"tau={tau}")
-    s = _as_scores(scores)
-    _check_args(s, perm)
-    t = s[np.asarray(perm.order) - 1] / tau
+    _, t = _scaled(scores, perm, tau)
     terms = _suffix_logsumexp(t) - t
     return LossReport(
         loss=float(np.sum(terms)),
@@ -90,18 +91,12 @@ def listwise_loss_grad(
     suffix i) - 1/tau.  Components sum to zero: the loss is invariant to a
     constant shift of all scores.
     """
-    if not tau > 0:
-        raise NonPositiveTemperature(f"tau={tau}")
-    s = _as_scores(scores)
-    _check_args(s, perm)
-    n = s.shape[0]
-    order = np.asarray(perm.order) - 1
-    t = s[order] / tau
+    order, t = _scaled(scores, perm, tau)
     # G[p] = sum_{i <= p} exp(t[p] - lse[i]) = exp(t[p] + log sum_{i <= p} exp(-lse[i])),
     # and t[p] <= lse[i] for every i <= p, so the exponent is at most log(p + 1).
     G = np.exp(t + np.logaddexp.accumulate(-_suffix_logsumexp(t)))
     g = (G - 1.0) / tau
-    grad = np.zeros(n)
+    grad = np.zeros(len(order))
     grad[order] = g
     return grad
 

@@ -1,5 +1,4 @@
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,17 +48,16 @@ def run_cli(*args):
 
 
 class ReplySession:
-    """Stands in for ``backends.HttpTransport``: each post answers 200 with the next
+    """Stands in for ``backends.HttpTransport``: each post answers with the next
     chat-completions body; a post with no body left fails the test."""
 
     def __init__(self, bodies=()):
         self.bodies = list(bodies)
 
-    def post(self, url, **kwargs):
+    def post(self, body, headers):
         if not self.bodies:
-            pytest.fail(f"unexpected request to {url}")
-        body = self.bodies.pop(0)
-        return SimpleNamespace(status_code=200, json=lambda: body)
+            pytest.fail(f"unexpected request: {body[:80]!r}")
+        return json.dumps(self.bodies.pop(0)).encode()
 
 
 class WindowSession:
@@ -69,11 +67,10 @@ class WindowSession:
     def __init__(self):
         self.sizes = []
 
-    def post(self, url, data, **kwargs):
-        n = (len(json.loads(data)["messages"]) - 4) // 2
+    def post(self, body, headers):
+        n = (len(json.loads(body)["messages"]) - 4) // 2
         self.sizes.append(n)
-        body = reply(" > ".join(f"[{i}]" for i in range(1, n + 1)))
-        return SimpleNamespace(status_code=200, json=lambda: body)
+        return json.dumps(reply(" > ".join(f"[{i}]" for i in range(1, n + 1)))).encode()
 
 
 def reply(content):
@@ -102,6 +99,25 @@ class TestSelect:
                 "--k", 3, "--trace", "--out", out)
         header = json.loads(out.read_text().splitlines()[0])
         assert len(header["meta"]["trace"]) == 3
+
+    @pytest.mark.parametrize("algorithm", ["random", "kmeans"])
+    def test_trace_with_another_algorithm_exits_1_without_output(self, workspace, caplog,
+                                                                 algorithm):
+        out = workspace / "sel.jsonl"
+        code = run_cli("select", "--embeddings", workspace / "doc_embs.jsonl",
+                       "--algorithm", algorithm, "--k", 3, "--trace", "--out", out)
+        assert code == 1
+        assert "--trace applies to --algorithm greedy only" in caplog.text
+        assert not out.exists()
+
+    def test_trace_with_another_algorithm_is_refused_before_any_file_is_read(self, tmp_path,
+                                                                             caplog):
+        code = run_cli("select", "--embeddings", tmp_path / "missing.jsonl",
+                       "--config", tmp_path / "missing.json",
+                       "--algorithm", "kmeans", "--trace", "--out", tmp_path / "sel.jsonl")
+        assert code == 1
+        assert "--trace applies to --algorithm greedy only, not kmeans" in caplog.text
+        assert "missing" not in caplog.text
 
 
 class TestFilterRetrieve:
@@ -362,7 +378,7 @@ class TestRerank:
         write_run(run_from_candidates("q1", ["a", "b"]) + run_from_candidates("q2", ["a", "gone"]),
                   str(tmp_path / "first.run"))
         monkeypatch.setattr(backends, "HttpTransport",
-                            lambda endpoint: ReplySession([reply("[2] > [1]")]))
+                            lambda endpoint, timeout: ReplySession([reply("[2] > [1]")]))
         out = tmp_path / "out.run"
         code = run_cli("rerank", "--run", tmp_path / "first.run",
                        "--queries", tmp_path / "queries.jsonl",
@@ -387,7 +403,7 @@ class TestRerank:
         (tmp_path / "queries.jsonl").write_text(json.dumps({"id": "q1", "text": "chart"}) + "\n")
         write_run(run_from_candidates("q1", ["d0", "d1"]), str(tmp_path / "first.run"))
         # ReplySession fails the test on any request
-        monkeypatch.setattr(backends, "HttpTransport", lambda endpoint: ReplySession())
+        monkeypatch.setattr(backends, "HttpTransport", lambda endpoint, timeout: ReplySession())
         out = tmp_path / "out.run"
         code = run_cli("rerank", "--run", tmp_path / "first.run",
                        "--queries", tmp_path / "queries.jsonl",
@@ -406,7 +422,7 @@ class TestRerank:
         write_run(run_from_candidates("q1", [d.id for d in docs]), str(tmp_path / "first.run"))
         for window, sizes in ((5, [5] * 11), (15, [15, 15])):
             session = WindowSession()
-            monkeypatch.setattr(backends, "HttpTransport", lambda endpoint: session)
+            monkeypatch.setattr(backends, "HttpTransport", lambda endpoint, timeout: session)
             out = tmp_path / f"w{window}.run"
             code = run_cli("rerank", "--run", tmp_path / "first.run",
                            "--queries", tmp_path / "queries.jsonl",
@@ -420,7 +436,7 @@ class TestRerank:
                                                                  caplog):
         identity = reply(" > ".join(f"[{i}]" for i in range(1, 11)))
         session = ReplySession([{"choices": None}, reply(None), identity])
-        monkeypatch.setattr(backends, "HttpTransport", lambda endpoint: session)
+        monkeypatch.setattr(backends, "HttpTransport", lambda endpoint, timeout: session)
         out = workspace / "out.run"
         code = run_cli("rerank", "--run", workspace / "input.run",
                        "--queries", workspace / "queries.jsonl",
@@ -588,7 +604,7 @@ class TestConfigAndErrors:
     ])
     def test_bad_rerank_setting_is_fatal_before_any_request(self, workspace, monkeypatch,
                                                            caplog, argv, key):
-        monkeypatch.setattr(backends, "HttpTransport", lambda endpoint: ReplySession())
+        monkeypatch.setattr(backends, "HttpTransport", lambda endpoint, timeout: ReplySession())
         out = workspace / "out.run"
         code = run_cli("rerank", "--run", workspace / "input.run",
                        "--queries", workspace / "queries.jsonl",
@@ -634,7 +650,7 @@ class TestConfigAndErrors:
     def test_a_bad_api_key_exits_1_before_any_request(self, workspace, monkeypatch, caplog,
                                                        command, key):
         set_api_key(monkeypatch, key)
-        monkeypatch.setattr(backends, "HttpTransport", lambda endpoint: ReplySession())
+        monkeypatch.setattr(backends, "HttpTransport", lambda endpoint, timeout: ReplySession())
         out = workspace / "out"
         if command == "rerank":
             inputs = ["--run", workspace / "input.run", "--corpus", workspace / "corpus.jsonl"]

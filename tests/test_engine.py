@@ -1,5 +1,5 @@
+import json
 import threading
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -41,14 +41,13 @@ def reply(content):
 
 
 class ReplySession:
-    """Stands in for ``requests.Session``: each post answers 200 with the next body."""
+    """Stands in for ``backends.HttpTransport``: each post answers with the next body."""
 
     def __init__(self, bodies):
         self.bodies = list(bodies)
 
-    def post(self, url, **kwargs):
-        body = self.bodies.pop(0)
-        return SimpleNamespace(status_code=200, json=lambda: body)
+    def post(self, body, headers):
+        return json.dumps(self.bodies.pop(0)).encode()
 
 
 def make_fixture(n, qid="q1"):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rankkit.errors import (
     DuplicateIndex,
+    InvariantViolation,
     LengthMismatch,
     NonPositiveTemperature,
     OutOfRange,
@@ -201,6 +202,23 @@ class TestListwiseLoss:
     def test_extreme_scores_do_not_overflow(self):
         report = listwise_loss([500.0, -500.0, 0.0], identity_permutation(3), 0.1)
         assert math.isfinite(report.loss)
+
+
+@pytest.mark.parametrize("fn", [listwise_loss, listwise_loss_grad])
+@pytest.mark.parametrize("scores,tau", [
+    ([1e308, 0.0], 0.1),  # a loss of nan and a gradient of [nan, 0]
+    ([2.0, 1.0], 1e-310),  # a loss of nan
+])
+def test_finite_scores_that_overflow_at_tau_are_refused(fn, scores, tau):
+    with pytest.raises(InvariantViolation, match="tau"):
+        fn(scores, Permutation((1, 2)), tau)
+
+
+@pytest.mark.parametrize("fn", [plackett_luce_prob, listwise_loss, listwise_loss_grad])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_score_that_is_not_finite_is_refused(fn, bad):
+    with pytest.raises(InvariantViolation, match="scores must be finite"):
+        fn([1.0, bad], Permutation((1, 2)))
 
 
 def finite_difference_grad(scores, perm, tau, h=1e-5):

@@ -11,7 +11,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from rankkit.backends import HttpBackend, HttpReply, RetryPolicy
+from rankkit.backends import HttpBackend, RetryPolicy
 from rankkit.config import PipelineConfig
 from rankkit.embedding import EmbeddingRecord, FilterResult, SelectionResult
 from rankkit.engine import RerankReport, WindowConfig
@@ -35,7 +35,6 @@ CASES = [
                               doc_ids=("d1",))),
     (RetryPolicy, False, dict(max_attempts=3, base_delay=0.5, factor=3.0, jitter=0.0,
                               sleep=time.sleep)),
-    (HttpReply, False, dict(status_code=200, content=b"{}")),
     # any comparable, picklable session: the constructor only stores it
     (HttpBackend, False, dict(endpoint="http://127.0.0.1:9/v1", model="m", timeout=5.0,
                               session=("stand-in session",))),
@@ -64,7 +63,7 @@ CASES = [
 
 def test_every_value_type_has_a_case():
     assert {cls for cls, _, _ in CASES} == set(Value.__subclasses__())
-    assert len(CASES) == 21
+    assert len(CASES) == 20
 
 
 def hash_of(x):
