@@ -141,7 +141,7 @@ def cmd_retrieve(args: argparse.Namespace) -> None:
         ids = embedding.top_k_by_distance(q, index, cfg.top_k, rows)
         # 1-D euclidean_dist, not the index's row-wise norm: the two differ in
         # the last bit on some rows, and the written scores stay as they were
-        scores = [-embedding.euclidean_dist(q, index.matrix[index.by_id[d]]) for d in ids]
+        scores = [-embedding.euclidean_dist(q, index.matrix[i]) for i in index.rows_of(ids, rows)]
         entries.extend(metrics.run_from_candidates(qid, ids, scores, tag="retrieve"))
     metrics.write_run(entries, args.out)
 

@@ -40,7 +40,9 @@ could, within a rigorous floating-point error bound, reach the k-th
 smallest.  ``top_k_by_distance`` then re-scores one query's candidates
 exactly as ``norm(x[rows] - q, axis=1)`` and stably sorts them by
 (distance, row).  The ids returned are therefore the same, ties included,
-as a stable sort of the literal distances of every row.
+as a stable sort of the literal distances of every row.  The index keeps
+no id -> row map: a caller that needs the rows of the ids it got looks
+them up among that query's candidates (``CorpusIndex.rows_of``).
 
 k-means keeps two bounds per row, an upper bound on its distance to its own
 centroid and a lower bound on its distance to every other one (Hamerly,
@@ -66,11 +68,14 @@ matrix without another copy.  The file is streamed in chunks of about
 the id holds no quote, backslash or control byte, and the bodies pass
 ``_json_numbers``; then one ``np.loadtxt`` call parses all of its vectors,
 and their row count and width are checked.  ``EmbeddingRows`` checks the
-ids and the finiteness of the whole matrix once.  Any line, chunk or matrix
-that fails a check sends the whole file through the JSON-per-line reader
-(``types.read_jsonl``), which is the specification: it reports every
-``MalformedLine`` with its file:line (a row of another width than the first
-too), then stacks the rows.  Both give the same ids and bit-identical rows.
+ids once, and the finiteness of the matrix in the one pass that forms its
+squared row norms, which the index and k-means then take as they are, so a
+command passes over its corpus matrix once before any product.  Any line,
+chunk or matrix that fails a check sends the whole file through the
+JSON-per-line reader (``types.read_jsonl``), which is the specification: it
+reports every ``MalformedLine`` with its file:line (a row of another width
+than the first too), then stacks the rows.  Both give the same ids and
+bit-identical rows.
 
 Each file is parsed once while its bytes stay the same.  The first pass
 over a regular file, which counts its lines, also takes the SHA-256 of its
@@ -93,14 +98,15 @@ each read.  On a network filesystem whose clock runs more than 2 s behind
 this host's, a write in the same timestamp step as the hashing stat may go
 unseen until the file changes again.  A hit maps the entry's matrix
 read-only instead of copying it, after checking that its header fits the
-file, and builds ``EmbeddingRows`` from it, which checks the rows again, so
-a hit gives the rows of a parse.  rankkit only ever replaces an entry with
-``os.replace``, so rows mapped from the old entry keep their values; an
-entry truncated in place by another hand can crash a reader that has it
-mapped.  Any entry that fails to load or check is a miss that parses the
-file and replaces it; any failure to read or write the cache is logged at
-debug level and changes nothing else, and each read logs one debug line
-with its outcome: ``stat hit``, ``digest hit``, ``miss`` or ``uncached``.
+file, and builds ``EmbeddingRows`` from it, which checks the rows again in
+the pass that forms their norms, so a hit gives the rows and the norms of a
+parse.  rankkit only ever replaces an entry with ``os.replace``, so rows
+mapped from the old entry keep their values; an entry truncated in place by
+another hand can crash a reader that has it mapped.  Any entry that fails
+to load or check is a miss that parses the file and replaces it; any
+failure to read or write the cache is logged at debug level and changes
+nothing else, and each read logs one debug line with its outcome:
+``stat hit``, ``digest hit``, ``miss`` or ``uncached``.
 A cache directory or entry that is not the current user's, or that others
 may write to, is not used.
 A path that is not a regular file (a pipe, a FIFO, ``/dev/stdin``) can be
@@ -258,7 +264,12 @@ class EmbeddingRows(abc.Sequence):
 
     The one place where rows are checked, whoever builds them: one id per
     row, each a valid id and none repeated, rows of one or more values,
-    and only finite values."""
+    and only finite values.  The finiteness check is the one pass over the
+    matrix that ``_sq_norms`` makes, and its results stay as ``sq_norms``
+    and ``norms`` (read-only), which ``CorpusIndex`` and
+    ``kmeans_centroid_select`` take instead of a pass of their own.  A row
+    of finite values whose squares overflow has an infinite ``sq_norms``
+    entry; the distance bounds send it to the literal path."""
 
     def __init__(self, matrix: np.ndarray, ids: Sequence[str]):
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
@@ -279,15 +290,21 @@ class EmbeddingRows(abc.Sequence):
         if len(set(ids)) < len(ids):
             repeat = next(i for i, count in Counter(ids).items() if count > 1)
             raise InvariantViolation(f"embedding record id {repeat!r} repeats")
-        # a NaN or an inf makes the sum non-finite; only a sum of finite
-        # values that overflowed needs the scan, which takes a bool per entry
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = matrix.sum()
-        if not np.isfinite(total) and not np.isfinite(matrix).all():
-            row = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
-            raise InvariantViolation(f"embedding record {ids[row]}: non-finite entries")
+        # a NaN or an inf makes its row's squared norm non-finite; only those
+        # rows, and rows of finite values whose squares overflowed, need the
+        # scan, which takes a bool per entry
+        sq_norms, norms = _sq_norms(matrix)
+        suspect = np.flatnonzero(~np.isfinite(sq_norms))
+        if suspect.size:
+            bad = suspect[~np.isfinite(matrix[suspect]).all(axis=1)]
+            if bad.size:
+                row = int(bad[0])
+                raise InvariantViolation(f"embedding record {ids[row]}: non-finite entries")
+        sq_norms.flags.writeable = norms.flags.writeable = False
         self.matrix = matrix
         self.ids = ids
+        self.sq_norms = sq_norms
+        self.norms = norms
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -477,17 +494,24 @@ def _sq_dist_bounds(dots: np.ndarray, x_sq: np.ndarray, x_norms: np.ndarray,
 class CorpusIndex:
     """A corpus stacked once for exact top-k queries by Euclidean distance.
 
-    Holds the float64 matrix (the matrix of ``EmbeddingRows`` itself, not a
-    copy), its squared row norms, the ids in input order and an id -> row
-    map.  Build one per command and pass it to every ``top_k_by_distance``
-    call; an empty corpus fails here, once.
+    Holds the float64 matrix, its squared row norms and norms, and the ids
+    in input order, all of them those of ``EmbeddingRows`` itself, not
+    copies, so building one makes no pass over the matrix.  Build one per
+    command and pass it to every ``top_k_by_distance`` call; an empty
+    corpus fails here, once.
     """
 
     def __init__(self, rows: EmbeddingRows):
         self.matrix = _matrix(rows)
-        self.sq_norms, self.norms = _sq_norms(self.matrix)
+        self.sq_norms, self.norms = rows.sq_norms, rows.norms
         self.ids = rows.ids
-        self.by_id = {ident: i for i, ident in enumerate(self.ids)}
+
+    def rows_of(self, ids: Sequence[str], candidates: np.ndarray) -> list[int]:
+        """The row of each of ``ids``, looked up among one query's
+        ``candidates`` (the rows that ``top_k_by_distance`` ranked them from),
+        not among every row of the corpus."""
+        row_of = {self.ids[i]: i for i in candidates.tolist()}
+        return [row_of[ident] for ident in ids]
 
     def candidates(self, queries: np.ndarray, k: int) -> list[np.ndarray]:
         """For each row of the matrix ``queries``, in ascending order, the
@@ -569,8 +593,8 @@ def nearest_pairs(
     pairs that ``quality_filter`` takes."""
     pairs = []
     for qid, q, rows in zip(queries.ids, queries.matrix, index.candidates(queries.matrix, 1)):
-        top = top_k_by_distance(q, index, 1, rows)[0]
-        pairs.append((q, index.matrix[index.by_id[top]], (qid, top)))
+        top = top_k_by_distance(q, index, 1, rows)
+        pairs.append((q, index.matrix[index.rows_of(top, rows)[0]], (qid, top[0])))
     return pairs
 
 
@@ -608,7 +632,7 @@ def kmeans_centroid_select(
     # one set of work arrays per run: fresh ones per block fault their pages
     # in anew (twice the time of a step) and shift the heap layout
     work = np.empty((3, max(1, min(n, _BLOCK_BYTES // (8 * k))), k))
-    x_sq, x_norms = _sq_norms(x)
+    x_sq, x_norms = rows.sq_norms, rows.norms
     # the narrowest dtype: a stable argsort of 8- or 16-bit keys is a radix sort
     assign = np.zeros(n, dtype=np.min_scalar_type(k - 1))
     # each row's bounds on its distance to its own centroid and to every other

@@ -10,6 +10,7 @@ scores 10x, which makes naive exp() overflow a real possibility.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +22,11 @@ from .types import Permutation, Value
 def _scaled(scores: Sequence[float], perm: Permutation,
             tau: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """``perm``'s 0-based order and the scores in that order divided by tau,
-    checked once: every scaled value must be finite."""
+    checked once (every scaled value, and the span from the least to the
+    largest, must be finite), less the largest of them.  Every result is a function of the differences of the scaled
+    scores, so the shift changes none, but it keeps the digits of scores
+    that are large and close: ``[1e12 + 2, 1e12]`` and ``[2, 0]`` give the
+    same loss and gradient."""
     if not tau > 0:
         raise NonPositiveTemperature(f"tau={tau}")
     s = np.asarray(scores, dtype=np.float64)
@@ -32,10 +37,16 @@ def _scaled(scores: Sequence[float], perm: Permutation,
     order = np.asarray(perm.order) - 1
     with np.errstate(over="ignore"):
         t = s[order] / tau
-    if not np.all(np.isfinite(t)):
+    # the span is finite exactly when every value is and no difference of
+    # two of them overflows
+    top, least = float(t.max()), float(t.min())
+    if not math.isfinite(top - least):
         if not np.all(np.isfinite(s)):
             raise InvariantViolation("scores must be finite")
-        raise InvariantViolation(f"scores / tau overflow at tau={tau}")
+        if not (math.isfinite(top) and math.isfinite(least)):
+            raise InvariantViolation(f"scores / tau overflow at tau={tau}")
+        raise InvariantViolation(f"scores / tau span past the float64 range at tau={tau}")
+    t -= top
     return order, t
 
 

@@ -1,11 +1,21 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import set_api_key, write_documents
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankkit import backends, cli
-from rankkit.embedding import EmbeddingRecord, euclidean_dist, read_embeddings, write_embeddings
+from rankkit.embedding import (
+    EmbeddingRecord,
+    euclidean_dist,
+    quality_filter,
+    read_embeddings,
+    write_embeddings,
+)
 from rankkit.errors import DimensionMismatch, MalformedLine
 from rankkit.metrics import read_run, run_from_candidates, write_run
 from rankkit.pipeline import CONFIDENCE_FORMULA, read_labels
@@ -120,7 +130,62 @@ class TestSelect:
         assert "missing" not in caplog.text
 
 
+@st.composite
+def grid_corpora(draw):
+    """Docs and queries on a small integer grid, scaled: distinct rows lie
+    at equal distances from a query, rows repeat, half the queries are
+    corpus rows, and a row or a query may be zero.  With a k past N at times
+    and a filter threshold."""
+    n, d, m = draw(st.integers(1, 12)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    queries = rng.integers(-2, 3, size=(m, d)).astype(np.float64)
+    copies = rng.random(m) < 0.5
+    queries[copies] = x[rng.integers(0, n, size=int(copies.sum()))]
+    scale = draw(st.sampled_from([1.0, 0.1, 1e-3, 1e3]))
+    return (x * scale, queries * scale, draw(st.integers(1, n + 2)),
+            draw(st.sampled_from([-1.0, 0.0, 0.5])))
+
+
 class TestFilterRetrieve:
+    @settings(max_examples=40, deadline=None)
+    @given(grid_corpora())
+    def test_filter_retrieve_and_distill_match_the_literal_oracle(self, case):
+        x, queries, k, threshold = case
+        orders = [np.argsort(np.linalg.norm(x - q, axis=1), kind="stable") for q in queries]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            docs, qembs = tmp / "docs.jsonl", tmp / "qembs.jsonl"
+            write_embeddings([EmbeddingRecord(f"d{i}", v) for i, v in enumerate(x)], str(docs))
+            write_embeddings([EmbeddingRecord(f"q{i}", v) for i, v in enumerate(queries)],
+                             str(qembs))
+            (tmp / "queries.jsonl").write_text("".join(
+                json.dumps({"id": f"q{i}", "text": "question"}) + "\n"
+                for i in range(len(queries))))
+            assert run_cli("filter", "--query-embeddings", qembs, "--doc-embeddings", docs,
+                           "--quality-threshold", threshold, "--out", tmp / "kept.jsonl") == 0
+            assert run_cli("retrieve", "--query-embeddings", qembs, "--doc-embeddings", docs,
+                           "--k", k, "--out", tmp / "retrieved.run") == 0
+            assert run_cli("distill", "--queries", tmp / "queries.jsonl",
+                           "--query-embeddings", qembs, "--doc-embeddings", docs,
+                           "--backend", "identity", "--top-k", k,
+                           "--out", tmp / "labels.jsonl") == 0
+            kept = [json.loads(line) for line in (tmp / "kept.jsonl").read_text().splitlines()]
+            run = (tmp / "retrieved.run").read_text().splitlines()
+            labels = (tmp / "labels.jsonl").read_text().splitlines()[1:]
+        expected = quality_filter([(q, x[order[0]], (f"q{qi}", f"d{order[0]}"))
+                                   for qi, (q, order) in enumerate(zip(queries, orders))],
+                                  threshold)
+        assert kept[0]["meta"] == {"threshold": threshold, "kept": expected.kept_count,
+                                   "dropped_below": expected.dropped_below,
+                                   "dropped_zero": expected.dropped_zero}
+        assert [(r["query_id"], r["doc_id"]) for r in kept[1:]] == [p for _, _, p in expected.kept]
+        assert run == [f"q{qi} Q0 d{i} {rank} {-euclidean_dist(q, x[i])!r} retrieve"
+                       for qi, (q, order) in enumerate(zip(queries, orders))
+                       for rank, i in enumerate(order[:k], 1)]
+        assert [json.loads(line)["candidate_ids"] for line in labels] == \
+               [[f"d{i}" for i in order[:k]] for order in orders]
+
     def test_filter_top1_pairing(self, workspace):
         out = workspace / "pairs.jsonl"
         code = run_cli("filter", "--query-embeddings", workspace / "query_embs.jsonl",

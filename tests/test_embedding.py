@@ -747,6 +747,45 @@ def test_rows_of_no_values_are_refused():
     assert len(EmbeddingRows(np.empty((0, 0)), [])) == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3),
+                          st.sampled_from([np.nan, np.inf, -np.inf])), min_size=1, max_size=4))
+def test_the_first_row_with_a_non_finite_value_is_named(n, d, seed, bad):
+    # rows of huge finite values, whose squared norms overflow too, go to
+    # the same per-entry check and pass it
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d)) * np.where(rng.random(n) < 0.5, 1e200, 1.0)[:, None]
+    for row, col, value in bad:
+        x[row % n, col % d] = value
+    first = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])  # the rule of the full scan
+    with pytest.raises(InvariantViolation) as exc:
+        EmbeddingRows(x, [f"r{i}" for i in range(n)])
+    assert str(exc.value) == f"embedding record r{first}: non-finite entries"
+
+
+def test_rows_of_huge_finite_values_load_with_infinite_squared_norms():
+    x = np.array([[1e200, -1e200], [-1e200, 1.0], [0.5, 0.25]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = EmbeddingRows(x, ["a", "b", "c"])
+    assert rows.matrix.tobytes() == x.tobytes()
+    assert rows.sq_norms.tolist() == [np.inf, np.inf, 0.3125]
+    assert rows.norms.tolist() == [np.inf, np.inf, np.sqrt(0.3125)]
+
+
+def test_the_index_takes_the_norms_of_its_rows_and_holds_no_id_map():
+    rows = random_records(np.random.default_rng(2), 30, 5)
+    with mock.patch.object(embedding, "_sq_norms", wraps=embedding._sq_norms) as sq_norms:
+        index = CorpusIndex(rows)
+    sq_norms.assert_not_called()
+    assert index.sq_norms is rows.sq_norms and index.norms is rows.norms
+    assert not hasattr(index, "by_id")
+    for q, cand in zip(rows.matrix[:3], index.candidates(rows.matrix[:3], 4)):
+        ids = top_k_by_distance(q, index, 4, cand)
+        assert [rows.ids[i] for i in index.rows_of(ids, cand)] == ids
+
+
 def test_rows_whose_sum_overflows_are_finite():
     x = np.full((3, 2), 1.5e308)
     with warnings.catch_warnings():

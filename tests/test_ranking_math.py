@@ -169,6 +169,7 @@ class TestListwiseLoss:
     def test_per_step_terms_are_the_python_floats_of_the_terms(self, case):
         scores, perm, tau = case
         t = np.asarray(scores, dtype=np.float64)[np.asarray(perm.order) - 1] / tau
+        t -= t.max()  # as _scaled shifts them
         terms = _suffix_logsumexp(t) - t
         got = listwise_loss(scores, perm, tau).per_step_terms
         assert all(type(x) is float for x in got)
@@ -182,6 +183,25 @@ class TestListwiseLoss:
         a = listwise_loss(scores.tolist(), perm, 0.1).loss
         b = listwise_loss((scores + 42.0).tolist(), perm, 0.1).loss
         assert a == pytest.approx(b, abs=1e-9)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e12, -1e12, 1e15])
+    def test_a_shared_shift_of_large_scores_changes_nothing(self, shift):
+        # unshifted, [1e12 + 2, 1e12] gave a loss of 0.126953125 and a
+        # gradient summing to 3.8e-5
+        perm = Permutation((1, 2))
+        scores = [2.0 + shift, 0.0 + shift]
+        w = 1.0 / (1.0 + math.exp(2.0))  # the softmax weight of the second score
+        assert listwise_loss(scores, perm, 1.0).loss == pytest.approx(math.log1p(math.exp(-2.0)),
+                                                                      rel=0, abs=1e-12)
+        assert listwise_loss_grad(scores, perm, 1.0) == pytest.approx([-w, w], rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("big", [1e15, 1e16, 1e300, 8e307])
+    def test_a_wide_span_gives_the_exact_loss_and_gradient(self, big):
+        # unshifted, [1e15, -1e15] gave a gradient of [1.117, -1.0] and
+        # [1e16, -1e16] one of [0.0, -1.0]
+        perm = Permutation((2, 1))
+        assert listwise_loss([big, -big], perm, 1.0).loss == 2 * big
+        assert listwise_loss_grad([big, -big], perm, 1.0).tolist() == [1.0, -1.0]
 
     def test_argmin_is_descending_sort(self):
         rng = np.random.default_rng(23)
@@ -208,6 +228,7 @@ class TestListwiseLoss:
 @pytest.mark.parametrize("scores,tau", [
     ([1e308, 0.0], 0.1),  # a loss of nan and a gradient of [nan, 0]
     ([2.0, 1.0], 1e-310),  # a loss of nan
+    ([1e308, -1e308], 1.0),  # a span past float64: overflow warnings and, shifted, a nan loss
 ])
 def test_finite_scores_that_overflow_at_tau_are_refused(fn, scores, tau):
     with pytest.raises(InvariantViolation, match="tau"):

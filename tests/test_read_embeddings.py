@@ -288,6 +288,35 @@ def test_written_embeddings_take_the_fast_path_and_share_one_matrix(tmp_path):
             == greedy_diversity_select(stack_records(recs), 5).selected_ids)
 
 
+def assert_norms_of_matrix(rows):
+    """``rows`` holds ``_sq_norms`` of its own matrix, bit for bit, read-only."""
+    sq, norms = embedding._sq_norms(rows.matrix)
+    assert rows.sq_norms.tobytes() == sq.tobytes() and rows.norms.tobytes() == norms.tobytes()
+    assert not rows.sq_norms.flags.writeable and not rows.norms.flags.writeable
+
+
+def test_rows_keep_the_norms_of_their_matrix_whatever_built_them(tmp_path):
+    rng = np.random.default_rng(12)
+    # squares that overflow, and squares that underflow
+    x = rng.normal(size=(40, 7)) * 10.0 ** rng.choice([-200, 0, 200], size=(40, 1))
+    recs = [EmbeddingRecord(f"d{i}", v) for i, v in enumerate(x)]
+    canonical, keyed = tmp_path / "fast.jsonl", tmp_path / "json.jsonl"
+    write_embeddings(recs, str(canonical))
+    keyed.write_text("".join(json.dumps({"vector": r.vector.tolist(), "id": r.id}) + "\n"
+                             for r in recs))
+    assert fast(canonical) and not fast(keyed)
+    for path in (canonical, keyed):
+        miss = read_embeddings(str(path))
+        with spy(embedding, "_read_rows") as read_rows:
+            hit = read_embeddings(str(path))
+        read_rows.assert_not_called()
+        for rows in (miss, hit, miss[5:17]):
+            assert_norms_of_matrix(rows)
+        assert hit.sq_norms.tobytes() == miss.sq_norms.tobytes()
+    assert_norms_of_matrix(stack_records(recs))
+    assert np.isinf(miss.sq_norms).any()  # squares past the float64 range
+
+
 def test_empty_file_reads_as_no_records(tmp_path):
     for name, text in (("blank.jsonl", "\n  \n"), ("empty.jsonl", "")):
         path = tmp_path / name
