@@ -337,7 +337,7 @@ class HttpBackend(Value):
         body = self.session.post(json.dumps(payload).encode(), headers)
         try:
             content = json.loads(body)["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
             raise BackendError(f"malformed completion response: {exc!r}") from exc
         if not isinstance(content, str):
             raise BackendError(f"malformed completion response: content is {content!r}")

@@ -130,6 +130,8 @@ def cmd_select(args: argparse.Namespace) -> None:
 
 
 def cmd_retrieve(args: argparse.Namespace) -> None:
+    import numpy as np
+
     from . import embedding, metrics
 
     cfg = _load_config(args)
@@ -137,12 +139,17 @@ def cmd_retrieve(args: argparse.Namespace) -> None:
     index = embedding.CorpusIndex(embedding.read_embeddings(args.doc_embeddings))
     candidates = index.candidates(query_embs.matrix, cfg.top_k)
     entries = []
-    for qid, q, rows in zip(query_embs.ids, query_embs.matrix, candidates):
-        ids = embedding.top_k_by_distance(q, index, cfg.top_k, rows)
-        # 1-D euclidean_dist, not the index's row-wise norm: the two differ in
-        # the last bit on some rows, and the written scores stay as they were
-        scores = [-embedding.euclidean_dist(q, index.matrix[i]) for i in index.rows_of(ids, rows)]
-        entries.extend(metrics.run_from_candidates(qid, ids, scores, tag="retrieve"))
+    # a squared distance past the float range is refused below, as a score
+    # of -inf that no run file can hold
+    with np.errstate(over="ignore"):
+        for qid, q, rows in zip(query_embs.ids, query_embs.matrix, candidates):
+            ids = embedding.top_k_by_distance(q, index, cfg.top_k, rows)
+            scores = [-embedding.euclidean_dist(q, index.matrix[i])
+                      for i in index.rows_of(ids, rows)]
+            if -np.inf in scores:
+                raise RankkitError(f"query {qid}: its distance to doc "
+                                   f"{ids[scores.index(-np.inf)]} overflows")
+            entries.extend(metrics.run_from_candidates(qid, ids, scores, tag="retrieve"))
     metrics.write_run(entries, args.out)
 
 
@@ -179,8 +186,7 @@ def cmd_distill(args: argparse.Namespace) -> list[str]:
 
     cfg = _load_config(args)
     queries = types.read_queries(args.queries)
-    query_rows = embedding.read_embeddings(args.query_embeddings)
-    query_embs = dict(zip(query_rows.ids, query_rows.matrix))
+    query_embs = embedding.read_embeddings(args.query_embeddings)
     corpus_embs = embedding.read_embeddings(args.doc_embeddings)
     corpus = None
     if args.corpus:

@@ -43,6 +43,8 @@ exactly as ``norm(x[rows] - q, axis=1)`` and stably sorts them by
 as a stable sort of the literal distances of every row.  The index keeps
 no id -> row map: a caller that needs the rows of the ids it got looks
 them up among that query's candidates (``CorpusIndex.rows_of``).
+``euclidean_dist`` forms one distance with the reduction of that
+row-wise norm, so a distance written beside a rank is its sort key.
 
 k-means keeps two bounds per row, an upper bound on its distance to its own
 centroid and a lower bound on its distance to every other one (Hamerly,
@@ -119,6 +121,7 @@ import contextlib
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import stat
@@ -221,10 +224,15 @@ def cosine_sim(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def euclidean_dist(a: Sequence[float], b: Sequence[float]) -> float:
+    """``|a - b|`` from ``np.add.reduce`` of the squared differences: the
+    reduction of the row-wise ``np.linalg.norm(x - b, axis=1)`` that
+    ``top_k_by_distance`` sorts by, so ``a = x[i]`` gives the bits of row i
+    (the 1-D norm's BLAS dot does not).  A square that overflows gives inf."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     _check_dims(a, b)
-    return float(np.linalg.norm(a - b))
+    d = a - b
+    return math.sqrt(np.add.reduce(d * d))
 
 
 def quality_filter(
@@ -517,8 +525,9 @@ class CorpusIndex:
         """For each row of the matrix ``queries``, in ascending order, the
         rows of the corpus whose distance to it could, within the bound of
         ``_sq_dist_bounds``, be among its k least: a set that holds its k
-        nearest rows, ties included.  A query of another width than the
-        corpus raises ``DimensionMismatch``.
+        nearest rows, ties included.  A query matrix of another width than
+        the corpus raises ``DimensionMismatch``, one of no rows too, unless
+        it has no width either.
 
         The queries go in blocks whose B x N product of dot products stays
         within ``_PRODUCT_BYTES`` (one query at least).  Each block's
@@ -528,7 +537,7 @@ class CorpusIndex:
         queries = np.asarray(queries, dtype=np.float64)
         x = self.matrix
         n, d = x.shape
-        if len(queries) and queries.shape[1:] != (d,):
+        if queries.shape[1:] not in ((d,), (0,)):
             raise DimensionMismatch(f"query shape {queries.shape[1:]} vs corpus dim {d}")
         k = min(k, n)
         q_sq, q_norms = _sq_norms(queries)

@@ -1,8 +1,8 @@
 """Teacher-label distillation.
 
-The pipeline retrieves top-k candidates per query by Euclidean distance in
-a shared embedding space, asks a teacher backend to rerank them, scores
-each label's confidence, and keeps the best labels up to a budget.
+The pipeline retrieves each query's top-k candidates as ``retrieve`` ranks
+them, asks a teacher backend to rerank them, scores each label's
+confidence, and keeps the best labels up to a budget.
 
 Confidence is a proxy: the Kendall tau between the teacher's ordering and
 the retrieval-similarity order the candidates were presented in, minus 0.1
@@ -15,8 +15,6 @@ from __future__ import annotations
 import json
 import logging
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .backends import Backend, RetryPolicy
 from .config import PipelineConfig
@@ -111,19 +109,16 @@ def _placeholder_doc(doc_id: str, mode: str) -> Document:
 
 def distill_one(
     query: Query,
-    query_emb,
-    index: CorpusIndex,
+    candidate_ids: Sequence[str],
     backend: Backend,
     cfg: PipelineConfig,
     corpus: Mapping[str, Document] | None = None,
-    rows: np.ndarray | None = None,
 ) -> TeacherLabel:
-    """Retrieve, prompt the teacher, parse/repair, and score one label.  A
-    teacher whose reply and parse retry are both unparseable ranked nothing,
-    so the query fails with ``Unparseable`` instead of taking the input
-    order as a label of confidence 1.  ``rows``: the query's candidates, as
-    ``top_k_by_distance`` takes them."""
-    candidate_ids = top_k_by_distance(query_emb, index, cfg.top_k, rows)
+    """Prompt the teacher over one query's retrieved candidates, parse and
+    repair its reply, and score the label.  A teacher whose reply and parse
+    retry are both unparseable ranked nothing, so the query fails with
+    ``Unparseable`` instead of taking the input order as a label of
+    confidence 1."""
     if corpus is None:
         corpus = {did: _placeholder_doc(did, cfg.mode) for did in candidate_ids}
     docs = resolve_docs(query.id, candidate_ids, corpus, cfg.mode)
@@ -154,7 +149,7 @@ class DistillSummary(Value):
 
 def distill(
     queries: Sequence[Query],
-    query_embs: Mapping[str, Sequence[float]],
+    query_embs: EmbeddingRows,
     corpus_embs: EmbeddingRows,
     backend: Backend,
     cfg: PipelineConfig,
@@ -162,26 +157,26 @@ def distill(
 ) -> tuple[list[TeacherLabel], DistillSummary]:
     """Produce one teacher label per query.
 
-    The corpus is indexed once, and the candidates of every query whose
-    vector has the corpus's width are nominated in blocks, before any
-    backend call; an empty corpus raises.  Per-query failures (missing
-    embedding, query dimension mismatch, dead backend, unresolvable docs)
-    are ``map_ordered``'s: logged and counted, never fatal.  Labels are
+    Retrieval is ``retrieve``'s, before any backend call: one index, one
+    ``CorpusIndex.candidates`` block for the queries that have an
+    embedding, and ``top_k_by_distance`` for each; an empty corpus, or
+    query vectors of another width, raise.  Per-query failures (missing
+    embedding, dead backend, unresolvable docs) are ``map_ordered``'s:
+    logged and counted, never fatal.  Labels are
     returned in query input order regardless of worker parallelism, so
     output files are reproducible.
     """
     index = CorpusIndex(corpus_embs)
-    vectors = {q.id: np.asarray(query_embs[q.id], dtype=np.float64)
-               for q in queries if q.id in query_embs}
-    dim = index.matrix.shape[1]
-    fit = [qid for qid, v in vectors.items() if v.shape == (dim,)]
-    block = np.reshape([vectors[qid] for qid in fit], (len(fit), dim))
-    candidates = dict(zip(fit, index.candidates(block, cfg.top_k)))
+    row_of = {qid: i for i, qid in enumerate(query_embs.ids)}
+    embedded = [q.id for q in queries if q.id in row_of]
+    block = query_embs.matrix[[row_of[qid] for qid in embedded]]
+    ranked = {qid: top_k_by_distance(q, index, cfg.top_k, rows)
+              for qid, q, rows in zip(embedded, block, index.candidates(block, cfg.top_k))}
 
     def one(q: Query) -> TeacherLabel:
-        if q.id not in vectors:
+        if q.id not in ranked:
             raise ConfigError(f"query {q.id} has no embedding")
-        return distill_one(q, vectors[q.id], index, backend, cfg, corpus, candidates.get(q.id))
+        return distill_one(q, ranked[q.id], backend, cfg, corpus)
 
     labels, failed = map_ordered(one, queries, cfg.parallelism)
     return labels, DistillSummary(len(labels), len(failed), failed)

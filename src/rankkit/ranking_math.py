@@ -34,9 +34,11 @@ def _scaled(scores: Sequence[float], perm: Permutation,
         raise InvariantViolation("scores must be a flat sequence")
     if len(perm) != s.shape[0]:
         raise LengthMismatch(f"{s.shape[0]} scores vs permutation of size {len(perm)}")
-    order = np.asarray(perm.order) - 1
+    order = np.asarray(perm.order, dtype=np.intp) - 1
     with np.errstate(over="ignore"):
         t = s[order] / tau
+    if not t.size:  # an empty list: no step, so loss 0 and probability 1
+        return order, t
     # the span is finite exactly when every value is and no difference of
     # two of them overflows
     top, least = float(t.max()), float(t.min())

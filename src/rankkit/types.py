@@ -252,10 +252,11 @@ def _decode_line(path: str, lineno: int, raw: bytes) -> str:
 def read_jsonl(path: str, build: Callable[[dict], T]) -> list[T]:
     """``build(rec)`` for each JSON object line of ``path``, in file order.
 
-    Blank lines are skipped.  A line that is not UTF-8 or not a JSON object,
-    that ``build`` rejects (a number too large for a float included), or
-    whose built record repeats the ``id`` of an earlier one (documents,
-    queries, embedding records, teacher labels) raises ``MalformedLine`` naming path:line.
+    Blank lines are skipped.  A line that is not UTF-8 or not a JSON object
+    (one nested too deep to decode included), that ``build`` rejects (a
+    number too large for a float included), or whose built record repeats
+    the ``id`` of an earlier one (documents, queries, embedding records,
+    teacher labels) raises ``MalformedLine`` naming path:line.
     """
     out = []
     seen: dict[str, int] = {}  # id -> line of its first record
@@ -265,7 +266,8 @@ def read_jsonl(path: str, build: Callable[[dict], T]) -> list[T]:
             if not isinstance(rec, dict):
                 raise TypeError(f"expected a JSON object, got {type(rec).__name__}")
             item = build(rec)
-        except (ValueError, KeyError, TypeError, OverflowError, RankkitError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError,
+                RankkitError) as exc:
             raise MalformedLine(path, lineno, line, str(exc)) from exc
         ident = getattr(item, "id", None)
         if ident is not None and seen.setdefault(ident, lineno) != lineno:
@@ -281,7 +283,7 @@ def read_json_object(path: str) -> dict:
         raw = fh.read()
     try:
         obj = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(obj).__name__}")

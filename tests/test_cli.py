@@ -1,6 +1,8 @@
 import json
 import tempfile
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -89,6 +91,9 @@ def reply(content):
 
 HTTP = ["--backend", "http", "--endpoint", "http://127.0.0.1:9/v1", "--model", "m"]
 
+# brackets that nest past the JSON decoder's recursion limit
+DEEP = 100_000
+
 
 class TestSelect:
     @pytest.mark.parametrize("algorithm", ["greedy", "random", "kmeans"])
@@ -172,6 +177,7 @@ class TestFilterRetrieve:
                            "--out", tmp / "labels.jsonl") == 0
             kept = [json.loads(line) for line in (tmp / "kept.jsonl").read_text().splitlines()]
             run = (tmp / "retrieved.run").read_text().splitlines()
+            assert len(read_run(str(tmp / "retrieved.run"))) == len(run)  # scores fall with rank
             labels = (tmp / "labels.jsonl").read_text().splitlines()[1:]
         expected = quality_filter([(q, x[order[0]], (f"q{qi}", f"d{order[0]}"))
                                    for qi, (q, order) in enumerate(zip(queries, orders))],
@@ -206,9 +212,10 @@ class TestFilterRetrieve:
         entries = read_run(str(out))
         assert len(entries) == 15
 
-    def test_retrieve_scores_are_exact_1d_distances_in_oracle_order(self, tmp_path):
-        # 4-decimal data: on some rows the 1-D norm and the row-wise norm of
-        # x - q differ in the last bit, and the run file keeps the 1-D value
+    def test_retrieve_scores_are_the_row_wise_distances_in_oracle_order(self, tmp_path):
+        # 4-decimal data: on some rows the 1-D np.linalg.norm of x[i] - q
+        # differs in the last bit from the row-wise one, which the ranking
+        # sorts by; the run file holds the row-wise value
         rng = np.random.default_rng(5)
         x = np.round(rng.normal(size=(120, 16)), 4)
         queries = np.round(rng.normal(size=(3, 16)), 4)
@@ -222,22 +229,66 @@ class TestFilterRetrieve:
         assert code == 0
         expected = []
         for qi, q in enumerate(queries):
-            for rank, i in enumerate(np.argsort(np.linalg.norm(x - q, axis=1), kind="stable")[:50], 1):
-                expected.append((f"q{qi}", f"d{i}", str(rank), repr(-euclidean_dist(q, x[i]))))
+            dist = np.linalg.norm(x - q, axis=1)
+            for rank, i in enumerate(np.argsort(dist, kind="stable")[:50], 1):
+                expected.append((f"q{qi}", f"d{i}", str(rank), repr(-float(dist[i]))))
         got = [tuple(line.split()[i] for i in (0, 2, 3, 4)) for line in out.read_text().splitlines()]
         assert got == expected
 
-    def test_retrieve_with_queries_of_another_width_is_fatal(self, workspace, caplog):
+    def test_a_near_tie_writes_equal_scores_that_eval_reads(self, tmp_path):
+        # b is a with two coordinates of a - q swapped, so both lie at one
+        # distance from q; on the 11th draw the 1-D norm of b - q is a bit
+        # below that of a - q, so a run that wrote it rose from rank 1 to 2
+        rng = np.random.default_rng(0)
+        for _ in range(11):
+            q, a = rng.normal(size=8), rng.normal(size=8)
+        d = a - q
+        d[[0, 1]] = d[[1, 0]]
+        write_embeddings([EmbeddingRecord("a", a), EmbeddingRecord("b", q + d)],
+                         str(tmp_path / "docs.jsonl"))
+        write_embeddings([EmbeddingRecord("q1", q)], str(tmp_path / "queries.jsonl"))
+        (tmp_path / "qrels.txt").write_text("q1 0 a 1\n")
+        out = tmp_path / "retrieved.run"
+        assert run_cli("retrieve", "--query-embeddings", tmp_path / "queries.jsonl",
+                       "--doc-embeddings", tmp_path / "docs.jsonl", "--k", 2, "--out", out) == 0
+        scores = [line.split()[4] for line in out.read_text().splitlines()]
+        assert scores == [repr(-float(np.linalg.norm(a - q)))] * 2
+        assert run_cli("eval", "--run", out, "--qrels", tmp_path / "qrels.txt") == 0
+
+    @pytest.mark.parametrize("k,code", [(2, 1), (1, 0)])
+    def test_retrieve_refuses_a_distance_that_overflows(self, tmp_path, caplog, k, code):
+        write_embeddings([EmbeddingRecord("a", np.array([1.0, 0.0])),
+                          EmbeddingRecord("b", np.array([1e200, 0.0]))],
+                         str(tmp_path / "docs.jsonl"))
+        write_embeddings([EmbeddingRecord("q1", np.zeros(2))], str(tmp_path / "queries.jsonl"))
+        out = tmp_path / "retrieved.run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli("retrieve", "--query-embeddings", tmp_path / "queries.jsonl",
+                           "--doc-embeddings", tmp_path / "docs.jsonl", "--k", k,
+                           "--out", out) == code
+        if code:
+            assert "query q1: its distance to doc b overflows" in caplog.text
+            assert not out.exists()
+        else:
+            assert out.read_text() == "q1 Q0 a 1 -1.0 retrieve\n"
+
+    @pytest.mark.parametrize("command", ["retrieve", "distill"])
+    def test_queries_of_another_width_are_fatal(self, workspace, caplog, command):
         queries = workspace / "wide_queries.jsonl"
         write_embeddings([EmbeddingRecord("q1", np.ones(7))], str(queries))
-        argv = ["retrieve", "--query-embeddings", queries,
-                "--doc-embeddings", workspace / "doc_embs.jsonl", "--k", 3,
-                "--out", workspace / "retrieved.run"]
+        argv = [command, "--query-embeddings", queries,
+                "--doc-embeddings", workspace / "doc_embs.jsonl", "--out", workspace / "out"]
+        if command == "retrieve":
+            argv += ["--k", 3]
+        else:
+            argv += ["--queries", workspace / "queries.jsonl", "--backend", "identity"]
         assert run_cli(*argv) == 1
         assert "query shape (7,) vs corpus dim 6" in caplog.text
-        assert not (workspace / "retrieved.run").exists()
+        assert not (workspace / "out").exists()
         with pytest.raises(DimensionMismatch):
-            cli.cmd_retrieve(cli.build_parser().parse_args([str(a) for a in argv]))
+            args = cli.build_parser().parse_args([str(a) for a in argv])
+            args.func(args)
 
     def test_filter_pairs_with_unknown_id_is_fatal_with_file_and_line(self, workspace, caplog):
         pairs = workspace / "pairs_in.jsonl"
@@ -513,6 +564,21 @@ class TestRerank:
                                                      "2 queries failed"]
         assert all("malformed completion response" in e for e in errors[:2])
 
+    def test_a_reply_nested_too_deep_fails_only_its_query(self, workspace, monkeypatch, caplog):
+        deep = b'{"choices": ' + b"[" * DEEP + b"]" * DEEP + b"}"
+        identity = json.dumps(reply(" > ".join(f"[{i}]" for i in range(1, 11)))).encode()
+        bodies = [deep, identity, identity]
+        session = SimpleNamespace(post=lambda body, headers: bodies.pop(0))
+        monkeypatch.setattr(backends, "HttpTransport", lambda endpoint, timeout: session)
+        out = workspace / "out.run"
+        code = run_cli("rerank", "--run", workspace / "input.run",
+                       "--queries", workspace / "queries.jsonl",
+                       "--corpus", workspace / "corpus.jsonl", *HTTP, "--out", out)
+        assert code == 2
+        assert {e.query_id for e in read_run(str(out))} == {"q2", "q3"}
+        assert "query q1 failed: window 0: malformed completion response: RecursionError" \
+            in caplog.text
+
 
 class TestDistill:
     def test_distill_writes_labels_with_manifest(self, workspace):
@@ -622,7 +688,10 @@ class TestConfigAndErrors:
                        "--backend", "oracle", "--out", workspace / "x.run")
         assert code == 1
 
-    @pytest.mark.parametrize("content", [b'{"q1": "\xff"}', b"[1, 2]", b"{not json"])
+    @pytest.mark.parametrize("content", [
+        b'{"q1": "\xff"}', b"[1, 2]", b"{not json",
+        pytest.param(b'{"q1": ' + b"[" * DEEP + b"]" * DEEP + b"}", id="nested-too-deep"),
+    ])
     @pytest.mark.parametrize("flag", ["--config", "--groups"])
     def test_malformed_json_sidecar_is_fatal_and_named(self, workspace, caplog, flag, content):
         bad = workspace / "bad.json"
@@ -824,6 +893,7 @@ MALFORMED = [
     ("labels", [HEADER, _label(candidate_ids=["d1", "d1"])]),
     ("labels", [HEADER, _label(candidate_ids=["d1", 2])]),
     ("embeddings", ['{"id": "a", "vector": [1.0, 0.0]}', '{"id": "b", "vector": [1.0, 0.0, 0.0]}']),
+    ("queries", [VALID["queries"], '{"id": "q2", "text": ' + "[" * DEEP + "]" * DEEP + "}"]),
 ]
 
 

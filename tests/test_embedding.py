@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -82,6 +83,25 @@ class TestGeometry:
         a, b, c = rng.normal(size=(3, 6))
         assert cosine_sim(3.5 * a, b) == pytest.approx(cosine_sim(a, b), abs=1e-12)
         assert euclidean_dist(a, c) <= euclidean_dist(a, b) + euclidean_dist(b, c) + 1e-12
+
+    @given(st.sampled_from([1, 2, 3, 4, 7, 8, 9, 16, 17, 33, 128, 129, 384, 1031, 9000]),
+           st.integers(1, 12), st.integers(-310, 160), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_euclidean_dist_has_the_bits_of_the_row_wise_norm(self, d, n, exponent, grid, seed):
+        # retrieve writes euclidean_dist beside the ranks that
+        # top_k_by_distance sorts by this row-wise norm, over all rows or
+        # over a query's gathered candidates
+        rng = np.random.default_rng(seed)
+        draw = partial(rng.integers, -2, 3) if grid else partial(rng.normal, 0.0, 1.0)
+        x = draw((n, d)) * 10.0 ** exponent
+        q = draw(d) * 10.0 ** exponent
+        rows = np.sort(rng.permutation(n)[:max(1, n // 2)])
+        with np.errstate(over="ignore"):
+            every = np.linalg.norm(x - q, axis=1)
+            gathered = np.linalg.norm(x[rows] - q, axis=1)
+            dists = [euclidean_dist(q, row) for row in x]
+        assert dists == every.tolist()
+        assert [dists[i] for i in rows] == gathered.tolist()
 
 
 class TestQualityFilter:

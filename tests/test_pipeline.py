@@ -7,7 +7,7 @@ import pytest
 from rankkit.backends import IdentityBackend, OracleBackend, ReverseBackend, ScriptedBackend
 from rankkit.embedding import EmbeddingRecord, stack_records
 from rankkit.engine import WindowConfig
-from rankkit.errors import ConfigError, InvariantViolation, MalformedLine
+from rankkit.errors import ConfigError, DimensionMismatch, InvariantViolation, MalformedLine
 from rankkit.config import PipelineConfig, config_from_json
 from rankkit.pipeline import (
     CONFIDENCE_FORMULA,
@@ -32,6 +32,11 @@ def line_corpus(n, d=4):
     return stack_records(recs)
 
 
+def query_rows(qembs):
+    """The query vectors of ``{id: vector}`` as ``distill`` takes them."""
+    return stack_records([EmbeddingRecord(qid, v) for qid, v in qembs.items()])
+
+
 def origin_query(qid="q1", d=4):
     v = np.zeros(d)
     v[1] = 0.1
@@ -44,7 +49,7 @@ CFG3 = PipelineConfig(top_k=3, selection_k=2, window=WindowConfig(5, 2))
 class TestDistill:
     def test_identity_backend_full_agreement(self):
         q, qembs = origin_query()
-        labels, summary = distill([q], qembs, line_corpus(5), IdentityBackend(), CFG3)
+        labels, summary = distill([q], query_rows(qembs), line_corpus(5), IdentityBackend(), CFG3)
         assert summary.emitted == 1
         label = labels[0]
         assert label.candidate_ids == ("d1", "d2", "d3")  # ascending distance
@@ -54,13 +59,13 @@ class TestDistill:
 
     def test_reverse_backend_full_disagreement(self):
         q, qembs = origin_query()
-        labels, _ = distill([q], qembs, line_corpus(5), ReverseBackend(), CFG3)
+        labels, _ = distill([q], query_rows(qembs), line_corpus(5), ReverseBackend(), CFG3)
         assert labels[0].confidence == pytest.approx(-1.0)
 
     def test_repairs_penalize_confidence(self):
         q, qembs = origin_query()
         backend = ScriptedBackend(["[2] > [2] > [1]"])
-        labels, _ = distill([q], qembs, line_corpus(5), backend, CFG3)
+        labels, _ = distill([q], query_rows(qembs), line_corpus(5), backend, CFG3)
         label = labels[0]
         assert label.teacher_perm.order == (2, 1, 3)
         assert label.repair_count == 2
@@ -79,7 +84,7 @@ class TestDistill:
             q, e = origin_query(f"q{i}")
             queries.append(q)
             qembs.update(e)
-        labels, summary = distill(queries, qembs, line_corpus(5), ProseBackend(), CFG3)
+        labels, summary = distill(queries, query_rows(qembs), line_corpus(5), ProseBackend(), CFG3)
         assert labels == []
         assert (summary.emitted, summary.skipped) == (0, 3)
         assert summary.failed_query_ids == ["q0", "q1", "q2"]
@@ -89,31 +94,37 @@ class TestDistill:
     def test_missing_embedding_is_skipped_not_fatal(self):
         q1, qembs = origin_query("q1")
         q2 = Query(id="q2", text="no embedding")
-        labels, summary = distill([q1, q2], qembs, line_corpus(4), IdentityBackend(), CFG3)
+        labels, summary = distill([q1, q2], query_rows(qembs), line_corpus(4), IdentityBackend(),
+                                  CFG3)
         assert summary.emitted == 1
         assert summary.skipped == 1
         assert summary.failed_query_ids == ["q2"]
 
-    def test_a_query_vector_of_another_width_fails_only_its_query(self, caplog):
-        # the other queries' candidates are nominated in one block first
-        q1, qembs = origin_query("q1")
-        q2, wide = origin_query("q2", d=5)
-        q3, _ = origin_query("q3")
-        qembs.update(wide, q3=qembs["q1"])
-        labels, summary = distill([q1, q2, q3], qembs, line_corpus(5), IdentityBackend(), CFG3)
-        assert [(l.query_id, l.candidate_ids) for l in labels] == [
-            ("q1", ("d1", "d2", "d3")), ("q3", ("d1", "d2", "d3"))]
-        assert summary.failed_query_ids == ["q2"]
-        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert errors == ["query q2 failed: query shape (5,) vs corpus dim 4"]
+    @pytest.mark.parametrize("qid", ["q1", "q2"])
+    def test_query_vectors_of_another_width_raise_before_any_backend_call(self, qid):
+        # as in retrieve: the candidates of every query are nominated in one
+        # block, and a block of another width than the corpus is refused,
+        # also when no query asked for has a vector in it (q2)
+        prompts = []
+
+        class RecordingBackend:
+            def complete(self, prompt):
+                prompts.append(prompt)
+                return "[1] > [2] > [3]"
+
+        _, wide = origin_query("q1", d=5)
+        query = Query(id=qid, text=f"query {qid}")
+        with pytest.raises(DimensionMismatch, match=re.escape("query shape (5,) vs corpus dim 4")):
+            distill([query], query_rows(wide), line_corpus(5), RecordingBackend(), CFG3)
+        assert prompts == []
 
     def test_candidate_missing_from_the_corpus_fails_only_its_query(self, caplog):
         q1, qembs = origin_query("q1")
         q2 = Query(id="q2", text="query q2")
         qembs["q2"] = np.array([4.0, 0.1, 0.0, 0.0])  # nearest d4, d3, d5
         corpus = {f"d{i}": Document(id=f"d{i}", text=f"passage {i}") for i in (1, 3, 4, 5)}
-        labels, summary = distill([q1, q2], qembs, line_corpus(5), IdentityBackend(), CFG3,
-                                  corpus=corpus)
+        labels, summary = distill([q1, q2], query_rows(qembs), line_corpus(5), IdentityBackend(),
+                                  CFG3, corpus=corpus)
         assert [l.candidate_ids for l in labels] == [("d4", "d3", "d5")]
         assert summary.failed_query_ids == ["q1"]
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
@@ -122,7 +133,7 @@ class TestDistill:
     def test_oracle_backend_sorts_by_grade_end_to_end(self):
         q, qembs = origin_query()
         grades = {("q1", "d1"): 0, ("q1", "d2"): 5, ("q1", "d3"): 2}
-        labels, _ = distill([q], qembs, line_corpus(5), OracleBackend(grades), CFG3)
+        labels, _ = distill([q], query_rows(qembs), line_corpus(5), OracleBackend(grades), CFG3)
         perm = labels[0].teacher_perm
         ranked = [labels[0].candidate_ids[i - 1] for i in perm.order]
         assert ranked == ["d2", "d3", "d1"]
@@ -134,8 +145,8 @@ class TestDistill:
             queries.append(q)
             qembs.update(e)
         cfg = PipelineConfig(top_k=3, selection_k=2, parallelism=4)
-        par, _ = distill(queries, qembs, line_corpus(6), IdentityBackend(), cfg)
-        ser, _ = distill(queries, qembs, line_corpus(6), IdentityBackend(), CFG3)
+        par, _ = distill(queries, query_rows(qembs), line_corpus(6), IdentityBackend(), cfg)
+        ser, _ = distill(queries, query_rows(qembs), line_corpus(6), IdentityBackend(), CFG3)
         assert [l.query_id for l in par] == [l.query_id for l in ser]
 
 
@@ -246,7 +257,7 @@ class TestLabelIO:
         q, qembs = origin_query()
         out = []
         for name in ("a.jsonl", "b.jsonl"):
-            labels, _ = distill([q], qembs, line_corpus(5), IdentityBackend(), CFG3)
+            labels, _ = distill([q], query_rows(qembs), line_corpus(5), IdentityBackend(), CFG3)
             p = tmp_path / name
             write_labels(labels, str(p), CFG3)
             out.append(p.read_bytes())

@@ -235,6 +235,28 @@ def test_finite_scores_that_overflow_at_tau_are_refused(fn, scores, tau):
         fn(scores, Permutation((1, 2)), tau)
 
 
+class TestEmptyList:
+    """``Permutation(())`` is a valid permutation: an empty list has no
+    step, so its loss is 0 and its probability 1."""
+
+    def test_loss_is_zero_with_no_steps(self):
+        report = listwise_loss((), Permutation(()), 0.5)
+        assert (report.loss, report.per_step_terms, report.temperature) == (0.0, (), 0.5)
+
+    def test_gradient_is_empty(self):
+        grad = listwise_loss_grad([], Permutation(()))
+        assert grad.shape == (0,) and grad.dtype == np.float64
+
+    def test_probability_is_one(self):
+        assert plackett_luce_prob([], Permutation(())) == 1.0
+
+    @pytest.mark.parametrize("fn", [listwise_loss, listwise_loss_grad])
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_a_temperature_that_is_not_positive_still_raises(self, fn, tau):
+        with pytest.raises(NonPositiveTemperature):
+            fn([], Permutation(()), tau)
+
+
 @pytest.mark.parametrize("fn", [plackett_luce_prob, listwise_loss, listwise_loss_grad])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_a_score_that_is_not_finite_is_refused(fn, bad):
