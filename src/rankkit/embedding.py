@@ -12,16 +12,22 @@ computed in float64 regardless of the storage precision of the vectors.
 Greedy diversity selection scores a row by ``s_i = (u_i * P).sum()``: its
 unit row ``u_i = x_i / norms[i]`` against the float64 sum ``P`` of the
 picked unit rows.  That is a per-row numpy reduction, so scoring a subset
-of rows gives the same bits as scoring them all.  Each step scans every row
-in float32 with one matrix-vector product over a float32 copy of the unit
-rows, and ``_scan_slack`` bounds the scan's error for every row at once by
-one scalar E, proportional to ``|P|``: the rounding of ``u`` and ``P`` to
-float32, Higham's gamma_{d+1} for the float32 dot product in any summation
-order, with or without FMA, gamma_{d+1} for the float64 score, and an
-absolute term for float32 subnormals.  Only the unpicked rows whose scan
-lies within 2E of the least are re-scored in float64, so the pick is that of
-the float64 rule over every row; on the benchmark's clustered data that is
-about one row a step.
+of rows gives the same bits as scoring them all.  A norm is that of
+``np.linalg.norm``, but for a row whose squared norm overflows or
+underflows, which is scaled by its largest magnitude first (``_row_norms``;
+``cosine_sim`` does the same), so the picks do not depend on the rows'
+scale.  Each step scans every row in float32 with one matrix-vector product
+over a float32 copy of the unit rows, and ``_scan_slack`` bounds the scan's
+error for every row at once by one scalar E, proportional to ``|P|``: the
+rounding of ``u`` and ``P`` to float32, Higham's gamma_{d+1} for the
+float32 dot product in any summation order, with or without FMA,
+gamma_{d+1} for the float64 score, and an absolute term for float32
+subnormals.  The unpicked rows whose scan lies within 2E of the least are
+the candidates, and every row that could score as low as the winner is
+one.  A lone candidate, about 98 steps in 100 on the benchmark's clustered
+data, is the pick; two or more are re-scored in float64, as every pick is
+when a trace is kept, so the pick is that of the float64 rule over every
+row.
 
 Retrieval goes through a ``CorpusIndex``: each command stacks its corpus
 once and nominates the candidates of all its queries before it ranks any
@@ -54,12 +60,14 @@ bounds, less a rounding margin (``_widen_bounds``), no longer prove that
 their centroid's literal ``np.square(x_i - c).sum()`` is strictly the least:
 every row on the first step, then the rows near a boundary between
 clusters or in a cluster that moved far, and any row that the empty-cluster
-repair moved.  A re-scored row's nearest centroid is certified with the
-retrieval bound (``_sq_dist_bounds``), and the rows that bound leaves
-undecided are re-scored with the literal formula.  A cluster whose members
-did not change keeps its centroid, bit for bit.  Each step therefore gives
-the assignment of the literal formula over every row, with rows x k
-temporaries, not the N x k x d tensor.
+repair moved.  A re-scored row's nearest centroid is certified from its two
+least approximations ``|c|^2 - 2 x.c + |x|^2``, formed in one rows x k work
+array, with the retrieval bound's slack at the largest centroid norm
+(``_sq_dist_slack``), and the rows that bound leaves undecided are
+re-scored with the literal formula.  The same two values give the row's
+new bounds.  A cluster whose members did not change keeps its centroid, bit
+for bit.  Each step therefore gives the assignment of the literal formula
+over every row, with one rows x k work array, not the N x k x d tensor.
 
 ``read_embeddings`` returns ``EmbeddingRows``, the one input type of every
 kernel: a read-only C-contiguous float64 matrix and a tuple of ids, each
@@ -130,7 +138,7 @@ from collections import Counter, abc
 from functools import partial
 from itertools import product
 from time import time_ns
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import numpy.lib.format as npy_format
@@ -148,7 +156,7 @@ from .types import Value, check_id, read_jsonl
 logger = logging.getLogger(__name__)
 
 KMEANS_MAX_ITERS = 50
-# bytes of a k-means block: rows x k bounds, or rows x k x d literal differences
+# bytes of a k-means block: the rows x k work array, or rows x k x d literal differences
 _BLOCK_BYTES = 1 << 19
 # bytes of corpus rows in one matrix product of a retrieval block: OpenBLAS
 # packs each product's operands into its per-thread buffers, and the pages
@@ -213,14 +221,33 @@ def _check_dims(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def cosine_sim(a: Sequence[float], b: Sequence[float]) -> float:
+    """The cosine of the angle between ``a`` and ``b``, ``a.b / (|a| |b|)``.
+    A non-zero vector whose squared norm overflows, underflows to 0 or is
+    subnormal is first divided by its largest magnitude, as greedy selection
+    forms its norm (``_row_norms``), so the cosine does not depend on the
+    vectors' scale; every other vector keeps the bits of ``np.linalg.norm``."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     _check_dims(a, b)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    a, na = _vector_and_norm(a)
+    b, nb = _vector_and_norm(b)
     if na == 0.0 or nb == 0.0:
         raise ZeroVector()
     return float(np.dot(a, b) / (na * nb))
+
+
+def _vector_and_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """``v`` and its norm ``sqrt(v.v)``, the 1-D ``np.linalg.norm``; or, when
+    ``v.v`` is inf, 0 or subnormal and ``v`` is not zero, ``v`` divided by
+    its largest magnitude and the norm of that."""
+    with np.errstate(over="ignore"):
+        sq = float(v.dot(v))
+    if not _TINY <= sq < math.inf:
+        top = float(np.abs(v).max(initial=0.0))
+        if top > 0.0:
+            v = v / top
+            sq = float(v.dot(v))
+    return v, math.sqrt(sq)
 
 
 def euclidean_dist(a: Sequence[float], b: Sequence[float]) -> float:
@@ -353,57 +380,66 @@ def greedy_diversity_select(
 
     Seeds with the first record, then repeatedly adds the unpicked record of
     least score ``s_i = (u_i * P).sum()``, lowest index on ties.  Here
-    ``u_i = x_i / norms[i]`` is record i's unit row and ``P`` the running
-    float64 sum of the picked unit rows, so ``s_i / t`` is the record's mean
-    cosine similarity to the ``t`` records picked so far; the trace reports
-    that mean for each pick.
+    ``u_i = x_i / norms[i]`` is record i's unit row (``_row_norms``) and
+    ``P`` the running float64 sum of the picked unit rows, so ``s_i / t`` is
+    the record's mean cosine similarity to the ``t`` records picked so far;
+    the trace reports that mean for each pick.
 
     Each step scans every row in float32, ``u32 @ float32(P)``, which reads
-    half the bytes of a float64 scan, and re-scores with the rule above only
-    the unpicked rows whose scan lies within ``2E`` of the least one; ``E``
-    (``_scan_slack``) bounds every row's scan error, so every row that could
-    score as low as the winner is re-scored.  The selection is therefore that of the
-    rule applied to every row, whatever the BLAS kernel, summation order or
-    thread split.  No float64 unit matrix is kept: ``u32`` is built in row
-    blocks, and the candidates' unit rows are recomputed from ``x``.
+    half the bytes of a float64 scan, plus a penalty of inf at each picked
+    row; the candidates are the unpicked rows whose scan lies within ``2E``
+    of the least one.  ``E`` (``_scan_slack``) bounds every row's scan
+    error, so every row that could score as low as the winner is a
+    candidate: a lone candidate is the pick, and only two or more, or a
+    kept trace, are re-scored with the rule above.  The selection is
+    therefore that of the rule applied to every row, whatever the BLAS
+    kernel, summation order or thread split.  No float64 unit matrix is
+    kept: ``u32`` is built in row blocks, and the candidates' unit rows are
+    recomputed from ``x``.
     """
     x = _matrix(rows, k)
     n, d = x.shape
     norms, u32, u_max = _unit_rows32(rows)
     k = min(k, n)
     chosen = np.zeros(k, dtype=np.intp)
-    picked = np.zeros(n, dtype=bool)
-    picked[0] = True
-    trace = [(rows.ids[0], 0.0)]
+    # 0 at an unpicked row, inf at a picked one, added to each scan
+    penalty = np.zeros(n, dtype=np.float32)
+    penalty[0] = np.inf
+    trace = [(rows.ids[0], 0.0)] if keep_trace else None
+    slack = _scan_slack(d, u_max)
     p = x[0] / norms[0]
     s32 = np.empty(n, dtype=np.float32)
     for t in range(1, k):
         np.matmul(u32, p.astype(np.float32), out=s32)
-        s32[chosen[:t]] = np.inf
+        s32 += penalty
         # round the threshold up to float32, so the comparison loses no row;
         # `not >` keeps NaN scans
-        limit = np.float32(float(s32.min()) + 2.0 * _scan_slack(d, u_max, p))
+        limit = np.float32(float(s32.min()) + 2.0 * slack(p))
         limit = np.nextafter(limit, np.float32(np.inf))
         cand = np.flatnonzero(~(s32 > limit))
-        cand = cand[~picked[cand]]
-        scores = (x[cand] / norms[cand, None] * p).sum(axis=1)
-        best = int(np.argmin(scores))  # the first occurrence: lowest index wins ties
-        j = int(cand[best])
-        trace.append((rows.ids[j], float(scores[best] / t)))
+        cand = cand[penalty[cand] == 0.0]  # an inf or NaN limit keeps picked rows
+        if cand.size == 1 and trace is None:
+            j = int(cand[0])
+        else:
+            scores = (x[cand] / norms[cand, None] * p).sum(axis=1)
+            best = int(np.argmin(scores))  # the first occurrence: lowest index wins ties
+            j = int(cand[best])
+            if trace is not None:
+                trace.append((rows.ids[j], float(scores[best] / t)))
         chosen[t] = j
-        picked[j] = True
+        penalty[j] = np.inf
         p += x[j] / norms[j]
     return SelectionResult(
         selected_ids=tuple(rows.ids[i] for i in chosen),
-        trace=tuple(trace) if keep_trace else None,
+        trace=None if trace is None else tuple(trace),
     )
 
 
 def _unit_rows32(rows: EmbeddingRows) -> tuple[np.ndarray, np.ndarray, float]:
-    """The row norms ``np.linalg.norm(x, axis=1)``, the unit rows
-    ``x / norms[:, None]`` rounded to float32 and the largest norm of a
-    float64 unit row, built in row blocks so that no float64 temporary has
-    N x d entries.  A zero row raises ``ZeroVector`` with its id."""
+    """The row norms ``_row_norms(x)``, the unit rows ``x / norms[:, None]``
+    rounded to float32 and the largest norm of a float64 unit row, built in
+    row blocks so that no float64 temporary has N x d entries.  A zero row
+    raises ``ZeroVector`` with its id."""
     x = rows.matrix
     norms = np.empty(x.shape[0])
     u32 = np.empty(x.shape, dtype=np.float32)
@@ -411,8 +447,7 @@ def _unit_rows32(rows: EmbeddingRows) -> tuple[np.ndarray, np.ndarray, float]:
     step = max(1, _BLOCK_BYTES // (8 * x.shape[1]))
     for start in range(0, x.shape[0], step):
         block = slice(start, start + step)
-        with np.errstate(over="ignore"):
-            norms[block] = np.linalg.norm(x[block], axis=1)
+        norms[block] = _row_norms(x[block])
         zero = np.flatnonzero(norms[block] == 0.0)
         if zero.size:
             raise ZeroVector(rows.ids[start + int(zero[0])])
@@ -420,6 +455,24 @@ def _unit_rows32(rows: EmbeddingRows) -> tuple[np.ndarray, np.ndarray, float]:
         u32[block] = u
         u_max = max(u_max, float(_sq_norms(u)[1].max()))
     return norms, u32, u_max
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The norms of the rows of ``x``: ``np.linalg.norm(x, axis=1)``, which
+    is ``sqrt`` of the ``np.add.reduce`` of the squares, except where that
+    squared norm is inf, 0 or subnormal and the row is not zero.  Such a
+    row takes the norm of the row divided by its largest magnitude, times
+    that magnitude, so its norm neither overflows nor loses its bits to
+    underflow."""
+    with np.errstate(over="ignore"):
+        sq = np.add.reduce(x * x, axis=1)
+    norms = np.sqrt(sq)
+    outside = np.flatnonzero(~((sq >= _TINY) & (sq < np.inf)))
+    if outside.size:
+        top = np.abs(x[outside]).max(axis=1)
+        outside, top = outside[top > 0.0], top[top > 0.0]
+        norms[outside] = np.linalg.norm(x[outside] / top[:, None], axis=1) * top
+    return norms
 
 
 def _gamma(n: int, unit: float) -> float:
@@ -431,10 +484,14 @@ def _gamma(n: int, unit: float) -> float:
     return nu / (1.0 - nu) if nu < 1.0 else np.inf
 
 
-def _scan_slack(d: int, u_max: float, p: np.ndarray) -> float:
-    """E: a bound on ``|s32_i - s_i|`` for every row i, ``s32_i`` being the
-    float32 scan of ``greedy_diversity_select`` and ``s_i`` the float64 score
-    ``(u_i * p).sum()``; ``u_max`` bounds each ``|u_i|`` within rounding.
+def _scan_slack(d: int, u_max: float) -> Callable[[np.ndarray], float]:
+    """E(p): a bound on ``|s32_i - s_i|`` for every row i, ``s32_i`` being
+    the float32 scan of ``greedy_diversity_select`` and ``s_i`` the float64
+    score ``(u_i * p).sum()``; ``u_max`` bounds each ``|u_i|`` within
+    rounding.  The factors of E that depend on d and ``u_max`` alone are
+    formed here, once per selection, in the order of evaluation of the one
+    formula that the returned function completes with ``|p|``, so each E has
+    the bits of that formula.
 
     With a = u_i and a' = float32(a), p' = float32(p), and u32 and u64 the
     unit roundoffs: rounding to float32 moves each entry by at most
@@ -451,11 +508,17 @@ def _scan_slack(d: int, u_max: float, p: np.ndarray) -> float:
     squares underflowed and the eta term dominates; the factor
     ``1 + gamma_{2d+12}(u64)`` covers that and forming E itself.
     """
-    p_norm = float(np.sqrt(p @ p))
-    rel = (3 * _UNIT_ROUNDOFF32 + _gamma(d + 1, _UNIT_ROUNDOFF32) * (1 + _UNIT_ROUNDOFF32) ** 2
-           + _gamma(d + 1, _UNIT_ROUNDOFF))
-    tiny = 4 * _SUBNORMAL32 * (d + 1) * (1 + np.sqrt(d) * (u_max + p_norm))
-    return (rel * u_max * p_norm + tiny) * (1 + _gamma(2 * d + 12, _UNIT_ROUNDOFF))
+    rel_u_max = (3 * _UNIT_ROUNDOFF32 + _gamma(d + 1, _UNIT_ROUNDOFF32) * (1 + _UNIT_ROUNDOFF32) ** 2
+                 + _gamma(d + 1, _UNIT_ROUNDOFF)) * u_max
+    tiny = 4 * _SUBNORMAL32 * (d + 1)
+    root_d = np.sqrt(d)
+    widen = 1 + _gamma(2 * d + 12, _UNIT_ROUNDOFF)
+
+    def slack(p: np.ndarray) -> float:
+        p_norm = float(np.sqrt(p @ p))
+        return (rel_u_max * p_norm + tiny * (1 + root_d * (u_max + p_norm))) * widen
+
+    return slack
 
 
 def _sq_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -482,21 +545,35 @@ def _sq_dist_bounds(dots: np.ndarray, x_sq: np.ndarray, x_norms: np.ndarray,
         approx *= -2.0
         approx += x_sq
         approx += y_sq
-        # slack bounds |approx - s|, s being the literal sum of squared
-        # differences or the square of the literal norm of the difference:
-        # the three length-d dot products in `approx` err by at most
-        # d*u*(|x| + |y|)^2 together, s lies within (d + 4)*u*|x - y|^2 of
-        # the true squared distance, and |x - y| <= |x| + |y|.  The factor 4
-        # and the +8 cover combining the terms and forming the bound itself;
-        # the tiny term covers underflow.  The same slack bounds
-        # |approx - delta| for the exact squared distance delta.
-        slack = np.add(x_norms, y_norms, out=slack)
-        slack *= slack
-        slack *= 4 * (d + 8) * _UNIT_ROUNDOFF
-        slack += (d + 8) * _TINY
+        slack = _sq_dist_slack(x_norms, y_norms, d, slack)
         lower = np.subtract(approx, slack, out=lower)
         approx += slack
         return lower, approx
+
+
+def _sq_dist_slack(x_norms: np.ndarray, y_norms: np.ndarray, d: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """``4 (d + 8) u (|x| + |y|)^2 + (d + 8) tiny``: a bound on
+    ``|approx - s|``, ``approx`` being ``|x|^2 - 2 x.y + |y|^2`` summed in
+    either order from the dot product and the squared norms of x and y, and
+    s the literal sum of squared differences, the square of the literal
+    norm of the difference or the exact squared distance.
+
+    The three length-d dot products in ``approx`` err by at most
+    ``d u (|x| + |y|)^2`` together, s lies within ``(d + 4) u |x - y|^2`` of
+    the true squared distance, and ``|x - y| <= |x| + |y|``.  Each partial
+    sum of ``approx`` is at most ``(|x| + |y|)^2`` in size, within rounding,
+    whichever squared norm is added first, so the two additions cost the
+    same either way.  The factor 4 and the +8 cover combining the terms and
+    forming the bound itself; the tiny term covers underflow.  Every step
+    rounds monotonically, so a larger ``|y|`` never gives a smaller bound:
+    the bound for the largest ``|y|`` of a set holds for each of them.
+    Overflow gives inf.  ``out``: None or an array to work in."""
+    slack = np.add(x_norms, y_norms, out=out)
+    slack *= slack
+    slack *= 4 * (d + 8) * _UNIT_ROUNDOFF
+    slack += (d + 8) * _TINY
+    return slack
 
 
 class CorpusIndex:
@@ -638,9 +715,9 @@ def kmeans_centroid_select(
         raise KTooLarge(f"k={k} exceeds N={n}")
     rng = np.random.default_rng(seed)
     centroids = x[rng.permutation(n)[:k]].copy()
-    # one set of work arrays per run: fresh ones per block fault their pages
-    # in anew (twice the time of a step) and shift the heap layout
-    work = np.empty((3, max(1, min(n, _BLOCK_BYTES // (8 * k))), k))
+    # one work array per run: a fresh one per block faults its pages in anew
+    # (twice the time of a step) and shifts the heap layout
+    work = np.empty((max(1, min(n, _BLOCK_BYTES // (8 * k))), k))
     x_sq, x_norms = rows.sq_norms, rows.norms
     # the narrowest dtype: a stable argsort of 8- or 16-bit keys is a radix sort
     assign = np.zeros(n, dtype=np.min_scalar_type(k - 1))
@@ -700,33 +777,56 @@ def _assign_rows(x: np.ndarray, x_sq: np.ndarray, x_norms: np.ndarray, centroids
     ``upper`` and ``lower`` to bounds on its distance to that centroid and
     to every other.
 
-    A row's best centroid by ``_sq_dist_bounds`` is its answer when no
-    other centroid's lower bound reaches that one's upper bound; the others
-    are re-scored literally, and their bounds are left open (``upper`` inf),
-    since they prove nothing.  ``x_sq``, ``x_norms``: ``_sq_norms(x)``;
-    ``work``: 3 x rows x k."""
+    Each block forms ``a = |c|^2 - 2 x.c`` for its rows and every centroid
+    in ``work`` (rows x k), as one matrix product with ``-2 c`` (scaling by
+    a power of two is exact but for underflow, which the tiny term of the
+    slack covers) plus ``|c|^2``.  A row's least entry ``m1``, at ``best``,
+    and its next least ``m2``, with ``best`` masked, take ``|x|^2``; adding
+    it to every entry would not change their order, as rounding is
+    monotonic, so ``m1 + |x|^2`` and ``m2 + |x|^2`` are the least of the
+    approximations ``|c|^2 - 2 x.c + |x|^2`` at ``best`` and at every other
+    centroid.  ``_sq_dist_slack`` bounds each approximation's error, for
+    the order of additions here too, and its bound ``sigma`` at the largest
+    ``|c|`` holds for every centroid.  So ``m2 + |x|^2 - sigma`` is at most
+    the squared distance to any other centroid and ``m1 + |x|^2 + sigma`` at
+    least that to ``best``, literal or exact; where the first, rounded, is
+    greater than the second, rounded, the unrounded first is greater too,
+    and ``best`` is the literal answer, strictly.  The others are re-scored
+    literally, and their bounds are left open (``upper`` inf), since they
+    prove nothing.  A NaN or an overflow fails the test: a centroid or row
+    whose squared norm overflowed makes ``sigma`` inf, and a product that
+    overflows needs one.  ``x_sq``, ``x_norms``: ``_sq_norms(x)``."""
     count = x.shape[0] if rows is None else rows.size
+    d = x.shape[1]
     c_sq, c_norms = _sq_norms(centroids)
-    for start in range(0, count, work.shape[1]):
-        at = slice(start, start + work.shape[1])
+    c_norm_max = c_norms.max()
+    with np.errstate(over="ignore"):
+        scaled = -2.0 * centroids
+    for start in range(0, count, work.shape[0]):
+        at = slice(start, start + work.shape[0])
         if rows is not None:
             at = rows[at]
         block = x[at]
         m = block.shape[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            dots = np.matmul(block, centroids.T, out=work[0, :m])
-        lo, up = _sq_dist_bounds(dots, x_sq[at, None], x_norms[at, None], c_sq, c_norms,
-                                 x.shape[1], work[1:, :m])
+        a = work[:m]
         i = np.arange(m)
-        best = np.argmin(up, axis=1)
-        best_up = up[i, best]
-        lo[i, best] = np.inf
-        other_lo = lo.min(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(block, scaled.T, out=a)
+            a += c_sq
+            best = np.argmin(a, axis=1)  # a NaN is the least, and fails the test
+            best_up = a[i, best]  # m1, then m1 + |x|^2 + sigma
+            a[i, best] = np.inf
+            other_lo = a.min(axis=1)  # m2, then m2 + |x|^2 - sigma
+            best_up += x_sq[at]
+            other_lo += x_sq[at]
+            sigma = _sq_dist_slack(x_norms[at], c_norm_max, d)
+            best_up += sigma
+            other_lo -= sigma
         undecided = np.flatnonzero(~(other_lo > best_up))  # NaN too
         best[undecided] = _literal_nearest(block[undecided], centroids)
         best_up[undecided] = np.inf
         assign[at] = best
-        # `up` and `lo` bound the exact squared distances too
+        # the bounds hold the exact squared distances too
         upper[at] = np.sqrt(best_up) * _WIDEN
         lower[at] = np.sqrt(np.maximum(other_lo, 0.0)) * _NARROW
 

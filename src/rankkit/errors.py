@@ -108,9 +108,23 @@ class MissingDoc(RankkitError):
 # --- file I/O ---
 
 
+# the characters of a bad line, or of the reason it is bad, that a
+# MalformedLine message quotes; a longer one is cut and its length given
+_QUOTE_CHARS = 100
+
+
 class MalformedLine(RankkitError):
+    """A bad line of an input file, named by path:line.  The message quotes
+    the line, and gives the reason, whole up to ``_QUOTE_CHARS`` characters;
+    of a longer one it quotes the first ``_QUOTE_CHARS`` and the length, so a
+    huge line makes no huge log record.  ``content`` is the whole line."""
+
     def __init__(self, path: str, lineno: int, content: str, reason: str):
-        super().__init__(f"{path}:{lineno}: {reason}: {content!r}")
+        quoted = repr(content) if len(content) <= _QUOTE_CHARS else (
+            f"{content[:_QUOTE_CHARS]!r}... ({len(content)} characters)")
+        if len(reason) > _QUOTE_CHARS:
+            reason = f"{reason[:_QUOTE_CHARS]}... ({len(reason)} characters)"
+        super().__init__(f"{path}:{lineno}: {reason}: {quoted}")
         self.path = path
         self.lineno = lineno
         self.content = content

@@ -6,6 +6,7 @@ pin the optimized code against it.  Nothing in the package calls them.
 """
 
 import math
+import sys
 from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -50,7 +51,7 @@ def brute_force_diversity_oracle(records, k, keep_trace=False):
         raise TooLarge(f"oracle is capped at N={ORACLE_MAX_N}, got {len(records)}")
     stacked(records)  # dimension + emptiness checks
     for r in records:
-        if float(np.linalg.norm(np.asarray(r.vector, dtype=np.float64))) == 0.0:
+        if not np.any(r.vector):
             raise ZeroVector(r.id)
     n = len(records)
     if k < 1:
@@ -122,17 +123,30 @@ def kmeans_oracle(records, k, seed):
     return SelectionResult(selected_ids=tuple(rows.ids[i] for i in reps))
 
 
+def row_norm(row):
+    """The norm of one row as greedy selection takes it: that of the row as
+    the one row of a matrix, ``np.linalg.norm(row[None], axis=1)``, but
+    where the row's squared norm is inf, 0 or subnormal and the row is not
+    zero, the norm of the row divided by its largest magnitude, times that
+    magnitude."""
+    with np.errstate(over="ignore"):
+        sq = float(np.add.reduce(row * row))
+        if not sys.float_info.min <= sq < math.inf and np.any(row):
+            top = float(np.max(np.abs(row)))
+            return float(np.linalg.norm(row[None] / top, axis=1)[0]) * top
+        return float(np.linalg.norm(row[None], axis=1)[0])
+
+
 def greedy_oracle(records, k, keep_trace=False):
     """Literal greedy diversity selection over the whole float64 unit matrix
-    ``u = x / norms[:, None]``: every step scores every unpicked row with
+    ``u = x / norms[:, None]``, each norm a ``row_norm``: every step scores every unpicked row with
     ``(u * P).sum(axis=1)``, ``P`` being the sum of the picked unit rows,
     and takes the ``argmin``, lowest index on ties.  The trace holds each
     pick's score divided by the number of picks before it."""
     rows = stacked(records)
     x = rows.matrix
     n = x.shape[0]
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(x, axis=1)
+    norms = np.array([row_norm(row) for row in x])
     if np.any(norms == 0.0):
         raise ZeroVector(rows.ids[int(np.argmax(norms == 0.0))])
     if k < 1:

@@ -219,7 +219,8 @@ def greedy_inputs(draw):
     """Inputs built to stress the certified float32 scan of greedy
     selection: duplicate rows and mirrored grid points tie exactly, near
     copies differ by far less than the scan's error bound, rows may be
-    scaled by 1e-150 or 1e150, d runs down to 1 and k from 1 to past N."""
+    scaled by 1e-150 or 1e150, or by 1e-200 or 1e200, where squared norms
+    underflow or overflow, d runs down to 1 and k from 1 to past N."""
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -236,7 +237,8 @@ def greedy_inputs(draw):
     else:
         x = rng.normal(size=(n, d))
     x[~x.any(axis=1)] = 1.0
-    scales = draw(st.sampled_from([(1.0,), (1e-150,), (1e150,), (1.0, 1e-150, 1e150)]))
+    scales = draw(st.sampled_from([(1.0,), (1e-150,), (1e150,), (1.0, 1e-150, 1e150),
+                                   (1e-200,), (1e200,), (1.0, 1e-200, 1e200)]))
     x = x * rng.choice(scales, size=(n, 1))
     k = draw(st.one_of(st.just(1), st.integers(1, n), st.integers(n, n + 3)))
     return x, k
@@ -272,11 +274,42 @@ class TestGreedyAgainstLiteralOracle:
         u = x / norms[:, None]
         p = u[rng.integers(0, 50, size=rng.integers(1, 20))].sum(axis=0) * p_scale
         s = (u * p).sum(axis=1)
-        slack = embedding._scan_slack(d, u_max, p)
+        slack = embedding._scan_slack(d, u_max)(p)
         p32 = p.astype(np.float32)
         ordered = np.cumsum(u32 * p32, axis=1, dtype=np.float32)[:, -1]
         for scan in (u32 @ p32, ordered):
             assert np.all(np.abs(scan.astype(np.float64) - s) <= slack)
+
+    @given(greedy_inputs())
+    @settings(max_examples=200, deadline=None)
+    # every step but the last has every unpicked row as a candidate: the
+    # rows tie, and the float64 re-score breaks the tie by index
+    @example((np.array([[1.0, 0.0]] * 5), 5))
+    @example((np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [-1.0, 0.0]]), 4))
+    @example((np.array([[1.0, 2.0], [3.0, 1.0], [1.0, 2.0], [3.0, 1.0], [2.0, 2.0]]), 5))
+    def test_a_kept_trace_picks_the_same_ids(self, case):
+        # without a trace, a lone candidate is taken without its float64
+        # score; with one, every pick is re-scored
+        x, k = case
+        recs = records_from(x)
+        assert greedy_diversity_select(recs, k).selected_ids == \
+            greedy_diversity_select(recs, k, keep_trace=True).selected_ids
+
+    @given(st.sampled_from([1, 2, 3, 64, 256, 1000, 4096, 2**40]),
+           st.floats(0.5, 2.0), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 1.0, 1e-30, 1e-200, 1e30]))
+    @settings(max_examples=100, deadline=None)
+    def test_the_hoisted_slack_has_the_bits_of_the_formula(self, d, u_max, seed, p_scale):
+        # E as one expression per step, in its order of evaluation; at
+        # d = 2^40 gamma is inf, and with P = 0 both give NaN
+        gamma, u32, u64 = embedding._gamma, embedding._UNIT_ROUNDOFF32, embedding._UNIT_ROUNDOFF
+        p = np.random.default_rng(seed).normal(size=min(d, 4096)) * p_scale
+        with np.errstate(invalid="ignore"):
+            p_norm = float(np.sqrt(p @ p))
+            rel = 3 * u32 + gamma(d + 1, u32) * (1 + u32) ** 2 + gamma(d + 1, u64)
+            tiny = 4 * embedding._SUBNORMAL32 * (d + 1) * (1 + np.sqrt(d) * (u_max + p_norm))
+            expected = (rel * u_max * p_norm + tiny) * (1 + gamma(2 * d + 12, u64))
+            assert float(embedding._scan_slack(d, u_max)(p)).hex() == float(expected).hex()
 
     def test_peak_memory_has_no_float64_copy_of_the_rows(self):
         # a float64 unit matrix, or any other N x d float64 temporary, is
@@ -291,6 +324,63 @@ class TestGreedyAgainstLiteralOracle:
         finally:
             tracemalloc.stop()
         assert peak < n * d * 8
+
+
+class TestRowsPastTheSquaredNormRange:
+    """Rows of finite values whose squared norm overflows, underflows to 0
+    or is subnormal: greedy selection and ``cosine_sim`` take their norm
+    from the row scaled by its largest magnitude."""
+
+    def test_a_huge_near_copy_of_the_seed_is_not_picked_as_diverse(self):
+        # near_a's cosine to a is 0.995, b's is 0; np.linalg.norm of near_a
+        # overflows to inf, which once made its unit row 0
+        x = np.array([[1.0, 0.0], [1e200, 1e199], [0.0, 1.0]])
+        for scale in (1.0, 1e-200):
+            picked = greedy_diversity_select(records_from(x * scale), 2, keep_trace=True)
+            assert picked.selected_ids == ("v1", "v3")
+            assert picked.trace[1][1] == pytest.approx(0.0, abs=1e-300)
+
+    def test_a_tiny_row_is_not_a_zero_vector(self):
+        tiny = [1e-170, 1e-171]
+        assert greedy_diversity_select(records_from([[0.0, 1.0], tiny]), 2).selected_ids == \
+            ("v1", "v2")
+        assert cosine_sim(tiny, [1.0, 0.0]) == pytest.approx(10 / math.sqrt(101), rel=1e-15)
+
+    def test_the_cosine_of_huge_rows_is_finite_and_counts_in_the_filter(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cosine_sim([1e200, 1e199], [1e200, 0.0]) == \
+                pytest.approx(10 / math.sqrt(101), rel=1e-15)
+            result = quality_filter([([1e200, 1e199], [1e200, 0.0], "huge"),
+                                     ([1e-170, 1e-171], [1e-170, 0.0], "tiny")], 0.9)
+        assert [p[2] for p in result.kept] == ["huge", "tiny"]
+        assert result.dropped_below == result.dropped_zero == 0
+
+    def test_a_zero_row_is_still_a_zero_vector(self):
+        with pytest.raises(ZeroVector):
+            cosine_sim([0.0, 0.0], [1e200, 1e199])
+        with pytest.raises(ZeroVector, match="v2"):
+            greedy_diversity_select(records_from([[1e200, 1e199], [0.0, 0.0]]), 2)
+
+    @pytest.mark.parametrize("exponent", [-200, -160, -100, 0, 100, 160, 200])
+    def test_picks_and_cosines_do_not_depend_on_scale(self, exponent):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(30, 5))
+        scaled = x * 10.0 ** exponent
+        base = greedy_diversity_select(records_from(x), 12, keep_trace=True)
+        got = greedy_diversity_select(records_from(scaled), 12, keep_trace=True)
+        assert got.selected_ids == base.selected_ids
+        assert [s for _, s in got.trace] == pytest.approx([s for _, s in base.trace],
+                                                          rel=1e-12, abs=1e-15)
+        assert [cosine_sim(scaled[0], row) for row in scaled] == \
+            pytest.approx([cosine_sim(x[0], row) for row in x], rel=1e-12, abs=1e-15)
+
+    def test_rows_inside_the_range_keep_the_bits_of_the_plain_norm(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(40, 9)) * 10.0 ** rng.integers(-150, 150, size=(40, 1))
+        assert embedding._row_norms(x).tolist() == np.linalg.norm(x, axis=1).tolist()
+        for a, b in zip(x, x[::-1]):
+            assert cosine_sim(a, b) == float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 class TestTopK:
@@ -589,6 +679,34 @@ class TestKmeansAssignment:
         recs = records_from(x)
         assert kmeans_centroid_select(recs, k, 5).selected_ids == \
             kmeans_oracle(recs, k, 5).selected_ids
+
+    @pytest.mark.parametrize("kind", ["clusters", "duplicates"])
+    def test_matches_the_literal_oracle_at_width_64(self, kind):
+        # the module's budget holds the whole matrix in one block; 8 k 300
+        # cuts it in half, and 8 k 257 leaves a short last block
+        rng = np.random.default_rng(64)
+        n, d, k = 600, 64, 48
+        if kind == "clusters":
+            centers = rng.normal(scale=4.0, size=(60, d))
+            x = centers[rng.integers(0, 60, n)] + rng.normal(size=(n, d))
+        else:  # rows at equal distances from centroids, which may coincide
+            pool = rng.integers(-2, 3, size=(70, d)).astype(np.float64)
+            x = pool[rng.integers(0, 70, n)]
+        recs = records_from(x)
+        expected = kmeans_oracle(recs, k, 7).selected_ids
+        for budget in (embedding._BLOCK_BYTES, 8 * k * 300, 8 * k * 257):
+            with mock.patch.object(embedding, "_BLOCK_BYTES", budget):
+                assert kmeans_centroid_select(recs, k, 7).selected_ids == expected
+
+    def test_matches_the_literal_oracle_at_width_384_far_from_the_origin(self):
+        # a shift of 1e3 cancels about six digits of |x|^2 - 2 x.c + |c|^2
+        rng = np.random.default_rng(384)
+        n, d, k = 400, 384, 16
+        centers = rng.normal(size=(20, d))
+        x = centers[rng.integers(0, 20, n)] + 0.5 * rng.normal(size=(n, d)) + 1e3
+        recs = records_from(x)
+        assert kmeans_centroid_select(recs, k, 3).selected_ids == \
+            kmeans_oracle(recs, k, 3).selected_ids
 
     def test_ties_take_the_literal_path_and_empty_clusters_are_repaired(self):
         literal_rows = []

@@ -403,6 +403,19 @@ class TestTrecIO:
             read_run(str(path))
         assert exc.value.lineno == 1
 
+    def test_a_huge_doc_id_is_quoted_by_its_head_and_length(self, tmp_path, monkeypatch):
+        # the message once quoted all 300 012 characters of the line
+        monkeypatch.chdir(tmp_path)
+        line = "q1 Q0 " + "d" * 300_000 + " 1 x t"
+        (tmp_path / "bad.run").write_text(line + "\n")
+        with pytest.raises(MalformedLine) as exc:
+            read_run("bad.run")
+        message = str(exc.value)
+        assert len(message) < 300
+        assert message.startswith("bad.run:1: could not convert string to float: 'x': ")
+        assert message.endswith("... (300012 characters)")
+        assert exc.value.content == line
+
     @pytest.mark.parametrize("score", ["nan", "NaN", "inf", "-inf", "1e999"])
     def test_non_finite_score_rejected_with_file_and_line(self, tmp_path, score):
         # a nan score would make the score-monotonicity check pass vacuously

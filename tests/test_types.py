@@ -154,6 +154,28 @@ def test_read_queries_refuses_a_text_that_is_not_a_string(tmp_path, text):
         read_queries(str(path))
 
 
+def test_a_huge_line_is_quoted_by_its_head_and_length(tmp_path, monkeypatch):
+    # 100 000 nested brackets, which json.loads gives up on; the message
+    # once quoted all 200 000 characters
+    monkeypatch.chdir(tmp_path)
+    line = "[" * 100_000 + "]" * 100_000
+    (tmp_path / "q.jsonl").write_text(line + "\n")
+    with pytest.raises(MalformedLine) as exc:
+        read_queries("q.jsonl")
+    message = str(exc.value)
+    assert len(message) < 300
+    assert message.startswith("q.jsonl:1: ")
+    assert message.endswith(f": {'[' * 100!r}... (200000 characters)")
+    assert exc.value.content == line
+
+
+def test_a_line_or_reason_past_the_quote_limit_is_cut_and_its_length_given():
+    assert str(MalformedLine("f.jsonl", 3, "x" * 100, "r" * 100)) == \
+        f"f.jsonl:3: {'r' * 100}: {'x' * 100!r}"
+    assert str(MalformedLine("f.jsonl", 3, "x" * 101, "r" * 150)) == \
+        f"f.jsonl:3: {'r' * 100}... (150 characters): {'x' * 100!r}... (101 characters)"
+
+
 def literal_lines(path):
     """``read_lines`` as a per-line decode: (line number, stripped text) for
     each non-blank line, or the line number of the first line that is not
