@@ -251,22 +251,27 @@ def _run_tag(text: str) -> str:
     return text
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with pipeline settings")
+def _add_config_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="JSON file with pipeline settings")
 
-    backend_args = argparse.ArgumentParser(add_help=False)
-    backend_args.add_argument("--backend", default="identity",
-                              choices=["identity", "reverse", "oracle", "http"])
-    backend_args.add_argument("--qrels", help="qrels file (oracle backend)")
-    backend_args.add_argument("--endpoint", help="chat-completions URL (http backend)")
-    backend_args.add_argument("--model", help="model name (http backend)")
-    backend_args.add_argument("--timeout", type=float, default=120.0)
 
-    p = argparse.ArgumentParser(prog="rankkit", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
+def _add_backend_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--backend", default="identity",
+                   choices=["identity", "reverse", "oracle", "http"])
+    p.add_argument("--qrels", help="qrels file (oracle backend)")
+    p.add_argument("--endpoint", help="chat-completions URL (http backend)")
+    p.add_argument("--model", help="model name (http backend)")
+    p.add_argument("--timeout", type=float, default=120.0)
 
-    f = sub.add_parser("filter", parents=[common], help="quality-filter query/doc pairs")
+
+# Each ``_add_*`` below adds one subcommand's parser to the subparsers
+# action ``sub``, with the ``cmd_*`` function that the module binds when the
+# parser is built.
+
+
+def _add_filter(sub) -> None:
+    f = sub.add_parser("filter", help="quality-filter query/doc pairs")
+    _add_config_flag(f)
     f.add_argument("--query-embeddings", required=True)
     f.add_argument("--doc-embeddings", required=True)
     f.add_argument("--pairs", help="JSONL of {query_id, doc_id}; default pairs each query with its top-1 doc")
@@ -274,7 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--out", required=True)
     f.set_defaults(func=cmd_filter)
 
-    s = sub.add_parser("select", parents=[common], help="coreset selection")
+
+def _add_select(sub) -> None:
+    s = sub.add_parser("select", help="coreset selection")
+    _add_config_flag(s)
     s.add_argument("--embeddings", required=True)
     s.add_argument("--algorithm", default="greedy", choices=["greedy", "random", "kmeans"])
     s.add_argument("--k", dest="selection_k", type=int, default=None)
@@ -285,14 +293,21 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_select)
 
-    r = sub.add_parser("retrieve", parents=[common], help="exact top-k retrieval by distance")
+
+def _add_retrieve(sub) -> None:
+    r = sub.add_parser("retrieve", help="exact top-k retrieval by distance")
+    _add_config_flag(r)
     r.add_argument("--query-embeddings", required=True)
     r.add_argument("--doc-embeddings", required=True)
     r.add_argument("--k", dest="top_k", type=int, default=None)
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_retrieve)
 
-    rr = sub.add_parser("rerank", parents=[common, backend_args], help="rerank a run file")
+
+def _add_rerank(sub) -> None:
+    rr = sub.add_parser("rerank", help="rerank a run file")
+    _add_config_flag(rr)
+    _add_backend_flags(rr)
     rr.add_argument("--run", required=True)
     rr.add_argument("--queries", required=True)
     rr.add_argument("--corpus", required=True)
@@ -307,7 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     rr.add_argument("--out", required=True)
     rr.set_defaults(func=cmd_rerank, method="listwise")
 
-    d = sub.add_parser("distill", parents=[common, backend_args], help="teacher labeling")
+
+def _add_distill(sub) -> None:
+    d = sub.add_parser("distill", help="teacher labeling")
+    _add_config_flag(d)
+    _add_backend_flags(d)
     d.add_argument("--queries", required=True)
     d.add_argument("--query-embeddings", required=True)
     d.add_argument("--doc-embeddings", required=True)
@@ -322,6 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--out", required=True)
     d.set_defaults(func=cmd_distill)
 
+
+def _add_eval(sub) -> None:
     e = sub.add_parser("eval", help="evaluate a run against qrels")
     e.add_argument("--run", required=True)
     e.add_argument("--qrels", required=True)
@@ -332,6 +353,22 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out")
     e.set_defaults(func=cmd_eval)
 
+
+# every subcommand, in the order that usage and --help list them
+_SUBCOMMANDS = {"filter": _add_filter, "select": _add_select, "retrieve": _add_retrieve,
+               "rerank": _add_rerank, "distill": _add_distill, "eval": _add_eval}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The root parser with every subcommand's parser, or with ``command``'s
+    alone."""
+    p = argparse.ArgumentParser(prog="rankkit", description=__doc__)
+    # unrecognized arguments print the root usage, which lists every command
+    # whichever were built; the full parser's errors name the argument "command"
+    metavar = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _SUBCOMMANDS if command is None else (command,):
+        _SUBCOMMANDS[name](sub)
     return p
 
 
@@ -353,8 +390,13 @@ def _trim_heap() -> None:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and map its outcome to the exit code."""
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    if argv is None:
+        argv = sys.argv[1:]
+    # a command builds only its own parser; --help, a usage error with no
+    # command and an unknown one build every command's
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error argparse has already reported
         return EXIT_OK if exc.code == 0 else EXIT_FATAL
     try:

@@ -783,6 +783,39 @@ class TestKmeansAssignment:
         # 2b and 2a are the exact distances, as 4 v^2 = (2v)^2
         assert self.stale_rows([2 * a], [2 * b], [1], centroids) == [0]
 
+    def test_a_tie_within_the_far_centroids_rounding_bound_is_scored_literally(self):
+        # centroid 0 at the origin, 1 and 2 at (1, +-2^-23); row 0 at
+        # (1, 2^-25) and row 1 at (1, 2^-23).  Every value that the step forms
+        # is exact, so its approximations are the exact squared distances:
+        # 9 and 25 units of 2^-50 in row 0, a gap of 128u (u = 2^-53), and 0
+        # and 64 units in row 1, a gap of 512u.  A far centroid's
+        # approximation may err, in another summation order, by
+        # 4(d + 8)u(|x| + |c|)^2 = 160u, so row 0's gap proves nothing and
+        # only row 1 is certified.  Taken at the centroid at the origin, the
+        # bound would be 40u, and a certificate that it gave row 0 would
+        # rest on the rounding that this product happened to do
+        far = 2.0**-23
+        centroids = np.array([[0.0, 0.0], [1.0, far], [1.0, -far]])
+        x = np.array([[1.0, 2.0**-25], [1.0, far]])
+        assert (np.square(x[:, None] - centroids[1:]).sum(axis=2) / 2.0**-50).tolist() == \
+            [[9.0, 25.0], [0.0, 64.0]]
+        x_sq, x_norms = embedding._sq_norms(x)
+        assign = np.zeros(2, dtype=np.intp)
+        upper, lower = np.empty(2), np.empty(2)
+        literal = []
+        real = embedding._literal_nearest
+
+        def spy(rows, cents):
+            literal.extend(rows.tolist())
+            return real(rows, cents)
+
+        with mock.patch.object(embedding, "_literal_nearest", spy):
+            embedding._assign_rows(x, x_sq, x_norms, centroids, None, np.empty((2, 3)),
+                                   assign, upper, lower)
+        assert assign.tolist() == embedding._literal_nearest(x, centroids).tolist() == [1, 1]
+        assert literal == [x[0].tolist()]
+        assert upper[0] == np.inf and np.isfinite(upper[1])
+
     def test_peak_memory_stays_far_below_the_distance_tensor(self):
         # the literal N x k x d float64 tensor would be 410 MB here
         rng = np.random.default_rng(0)

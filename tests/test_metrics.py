@@ -378,10 +378,16 @@ class TestTrecIO:
         write_run(read_run(str(path)), str(path2))
         assert path2.read_text() == canonical
 
-    def test_rank_gap_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "q1 Q0 d1 1 2.0 t\nq1 Q0 d2 3 1.0 t\n",
+        "q1 Q0 d1 1 2.0 t\nq2 Q0 d9 1 5.0 t\nq1 Q0 d2 3 1.0 t\n",
+        "q2 Q0 d9 1 5.0 t\nq1 Q0 d1 1 2.0 t\nq1 Q0 d2 1 1.0 t\n",
+    ], ids=["contiguous", "interleaved", "repeated-rank"])
+    def test_rank_gap_rejected(self, tmp_path, text):
         path = tmp_path / "bad.run"
-        path.write_text("q1 Q0 d1 1 2.0 t\nq1 Q0 d2 3 1.0 t\n")
-        with pytest.raises(InvariantViolation):
+        path.write_text(text)
+        with pytest.raises(InvariantViolation,
+                           match=r"^query q1: ranks are not 1\.\.2 without gaps$"):
             read_run(str(path))
 
     def test_increasing_scores_rejected(self, tmp_path):
