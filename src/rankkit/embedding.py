@@ -29,28 +29,30 @@ data, is the pick; two or more are re-scored in float64, as every pick is
 when a trace is kept, so the pick is that of the float64 rule over every
 row.
 
+One certificate decides every nearest-row test, in retrieval (x a query,
+y the corpus rows) and in k-means (x a row, y the centroids).  One matrix
+product, with the -2 folded exactly into one operand, plus ``|y|^2`` gives
+``a = |y|^2 - 2 x.y`` for each x and y; ``|x|^2`` is left out, as it is the
+same for every y.  ``_sq_dist_slack`` at ``|x|`` and the largest ``|y|``
+is one slack sigma per x that bounds the rounding of every ``a + |x|^2``
+against the literal squared distance, so a y whose ``a`` is more than
+2 sigma above another's is the farther.  What the certificate leaves
+undecided is settled by the literal formula, so the results are those of
+the literal formula over every row, whatever the BLAS kernel, blocking or
+thread split.
+
 Retrieval goes through a ``CorpusIndex``: each command stacks its corpus
 once and nominates the candidates of all its queries before it ranks any
 (``CorpusIndex.candidates``), in blocks of queries with one matrix product
-each, ``|x|^2 - 2 x.q + |q|^2`` for every query of the block and every
-row.  The B x N product of a block stays within ``_PRODUCT_BYTES``
-(64 MiB; one query at least), and it is formed one tile of about
-``_TILE_BYTES`` (128 KiB) of corpus rows at a time.  OpenBLAS packs the
-rows of each product into per-thread buffers whose touched pages stay
-resident, and one product over the whole corpus raised the benchmark's
-peak RSS by more than twice as much as the tiles do.  The product is laid
-out query by query, so that each query's bounds and k-th upper bound read
-one contiguous row.  That expansion rounds differently from the literal
-``norm(x - q)``, so it only nominates candidates: every row whose distance
-could, within a rigorous floating-point error bound, reach the k-th
-smallest.  ``top_k_by_distance`` then re-scores one query's candidates
-exactly as ``norm(x[rows] - q, axis=1)`` and stably sorts them by
-(distance, row).  The ids returned are therefore the same, ties included,
-as a stable sort of the literal distances of every row.  The index keeps
-no id -> row map: a caller that needs the rows of the ids it got looks
-them up among that query's candidates (``CorpusIndex.rows_of``).
-``euclidean_dist`` forms one distance with the reduction of that
-row-wise norm, so a distance written beside a rank is its sort key.
+each: the rows whose ``a`` is within 2 sigma of the query's k-th least.
+``top_k_by_distance`` then re-scores one query's candidates exactly as
+``norm(x[rows] - q, axis=1)`` and stably sorts them by (distance, row), so
+the ids returned are those of a stable sort of the literal distances of
+every row, ties included.  The index keeps no id -> row map: a caller that
+needs the rows of the ids it got looks them up among that query's
+candidates (``CorpusIndex.rows_of``).  ``euclidean_dist`` forms one
+distance with the reduction of that row-wise norm, so a distance written
+beside a rank is its sort key.
 
 k-means keeps two bounds per row, an upper bound on its distance to its own
 centroid and a lower bound on its distance to every other one (Hamerly,
@@ -61,13 +63,12 @@ their centroid's literal ``np.square(x_i - c).sum()`` is strictly the least:
 every row on the first step, then the rows near a boundary between
 clusters or in a cluster that moved far, and any row that the empty-cluster
 repair moved.  A re-scored row's nearest centroid is certified from its two
-least approximations ``|c|^2 - 2 x.c + |x|^2``, formed in one rows x k work
-array, with the retrieval bound's slack at the largest centroid norm
-(``_sq_dist_slack``), and the rows that bound leaves undecided are
-re-scored with the literal formula.  The same two values give the row's
-new bounds.  A cluster whose members did not change keeps its centroid, bit
-for bit.  Each step therefore gives the assignment of the literal formula
-over every row, with one rows x k work array, not the N x k x d tensor.
+least ``a``, formed in one rows x k work array, with sigma at the largest
+centroid norm, and the rows it leaves undecided are re-scored with the
+literal formula.  The same two values give the row's new bounds.  A
+cluster whose members did not change keeps its centroid, bit for bit.
+Each step therefore gives the assignment of the literal formula over every
+row, with one rows x k work array, not the N x k x d tensor.
 
 ``read_embeddings`` returns ``EmbeddingRows``, the one input type of every
 kernel: a read-only C-contiguous float64 matrix and a tuple of ids, each
@@ -158,11 +159,8 @@ logger = logging.getLogger(__name__)
 KMEANS_MAX_ITERS = 50
 # bytes of a k-means block: the rows x k work array, or rows x k x d literal differences
 _BLOCK_BYTES = 1 << 19
-# bytes of corpus rows in one matrix product of a retrieval block: OpenBLAS
-# packs each product's operands into its per-thread buffers, and the pages
-# a product touches there stay in the process's resident set
-_TILE_BYTES = 1 << 17
-# bytes of a retrieval block's B x N product, queries by corpus rows
+# bytes of a retrieval block's B x N product, queries by corpus rows, formed
+# by one matrix product, which OpenBLAS blocks and splits over its threads
 _PRODUCT_BYTES = 1 << 26
 
 # the characters that str.split() splits at, as `\s` matches exactly
@@ -304,7 +302,8 @@ class EmbeddingRows(abc.Sequence):
     and ``norms`` (read-only), which ``CorpusIndex`` and
     ``kmeans_centroid_select`` take instead of a pass of their own.  A row
     of finite values whose squares overflow has an infinite ``sq_norms``
-    entry; the distance bounds send it to the literal path."""
+    entry, which makes the certificate's slack inf and sends the row to the
+    literal formula."""
 
     def __init__(self, matrix: np.ndarray, ids: Sequence[str]):
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
@@ -325,16 +324,10 @@ class EmbeddingRows(abc.Sequence):
         if len(set(ids)) < len(ids):
             repeat = next(i for i, count in Counter(ids).items() if count > 1)
             raise InvariantViolation(f"embedding record id {repeat!r} repeats")
-        # a NaN or an inf makes its row's squared norm non-finite; only those
-        # rows, and rows of finite values whose squares overflowed, need the
-        # scan, which takes a bool per entry
         sq_norms, norms = _sq_norms(matrix)
-        suspect = np.flatnonzero(~np.isfinite(sq_norms))
-        if suspect.size:
-            bad = suspect[~np.isfinite(matrix[suspect]).all(axis=1)]
-            if bad.size:
-                row = int(bad[0])
-                raise InvariantViolation(f"embedding record {ids[row]}: non-finite entries")
+        bad = _non_finite_rows(matrix, sq_norms)
+        if bad.size:
+            raise InvariantViolation(f"embedding record {ids[int(bad[0])]}: non-finite entries")
         sq_norms.flags.writeable = norms.flags.writeable = False
         self.matrix = matrix
         self.ids = ids
@@ -527,32 +520,14 @@ def _sq_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sq, np.sqrt(sq)
 
 
-def _sq_dist_bounds(dots: np.ndarray, x_sq: np.ndarray, x_norms: np.ndarray,
-                    y_sq: np.ndarray, y_norms: np.ndarray, d: int,
-                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on the literal squared distance between
-    vectors x and y of width d, from their dot products ``dots``, each
-    summed in any order, with or without FMA (a matrix product of any
-    blocking).  The upper bounds overwrite ``dots``.  ``x_sq``, ``x_norms``
-    and ``y_sq``, ``y_norms``: ``_sq_norms`` of the x and y vectors,
-    broadcastable to the shape of ``dots``; ``out``: None or two arrays of
-    that shape to work in.  The bounds hold the exact squared distance as
-    well.  An overflowed bound is inf or NaN, which callers send to the
-    literal path."""
-    approx = dots
-    slack, lower = (None, None) if out is None else out
-    with np.errstate(over="ignore", invalid="ignore"):
-        approx *= -2.0
-        approx += x_sq
-        approx += y_sq
-        slack = _sq_dist_slack(x_norms, y_norms, d, slack)
-        lower = np.subtract(approx, slack, out=lower)
-        approx += slack
-        return lower, approx
+def _non_finite_rows(x: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
+    """The rows of ``x`` with a NaN or an inf; only the rows whose squared
+    norm ``sq_norms`` is not finite take the scan, a bool per entry."""
+    suspect = np.flatnonzero(~np.isfinite(sq_norms))
+    return suspect[~np.isfinite(x[suspect]).all(axis=1)]
 
 
-def _sq_dist_slack(x_norms: np.ndarray, y_norms: np.ndarray, d: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def _sq_dist_slack(x_norms: np.ndarray, y_norms: np.ndarray, d: int) -> np.ndarray:
     """``4 (d + 8) u (|x| + |y|)^2 + (d + 8) tiny``: a bound on
     ``|approx - s|``, ``approx`` being ``|x|^2 - 2 x.y + |y|^2`` summed in
     either order from the dot product and the squared norms of x and y, and
@@ -568,8 +543,9 @@ def _sq_dist_slack(x_norms: np.ndarray, y_norms: np.ndarray, d: int,
     forming the bound itself; the tiny term covers underflow.  Every step
     rounds monotonically, so a larger ``|y|`` never gives a smaller bound:
     the bound for the largest ``|y|`` of a set holds for each of them.
-    Overflow gives inf.  ``out``: None or an array to work in."""
-    slack = np.add(x_norms, y_norms, out=out)
+    A sum with one rounding fewer, an addition made exactly, errs by less,
+    so the bound holds for it too.  Overflow gives inf."""
+    slack = np.add(x_norms, y_norms)
     slack *= slack
     slack *= 4 * (d + 8) * _UNIT_ROUNDOFF
     slack += (d + 8) * _TINY
@@ -600,42 +576,55 @@ class CorpusIndex:
 
     def candidates(self, queries: np.ndarray, k: int) -> list[np.ndarray]:
         """For each row of the matrix ``queries``, in ascending order, the
-        rows of the corpus whose distance to it could, within the bound of
-        ``_sq_dist_bounds``, be among its k least: a set that holds its k
-        nearest rows, ties included.  A query matrix of another width than
-        the corpus raises ``DimensionMismatch``, one of no rows too, unless
-        it has no width either.
+        corpus rows that could be among its k nearest by the literal
+        ``norm(x - q)``, ties included.  k < 1 raises ``KTooLarge``, a shape
+        other than (B, d) or (0, 0) ``DimensionMismatch``, and a query with
+        a NaN or an inf ``InvariantViolation``, with its row.
 
-        The queries go in blocks whose B x N product of dot products stays
-        within ``_PRODUCT_BYTES`` (one query at least).  Each block's
-        product is formed by one matrix product per tile of about
-        ``_TILE_BYTES`` of corpus rows, written query-major, so that each
-        query's bounds, k-th upper bound and test read one contiguous row."""
+        A block of queries, its B x N product within ``_PRODUCT_BYTES`` (one
+        query at least), takes one matrix product of the block times -2
+        (exact, unless it overflows) with the corpus, plus ``|x|^2``:
+        ``a_i = |x_i|^2 - 2 x_i.q``, one contiguous row per query.  A query
+        keeps the rows with ``not a_i > kth + 2 sigma``, kth being its k-th
+        least ``a`` and sigma ``_sq_dist_slack`` at ``|q|`` and the largest
+        corpus norm.
+
+        Proof.  Let D_i be row i's literal squared distance, Q the computed
+        ``|q|^2`` and A_i the exact sum that ``a_i`` rounds.  The slack at
+        ``|x_i|``, and so sigma (it rounds monotonically), bounds
+        ``|a_i + Q - D_i|`` and ``|A_i + Q - D_i|``.  For a finite kth, the
+        k rows of least ``a`` have ``D_j <= kth + Q + sigma``, so each of the
+        k nearest, ties included, has ``A_i + Q - sigma <= D_i <= kth + Q +
+        sigma``, and ``A_i <= kth + 2 sigma``.  Rounding is monotonic, so
+        ``a_i``, A_i rounded (inf if it overflowed), is at most ``kth +
+        2 sigma`` rounded (2 sigma is exact): the row is kept.  ``not >``
+        keeps a NaN ``a_i``, and a kth of inf or NaN or a sigma of inf (a
+        squared norm that overflowed) gives a limit that keeps every row."""
+        if k < 1:
+            raise KTooLarge(f"k must be >= 1, got {k}")
         queries = np.asarray(queries, dtype=np.float64)
         x = self.matrix
         n, d = x.shape
-        if queries.shape[1:] not in ((d,), (0,)):
+        if queries.shape[1:] != (d,) and queries.shape != (0, 0):
             raise DimensionMismatch(f"query shape {queries.shape[1:]} vs corpus dim {d}")
-        k = min(k, n)
         q_sq, q_norms = _sq_norms(queries)
-        tile = max(1, _TILE_BYTES // (8 * d))
+        bad = _non_finite_rows(queries, q_sq)
+        if bad.size:
+            raise InvariantViolation(f"query row {int(bad[0])}: non-finite entries")
+        k = min(k, n)
         step = max(1, _PRODUCT_BYTES // (8 * n))
         product = np.empty((min(step, len(queries)), n))
-        work = np.empty((2, n))
         out = []
-        for start in range(0, len(queries), step):
-            block = queries[start:start + step]
-            dots = product[:len(block)]
-            with np.errstate(over="ignore", invalid="ignore"):
-                for t in range(0, n, tile):
-                    np.matmul(block, x[t:t + tile].T, out=dots[:, t:t + tile])
-            for row, sq, norm in zip(dots, q_sq[start:], q_norms[start:]):
-                lower, upper = _sq_dist_bounds(row, self.sq_norms, self.norms, sq, norm, d, work)
-                kth_upper = upper[np.argpartition(upper, k - 1)[k - 1]]
-                # `not >` keeps the rows whose bound overflowed to NaN; at
-                # k = n, kth_upper is the largest bound (or NaN), so every
-                # row is kept
-                out.append(np.flatnonzero(~(lower > kth_upper)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            margins = 2.0 * _sq_dist_slack(q_norms, self.norms.max(), d)
+            for start in range(0, len(queries), step):
+                block = queries[start:start + step]
+                a = product[:len(block)]
+                np.matmul(block * -2.0, x.T, out=a)
+                a += self.sq_norms
+                for row, margin in zip(a, margins[start:]):
+                    limit = np.partition(row, k - 1)[k - 1] + margin
+                    out.append(np.flatnonzero(~(row > limit)))
         return out
 
 

@@ -450,11 +450,15 @@ def corpus_and_block(draw):
     """``corpus_and_query``'s corpora with a block of B - 1, B or B + 1
     queries for a block size B: its query first, then its query again,
     corpus rows and midpoints of two rows (at equal distances to both).
-    The tile has fewer rows than a corpus of two rows or more."""
+    Some corpora have a few rows scaled by 1e200, whose squared norms
+    overflow, so the certificate's slack is inf for the whole block."""
     x, q = draw(corpus_and_query())
     n = len(x)
-    x64 = x.astype(np.float64)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = x.astype(np.float64)
+        x[rng.integers(0, n, size=max(1, n // 8))] *= 1e200
+    x64 = x.astype(np.float64)
     block = draw(st.integers(1, 4))
     m = max(1, block + draw(st.sampled_from([-1, 0, 1])))
     a, b = x64[rng.integers(0, n, size=m)], x64[rng.integers(0, n, size=m)]
@@ -462,7 +466,7 @@ def corpus_and_block(draw):
     queries = np.where((kind == 0)[:, None], a, (a + b) / 2)
     queries[kind == 2] = q
     queries[0] = q
-    return x, queries, block, draw(st.integers(1, max(1, n - 1)))
+    return x, queries, block
 
 
 class TestCorpusIndex:
@@ -480,20 +484,20 @@ class TestCorpusIndex:
 
     @settings(max_examples=300, deadline=None)
     @given(corpus_and_block())
-    # corpus_and_query's ties, in blocks of two split over tiles of two rows
+    # corpus_and_query's ties, in blocks of two
     @example((np.array([[3.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]]),
-              np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), 2, 2))
+              np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), 2))
     def test_blocks_match_the_literal_oracle_for_every_query_and_k(self, case):
-        x, queries, block, tile = case
+        x, queries, block = case
         index = CorpusIndex(records_from(x))
-        with mock.patch.object(embedding, "_PRODUCT_BYTES", 8 * len(x) * block), \
-                mock.patch.object(embedding, "_TILE_BYTES", 8 * x.shape[1] * tile):
+        with mock.patch.object(embedding, "_PRODUCT_BYTES", 8 * len(x) * block):
             for k in range(1, len(x) + 3):
                 candidates = index.candidates(queries, k)
                 assert len(candidates) == len(queries)
                 for q, rows in zip(queries, candidates):
                     assert np.all(np.diff(rows) > 0)
-                    oracle = np.argsort(np.linalg.norm(x - q, axis=1), kind="stable")
+                    with np.errstate(over="ignore"):  # the oracle's squares of 1e200 rows
+                        oracle = np.argsort(np.linalg.norm(x - q, axis=1), kind="stable")
                     expected = [f"v{i + 1}" for i in oracle[:k]]
                     assert top_k_by_distance(q, index, k, rows) == expected
                     assert top_k_by_distance(q, index, k) == expected
@@ -519,6 +523,38 @@ class TestCorpusIndex:
         with pytest.raises(DimensionMismatch, match=r"query shape \(3,\) vs corpus dim 2"):
             index.candidates(np.ones((2, 3)), 1)
         assert index.candidates(np.empty((0, 0)), 1) == []
+
+    @pytest.mark.parametrize("queries", [[[]], np.empty((2, 0))])
+    def test_a_block_of_another_shape_is_refused(self, queries):
+        # unchecked, a block with rows but no width ended in matmul's own ValueError
+        index = CorpusIndex(records_from([[1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(DimensionMismatch, match="vs corpus dim 2"):
+            index.candidates(queries, 1)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_is_refused(self, k):
+        # unchecked, k = 0 kept every row and k = -3 ended in NumPy's ValueError
+        index = CorpusIndex(records_from([[1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(KTooLarge, match=f"k must be >= 1, got {k}"):
+            index.candidates(np.ones((1, 2)), k)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_query_is_refused_with_its_row(self, bad):
+        # unchecked, top_k_by_distance([nan, 0.0], index, 2) gave ['a', 'b']
+        index = CorpusIndex(EmbeddingRows(np.array([[1.0, 0.0], [0.0, 1.0]]), ["a", "b"]))
+        with pytest.raises(InvariantViolation, match="query row 0: non-finite entries"):
+            top_k_by_distance([bad, 0.0], index, 2)
+        with pytest.raises(InvariantViolation, match="query row 2: non-finite entries"):
+            index.candidates(np.array([[1e200, 0.0], [0.0, 1.0], [0.0, bad], [bad, 1.0]]), 1)
+
+    def test_the_certificate_keeps_only_the_k_nearest_on_spread_data(self):
+        # the certificate prunes: on distinct distances its margin is far below
+        # the gaps between neighbours, so no row beyond the k nearest is kept
+        rng = np.random.default_rng(0)
+        index = CorpusIndex(random_records(rng, 2000, 64))
+        queries = rng.normal(size=(50, 64))
+        for k in (1, 10, 100):
+            assert [len(rows) for rows in index.candidates(queries, k)] == [k] * len(queries)
 
     def test_unindexable_corpus_fails_once_at_build(self):
         with pytest.raises(EmptyCollection):
@@ -852,13 +888,13 @@ def test_huge_finite_vectors_warn_nothing_and_match_the_oracles(query_row):
 
 
 def test_huge_finite_vectors_in_one_block_warn_nothing_and_match_the_oracle():
-    # every row is a query, in one block over tiles of five rows
+    # every row is a query, in one block
     rng = np.random.default_rng(31)
     x = rng.normal(size=(24, 4))
     x[::2] *= 1e200
     with np.errstate(all="ignore"):
         orders = [np.argsort(np.linalg.norm(x - q, axis=1), kind="stable") for q in x]
-    with warnings.catch_warnings(), mock.patch.object(embedding, "_TILE_BYTES", 8 * 4 * 5):
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
         index = CorpusIndex(records_from(x))
         for k in range(1, len(x) + 1):
