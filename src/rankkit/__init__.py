@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 _SOURCES = {name: module for module, names in {
     "types": ("CandidateList", "Document", "Permutation", "Query", "identity_permutation",
               "validate_permutation"),
-    "embedding": ("CorpusIndex", "EmbeddingRecord", "EmbeddingRows", "SelectionResult",
+    "embedding": ("EmbeddingRecord", "EmbeddingRows", "SelectionResult",
                   "cosine_sim", "euclidean_dist", "greedy_diversity_select",
                   "kmeans_centroid_select", "quality_filter", "random_select", "stack_records",
                   "top_k_by_distance"),

@@ -75,7 +75,7 @@ def cmd_filter(args: argparse.Namespace) -> None:
     if args.pairs:
         pairs = _read_pairs(args.pairs, query_embs, doc_embs)
     else:
-        pairs = embedding.nearest_pairs(query_embs, embedding.CorpusIndex(doc_embs))
+        pairs = embedding.nearest_pairs(query_embs, doc_embs)
     result = embedding.quality_filter(pairs, cfg.quality_threshold)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"meta": {
@@ -136,16 +136,16 @@ def cmd_retrieve(args: argparse.Namespace) -> None:
 
     cfg = _load_config(args)
     query_embs = embedding.read_embeddings(args.query_embeddings)
-    index = embedding.CorpusIndex(embedding.read_embeddings(args.doc_embeddings))
-    candidates = index.candidates(query_embs.matrix, cfg.top_k)
+    docs = embedding.read_embeddings(args.doc_embeddings)
+    candidates = docs.candidates(query_embs.matrix, cfg.top_k)
     entries = []
     # a squared distance past the float range is refused below, as a score
     # of -inf that no run file can hold
     with np.errstate(over="ignore"):
         for qid, q, rows in zip(query_embs.ids, query_embs.matrix, candidates):
-            ids = embedding.top_k_by_distance(q, index, cfg.top_k, rows)
-            scores = [-embedding.euclidean_dist(q, index.matrix[i])
-                      for i in index.rows_of(ids, rows)]
+            ids = embedding.top_k_by_distance(q, docs, cfg.top_k, rows)
+            scores = [-embedding.euclidean_dist(q, docs.matrix[i])
+                      for i in docs.rows_of(ids, rows)]
             if -np.inf in scores:
                 raise RankkitError(f"query {qid}: its distance to doc "
                                    f"{ids[scores.index(-np.inf)]} overflows")

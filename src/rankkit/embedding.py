@@ -33,26 +33,27 @@ One certificate decides every nearest-row test, in retrieval (x a query,
 y the corpus rows) and in k-means (x a row, y the centroids).  One matrix
 product, with the -2 folded exactly into one operand, plus ``|y|^2`` gives
 ``a = |y|^2 - 2 x.y`` for each x and y; ``|x|^2`` is left out, as it is the
-same for every y.  ``_sq_dist_slack`` at ``|x|`` and the largest ``|y|``
-is one slack sigma per x that bounds the rounding of every ``a + |x|^2``
-against the literal squared distance, so a y whose ``a`` is more than
-2 sigma above another's is the farther.  What the certificate leaves
-undecided is settled by the literal formula, so the results are those of
-the literal formula over every row, whatever the BLAS kernel, blocking or
-thread split.
+same for every y.  The rounding of ``a + |x|^2`` against the literal
+squared distance is bounded from ``a`` and ``|x|^2`` alone, by a slack that
+rises with ``a`` (``_sq_dist_slack``), so no row norm enters a
+certificate, and one far row widens no other row's slack.  What the
+certificate leaves undecided is settled by the literal formula, so the
+results are those of the literal formula over every row, whatever the
+BLAS kernel, blocking or thread split.
 
-Retrieval goes through a ``CorpusIndex``: each command stacks its corpus
-once and nominates the candidates of all its queries before it ranks any
-(``CorpusIndex.candidates``), in blocks of queries with one matrix product
-each: the rows whose ``a`` is within 2 sigma of the query's k-th least.
+Retrieval goes through the corpus' ``EmbeddingRows``: each command reads
+its corpus once and nominates the candidates of all its queries before it
+ranks any (``EmbeddingRows.candidates``), in blocks of queries with one
+matrix product each: the rows whose ``a`` is at most ``(kth + 10 kappa
+|q|^2 + 2t) / (1 - 4 kappa)``, kth being the query's k-th least ``a``.
 ``top_k_by_distance`` then re-scores one query's candidates exactly as
 ``norm(x[rows] - q, axis=1)`` and stably sorts them by (distance, row), so
 the ids returned are those of a stable sort of the literal distances of
-every row, ties included.  The index keeps no id -> row map: a caller that
-needs the rows of the ids it got looks them up among that query's
-candidates (``CorpusIndex.rows_of``).  ``euclidean_dist`` forms one
-distance with the reduction of that row-wise norm, so a distance written
-beside a rank is its sort key.
+every row, ties included.  No id -> row map is kept: a caller that needs
+the rows of the ids it got looks them up among that query's candidates
+(``EmbeddingRows.rows_of``).  ``euclidean_dist`` forms one distance with
+the reduction of that row-wise norm, so a distance written beside a rank
+is its sort key.
 
 k-means keeps two bounds per row, an upper bound on its distance to its own
 centroid and a lower bound on its distance to every other one (Hamerly,
@@ -63,16 +64,17 @@ their centroid's literal ``np.square(x_i - c).sum()`` is strictly the least:
 every row on the first step, then the rows near a boundary between
 clusters or in a cluster that moved far, and any row that the empty-cluster
 repair moved.  A re-scored row's nearest centroid is certified from its two
-least ``a``, formed in one rows x k work array, with sigma at the largest
-centroid norm, and the rows it leaves undecided are re-scored with the
-literal formula.  The same two values give the row's new bounds.  A
-cluster whose members did not change keeps its centroid, bit for bit.
+least ``a``, m1 and m2, formed in one rows x k work array, where ``m2 (1 -
+4 kappa) > m1 + 10 kappa |x|^2 + 2t``, and the rows it leaves undecided
+are re-scored with the literal formula.  The same two values give the
+row's new bounds.  A cluster whose members did not change keeps its
+centroid, bit for bit.
 Each step therefore gives the assignment of the literal formula over every
 row, with one rows x k work array, not the N x k x d tensor.
 
 ``read_embeddings`` returns ``EmbeddingRows``, the one input type of every
 kernel: a read-only C-contiguous float64 matrix and a tuple of ids, each
-record a view of its row, so the index and the selectors take the file's
+record a view of its row, so retrieval and the selectors take the file's
 matrix without another copy.  The file is streamed in chunks of about
 256 KiB.  A chunk takes the fast path when every line has the exact shape
 ``{"id": "<id>", "vector": [<numbers>]}`` that ``write_embeddings`` writes,
@@ -80,7 +82,7 @@ the id holds no quote, backslash or control byte, and the bodies pass
 ``_json_numbers``; then one ``np.loadtxt`` call parses all of its vectors,
 and their row count and width are checked.  ``EmbeddingRows`` checks the
 ids once, and the finiteness of the matrix in the one pass that forms its
-squared row norms, which the index and k-means then take as they are, so a
+squared row norms, which retrieval and k-means then take as they are, so a
 command passes over its corpus matrix once before any product.  Any line,
 chunk or matrix that fails a check sends the whole file through the
 JSON-per-line reader (``types.read_jsonl``), which is the specification: it
@@ -110,9 +112,9 @@ this host's, a write in the same timestamp step as the hashing stat may go
 unseen until the file changes again.  A hit maps the entry's matrix
 read-only instead of copying it, after checking that its header fits the
 file, and builds ``EmbeddingRows`` from it, which checks the rows again in
-the pass that forms their norms, so a hit gives the rows and the norms of a
-parse.  rankkit only ever replaces an entry with ``os.replace``, so rows
-mapped from the old entry keep their values; an entry truncated in place by
+the pass that forms their squared norms, so a hit gives the rows and
+squared norms of a parse.  rankkit only ever replaces an entry with
+``os.replace``, so rows mapped from the old entry keep their values; an entry truncated in place by
 another hand can crash a reader that has it mapped.  Any entry that fails
 to load or check is a miss that parses the file and replaces it; any
 failure to read or write the cache is logged at debug level and changes
@@ -298,12 +300,11 @@ class EmbeddingRows(abc.Sequence):
     The one place where rows are checked, whoever builds them: one id per
     row, each a valid id and none repeated, rows of one or more values,
     and only finite values.  The finiteness check is the one pass over the
-    matrix that ``_sq_norms`` makes, and its results stay as ``sq_norms``
-    and ``norms`` (read-only), which ``CorpusIndex`` and
-    ``kmeans_centroid_select`` take instead of a pass of their own.  A row
-    of finite values whose squares overflow has an infinite ``sq_norms``
-    entry, which makes the certificate's slack inf and sends the row to the
-    literal formula."""
+    matrix that ``_sq_norms`` makes, and its result stays as ``sq_norms``
+    (read-only), which ``candidates`` and ``kmeans_centroid_select`` take
+    instead of a pass of their own.  A row of finite values whose squares
+    overflow has an infinite ``sq_norms`` entry.  Rows are the corpus of
+    exact retrieval as they are (``candidates``, ``rows_of``)."""
 
     def __init__(self, matrix: np.ndarray, ids: Sequence[str]):
         matrix = np.ascontiguousarray(matrix, dtype=np.float64)
@@ -324,15 +325,14 @@ class EmbeddingRows(abc.Sequence):
         if len(set(ids)) < len(ids):
             repeat = next(i for i, count in Counter(ids).items() if count > 1)
             raise InvariantViolation(f"embedding record id {repeat!r} repeats")
-        sq_norms, norms = _sq_norms(matrix)
+        sq_norms = _sq_norms(matrix)
         bad = _non_finite_rows(matrix, sq_norms)
         if bad.size:
             raise InvariantViolation(f"embedding record {ids[int(bad[0])]}: non-finite entries")
-        sq_norms.flags.writeable = norms.flags.writeable = False
+        sq_norms.flags.writeable = False
         self.matrix = matrix
         self.ids = ids
         self.sq_norms = sq_norms
-        self.norms = norms
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -341,6 +341,67 @@ class EmbeddingRows(abc.Sequence):
         if isinstance(i, slice):
             return EmbeddingRows(self.matrix[i], self.ids[i])
         return EmbeddingRecord(self.ids[i], self.matrix[i])
+
+    def rows_of(self, ids: Sequence[str], candidates: np.ndarray) -> list[int]:
+        """The row of each of ``ids``, looked up among one query's
+        ``candidates`` (the rows that ``top_k_by_distance`` ranked them from),
+        not among every row."""
+        row_of = {self.ids[i]: i for i in candidates.tolist()}
+        return [row_of[ident] for ident in ids]
+
+    def candidates(self, queries: np.ndarray, k: int) -> list[np.ndarray]:
+        """For each row of the matrix ``queries``, in ascending order, the
+        rows that could be among its k nearest by the literal ``norm(x -
+        q)``, ties included.  No rows raise ``EmptyCollection``, before any
+        other check; then k < 1 raises ``KTooLarge``, a shape other than
+        (B, d) or (0, 0) ``DimensionMismatch``, and a query with a NaN or an
+        inf ``InvariantViolation``, with its row.
+
+        A block of queries, its B x N product within ``_PRODUCT_BYTES`` (one
+        query at least), takes one matrix product of the block times -2
+        (exact, unless it overflows) with the matrix, plus ``|x|^2``:
+        ``a_i = |x_i|^2 - 2 x_i.q``, one contiguous row per query.  A query,
+        Q its computed ``|q|^2``, keeps the rows with ``not a_i > (kth +
+        10 kappa Q + 2t) / (1 - 4 kappa)``, kth being its k-th least ``a``
+        (``_sq_dist_slack``), or every row if Q or that limit exceeds 2^1020.
+
+        Proof (s', kappa', t': ``_sq_dist_slack``).  For Q <= 2^1020 no
+        ``a_i`` is -inf, nor NaN unless ``|x_i|^2`` overflowed.  For a finite
+        kth, the k rows of least ``a`` have ``D_j <= a_j + Q + s'(a_j) <= B =
+        kth + Q + s'(kth)``, D being the squared literal norm, so every row
+        that a stable sort of the literal norms puts among the first k has
+        ``D_i <= B``.  A finite ``a_i`` then has ``a_i - s'(a_i) <= kth +
+        s'(kth)``, so ``a_i <= (kth + 10 kappa' Q + 2t') / (1 - 4 kappa')``,
+        which the limit exceeds.  An infinite ``a_i`` has D_i > 2^1021
+        (``|x_i| >= 2^511.5`` against ``|q| <= 2^510``, or an exact ``a_i``
+        past the float range), but ``B <= limit + Q <= 2^1021``, as ``kth >=
+        -Q(1 + 3 kappa') - t'``.  ``not >`` keeps a NaN ``a_i``, and a NaN or
+        infinite kth keeps every row."""
+        x = _matrix(self, k)
+        queries = np.asarray(queries, dtype=np.float64)
+        n, d = x.shape
+        if queries.shape[1:] != (d,) and queries.shape != (0, 0):
+            raise DimensionMismatch(f"query shape {queries.shape[1:]} vs corpus dim {d}")
+        q_sq = _sq_norms(queries)
+        bad = _non_finite_rows(queries, q_sq)
+        if bad.size:
+            raise InvariantViolation(f"query row {int(bad[0])}: non-finite entries")
+        k = min(k, n)
+        kappa, t = _sq_dist_slack(d)
+        step = max(1, _PRODUCT_BYTES // (8 * n))
+        product = np.empty((min(step, len(queries)), n))
+        out = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            offsets = np.where(q_sq <= 2.0**1020, q_sq * (10 * kappa) + 2 * t, np.inf)
+            for start in range(0, len(queries), step):
+                block = queries[start:start + step]
+                a = product[:len(block)]
+                np.matmul(block * -2.0, x.T, out=a)
+                a += self.sq_norms
+                for row, offset in zip(a, offsets[start:]):
+                    limit = (np.partition(row, k - 1)[k - 1] + offset) / (1 - 4 * kappa)
+                    out.append(np.flatnonzero(~(row > (limit if limit <= 2.0**1020 else np.inf))))
+        return out
 
 
 def stack_records(records: Sequence[EmbeddingRecord]) -> EmbeddingRows:
@@ -446,7 +507,7 @@ def _unit_rows32(rows: EmbeddingRows) -> tuple[np.ndarray, np.ndarray, float]:
             raise ZeroVector(rows.ids[start + int(zero[0])])
         u = x[block] / norms[block, None]
         u32[block] = u
-        u_max = max(u_max, float(_sq_norms(u)[1].max()))
+        u_max = max(u_max, float(np.sqrt(_sq_norms(u).max())))
     return norms, u32, u_max
 
 
@@ -514,10 +575,9 @@ def _scan_slack(d: int, u_max: float) -> Callable[[np.ndarray], float]:
     return slack
 
 
-def _sq_norms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared norms and norms of the rows of ``x`` (or of the vector ``x``)."""
-    sq = np.einsum("...j,...j->...", x, x)  # einsum overflows to inf silently
-    return sq, np.sqrt(sq)
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows of ``x`` (or of the vector ``x``)."""
+    return np.einsum("...j,...j->...", x, x)  # einsum overflows to inf silently
 
 
 def _non_finite_rows(x: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
@@ -527,149 +587,81 @@ def _non_finite_rows(x: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
     return suspect[~np.isfinite(x[suspect]).all(axis=1)]
 
 
-def _sq_dist_slack(x_norms: np.ndarray, y_norms: np.ndarray, d: int) -> np.ndarray:
-    """``4 (d + 8) u (|x| + |y|)^2 + (d + 8) tiny``: a bound on
-    ``|approx - s|``, ``approx`` being ``|x|^2 - 2 x.y + |y|^2`` summed in
-    either order from the dot product and the squared norms of x and y, and
-    s the literal sum of squared differences, the square of the literal
-    norm of the difference or the exact squared distance.
+def _sq_dist_slack(d: int) -> tuple[float, float]:
+    """kappa = 8(d + 8)u and t = (d + 8) tiny, u the unit roundoff and tiny
+    the least normal float: the terms of every nearest-row certificate's
+    slack, twice what its proof needs.
 
-    The three length-d dot products in ``approx`` err by at most
-    ``d u (|x| + |y|)^2`` together, s lies within ``(d + 4) u |x - y|^2`` of
-    the true squared distance, and ``|x - y| <= |x| + |y|``.  Each partial
-    sum of ``approx`` is at most ``(|x| + |y|)^2`` in size, within rounding,
-    whichever squared norm is added first, so the two additions cost the
-    same either way.  The factor 4 and the +8 cover combining the terms and
-    forming the bound itself; the tiny term covers underflow.  Every step
-    rounds monotonically, so a larger ``|y|`` never gives a smaller bound:
-    the bound for the largest ``|y|`` of a set holds for each of them.
-    A sum with one rounding fewer, an addition made exactly, errs by less,
-    so the bound holds for it too.  Overflow gives inf."""
-    slack = np.add(x_norms, y_norms)
-    slack *= slack
-    slack *= 4 * (d + 8) * _UNIT_ROUNDOFF
-    slack += (d + 8) * _TINY
-    return slack
+    Let ``a = |y|^2 - 2 x.y`` be formed as the certificates form it (the dot
+    product of x and -2y, or -2x and y, in any order, with or without FMA,
+    plus the computed ``|y|^2``; or that sum before it rounds), Q the
+    computed ``|x|^2`` and D the exact squared distance, the literal one or
+    the literal norm's square.  For d < 2^25, kappa' = kappa / 2 and t' =
+    t / 2, ``|a + Q - D| <= s'(a) = (kappa'(5Q + 2a) + t') / (1 - 2 kappa')``,
+    and s' and ``a - s'(a)`` rise with a.  Proof: with X, Y the exact
+    squared norms, delta the exact squared distance and eta = 2^-1074,
+    Higham's gamma for dot products, plus eta per product that underflows,
+    gives ``|a + Q - delta| <= 2 gamma_{d+1}(X + Y) + 4d eta`` (as ``2|x_i
+    y_i| <= x_i^2 + y_i^2``, and the addition errs by ``u(X + 2Y)``) and
+    ``|D - delta| <= gamma_{d+4} delta + 2d eta``, so ``E = |a + Q - D| <=
+    c(X + Y) + 6d eta`` with c = 4 gamma_{d+4}.  As ``Y <= 2X + 2 delta``
+    and ``delta <= a + Q + E`` (solved at D = delta first), ``E <= (c(3X +
+    2Q + 2a) + 6d eta) / (1 - 2c)``.  Last, ``X <= (Q + d eta) / (1 -
+    gamma_d)`` and ``a + Q >= -E``, kappa' exceeds ``c(1 + 2 gamma_d)(1 +
+    3 kappa')`` while d < 2^25, and t' covers the eta terms.
 
-
-class CorpusIndex:
-    """A corpus stacked once for exact top-k queries by Euclidean distance.
-
-    Holds the float64 matrix, its squared row norms and norms, and the ids
-    in input order, all of them those of ``EmbeddingRows`` itself, not
-    copies, so building one makes no pass over the matrix.  Build one per
-    command and pass it to every ``top_k_by_distance`` call; an empty
-    corpus fails here, once.
-    """
-
-    def __init__(self, rows: EmbeddingRows):
-        self.matrix = _matrix(rows)
-        self.sq_norms, self.norms = rows.sq_norms, rows.norms
-        self.ids = rows.ids
-
-    def rows_of(self, ids: Sequence[str], candidates: np.ndarray) -> list[int]:
-        """The row of each of ``ids``, looked up among one query's
-        ``candidates`` (the rows that ``top_k_by_distance`` ranked them from),
-        not among every row of the corpus."""
-        row_of = {self.ids[i]: i for i in candidates.tolist()}
-        return [row_of[ident] for ident in ids]
-
-    def candidates(self, queries: np.ndarray, k: int) -> list[np.ndarray]:
-        """For each row of the matrix ``queries``, in ascending order, the
-        corpus rows that could be among its k nearest by the literal
-        ``norm(x - q)``, ties included.  k < 1 raises ``KTooLarge``, a shape
-        other than (B, d) or (0, 0) ``DimensionMismatch``, and a query with
-        a NaN or an inf ``InvariantViolation``, with its row.
-
-        A block of queries, its B x N product within ``_PRODUCT_BYTES`` (one
-        query at least), takes one matrix product of the block times -2
-        (exact, unless it overflows) with the corpus, plus ``|x|^2``:
-        ``a_i = |x_i|^2 - 2 x_i.q``, one contiguous row per query.  A query
-        keeps the rows with ``not a_i > kth + 2 sigma``, kth being its k-th
-        least ``a`` and sigma ``_sq_dist_slack`` at ``|q|`` and the largest
-        corpus norm.
-
-        Proof.  Let D_i be row i's literal squared distance, Q the computed
-        ``|q|^2`` and A_i the exact sum that ``a_i`` rounds.  The slack at
-        ``|x_i|``, and so sigma (it rounds monotonically), bounds
-        ``|a_i + Q - D_i|`` and ``|A_i + Q - D_i|``.  For a finite kth, the
-        k rows of least ``a`` have ``D_j <= kth + Q + sigma``, so each of the
-        k nearest, ties included, has ``A_i + Q - sigma <= D_i <= kth + Q +
-        sigma``, and ``A_i <= kth + 2 sigma``.  Rounding is monotonic, so
-        ``a_i``, A_i rounded (inf if it overflowed), is at most ``kth +
-        2 sigma`` rounded (2 sigma is exact): the row is kept.  ``not >``
-        keeps a NaN ``a_i``, and a kth of inf or NaN or a sigma of inf (a
-        squared norm that overflowed) gives a limit that keeps every row."""
-        if k < 1:
-            raise KTooLarge(f"k must be >= 1, got {k}")
-        queries = np.asarray(queries, dtype=np.float64)
-        x = self.matrix
-        n, d = x.shape
-        if queries.shape[1:] != (d,) and queries.shape != (0, 0):
-            raise DimensionMismatch(f"query shape {queries.shape[1:]} vs corpus dim {d}")
-        q_sq, q_norms = _sq_norms(queries)
-        bad = _non_finite_rows(queries, q_sq)
-        if bad.size:
-            raise InvariantViolation(f"query row {int(bad[0])}: non-finite entries")
-        k = min(k, n)
-        step = max(1, _PRODUCT_BYTES // (8 * n))
-        product = np.empty((min(step, len(queries)), n))
-        out = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            margins = 2.0 * _sq_dist_slack(q_norms, self.norms.max(), d)
-            for start in range(0, len(queries), step):
-                block = queries[start:start + step]
-                a = product[:len(block)]
-                np.matmul(block * -2.0, x.T, out=a)
-                a += self.sq_norms
-                for row, margin in zip(a, margins[start:]):
-                    limit = np.partition(row, k - 1)[k - 1] + margin
-                    out.append(np.flatnonzero(~(row > limit)))
-        return out
+    Each rule forms, from one a and Q, a limit or a bound that its proof
+    needs on one side of its exact value at kappa' and t'.  At kappa and t
+    that value lies farther on that side, by at least ``(kappa - kappa')(|a|
+    + Q) + t' / 2``, as D >= 0 gives ``a >= -Q(1 + 3 kappa') - t'``; its at
+    most five roundings move it by less than ``6u(|a| + Q + t) + eta``, and
+    kappa - kappa' >= 36u."""
+    return 8 * (d + 8) * _UNIT_ROUNDOFF, (d + 8) * _TINY
 
 
 def top_k_by_distance(
     query_emb: Sequence[float],
-    corpus: CorpusIndex | Sequence[EmbeddingRecord],
+    corpus: EmbeddingRows | Sequence[EmbeddingRecord],
     k: int,
     rows: np.ndarray | None = None,
 ) -> list[str]:
     """Exact top-k by ascending Euclidean distance; ties keep input order.
 
-    ``corpus`` is a ``CorpusIndex`` shared across queries, or a record list
-    that is stacked and indexed for this one call.  ``rows``: the query's
-    candidates from ``CorpusIndex.candidates`` for this k or a larger one
-    (any ascending row array that holds them will do), or None to nominate
-    them here, as a block of one.  The candidates are re-scored with the
-    literal ``np.linalg.norm(x[rows] - q, axis=1)`` and stably sorted, so
-    the ids are those of a stable sort of the literal distances of every
-    row.
+    ``corpus``: ``EmbeddingRows``, shared across queries and taken as it
+    is, or any other record sequence, stacked for this one call.  ``rows``:
+    the query's candidates from ``EmbeddingRows.candidates`` for this k or
+    a larger one (any ascending row array that holds them will do), or None
+    to nominate them here, as a block of one.  The candidates are re-scored
+    with the literal ``np.linalg.norm(x[rows] - q, axis=1)`` and stably
+    sorted, so the ids are those of a stable sort of the literal distances
+    of every row.
     """
     if k < 1:
         raise KTooLarge(f"k must be >= 1, got {k}")
-    index = corpus if isinstance(corpus, CorpusIndex) else CorpusIndex(stack_records(corpus))
+    if not isinstance(corpus, EmbeddingRows):
+        corpus = stack_records(corpus)
+    x = _matrix(corpus)
     q = np.asarray(query_emb, dtype=np.float64)
-    dim = index.matrix.shape[1]
-    if q.shape != (dim,):
-        raise DimensionMismatch(f"query shape {q.shape} vs corpus dim {dim}")
+    if q.shape != (x.shape[1],):
+        raise DimensionMismatch(f"query shape {q.shape} vs corpus dim {x.shape[1]}")
     if rows is None:
-        rows = index.candidates(q[None], k)[0]
+        rows = corpus.candidates(q[None], k)[0]
     with np.errstate(over="ignore"):
-        exact = np.linalg.norm(index.matrix[rows] - q, axis=1)
-    return [index.ids[int(i)] for i in rows[np.argsort(exact, kind="stable")[:k]]]
+        exact = np.linalg.norm(x[rows] - q, axis=1)
+    return [corpus.ids[int(i)] for i in rows[np.argsort(exact, kind="stable")[:k]]]
 
 
 def nearest_pairs(
     queries: EmbeddingRows,
-    index: CorpusIndex,
+    docs: EmbeddingRows,
 ) -> list[tuple[np.ndarray, np.ndarray, tuple[str, str]]]:
     """(query vector, doc vector, (query id, doc id)) for each query and its
     nearest document (top-1 by Euclidean distance), in query order: the
     pairs that ``quality_filter`` takes."""
     pairs = []
-    for qid, q, rows in zip(queries.ids, queries.matrix, index.candidates(queries.matrix, 1)):
-        top = top_k_by_distance(q, index, 1, rows)
-        pairs.append((q, index.matrix[index.rows_of(top, rows)[0]], (qid, top[0])))
+    for qid, q, rows in zip(queries.ids, queries.matrix, docs.candidates(queries.matrix, 1)):
+        top = top_k_by_distance(q, docs, 1, rows)
+        pairs.append((q, docs.matrix[docs.rows_of(top, rows)[0]], (qid, top[0])))
     return pairs
 
 
@@ -707,7 +699,6 @@ def kmeans_centroid_select(
     # one work array per run: a fresh one per block faults its pages in anew
     # (twice the time of a step) and shifts the heap layout
     work = np.empty((max(1, min(n, _BLOCK_BYTES // (8 * k))), k))
-    x_sq, x_norms = rows.sq_norms, rows.norms
     # the narrowest dtype: a stable argsort of 8- or 16-bit keys is a radix sort
     assign = np.zeros(n, dtype=np.min_scalar_type(k - 1))
     # each row's bounds on its distance to its own centroid and to every other
@@ -715,7 +706,7 @@ def kmeans_centroid_select(
     stale = None  # the rows to re-score; None: every row, read in place
     for it in range(KMEANS_MAX_ITERS):
         new_assign = assign.copy()
-        _assign_rows(x, x_sq, x_norms, centroids, stale, work, new_assign, upper, lower)
+        _assign_rows(x, rows.sq_norms, centroids, stale, work, new_assign, upper, lower)
         sizes = np.bincount(new_assign, minlength=k)
         empty = np.flatnonzero(sizes == 0)
         if empty.size:
@@ -757,38 +748,38 @@ def _cluster_members(assign: np.ndarray, k: int) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(assign, minlength=k))[:-1])
 
 
-def _assign_rows(x: np.ndarray, x_sq: np.ndarray, x_norms: np.ndarray, centroids: np.ndarray,
+def _assign_rows(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray,
                  rows: np.ndarray | None, work: np.ndarray, assign: np.ndarray,
                  upper: np.ndarray, lower: np.ndarray) -> None:
     """Re-score ``rows`` of ``x`` (None: every row, read in place; else an
     index array, gathered a block at a time): set ``assign`` to each row's
     centroid of least literal squared distance, lowest index on ties, and
     ``upper`` and ``lower`` to bounds on its distance to that centroid and
-    to every other.
+    to every other.  ``x_sq``: ``_sq_norms(x)``.
 
     Each block forms ``a = |c|^2 - 2 x.c`` for its rows and every centroid
-    in ``work`` (rows x k), as one matrix product with ``-2 c`` (scaling by
-    a power of two is exact but for underflow, which the tiny term of the
-    slack covers) plus ``|c|^2``.  A row's least entry ``m1``, at ``best``,
-    and its next least ``m2``, with ``best`` masked, take ``|x|^2``; adding
-    it to every entry would not change their order, as rounding is
-    monotonic, so ``m1 + |x|^2`` and ``m2 + |x|^2`` are the least of the
-    approximations ``|c|^2 - 2 x.c + |x|^2`` at ``best`` and at every other
-    centroid.  ``_sq_dist_slack`` bounds each approximation's error, for
-    the order of additions here too, and its bound ``sigma`` at the largest
-    ``|c|`` holds for every centroid.  So ``m2 + |x|^2 - sigma`` is at most
-    the squared distance to any other centroid and ``m1 + |x|^2 + sigma`` at
-    least that to ``best``, literal or exact; where the first, rounded, is
-    greater than the second, rounded, the unrounded first is greater too,
-    and ``best`` is the literal answer, strictly.  The others are re-scored
-    literally, and their bounds are left open (``upper`` inf), since they
-    prove nothing.  A NaN or an overflow fails the test: a centroid or row
-    whose squared norm overflowed makes ``sigma`` inf, and a product that
-    overflows needs one.  ``x_sq``, ``x_norms``: ``_sq_norms(x)``."""
+    in ``work`` (rows x k), as one matrix product with ``-2 c`` plus
+    ``|c|^2``.  A row's least entry m1, at ``best``, its next least m2 and
+    Q, its ``|x|^2``, give ``up = (m1 + Q(1 + 3 kappa) + t) / (1 - 2 kappa)``
+    and ``lo = (m2(1 - 4 kappa) + Q(1 - 7 kappa) - t) / (1 - 2 kappa)``
+    (``_sq_dist_slack``), which are ``m1 + Q + s'(m1)`` and ``m2 + Q -
+    s'(m2)`` rounded outward.  As ``a - s'(a)`` rises, they bound the
+    squared distance, literal or exact, to ``best`` from above and to every
+    other centroid from below.  So where ``lo > up``, that is where ``m2(1 -
+    4 kappa) > m1 + 10 kappa Q + 2t``, ``best`` is the literal answer,
+    strictly.  That needs every a finite, as it is while Q is finite and no
+    ``|c|^2`` exceeds 2^1020; a larger one makes t inf for the whole call,
+    and an infinite Q makes ``up`` inf or NaN, so neither certifies a row,
+    nor does a NaN.  The undecided rows are re-scored literally, and their
+    bounds left open (``upper`` inf).  ``lo`` is clamped to 2^1020, as an
+    infinite lower bound would outlast any finite move of the centroids.
+    The square roots of ``up`` and ``lo``, rounded outward, are the row's
+    new bounds."""
     count = x.shape[0] if rows is None else rows.size
-    d = x.shape[1]
-    c_sq, c_norms = _sq_norms(centroids)
-    c_norm_max = c_norms.max()
+    kappa, t = _sq_dist_slack(x.shape[1])
+    c_sq = _sq_norms(centroids)
+    if not c_sq.max() <= 2.0**1020:
+        t = np.inf  # a product or a sum may overflow
     with np.errstate(over="ignore"):
         scaled = -2.0 * centroids
     for start in range(0, count, work.shape[0]):
@@ -799,25 +790,23 @@ def _assign_rows(x: np.ndarray, x_sq: np.ndarray, x_norms: np.ndarray, centroids
         m = block.shape[0]
         a = work[:m]
         i = np.arange(m)
+        q = x_sq[at]
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(block, scaled.T, out=a)
             a += c_sq
             best = np.argmin(a, axis=1)  # a NaN is the least, and fails the test
-            best_up = a[i, best]  # m1, then m1 + |x|^2 + sigma
+            m1 = a[i, best]
             a[i, best] = np.inf
-            other_lo = a.min(axis=1)  # m2, then m2 + |x|^2 - sigma
-            best_up += x_sq[at]
-            other_lo += x_sq[at]
-            sigma = _sq_dist_slack(x_norms[at], c_norm_max, d)
-            best_up += sigma
-            other_lo -= sigma
-        undecided = np.flatnonzero(~(other_lo > best_up))  # NaN too
+            up = (m1 + q * (1 + 3 * kappa) + t) / (1 - 2 * kappa)
+            lo = (a.min(axis=1) * (1 - 4 * kappa) + q * (1 - 7 * kappa) - t) / (1 - 2 * kappa)
+            np.minimum(lo, 2.0**1020, out=lo)
+        undecided = np.flatnonzero(~(lo > up))  # NaN too
         best[undecided] = _literal_nearest(block[undecided], centroids)
-        best_up[undecided] = np.inf
+        up[undecided] = np.inf
         assign[at] = best
         # the bounds hold the exact squared distances too
-        upper[at] = np.sqrt(best_up) * _WIDEN
-        lower[at] = np.sqrt(np.maximum(other_lo, 0.0)) * _NARROW
+        upper[at] = np.sqrt(up) * _WIDEN
+        lower[at] = np.sqrt(np.maximum(lo, 0.0)) * _NARROW
 
 
 def _widen_bounds(upper: np.ndarray, lower: np.ndarray, assign: np.ndarray,

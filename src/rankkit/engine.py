@@ -206,7 +206,11 @@ def rerank_many(
     """Rerank many queries, optionally in parallel; windows within a query
     stay sequential.  Returns ``map_ordered``'s results and failed query
     ids.  The queries with a candidate list are reranked in input order; a
-    candidate list whose query is not in ``queries`` fails its query."""
+    candidate list whose query is not in ``queries`` fails its query.  A
+    ``method`` other than listwise or pairwise raises ``ConfigError`` before
+    any backend call."""
+    if method not in ("listwise", "pairwise"):
+        raise ConfigError(f"unknown rerank method {method!r}: listwise or pairwise")
     known = {q.id for q in queries}
 
     def one(q) -> CandidateList:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .backends import Backend, RetryPolicy
 from .config import PipelineConfig
-from .embedding import CorpusIndex, EmbeddingRows, top_k_by_distance
+from .embedding import EmbeddingRows, top_k_by_distance
 from .engine import RerankReport, map_ordered, rank_window, resolve_docs
 from .errors import ConfigError, MalformedLine, RankkitError, Unparseable
 from .metrics import kendall_tau
@@ -157,8 +157,8 @@ def distill(
 ) -> tuple[list[TeacherLabel], DistillSummary]:
     """Produce one teacher label per query.
 
-    Retrieval is ``retrieve``'s, before any backend call: one index, one
-    ``CorpusIndex.candidates`` block for the queries that have an
+    Retrieval is ``retrieve``'s, before any backend call: one
+    ``corpus_embs.candidates`` block for the queries that have an
     embedding, and ``top_k_by_distance`` for each; an empty corpus, or
     query vectors of another width, raise.  Per-query failures (missing
     embedding, dead backend, unresolvable docs) are ``map_ordered``'s:
@@ -166,12 +166,11 @@ def distill(
     returned in query input order regardless of worker parallelism, so
     output files are reproducible.
     """
-    index = CorpusIndex(corpus_embs)
     row_of = {qid: i for i, qid in enumerate(query_embs.ids)}
     embedded = [q.id for q in queries if q.id in row_of]
     block = query_embs.matrix[[row_of[qid] for qid in embedded]]
-    ranked = {qid: top_k_by_distance(q, index, cfg.top_k, rows)
-              for qid, q, rows in zip(embedded, block, index.candidates(block, cfg.top_k))}
+    ranked = {qid: top_k_by_distance(q, corpus_embs, cfg.top_k, rows)
+              for qid, q, rows in zip(embedded, block, corpus_embs.candidates(block, cfg.top_k))}
 
     def one(q: Query) -> TeacherLabel:
         if q.id not in ranked:

@@ -14,7 +14,6 @@ from oracles import TooLarge, brute_force_diversity_oracle, greedy_oracle, kmean
 
 from rankkit import embedding
 from rankkit.embedding import (
-    CorpusIndex,
     EmbeddingRecord,
     EmbeddingRows,
     cosine_sim,
@@ -469,14 +468,14 @@ def corpus_and_block(draw):
     return x, queries, block
 
 
-class TestCorpusIndex:
+class TestCandidates:
     @settings(max_examples=300, deadline=None)
     @given(corpus_and_query())
     # four rows at distance 1 (one a duplicate) straddle k = 2 and k = 4
     @example((np.array([[3.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]]), np.zeros(2)))
     def test_top_k_matches_literal_oracle_for_every_k(self, case):
         x, q = case
-        index = CorpusIndex(records_from(x))
+        index = records_from(x)
         oracle = np.argsort(np.linalg.norm(x - q, axis=1), kind="stable")
         for k in range(1, len(x) + 3):  # every k, so ties straddling the k-th place and k >= N
             got = top_k_by_distance(q, index, k)
@@ -489,7 +488,7 @@ class TestCorpusIndex:
               np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), 2))
     def test_blocks_match_the_literal_oracle_for_every_query_and_k(self, case):
         x, queries, block = case
-        index = CorpusIndex(records_from(x))
+        index = records_from(x)
         with mock.patch.object(embedding, "_PRODUCT_BYTES", 8 * len(x) * block):
             for k in range(1, len(x) + 3):
                 candidates = index.candidates(queries, k)
@@ -506,7 +505,7 @@ class TestCorpusIndex:
         # one product for all 300 queries would be 4.8 MB
         rng = np.random.default_rng(0)
         n, d, cap = 2000, 64, 1 << 20
-        index = CorpusIndex(random_records(rng, n, d))
+        index = random_records(rng, n, d)
         queries = rng.normal(size=(300, d))
         with mock.patch.object(embedding, "_PRODUCT_BYTES", cap):
             tracemalloc.start()
@@ -519,7 +518,7 @@ class TestCorpusIndex:
         assert peak < cap + 16 * 8 * n
 
     def test_a_query_of_another_width_fails_the_block(self):
-        index = CorpusIndex(records_from([[1.0, 0.0], [0.0, 1.0]]))
+        index = records_from([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DimensionMismatch, match=r"query shape \(3,\) vs corpus dim 2"):
             index.candidates(np.ones((2, 3)), 1)
         assert index.candidates(np.empty((0, 0)), 1) == []
@@ -527,21 +526,21 @@ class TestCorpusIndex:
     @pytest.mark.parametrize("queries", [[[]], np.empty((2, 0))])
     def test_a_block_of_another_shape_is_refused(self, queries):
         # unchecked, a block with rows but no width ended in matmul's own ValueError
-        index = CorpusIndex(records_from([[1.0, 0.0], [0.0, 1.0]]))
+        index = records_from([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DimensionMismatch, match="vs corpus dim 2"):
             index.candidates(queries, 1)
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_k_below_one_is_refused(self, k):
         # unchecked, k = 0 kept every row and k = -3 ended in NumPy's ValueError
-        index = CorpusIndex(records_from([[1.0, 0.0], [0.0, 1.0]]))
+        index = records_from([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(KTooLarge, match=f"k must be >= 1, got {k}"):
             index.candidates(np.ones((1, 2)), k)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_query_is_refused_with_its_row(self, bad):
         # unchecked, top_k_by_distance([nan, 0.0], index, 2) gave ['a', 'b']
-        index = CorpusIndex(EmbeddingRows(np.array([[1.0, 0.0], [0.0, 1.0]]), ["a", "b"]))
+        index = EmbeddingRows(np.array([[1.0, 0.0], [0.0, 1.0]]), ["a", "b"])
         with pytest.raises(InvariantViolation, match="query row 0: non-finite entries"):
             top_k_by_distance([bad, 0.0], index, 2)
         with pytest.raises(InvariantViolation, match="query row 2: non-finite entries"):
@@ -551,17 +550,62 @@ class TestCorpusIndex:
         # the certificate prunes: on distinct distances its margin is far below
         # the gaps between neighbours, so no row beyond the k nearest is kept
         rng = np.random.default_rng(0)
-        index = CorpusIndex(random_records(rng, 2000, 64))
+        index = random_records(rng, 2000, 64)
         queries = rng.normal(size=(50, 64))
         for k in (1, 10, 100):
             assert [len(rows) for rows in index.candidates(queries, k)] == [k] * len(queries)
 
-    def test_unindexable_corpus_fails_once_at_build(self):
+    def test_a_row_within_the_proven_margin_of_the_kth_is_kept(self):
+        # q = (1, 0), so |q|^2 = 1, and its nearest row is q itself, at a =
+        # |x|^2 - 2 x.q = -1.  A row (1, e) has a = -1 + e^2 exactly.  The limit
+        # (kth + 10 kappa |q|^2 + 2t) / (1 - 4 kappa) is about -1 + 6 kappa =
+        # -1 + 480u (kappa = 8(d + 8)u = 80u at d = 2, u = 2^-53), so the row at
+        # e^2 = 288u is kept, though it is not the nearest, and the row at
+        # e^2 = 800u is dropped.  Half that kappa would drop the first, and
+        # twice it would keep the second
+        near, far = 3 * 2.0**-24, 5 * 2.0**-24
+        assert [v * v / 2.0**-53 for v in (near, far)] == [288.0, 800.0]
+        rows = records_from([[1.0, 0.0], [1.0, near], [1.0, far]])
+        assert [c.tolist() for c in rows.candidates(np.array([[1.0, 0.0]]), 1)] == [[0, 1]]
+        assert top_k_by_distance([1.0, 0.0], rows, 1) == ["v1"]
+
+    @pytest.mark.parametrize("scale", [1e10, 1e200])
+    def test_one_far_row_leaves_each_query_only_its_k_nearest(self, scale):
+        # with the slack taken at the largest corpus norm, one far row kept
+        # 5999 (times 1e10) or all 6000 rows (times 1e200) for each query
+        rng = np.random.default_rng(6000)
+        x = rng.normal(size=(6000, 384))
+        x[0] *= scale
+        rows = records_from(x)
+        queries = rng.normal(size=(4, 384))
+        candidates = rows.candidates(queries, 100)
+        assert [len(c) for c in candidates] == [100] * len(queries)
+        for q, rows_q in zip(queries, candidates):
+            with np.errstate(over="ignore"):  # the oracle's squares of a 1e200 row
+                order = np.argsort(np.linalg.norm(x - q, axis=1), kind="stable")
+            assert top_k_by_distance(q, rows, 100, rows_q) == [f"v{i + 1}" for i in order[:100]]
+
+    @pytest.mark.parametrize("q, far", [(0.25, -0.75), (0.475, -0.059375)])
+    def test_a_row_whose_squared_norm_overflows_is_kept_while_it_may_be_nearest(self, q, far):
+        # rows at far and at 1 and a query at q, in units of 2^512: the second
+        # row's squared norm overflows, so its a is inf, yet it is the
+        # nearest.  At q = 0.25 the limit exceeds 2^1020, at q = 0.475 |q|^2
+        # does, and either keeps every row
+        unit = 2.0**512
+        rows = EmbeddingRows(np.array([[far * unit, 0.0], [unit, 0.0]]), ["far", "near"])
+        assert rows.sq_norms[1] == np.inf
+        assert top_k_by_distance([q * unit, 0.0], rows, 1) == ["near"]
+
+    def test_an_empty_corpus_fails_before_any_other_check(self):
+        empty = stack_records([])
+        for queries, k in ((np.ones((1, 2)), 1), (np.ones((2, 3)), 0), (np.array([[np.nan]]), 1)):
+            with pytest.raises(EmptyCollection):
+                empty.candidates(queries, k)
         with pytest.raises(EmptyCollection):
-            CorpusIndex(stack_records([]))
+            top_k_by_distance([1.0, 0.0], [], 1)
         with pytest.raises(DimensionMismatch, match="v2"):
-            CorpusIndex(stack_records([EmbeddingRecord("v1", np.array([1.0, 0.0])),
-                                       EmbeddingRecord("v2", np.array([1.0, 0.0, 0.0]))]))
+            stack_records([EmbeddingRecord("v1", np.array([1.0, 0.0])),
+                           EmbeddingRecord("v2", np.array([1.0, 0.0, 0.0]))])
 
 
 class TestBaselineSelectors:
@@ -765,9 +809,9 @@ class TestKmeansAssignment:
         rescored = []
         real = embedding._assign_rows
 
-        def spy(x, x_sq, x_norms, centroids, rows, *rest):
+        def spy(x, x_sq, centroids, rows, *rest):
             rescored.append(len(x) if rows is None else len(rows))
-            return real(x, x_sq, x_norms, centroids, rows, *rest)
+            return real(x, x_sq, centroids, rows, *rest)
 
         # eight tight blobs far apart, and k = 8
         rng = np.random.default_rng(1)
@@ -819,23 +863,21 @@ class TestKmeansAssignment:
         # 2b and 2a are the exact distances, as 4 v^2 = (2v)^2
         assert self.stale_rows([2 * a], [2 * b], [1], centroids) == [0]
 
-    def test_a_tie_within_the_far_centroids_rounding_bound_is_scored_literally(self):
+    def test_a_gap_within_the_certificates_rounding_margin_is_scored_literally(self):
         # centroid 0 at the origin, 1 and 2 at (1, +-2^-23); row 0 at
-        # (1, 2^-25) and row 1 at (1, 2^-23).  Every value that the step forms
-        # is exact, so its approximations are the exact squared distances:
-        # 9 and 25 units of 2^-50 in row 0, a gap of 128u (u = 2^-53), and 0
-        # and 64 units in row 1, a gap of 512u.  A far centroid's
-        # approximation may err, in another summation order, by
-        # 4(d + 8)u(|x| + |c|)^2 = 160u, so row 0's gap proves nothing and
-        # only row 1 is certified.  Taken at the centroid at the origin, the
-        # bound would be 40u, and a certificate that it gave row 0 would
-        # rest on the rounding that this product happened to do
+        # (1, 3 2^-25) and row 1 at (1, 2^-23).  Every value that the step
+        # forms is exact, so its approximations plus |x|^2 (about 1) are the
+        # exact squared distances: 1 and 49 units of 2^-50 in row 0, a gap of
+        # 384u (u = 2^-53), and 0 and 64 units in row 1, a gap of 512u.  The
+        # rule certifies where m2 - m1 > 4 kappa m2 + 10 kappa |x|^2 + 2t,
+        # about 6 kappa = 480u here (kappa = 8(d + 8)u = 80u at d = 2), so only
+        # row 1 is certified.  At half that kappa row 0 would be too, on less
+        # margin than the proof needs; at twice it, row 1 would not
         far = 2.0**-23
         centroids = np.array([[0.0, 0.0], [1.0, far], [1.0, -far]])
-        x = np.array([[1.0, 2.0**-25], [1.0, far]])
+        x = np.array([[1.0, 3 * 2.0**-25], [1.0, far]])
         assert (np.square(x[:, None] - centroids[1:]).sum(axis=2) / 2.0**-50).tolist() == \
-            [[9.0, 25.0], [0.0, 64.0]]
-        x_sq, x_norms = embedding._sq_norms(x)
+            [[1.0, 49.0], [0.0, 64.0]]
         assign = np.zeros(2, dtype=np.intp)
         upper, lower = np.empty(2), np.empty(2)
         literal = []
@@ -846,11 +888,61 @@ class TestKmeansAssignment:
             return real(rows, cents)
 
         with mock.patch.object(embedding, "_literal_nearest", spy):
-            embedding._assign_rows(x, x_sq, x_norms, centroids, None, np.empty((2, 3)),
+            embedding._assign_rows(x, embedding._sq_norms(x), centroids, None, np.empty((2, 3)),
                                    assign, upper, lower)
         assert assign.tolist() == embedding._literal_nearest(x, centroids).tolist() == [1, 1]
         assert literal == [x[0].tolist()]
         assert upper[0] == np.inf and np.isfinite(upper[1])
+
+    def test_a_centroid_past_2_to_1020_in_squared_norm_certifies_no_row(self):
+        # the row's product with centroid 0 overflows to -inf, so centroid 0
+        # has the least a, though centroid 1 is the nearer
+        x = np.array([[2.0**511.6, 0.0]])
+        centroids = np.array([[2.0**511.45, 2.0**511.3], [2.0**511.39, 0.0]])
+        assign = np.zeros(1, dtype=np.intp)
+        upper, lower = np.empty(1), np.empty(1)
+        embedding._assign_rows(x, embedding._sq_norms(x), centroids, None, np.empty((1, 2)),
+                               assign, upper, lower)
+        assert assign.tolist() == embedding._literal_nearest(x, centroids).tolist() == [1]
+        assert upper[0] == np.inf
+
+    def test_a_lower_bound_past_the_float_range_does_not_outlast_a_move(self):
+        # the row lies about 2^511.45 from centroid 0 and 2^512.2 from
+        # centroid 1, whose squared distance is past the float range.  As an
+        # infinite lower bound it would outlast centroid 1 moving to within
+        # 2^510.3 of the row, and the row would keep centroid 0
+        x = np.array([[2.0**511.9]])
+        centroids = np.array([[2.0**510], [-2.0**510]])
+        assign = np.zeros(1, dtype=np.intp)
+        upper, lower = np.empty(1), np.empty(1)
+        embedding._assign_rows(x, embedding._sq_norms(x), centroids, None, np.empty((1, 2)),
+                               assign, upper, lower)
+        assert assign.tolist() == [0] and np.isfinite(lower).all()
+        old = centroids[[1]].copy()
+        centroids[1] = 2.0**511.5
+        assert embedding._literal_nearest(x, centroids).tolist() == [1]
+        assert embedding._widen_bounds(upper, lower, assign, np.array([1]), old,
+                                       centroids).tolist() == [0]
+
+    def test_one_far_row_sends_no_row_to_the_literal_formula(self):
+        # with the slack taken at the largest centroid norm, the cluster of
+        # one row times 1e10 sent nearly every row to the literal formula
+        literal = []
+        real = embedding._literal_nearest
+
+        def spy(x, centroids):
+            literal.append(len(x))
+            return real(x, centroids)
+
+        rng = np.random.default_rng(8)
+        centers = rng.normal(scale=10.0, size=(12, 8))
+        x = centers[rng.integers(0, 12, 1500)] + rng.normal(size=(1500, 8))
+        x[0] *= 1e10
+        recs = records_from(x)
+        with mock.patch.object(embedding, "_literal_nearest", spy):
+            got = kmeans_centroid_select(recs, 10, 4).selected_ids
+        assert sum(literal) == 0
+        assert got == kmeans_oracle(recs, 10, 4).selected_ids
 
     def test_peak_memory_stays_far_below_the_distance_tensor(self):
         # the literal N x k x d float64 tensor would be 410 MB here
@@ -881,7 +973,7 @@ def test_huge_finite_vectors_warn_nothing_and_match_the_oracles(query_row):
         expected = [kmeans_oracle(recs, k, 3).selected_ids for k in (1, 5, 24)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        index = CorpusIndex(recs)
+        index = recs
         for k in range(1, len(x) + 1):
             assert top_k_by_distance(q, index, k) == [f"v{i + 1}" for i in order[:k]]
         assert [kmeans_centroid_select(recs, k, 3).selected_ids for k in (1, 5, 24)] == expected
@@ -896,7 +988,7 @@ def test_huge_finite_vectors_in_one_block_warn_nothing_and_match_the_oracle():
         orders = [np.argsort(np.linalg.norm(x - q, axis=1), kind="stable") for q in x]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        index = CorpusIndex(records_from(x))
+        index = records_from(x)
         for k in range(1, len(x) + 1):
             for q, rows, order in zip(x, index.candidates(x, k), orders):
                 assert top_k_by_distance(q, index, k, rows) == [f"v{i + 1}" for i in order[:k]]
@@ -909,7 +1001,7 @@ def test_embedding_record_id_must_be_a_string(bad_id):
 
 
 def test_rows_with_a_repeated_id_are_refused():
-    # unchecked, top_k_by_distance([1, 0], CorpusIndex(rows), 2) gave ['a', 'a']
+    # unchecked, top_k_by_distance([1, 0], rows, 2) gave ['a', 'a']
     with pytest.raises(InvariantViolation, match="'a' repeats"):
         EmbeddingRows(np.eye(2), ["a", "a"])
 
@@ -978,19 +1070,18 @@ def test_rows_of_huge_finite_values_load_with_infinite_squared_norms():
         rows = EmbeddingRows(x, ["a", "b", "c"])
     assert rows.matrix.tobytes() == x.tobytes()
     assert rows.sq_norms.tolist() == [np.inf, np.inf, 0.3125]
-    assert rows.norms.tolist() == [np.inf, np.inf, np.sqrt(0.3125)]
 
 
-def test_the_index_takes_the_norms_of_its_rows_and_holds_no_id_map():
+def test_retrieval_takes_the_squared_norms_of_the_rows_and_holds_no_id_map():
     rows = random_records(np.random.default_rng(2), 30, 5)
+    queries = rows.matrix[:3]
     with mock.patch.object(embedding, "_sq_norms", wraps=embedding._sq_norms) as sq_norms:
-        index = CorpusIndex(rows)
-    sq_norms.assert_not_called()
-    assert index.sq_norms is rows.sq_norms and index.norms is rows.norms
-    assert not hasattr(index, "by_id")
-    for q, cand in zip(rows.matrix[:3], index.candidates(rows.matrix[:3], 4)):
-        ids = top_k_by_distance(q, index, 4, cand)
-        assert [rows.ids[i] for i in index.rows_of(ids, cand)] == ids
+        candidates = rows.candidates(queries, 4)
+    sq_norms.assert_called_once_with(queries)  # the queries' own, not the rows'
+    assert not hasattr(rows, "by_id") and not hasattr(rows, "norms")
+    for q, cand in zip(queries, candidates):
+        ids = top_k_by_distance(q, rows, 4, cand)
+        assert [rows.ids[i] for i in rows.rows_of(ids, cand)] == ids
 
 
 def test_rows_whose_sum_overflows_are_finite():

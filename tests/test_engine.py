@@ -25,6 +25,7 @@ from rankkit.engine import (
 )
 from rankkit.errors import (
     BackendError,
+    ConfigError,
     InvariantViolation,
     MissingDoc,
     MissingModality,
@@ -360,6 +361,21 @@ class TestRerankMany:
                                       retry=NO_SLEEP, parallelism=parallelism)
         assert [r.query_id for r in results] == ["q1", "q4"]
         assert failed == ["q2", "q3"]
+
+    @pytest.mark.parametrize("method", ["listwsie", "Listwise", ""])
+    def test_an_unknown_method_is_refused_before_any_backend_call(self, method):
+        # unchecked, "listwsie" ran pairwise: ReverseBackend gave d0, d1, d2
+        calls = []
+
+        class Recording(ReverseBackend):
+            def complete(self, prompt):
+                calls.append(prompt)
+                return super().complete(prompt)
+
+        q1, c1, docs = make_fixture(3, "q1")
+        with pytest.raises(ConfigError, match=f"unknown rerank method {method!r}"):
+            rerank_many([q1], {"q1": c1}, docs, Recording(), method=method, retry=NO_SLEEP)
+        assert calls == []
 
     def test_a_candidate_list_without_its_query_fails_that_query(self, caplog):
         q1, c1, docs = make_fixture(3, "q1")

@@ -166,7 +166,7 @@ def test_the_package_window_config_loads_no_rerank_engine():
 # the names the package exported when it imported them all eagerly
 EXPORTS = {
     "CandidateList", "Document", "Permutation", "Query", "identity_permutation",
-    "validate_permutation", "CorpusIndex", "EmbeddingRecord", "EmbeddingRows",
+    "validate_permutation", "EmbeddingRecord", "EmbeddingRows",
     "SelectionResult", "cosine_sim", "euclidean_dist", "greedy_diversity_select",
     "kmeans_centroid_select", "quality_filter", "random_select", "stack_records",
     "top_k_by_distance", "LossReport", "listwise_loss", "listwise_loss_grad",

@@ -33,12 +33,12 @@ from hypothesis import given, settings, strategies as st
 
 from rankkit import embedding
 from rankkit.embedding import (
-    CorpusIndex,
     EmbeddingRecord,
     EmbeddingRows,
     greedy_diversity_select,
     read_embeddings,
     stack_records,
+    top_k_by_distance,
     write_embeddings,
 )
 from rankkit.errors import DimensionMismatch, MalformedLine
@@ -283,16 +283,17 @@ def test_written_embeddings_take_the_fast_path_and_share_one_matrix(tmp_path):
     assert [r.id for r in rows] == list(rows.ids)
     with pytest.raises(IndexError):
         rows[50]
-    assert CorpusIndex(rows).matrix is rows.matrix
+    # retrieval takes the rows as they are, with no stacked copy
+    with mock.patch.object(embedding, "stack_records", side_effect=AssertionError):
+        assert top_k_by_distance(rows.matrix[3], rows, 2)[0] == "d3"
     assert (greedy_diversity_select(rows, 5).selected_ids
             == greedy_diversity_select(stack_records(recs), 5).selected_ids)
 
 
 def assert_norms_of_matrix(rows):
     """``rows`` holds ``_sq_norms`` of its own matrix, bit for bit, read-only."""
-    sq, norms = embedding._sq_norms(rows.matrix)
-    assert rows.sq_norms.tobytes() == sq.tobytes() and rows.norms.tobytes() == norms.tobytes()
-    assert not rows.sq_norms.flags.writeable and not rows.norms.flags.writeable
+    assert rows.sq_norms.tobytes() == embedding._sq_norms(rows.matrix).tobytes()
+    assert not rows.sq_norms.flags.writeable
 
 
 def test_rows_keep_the_norms_of_their_matrix_whatever_built_them(tmp_path):
