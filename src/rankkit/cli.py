@@ -193,6 +193,9 @@ def cmd_distill(args: argparse.Namespace) -> list[str]:
         corpus = {d.id: d for d in types.read_documents(args.corpus)}
     backend = _make_backend(args)
     try:
+        if corpus is None and args.backend == "http":
+            # a mock teacher reads only the doc ids; a model would rank the ids as passages
+            raise RankkitError("--backend http requires --corpus")
         labels, summary = pipeline.distill(queries, query_embs, corpus_embs, backend, cfg,
                                            corpus=corpus)
     finally:
@@ -330,7 +333,7 @@ def _add_distill(sub) -> None:
     d.add_argument("--queries", required=True)
     d.add_argument("--query-embeddings", required=True)
     d.add_argument("--doc-embeddings", required=True)
-    d.add_argument("--corpus", help="optional document corpus JSONL")
+    d.add_argument("--corpus", help="document corpus JSONL (required by --backend http)")
     d.add_argument("--top-k", dest="top_k", type=int, default=None)
     d.add_argument("--mode", choices=config.MODES, default=None)
     d.add_argument("--budget", type=int, default=None)

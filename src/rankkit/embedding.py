@@ -689,11 +689,26 @@ def kmeans_centroid_select(
     clusters of two or more.  A step re-scores only the rows whose bounds
     do not prove that their centroid still wins (see ``_widen_bounds``), and
     only the clusters whose members changed recompute their mean.
+
+    Rows whose largest squared norm S is not in [2^-896, 2^1020] (an inf
+    included) are clustered times the power of two that brings their largest
+    magnitude into [1/2, 1), on a copy with its own squared norms.  Below
+    2^1020 no squared distance to a mean (at most 4S) and no cluster sum (at
+    most N sqrt(S)) overflows; from 2^-896 up a squared difference of one
+    unit in the last place of the largest magnitude (at least S 2^-106 / d)
+    is normal for d up to 2^20.  A power of two scales each sum, product and
+    square exactly while it stays normal, so the rows times any power of two
+    give the picks of the rows at a scale in range, unless a value falls
+    below the normal range at one scale and not at the other.
     """
     x = _matrix(rows, k)
     n = x.shape[0]
     if k > n:
         raise KTooLarge(f"k={k} exceeds N={n}")
+    x_sq = rows.sq_norms
+    if not 2.0**-896 <= x_sq.max() <= 2.0**1020:
+        x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+        x_sq = _sq_norms(x)
     rng = np.random.default_rng(seed)
     centroids = x[rng.permutation(n)[:k]].copy()
     # one work array per run: a fresh one per block faults its pages in anew
@@ -706,7 +721,7 @@ def kmeans_centroid_select(
     stale = None  # the rows to re-score; None: every row, read in place
     for it in range(KMEANS_MAX_ITERS):
         new_assign = assign.copy()
-        _assign_rows(x, rows.sq_norms, centroids, stale, work, new_assign, upper, lower)
+        _assign_rows(x, x_sq, centroids, stale, work, new_assign, upper, lower)
         sizes = np.bincount(new_assign, minlength=k)
         empty = np.flatnonzero(sizes == 0)
         if empty.size:

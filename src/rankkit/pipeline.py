@@ -103,8 +103,8 @@ def confidence_filter(labels: Sequence[TeacherLabel], budget: int) -> list[Teach
 
 def _placeholder_doc(doc_id: str, mode: str) -> Document:
     if mode == "multimodal":
-        return Document(id=doc_id, image_ref=doc_id, modality="image")
-    return Document(id=doc_id, text=doc_id, modality="text")
+        return Document(id=doc_id, image_ref=doc_id)
+    return Document(id=doc_id, text=doc_id)
 
 
 def distill_one(

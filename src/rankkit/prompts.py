@@ -96,8 +96,8 @@ PARSE_RETRY_REMINDER = (
 
 
 def check_modality(docs: Sequence[Document], mode: str) -> None:
-    """The modality rule of every prompt: in text mode each doc needs text,
-    in multimodal mode an image_ref."""
+    """The modality rule of every ranked query (``engine.resolve_docs``): in
+    text mode each doc needs text, in multimodal mode an image_ref."""
     if mode not in MODES:
         raise InvariantViolation(f"unknown prompt mode {mode!r}")
     for d in docs:
@@ -116,7 +116,6 @@ def build_listwise_prompt(
     n = len(docs)
     if n < 2:
         raise TooFewDocs(f"listwise ranking needs at least 2 docs, got {n}")
-    check_modality(docs, mode)
     system, announce, ack, received, instruction = _LISTWISE_WORDING[mode]
     turns = [
         Turn("system", system),
@@ -144,7 +143,6 @@ def build_pairwise_prompt(query: Query, doc: Document, mode: str = "text") -> Pr
     """Single yes/no relevance question for one document.  Text mode sends
     the doc's text and no image; multimodal mode sends its image and any
     text."""
-    check_modality((doc,), mode)
     lines = [f"Query: {query.text}"]
     if doc.text:
         lines.append(f"Document Text: {doc.text}")

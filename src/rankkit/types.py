@@ -26,8 +26,6 @@ from .errors import (
 
 T = TypeVar("T")
 
-MODALITIES = ("text", "image", "hybrid")
-
 
 def check_id(kind: str, ident: object) -> None:
     """An id is a non-empty string with no whitespace, because it is one
@@ -93,23 +91,18 @@ class Value:
 
 
 class Document(Value, frozen=True):
-    """One rerankable unit; may carry text, an image reference, or both."""
+    """One rerankable unit: text, an image reference, or both."""
 
-    __slots__ = ("id", "text", "image_ref", "modality")
+    __slots__ = ("id", "text", "image_ref")
 
-    def __init__(self, id: str, text: str | None = None, image_ref: str | None = None,
-                 modality: str = "text"):
+    def __init__(self, id: str, text: str | None = None, image_ref: str | None = None):
         check_id("document", id)
         for name, value in (("text", text), ("image_ref", image_ref)):
             if value is not None and not isinstance(value, str):
                 raise InvariantViolation(f"doc {id}: {name} must be a string, got {value!r}")
-        if modality not in MODALITIES:
-            raise InvariantViolation(f"unknown modality {modality!r}")
-        if modality in ("text", "hybrid") and not text:
-            raise InvariantViolation(f"doc {id}: modality {modality} requires text")
-        if modality in ("image", "hybrid") and not image_ref:
-            raise InvariantViolation(f"doc {id}: modality {modality} requires image_ref")
-        self._set(id, text, image_ref, modality)
+        if not text and not image_ref:
+            raise InvariantViolation(f"doc {id}: needs a non-empty text or image_ref")
+        self._set(id, text, image_ref)
 
 
 class Query(Value, frozen=True):
@@ -291,12 +284,7 @@ def read_json_object(path: str) -> dict:
 
 
 def read_documents(path: str) -> list[Document]:
-    return read_jsonl(path, lambda rec: Document(
-        id=rec["id"],
-        text=rec.get("text"),
-        image_ref=rec.get("image_ref"),
-        modality=rec.get("modality", "text"),
-    ))
+    return read_jsonl(path, lambda rec: Document(rec["id"], rec.get("text"), rec.get("image_ref")))
 
 
 def read_queries(path: str) -> list[Query]:

@@ -11,7 +11,7 @@ def write_documents(docs: Iterable[Document], path: str) -> None:
     """A corpus file that ``rankkit.types.read_documents`` reads back as ``docs``."""
     with open(path, "w", encoding="utf-8") as fh:
         for d in docs:
-            rec = {"id": d.id, "modality": d.modality}
+            rec = {"id": d.id}
             if d.text is not None:
                 rec["text"] = d.text
             if d.image_ref is not None:

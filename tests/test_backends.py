@@ -207,7 +207,7 @@ class TestMessageSerialization:
     def test_local_image_becomes_data_uri(self, tmp_path):
         img = tmp_path / "chart.png"
         img.write_bytes(b"\x89PNG fake")
-        doc = Document(id="h1", text="quarterly revenue", image_ref=str(img), modality="hybrid")
+        doc = Document(id="h1", text="quarterly revenue", image_ref=str(img))
         script = build_pairwise_prompt(Q, doc, mode="multimodal")
         messages = script_to_messages(script)
         parts = messages[1]["content"]
@@ -218,13 +218,13 @@ class TestMessageSerialization:
 
     def test_unreadable_local_image_is_missing_modality_naming_the_path(self, tmp_path):
         ref = str(tmp_path / "gone.png")
-        doc = Document(id="h1", text="quarterly revenue", image_ref=ref, modality="hybrid")
+        doc = Document(id="h1", text="quarterly revenue", image_ref=ref)
         with pytest.raises(MissingModality, match="gone.png") as exc:
             script_to_messages(build_pairwise_prompt(Q, doc, mode="multimodal"))
         assert not isinstance(exc.value, BackendError)
 
     def test_remote_image_passes_through(self):
-        doc = Document(id="h1", image_ref="https://cdn.example/x.jpg", modality="image")
+        doc = Document(id="h1", image_ref="https://cdn.example/x.jpg")
         script = build_pairwise_prompt(Q, doc, mode="multimodal")
         parts = script_to_messages(script)[1]["content"]
         assert parts[1]["image_url"]["url"] == "https://cdn.example/x.jpg"

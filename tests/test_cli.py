@@ -438,6 +438,40 @@ class TestRerank:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors[0] == "query q4 failed: doc img has no text for text-mode ranking"
 
+    def test_an_image_only_line_reads_and_the_mode_decides(self, tmp_path, caplog):
+        # an image-only line once stopped every command with exit 1, as a
+        # line without "modality" was declared text
+        (tmp_path / "corpus.jsonl").write_text(
+            json.dumps({"id": "a", "image_ref": "img.png"}) + "\n"
+            + json.dumps({"id": "b", "text": "a chart", "image_ref": "b.png"}) + "\n")
+        (tmp_path / "queries.jsonl").write_text(json.dumps({"id": "q1", "text": "chart"}) + "\n")
+        write_run(run_from_candidates("q1", ["a", "b"]), str(tmp_path / "first.run"))
+        codes = {}
+        for mode in ("multimodal", "text"):
+            codes[mode] = run_cli("rerank", "--run", tmp_path / "first.run",
+                                  "--queries", tmp_path / "queries.jsonl",
+                                  "--corpus", tmp_path / "corpus.jsonl", "--mode", mode,
+                                  "--backend", "identity", "--out", tmp_path / f"{mode}.run")
+        assert codes == {"multimodal": 0, "text": 2}
+        assert [e.doc_id for e in read_run(str(tmp_path / "multimodal.run"))] == ["a", "b"]
+        assert list(read_run(str(tmp_path / "text.run"))) == []
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["query q1 failed: doc a has no text for text-mode ranking",
+                          "1 queries failed: q1"]
+
+    @pytest.mark.parametrize("line", [{"id": "a"}, {"id": "a", "text": "", "image_ref": ""}])
+    def test_a_corpus_line_with_neither_field_exits_1(self, workspace, caplog, line):
+        with open(workspace / "corpus.jsonl", "a") as fh:
+            fh.write(json.dumps(line) + "\n")
+        out = workspace / "out.run"
+        code = run_cli("rerank", "--run", workspace / "input.run",
+                       "--queries", workspace / "queries.jsonl",
+                       "--corpus", workspace / "corpus.jsonl", "--out", out)
+        assert code == 1
+        assert f"{workspace / 'corpus.jsonl'}:11: doc a: needs a non-empty text or image_ref" \
+            in caplog.text
+        assert not out.exists()
+
     def test_listwise_and_pairwise_set_one_method(self):
         base = ["rerank", "--run", "r", "--queries", "q", "--corpus", "c", "--out", "o"]
         parse = cli.build_parser().parse_args
@@ -487,7 +521,7 @@ class TestRerank:
     def test_an_unreadable_image_fails_only_its_query(self, tmp_path, monkeypatch, caplog):
         (tmp_path / "a.png").write_bytes(b"png")
         (tmp_path / "b.png").write_bytes(b"png")
-        write_documents([Document(id=d, image_ref=str(tmp_path / f"{d}.png"), modality="image")
+        write_documents([Document(id=d, image_ref=str(tmp_path / f"{d}.png"))
                          for d in ("a", "b", "gone")], str(tmp_path / "corpus.jsonl"))
         (tmp_path / "queries.jsonl").write_text(
             "".join(json.dumps({"id": q, "text": "chart"}) + "\n" for q in ("q1", "q2")))
@@ -613,6 +647,30 @@ class TestDistill:
                        "--doc-embeddings", workspace / "no_docs.jsonl",
                        "--backend", "identity", "--top-k", 4, "--out", workspace / "labels.jsonl")
         assert code == 1
+
+    @pytest.mark.parametrize("backend", ["identity", "reverse", "oracle"])
+    def test_a_mock_teacher_needs_no_corpus(self, workspace, backend):
+        out = workspace / "labels.jsonl"
+        code = run_cli("distill", "--queries", workspace / "queries.jsonl",
+                       "--query-embeddings", workspace / "query_embs.jsonl",
+                       "--doc-embeddings", workspace / "doc_embs.jsonl",
+                       "--backend", backend, "--qrels", workspace / "qrels.txt",
+                       "--top-k", 4, "--out", out)
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 4
+
+    def test_an_http_teacher_without_a_corpus_exits_1_before_any_request(
+            self, workspace, monkeypatch, caplog):
+        # it once sent the doc ids as passages: "[1] d3", and so on
+        monkeypatch.setattr(backends, "HttpTransport", lambda endpoint, timeout: ReplySession())
+        out = workspace / "labels.jsonl"
+        code = run_cli("distill", "--queries", workspace / "queries.jsonl",
+                       "--query-embeddings", workspace / "query_embs.jsonl",
+                       "--doc-embeddings", workspace / "doc_embs.jsonl", *HTTP, "--out", out)
+        assert code == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["--backend http requires --corpus"]
+        assert not out.exists()
 
     def test_one_candidate_obeys_the_modality_rule(self, workspace, caplog):
         # q1's only candidate is an image-only doc: text mode has nothing to label

@@ -328,7 +328,38 @@ class TestGreedyAgainstLiteralOracle:
 class TestRowsPastTheSquaredNormRange:
     """Rows of finite values whose squared norm overflows, underflows to 0
     or is subnormal: greedy selection and ``cosine_sim`` take their norm
-    from the row scaled by its largest magnitude."""
+    from the row scaled by its largest magnitude, and k-means clusters the
+    rows times one power of two."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_kmeans_picks_do_not_depend_on_a_power_of_two_scale(self, seed):
+        # squared distances of the rows times 2^660 overflow and times 2^-600
+        # underflow, so every row once tied at centroid 0; times 2^1019 a
+        # cluster sum overflowed too
+        rng = np.random.default_rng(seed)
+        centres = rng.uniform(-4, 4, size=(4, 8))
+        x = centres[rng.integers(0, 4, 200)] + rng.normal(0, 0.5, size=(200, 8))
+        base = kmeans_centroid_select(records_from(x), 4, seed).selected_ids
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for exponent in (660, 1019, -600):
+                got = kmeans_centroid_select(records_from(np.ldexp(x, exponent)), 4, seed)
+                assert got.selected_ids == base, exponent
+
+    @pytest.mark.parametrize("sq_norm,copied", [
+        (2.0**1020, False), (2.0**-896, False), (2.0**1022, True), (2.0**-898, True),
+    ])
+    def test_kmeans_clusters_rows_in_range_as_they_are(self, sq_norm, copied):
+        x = np.array([[math.sqrt(sq_norm), 0.0], [0.0, math.sqrt(sq_norm) / 2],
+                      [math.sqrt(sq_norm) / 4, 0.0]])
+        rows = records_from(x)
+        with mock.patch.object(embedding, "_assign_rows", wraps=embedding._assign_rows) as spy:
+            kmeans_centroid_select(rows, 2, 0)
+        matrix, sq_norms = spy.call_args.args[:2]
+        assert (matrix is rows.matrix, sq_norms is rows.sq_norms) == (not copied, not copied)
+        if copied:  # the largest magnitude scaled into [1/2, 1), the norms its own
+            assert matrix.tolist() == np.ldexp(x, -math.frexp(x.max())[1]).tolist()
+            assert sq_norms.tolist() == embedding._sq_norms(matrix).tolist()
 
     def test_a_huge_near_copy_of_the_seed_is_not_picked_as_diverse(self):
         # near_a's cosine to a is 0.995, b's is 0; np.linalg.norm of near_a
@@ -962,15 +993,18 @@ class TestKmeansAssignment:
 def test_huge_finite_vectors_warn_nothing_and_match_the_oracles(query_row):
     # squares of entries near 1e200 overflow to inf: retrieval and k-means
     # must handle that without a RuntimeWarning and still agree with the
-    # literal oracles, whose own overflow warnings are silenced
+    # literal oracles, whose own overflow warnings are silenced.  k-means
+    # clusters the rows times the power of two that brings their largest
+    # magnitude into [1/2, 1), so its oracle takes those rows
     rng = np.random.default_rng(31)
     x = rng.normal(size=(24, 4))
     x[::2] *= 1e200
     q = x[query_row]
     recs = records_from(x)
+    scaled = records_from(np.ldexp(x, -math.frexp(np.abs(x).max())[1]))
     with np.errstate(all="ignore"):
         order = np.argsort(np.linalg.norm(x - q, axis=1), kind="stable")
-        expected = [kmeans_oracle(recs, k, 3).selected_ids for k in (1, 5, 24)]
+        expected = [kmeans_oracle(scaled, k, 3).selected_ids for k in (1, 5, 24)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         index = recs

@@ -85,7 +85,7 @@ class TestResolveDocs:
     """The one document step of listwise, pairwise and distill queries: an
     empty list, then a missing document, then the modality rule."""
 
-    IMAGE = Document(id="img", image_ref="img.png", modality="image")
+    IMAGE = Document(id="img", image_ref="img.png")
 
     def test_documents_in_list_order(self):
         docs = {"a": Document(id="a", text="x"), "b": Document(id="b", text="y")}
@@ -142,7 +142,7 @@ class TestRerankListwise:
         assert out.doc_ids == ("d1",)
 
     @pytest.mark.parametrize("mode,doc", [
-        ("text", Document(id="d1", image_ref="d1.png", modality="image")),
+        ("text", Document(id="d1", image_ref="d1.png")),
         ("multimodal", Document(id="d1", text="passage number 1")),
     ])
     def test_singleton_follows_the_modality_rule_without_a_backend_call(self, mode, doc):
@@ -169,7 +169,7 @@ class TestRerankListwise:
 
     def test_image_only_doc_in_the_front_window_fails_before_any_backend_call(self):
         q, cands, docs = make_fixture(30)
-        docs["d1"] = Document(id="d1", image_ref="d1.png", modality="image")
+        docs["d1"] = Document(id="d1", image_ref="d1.png")
         backend = ScriptedBackend([])
         with pytest.raises(MissingModality, match="doc d1 has no text"):
             rerank_listwise(q, cands, docs, backend, window=WindowConfig(10, 5), mode="text",
@@ -292,12 +292,11 @@ class TestRerankPairwise:
 
     def test_text_mode_needs_text_and_sends_no_image(self):
         q, cands, docs = make_fixture(2)
-        docs["d1"] = Document(id="d1", text="passage number 1", image_ref="d1.png",
-                              modality="hybrid")
+        docs["d1"] = Document(id="d1", text="passage number 1", image_ref="d1.png")
         backend = ScriptedBackend(["Yes", "No"])
         rerank_pairwise(q, cands, docs, backend, mode="text", retry=NO_SLEEP)
         assert [p.turns[1].image_refs for p in backend.calls] == [(), ()]
-        docs["d2"] = Document(id="d2", image_ref="d2.png", modality="image")
+        docs["d2"] = Document(id="d2", image_ref="d2.png")
         backend = ScriptedBackend(["Yes"])
         with pytest.raises(MissingModality, match="doc d2 has no text for text-mode ranking"):
             rerank_pairwise(q, cands, docs, backend, mode="text", retry=NO_SLEEP)
@@ -309,7 +308,7 @@ class TestRerankPairwise:
         with pytest.raises(MissingModality, match="doc d1 has no image_ref"):
             rerank_pairwise(q, cands, docs, backend, mode="multimodal", retry=NO_SLEEP)
         assert backend.calls == []
-        docs["d1"] = Document(id="d1", image_ref="d1.png", modality="image")
+        docs["d1"] = Document(id="d1", image_ref="d1.png")
         rerank_pairwise(q, cands, docs, backend, mode="multimodal", retry=NO_SLEEP)
         assert backend.calls[0].turns[1].image_refs == ("d1.png",)
 
@@ -353,7 +352,7 @@ class TestRerankMany:
         q2, c2, d2 = make_fixture(3, "q2")
         docs.update(d2)
         # an image-only doc in a text-mode run fails its own query, not the batch
-        docs["img"] = Document(id="img", image_ref="img.png", modality="image")
+        docs["img"] = Document(id="img", image_ref="img.png")
         q3, q4 = Query(id="q3", text="find the image"), Query(id="q4", text="find d2")
         lists = {"q1": c1, "q2": CandidateList("q2", ("d1", "missing")),
                  "q3": CandidateList("q3", ("d1", "img")), "q4": CandidateList("q4", ("d2", "d3"))}
@@ -389,9 +388,9 @@ class TestRerankMany:
 
     def test_an_unreadable_image_fails_only_its_query(self, tmp_path):
         (tmp_path / "a.png").write_bytes(b"png")
-        docs = {did: Document(id=did, image_ref=str(tmp_path / f"{did}.png"), modality="image")
+        docs = {did: Document(id=did, image_ref=str(tmp_path / f"{did}.png"))
                 for did in ("a", "gone")}
-        docs["b"] = Document(id="b", image_ref="https://cdn.example/b.png", modality="image")
+        docs["b"] = Document(id="b", image_ref="https://cdn.example/b.png")
         queries = [Query(id="q1", text="t"), Query(id="q2", text="t")]
         lists = {"q1": CandidateList("q1", ("a", "b")), "q2": CandidateList("q2", ("a", "gone"))}
         backend = HttpBackend(endpoint="http://x", model="m",

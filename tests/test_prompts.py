@@ -6,6 +6,7 @@ from rankkit.prompts import (
     Turn,
     build_listwise_prompt,
     build_pairwise_prompt,
+    check_modality,
 )
 from rankkit.types import Document, Query
 
@@ -18,8 +19,8 @@ TEXT_DOCS = [
 ]
 
 HYBRID_DOCS = [
-    Document(id="h1", text="Transformers use attention.", image_ref="a.png", modality="hybrid"),
-    Document(id="h2", text="BERT is a language model.", image_ref="b.png", modality="hybrid"),
+    Document(id="h1", text="Transformers use attention.", image_ref="a.png"),
+    Document(id="h2", text="BERT is a language model.", image_ref="b.png"),
 ]
 
 
@@ -54,8 +55,8 @@ class TestListwisePrompt:
 
     def test_image_only_doc_elides_text(self):
         docs = [
-            Document(id="i1", image_ref="x.png", modality="image"),
-            Document(id="i2", image_ref="y.png", modality="image"),
+            Document(id="i1", image_ref="x.png"),
+            Document(id="i2", image_ref="y.png"),
         ]
         script = build_listwise_prompt(Q, docs, mode="multimodal")
         body = [t for t in script.turns if t.image_refs][0].text
@@ -66,12 +67,16 @@ class TestListwisePrompt:
             build_listwise_prompt(Q, TEXT_DOCS[:1], mode="text")
 
     def test_multimodal_requires_image_ref(self):
-        with pytest.raises(MissingModality):
-            build_listwise_prompt(Q, TEXT_DOCS, mode="multimodal")
+        with pytest.raises(MissingModality, match="doc d1 has no image_ref for multimodal"):
+            check_modality(TEXT_DOCS, "multimodal")
+        with pytest.raises(MissingModality, match="doc i1 has no text for text-mode"):
+            check_modality([Document(id="i1", image_ref="x.png")], "text")
+        check_modality(HYBRID_DOCS, "text")
+        check_modality(HYBRID_DOCS, "multimodal")
 
     def test_unknown_mode_raises(self):
         with pytest.raises(InvariantViolation, match="unknown prompt mode 'audio'"):
-            build_listwise_prompt(Q, TEXT_DOCS, mode="audio")
+            check_modality(TEXT_DOCS, "audio")
 
 
 def _turns(script):
@@ -106,7 +111,7 @@ class TestListwiseTemplatesVerbatim:
                                                                   ("d1", "d2", "d3"))
 
     def test_multimodal_prompt(self):
-        docs = [HYBRID_DOCS[0], Document(id="i2", image_ref="chart.png", modality="image")]
+        docs = [HYBRID_DOCS[0], Document(id="i2", image_ref="chart.png")]
         script = build_listwise_prompt(Q, docs, mode="multimodal")
         assert _turns(script) == [
             ("system", "You are a multimodal reranking assistant. Rank documents containing "
@@ -144,7 +149,7 @@ class TestPairwisePrompt:
         assert script.turns[1].image_refs == ("a.png",)
 
     def test_image_only_doc_omits_text_line(self):
-        doc = Document(id="i1", image_ref="x.png", modality="image")
+        doc = Document(id="i1", image_ref="x.png")
         script = build_pairwise_prompt(Q, doc, mode="multimodal")
         assert "Document Text:" not in script.turns[1].text
         assert script.turns[1].image_refs == ("x.png",)

@@ -85,13 +85,17 @@ def test_identity_permutation():
 
 class TestDomainTypes:
     def test_modality_requirements(self):
+        # a document needs a non-empty text or image_ref, or both; which one
+        # a ranked query needs is the rule of its mode, not the document's
         Document(id="d1", text="hello")
-        Document(id="d2", image_ref="img.png", modality="image")
-        Document(id="d3", text="t", image_ref="i.png", modality="hybrid")
-        with pytest.raises(InvariantViolation):
-            Document(id="d4", modality="text")
-        with pytest.raises(InvariantViolation):
-            Document(id="d5", text="t", modality="hybrid")
+        Document(id="d2", image_ref="img.png")
+        Document(id="d3", text="t", image_ref="i.png")
+        Document(id="d4", text="", image_ref="i.png")
+        Document(id="d5", text="t", image_ref="")
+        for fields in ({}, {"text": ""}, {"image_ref": ""}, {"text": "", "image_ref": ""}):
+            with pytest.raises(InvariantViolation, match="doc d6: needs a non-empty text or "
+                                                         "image_ref"):
+                Document(id="d6", **fields)
 
     def test_id_whitespace_rejected(self):
         with pytest.raises(InvariantViolation):
@@ -118,8 +122,8 @@ class TestDomainTypes:
 def test_document_jsonl_roundtrip(tmp_path):
     docs = [
         Document(id="d1", text="alpha"),
-        Document(id="d2", image_ref="im.png", modality="image"),
-        Document(id="d3", text="beta", image_ref="b.png", modality="hybrid"),
+        Document(id="d2", image_ref="im.png"),
+        Document(id="d3", text="beta", image_ref="b.png"),
     ]
     path = tmp_path / "corpus.jsonl"
     write_documents(docs, str(path))
@@ -143,6 +147,34 @@ def test_read_documents_refuses_a_field_that_is_not_a_string(tmp_path, line, fie
     with pytest.raises(MalformedLine, match=re.escape(f"{path}:2: doc d1: {field} must be "
                                                       f"a string")):
         read_documents(str(path))
+
+
+@pytest.mark.parametrize("line", [
+    '{"id": "d1"}',
+    '{"id": "d1", "text": "", "image_ref": ""}',
+    '{"id": "d1", "text": null, "image_ref": ""}',
+    '{"id": "d1", "modality": "image"}',
+])
+def test_read_documents_refuses_a_line_with_neither_text_nor_image_ref(tmp_path, line):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "d0", "text": "fine"}\n' + line + "\n")
+    with pytest.raises(MalformedLine, match=re.escape(f"{path}:2: doc d1: needs a non-empty "
+                                                      f"text or image_ref")):
+        read_documents(str(path))
+
+
+def test_read_documents_ignores_a_modality_key(tmp_path):
+    # a corpus line is the fields it holds: a declared modality was once
+    # checked against them, and "text" was its default
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "d1", "text": "t", "modality": "bogus"}\n'
+                    '{"id": "d2", "text": "t", "modality": "image"}\n'
+                    '{"id": "d3", "image_ref": "i.png"}\n'
+                    '{"id": "d4", "image_ref": "i.png", "modality": "text"}\n')
+    assert read_documents(str(path)) == [
+        Document(id="d1", text="t"), Document(id="d2", text="t"),
+        Document(id="d3", image_ref="i.png"), Document(id="d4", image_ref="i.png"),
+    ]
 
 
 @pytest.mark.parametrize("text", ["5", "[\"q\"]", "null"])

@@ -26,7 +26,7 @@ SYSTEM = Turn("system", "rank")
 
 # (class, frozen, every field by keyword)
 CASES = [
-    (Document, True, dict(id="d1", text="t", image_ref="img.png", modality="hybrid")),
+    (Document, True, dict(id="d1", text="t", image_ref="img.png")),
     (Query, True, dict(id="q1", text="question")),
     (CandidateList, True, dict(query_id="q1", doc_ids=("d1", "d2"), first_stage_scores=(2.0, 1.0))),
     (Permutation, True, dict(order=(2, 1, 3))),
